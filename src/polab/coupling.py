@@ -13,7 +13,6 @@ import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import DataError, NumericError
 
@@ -222,7 +221,11 @@ def _granger_f(x: np.ndarray, y: np.ndarray, lag: int):
     if ssr_u is None or ssr_r is None or ssr_u <= 0:
         return None
     f = ((ssr_r - ssr_u) / lag) / (ssr_u / df)
-    return float(f), float(sstats.f.sf(f, lag, df))
+    # imported here: loading scipy takes about a second, which every
+    # subcommand would otherwise pay at start-up
+    from scipy import stats
+
+    return float(f), float(stats.f.sf(f, lag, df))
 
 
 def _bic_lag(x: np.ndarray, y: np.ndarray, max_lag: int) -> int | None:

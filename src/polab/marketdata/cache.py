@@ -11,19 +11,26 @@ Each block holds rows of one (stock, trading day). A key may repeat across
 blocks (the writer flushes in bounded-memory chunks); readers concatenate
 repeats in file order. Off-grid rows are kept with bar 0 so row counts
 reconcile against the source file.
+
+The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
+it, and readers refuse a cache that does not match it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import os
 import struct
+import zlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..errors import DataError, InputError
-from .schema import TransactionRecord
+from .grid import BARS_PER_DAY
+from .schema import TransactionChunk
 
 MAGIC = b"PLAB1"
 VERSION = 1
@@ -42,6 +49,8 @@ _COLUMNS = (
     ("buy_serial", "<u4"),
     ("sell_serial", "<u4"),
 )
+_DTYPES = [(name, np.dtype(dtype)) for name, dtype in _COLUMNS]
+_ROW_BYTES = sum(dtype.itemsize for _, dtype in _DTYPES)
 
 
 @dataclass
@@ -68,13 +77,40 @@ def _int_to_date(v: int) -> dt.date:
     return dt.date(v // 10_000, (v // 100) % 100, v % 100)
 
 
+def checksum_path(path) -> Path:
+    """The file beside a cache that records its CRC-32 and size."""
+    path = Path(path)
+    return path.with_name(path.name + ".crc32")
+
+
+def _read_checksum(path) -> tuple[int, int] | None:
+    try:
+        text = checksum_path(path).read_text()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        raise InputError(f"cannot read cache checksum {checksum_path(path)}: {exc}") from exc
+    try:
+        crc, size = text.split()
+        return int(crc, 16), int(size)
+    except ValueError:
+        raise DataError(f"unreadable cache checksum {checksum_path(path)}") from None
+
+
 class CacheWriter:
-    """Appends per-(stock, day) blocks; block count is patched on close."""
+    """Appends per-(stock, day) blocks to a temporary file beside ``path``.
+
+    Leaving the ``with`` block normally patches the block count into the
+    header, moves the file onto ``path`` and records its checksum. Leaving
+    it by an exception deletes the temporary file, any older cache at
+    ``path`` and its checksum, so a failed build leaves no cache behind.
+    """
 
     def __init__(self, path):
-        self._path = path
+        self._path = Path(path)
+        self._tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
         try:
-            self._fh = open(path, "wb")
+            self._fh = open(self._tmp, "w+b")
         except OSError as exc:
             raise InputError(f"cannot create cache file {path}: {exc}") from exc
         self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
@@ -97,87 +133,131 @@ class CacheWriter:
         self.n_rows += n
 
     def close(self) -> None:
-        self._fh.seek(0)
-        self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, self.n_blocks))
+        fh = self._fh
+        try:
+            fh.seek(0)
+            fh.write(_HEADER.pack(MAGIC, VERSION, 0, self.n_blocks))
+            fh.seek(0)
+            crc = 0
+            for piece in iter(lambda: fh.read(1 << 20), b""):
+                crc = zlib.crc32(piece, crc)
+            size = fh.tell()
+            fh.close()
+            os.replace(self._tmp, self._path)
+            checksum_path(self._path).write_text(f"{crc:08x} {size}\n")
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
         self._fh.close()
+        for path in (self._tmp, self._path, checksum_path(self._path)):
+            path.unlink(missing_ok=True)
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
 
 
 def iter_blocks(path) -> Iterator[CacheBlock]:
-    """Yield cache blocks in file order. Validates magic and version."""
+    """Yield cache blocks in file order.
+
+    Validates magic and version, every length against the bytes the file
+    holds, each block's date, stock id and bar range, and, where the writer
+    recorded one, the file's size and CRC-32. The CRC is compared after the
+    last block, so a caller that drains the iterator has checked the file
+    before it uses any result. Every violation raises DataError.
+    """
     try:
         fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read cache file {path}: {exc}") from exc
     with fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
+        size = os.fstat(fh.fileno()).st_size
+        recorded = _read_checksum(path)
+        if recorded is not None and recorded[1] != size:
+            raise DataError(
+                f"cache {path} holds {size} bytes, its checksum file says {recorded[1]}"
+            )
+        pos = crc = 0
+
+        def take(n: int, what: str) -> bytes:
+            nonlocal pos, crc
+            if n > size - pos:
+                raise DataError(f"truncated {what} in {path} at byte {pos}")
+            raw = fh.read(n)
+            pos += n
+            crc = zlib.crc32(raw, crc)
+            return raw
+
+        if size < _HEADER.size:
             raise DataError(f"{path} is not a polab cache: truncated header")
-        magic, version, _, n_blocks = _HEADER.unpack(head)
+        magic, version, _, n_blocks = _HEADER.unpack(take(_HEADER.size, "header"))
         if magic != MAGIC:
             raise DataError(f"{path} is not a polab cache: bad magic {magic!r}")
         if version != VERSION:
             raise DataError(f"unsupported cache version {version} in {path}")
         for _ in range(n_blocks):
-            (sid_len,) = _BLOCK_HEAD.unpack(fh.read(_BLOCK_HEAD.size))
-            stock_id = fh.read(sid_len).decode("utf-8")
-            date_int, n = _BLOCK_META.unpack(fh.read(_BLOCK_META.size))
-            cols = {}
-            for name, dtype in _COLUMNS:
-                dt_ = np.dtype(dtype)
-                raw = fh.read(dt_.itemsize * n)
-                if len(raw) != dt_.itemsize * n:
-                    raise DataError(f"truncated block in {path}")
-                cols[name] = np.frombuffer(raw, dtype=dt_)
-            yield CacheBlock(stock_id, _int_to_date(date_int), **cols)
+            (sid_len,) = _BLOCK_HEAD.unpack(take(_BLOCK_HEAD.size, "block header"))
+            head = take(sid_len + _BLOCK_META.size, "block header")
+            try:
+                stock_id = head[:sid_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise DataError(f"stock id is not UTF-8 in {path} at byte {pos}") from None
+            date_int, n = _BLOCK_META.unpack_from(head, sid_len)
+            try:
+                trade_date = _int_to_date(date_int)
+            except ValueError:
+                raise DataError(f"bad date {date_int} in {path} at byte {pos}") from None
+            raw = take(_ROW_BYTES * n, "block")
+            cols, offset = {}, 0
+            for name, dtype in _DTYPES:
+                cols[name] = np.frombuffer(raw, dtype=dtype, count=n, offset=offset)
+                offset += dtype.itemsize * n
+            if n and cols["bar"].max() > BARS_PER_DAY:
+                raise DataError(f"bar index out of range in {path} before byte {pos}")
+            yield CacheBlock(stock_id, trade_date, **cols)
+        if pos != size:
+            raise DataError(f"{path} has {size - pos} bytes after its last block")
+        if recorded is not None and crc != recorded[0]:
+            raise DataError(f"cache {path} does not match its checksum")
 
 
-def write_cache(path, records: Iterable[TransactionRecord], flush_rows: int = 1 << 20) -> int:
-    """Build a cache from a record stream with bounded memory.
+def write_cache(path, chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20) -> int:
+    """Build a cache from a stream of parsed chunks with bounded memory.
 
-    Buffers rows per (stock, day) and flushes every group once the buffered
-    total reaches ``flush_rows``, so a key may span several blocks. Returns
-    the number of rows written.
+    Buffers rows per (stock, day) and flushes every group, in order of its
+    first buffered row, once the buffered total reaches ``flush_rows``, so
+    a key may span several blocks. Returns the number of rows written.
     """
-    buffers: dict[tuple[str, dt.date], list[list]] = {}
+    pending: dict[tuple[str, dt.date], list[TransactionChunk]] = {}
     buffered = 0
 
     def flush(writer: CacheWriter) -> None:
-        nonlocal buffered
-        for (stock, day), cols in buffers.items():
-            writer.append(
-                CacheBlock(
-                    stock,
-                    day,
-                    np.asarray(cols[0], dtype="<u4"),
-                    np.asarray(cols[1], dtype="<u1"),
-                    np.asarray(cols[2], dtype="<f8"),
-                    np.asarray(cols[3], dtype="<u4"),
-                    np.asarray(cols[4], dtype="<u4"),
-                    np.asarray(cols[5], dtype="<u4"),
-                )
-            )
-        buffers.clear()
-        buffered = 0
+        for (stock, day), parts in pending.items():
+            cols = {
+                name: np.concatenate([getattr(p, name) for p in parts]) for name, _ in _COLUMNS
+            }
+            writer.append(CacheBlock(stock, day, **cols))
+        pending.clear()
 
     with CacheWriter(path) as writer:
-        for rec in records:
-            cols = buffers.get((rec.stock_id, rec.trade_date))
-            if cols is None:
-                cols = buffers[(rec.stock_id, rec.trade_date)] = [[], [], [], [], [], []]
-            cols[0].append(rec.time_ms)
-            cols[1].append(rec.bar)
-            cols[2].append(rec.price)
-            cols[3].append(rec.volume)
-            cols[4].append(rec.buy_serial)
-            cols[5].append(rec.sell_serial)
-            buffered += 1
-            if buffered >= flush_rows:
-                flush(writer)
+        for chunk in chunks:
+            start = 0
+            while start < len(chunk):
+                stop = min(len(chunk), start + max(1, flush_rows - buffered))
+                part = chunk[start:stop]
+                for stock, day, rows in part.groups():
+                    pending.setdefault((stock, day), []).append(rows)
+                buffered += stop - start
+                start = stop
+                if buffered >= flush_rows:
+                    flush(writer)
+                    buffered = 0
         flush(writer)
         return writer.n_rows

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from ..errors import ConfigError
 from . import grid
@@ -33,6 +35,66 @@ class TransactionRecord(NamedTuple):
 
     def time_of_day(self) -> dt.time:
         return grid.time_of_day(self.time_ms)
+
+
+#: Per-row columns of a TransactionChunk, in TransactionRecord order after the keys.
+CHUNK_COLUMNS = ("time_ms", "price", "volume", "buy_serial", "sell_serial", "bar")
+
+
+@dataclass
+class TransactionChunk:
+    """Consecutive valid records of one parse chunk, as columns, in file order.
+
+    ``stocks`` and ``dates`` list the distinct keys of the chunk;
+    ``stock_idx`` and ``date_idx`` index them per row. Integer columns are
+    int64 (``bar`` is int16, as ``grid.assign_bars`` returns it) and
+    ``price`` is float64.
+    """
+
+    stocks: list
+    dates: list
+    stock_idx: np.ndarray
+    date_idx: np.ndarray
+    time_ms: np.ndarray
+    price: np.ndarray
+    volume: np.ndarray
+    buy_serial: np.ndarray
+    sell_serial: np.ndarray
+    bar: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time_ms)
+
+    def __getitem__(self, rows) -> "TransactionChunk":
+        """The rows ``rows`` (a slice or an index array) of every column."""
+        return TransactionChunk(
+            self.stocks, self.dates, self.stock_idx[rows], self.date_idx[rows],
+            *(getattr(self, name)[rows] for name in CHUNK_COLUMNS),
+        )
+
+    def groups(self) -> Iterator[tuple[str, dt.date, "TransactionChunk"]]:
+        """(stock, date, rows of that key) per key, keys in order of first row.
+
+        Each key's rows keep their file order.
+        """
+        key = self.stock_idx.astype(np.int64) * len(self.dates) + self.date_idx
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        by_key = self[np.argsort(inverse, kind="stable")]
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+        for g in np.argsort(first).tolist():
+            k = int(key[first[g]])
+            yield (
+                self.stocks[k // len(self.dates)],
+                self.dates[k % len(self.dates)],
+                by_key[bounds[g] : bounds[g + 1]],
+            )
+
+    def records(self) -> Iterator[TransactionRecord]:
+        columns = [getattr(self, name).tolist() for name in CHUNK_COLUMNS]
+        for s, d, t, p, v, b, sl, bar in zip(
+            self.stock_idx.tolist(), self.date_idx.tolist(), *columns
+        ):
+            yield TransactionRecord(self.dates[d], self.stocks[s], t, p, v, b, sl, bar)
 
 
 @dataclass(frozen=True)

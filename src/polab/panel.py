@@ -148,11 +148,13 @@ class PolarityPanel:
         report: ParseReport | None = None,
     ) -> "PolarityPanel":
         builder = PanelBuilder(serial_scope=serial_scope)
-        builder.add_records(
-            iter_transactions(
-                path, schema, report=report, malformed_threshold=malformed_threshold
-            )
-        )
+        for chunk in iter_transactions(
+            path, schema, report=report, malformed_threshold=malformed_threshold
+        ):
+            for stock, date, rows in chunk.groups():
+                builder.add_arrays(
+                    stock, date, rows.bar, rows.buy_serial, rows.sell_serial, rows.time_ms
+                )
         return builder.build()
 
     @classmethod
@@ -280,15 +282,11 @@ class PanelBuilder:
     feeding safe.
     """
 
-    _FLUSH_ROWS = 1 << 18
-
     def __init__(self, serial_scope: str = "bar"):
         if serial_scope not in ("bar", "day"):
             raise ValueError(f"serial_scope must be 'bar' or 'day', got {serial_scope!r}")
         self.serial_scope = serial_scope
         self._reduced: dict[tuple[str, dt.date], list] = {}
-        self._row_buffers: dict[tuple[str, dt.date], list[list]] = {}
-        self._buffered = 0
         self._order: dict[tuple[str, dt.date], int] = {}
 
     def add_arrays(self, stock, date, bar, buy_serial, sell_serial, time_ms) -> None:
@@ -309,36 +307,7 @@ class PanelBuilder:
     def add_reduced(self, stock, date, reduced) -> None:
         self._reduced.setdefault((stock, date), []).append(reduced)
 
-    def add_records(self, records: Iterable[TransactionRecord]) -> None:
-        for rec in records:
-            if rec.bar == 0:
-                continue
-            cols = self._row_buffers.get((rec.stock_id, rec.trade_date))
-            if cols is None:
-                cols = self._row_buffers[(rec.stock_id, rec.trade_date)] = [[], [], [], []]
-            cols[0].append(rec.bar)
-            cols[1].append(rec.buy_serial)
-            cols[2].append(rec.sell_serial)
-            cols[3].append(rec.time_ms)
-            self._buffered += 1
-            if self._buffered >= self._FLUSH_ROWS:
-                self._flush_rows()
-        self._flush_rows()
-
-    def _flush_rows(self) -> None:
-        for (stock, date), cols in self._row_buffers.items():
-            self.add_arrays(
-                stock, date,
-                np.asarray(cols[0], dtype=np.int64),
-                np.asarray(cols[1], dtype=np.int64),
-                np.asarray(cols[2], dtype=np.int64),
-                np.asarray(cols[3], dtype=np.int64),
-            )
-        self._row_buffers.clear()
-        self._buffered = 0
-
     def build(self) -> PolarityPanel:
-        self._flush_rows()
         stocks = sorted({k[0] for k in self._reduced})
         dates = sorted({k[1] for k in self._reduced})
         sidx = {s: i for i, s in enumerate(stocks)}

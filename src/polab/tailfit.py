@@ -9,6 +9,9 @@ variant is never used here.
 
 Burstiness is computed on the raw empirical lengths; a tail-only variant
 (restricted to the fitted cutoff) exists for sensitivity checks.
+
+scipy is imported inside the functions that use it: loading it takes about
+a second, which every subcommand would otherwise pay at start-up.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import FitRefusedError
 
@@ -43,6 +45,8 @@ class BurstinessResult:
 
 
 def _alpha_mle(tail: np.ndarray, xmin: int) -> float:
+    from scipy import optimize, special
+
     n = len(tail)
     slog = float(np.log(tail).sum())
 
@@ -66,6 +70,8 @@ def _ks_distance(tail_sorted: np.ndarray, alpha: float, xmin: int) -> float:
         vals = np.unique(tail_sorted)
         xs = np.unique(np.concatenate([vals, vals - 1]))
         xs = xs[xs >= xmin].astype(np.float64)
+    from scipy import special
+
     z = special.zeta(alpha, xmin)
     fitted = 1.0 - special.zeta(alpha, xs + 1.0) / z
     empirical = np.searchsorted(tail_sorted, xs, side="right") / len(tail_sorted)
@@ -74,6 +80,8 @@ def _ks_distance(tail_sorted: np.ndarray, alpha: float, xmin: int) -> float:
 
 def _stderr_alpha(alpha: float, xmin: int, n_tail: int) -> float:
     """Asymptotic MLE standard error from the observed information."""
+    from scipy import special
+
     h = 1e-4
     lz = lambda a: np.log(special.zeta(a, xmin))
     d2 = (lz(alpha + h) - 2.0 * lz(alpha) + lz(alpha - h)) / (h * h)

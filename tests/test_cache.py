@@ -1,10 +1,13 @@
 import datetime as dt
+import os
 
 import numpy as np
 import pytest
 
 from polab.errors import DataError
-from polab.marketdata.cache import MAGIC, CacheBlock, CacheWriter, iter_blocks, write_cache
+from polab.marketdata.cache import (
+    MAGIC, CacheBlock, CacheWriter, checksum_path, iter_blocks, write_cache,
+)
 from polab.marketdata.parse import iter_transactions
 from polab.panel import PolarityPanel
 
@@ -51,7 +54,7 @@ class TestRoundTrip:
         direct = PolarityPanel.from_transactions(files.transactions)
         cached = PolarityPanel.from_cache(path)
         assert cached.equals(direct)
-        assert n == sum(1 for _ in iter_transactions(files.transactions))
+        assert n == sum(len(chunk) for chunk in iter_transactions(files.transactions))
 
     def test_small_flush_splits_keys_but_counts_agree(self, small_scenario, tmp_path):
         files, _ = small_scenario
@@ -73,10 +76,21 @@ class TestRoundTrip:
         n = write_cache(path, iter_transactions(files.transactions))
         off = sum(int((b.bar == 0).sum()) for b in iter_blocks(path))
         assert off == 4
-        assert n == sum(1 for _ in iter_transactions(files.transactions))
+        assert n == sum(len(chunk) for chunk in iter_transactions(files.transactions))
 
 
 class TestValidation:
+    def test_serial_beyond_u32_in_feed_is_a_data_error(self, tmp_path):
+        tx = tmp_path / "tx.csv"
+        tx.write_text(
+            "trade_date,stock_id,time,price,volume,buy_serial,sell_serial\n"
+            f"2015-05-04,000001,09:31:00.000,10.0,100,{2**32},2\n"
+        )
+        with pytest.raises(DataError, match="overflows"):
+            write_cache(tmp_path / "c.plab", iter_transactions(tx))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
+
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.plab"
         path.write_bytes(b"NOTPL" + b"\x00" * 32)
@@ -109,3 +123,72 @@ class TestValidation:
         with CacheWriter(tmp_path / "c.plab") as w:
             with pytest.raises(DataError, match="overflows"):
                 w.append(b)
+
+
+def _edited(raw: bytes, offset: int, value: bytes) -> bytes:
+    return raw[:offset] + value + raw[offset + len(value):]
+
+
+# one block of 5 rows: header 0-15, stock-id length 16, stock id 18-23, date 24,
+# row count 28, time_ms 32-51, bar 52-56, then price, volume and serials to 157
+STRUCTURE_DAMAGE = [
+    (lambda raw: raw[:17], "truncated block header"),
+    (lambda raw: _edited(raw, 8, (2).to_bytes(8, "little")), "truncated block header"),
+    (lambda raw: _edited(raw, 18, b"\xff"), "not UTF-8"),
+    (lambda raw: _edited(raw, 24, (20151399).to_bytes(4, "little")), "bad date"),
+    (lambda raw: _edited(raw, 28, (2**32 - 1).to_bytes(4, "little")), "truncated block"),
+    (lambda raw: _edited(raw, 52, b"\xf0"), "bar index out of range"),
+    (lambda raw: raw + b"xx", "bytes after its last block"),
+]
+
+
+class TestDamage:
+    @pytest.fixture
+    def raw(self, tmp_path):
+        b = block(n=5)
+        b.bar = np.full(5, 7, dtype="<u1")
+        with CacheWriter(tmp_path / "c.plab") as w:
+            w.append(b)
+        return (tmp_path / "c.plab").read_bytes()
+
+    @pytest.mark.parametrize("edit,message", STRUCTURE_DAMAGE)
+    def test_structure_damage_is_a_data_error(self, raw, tmp_path, edit, message):
+        path = tmp_path / "damaged.plab"  # no checksum file: the structure alone is checked
+        path.write_bytes(edit(raw))
+        with pytest.raises(DataError, match=message):
+            list(iter_blocks(path))
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda raw: _edited(raw, 60, b"\x01"), "does not match its checksum"),
+            (lambda raw: raw[:-1], "its checksum file says"),
+            (lambda raw: _edited(raw, 52, b"\xf0"), "bar index out of range"),
+        ],
+    )
+    def test_checksum_catches_damage_to_values(self, raw, tmp_path, edit, message):
+        path = tmp_path / "c.plab"
+        path.write_bytes(edit(raw))
+        with pytest.raises(DataError, match=message):
+            list(iter_blocks(path))
+
+    def test_writer_leaves_only_cache_and_checksum(self, raw, tmp_path):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.plab", "c.plab.crc32"]
+        assert checksum_path(tmp_path / "c.plab").read_text().split()[1] == str(len(raw))
+
+    def test_failed_write_removes_older_cache(self, raw, tmp_path):
+        with pytest.raises(RuntimeError):
+            with CacheWriter(tmp_path / "c.plab") as w:
+                w.append(block())
+                raise RuntimeError("feed broke")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_close_removes_temporary_and_older_cache(self, raw, tmp_path, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            with CacheWriter(tmp_path / "c.plab") as w:
+                w.append(block())
+        assert list(tmp_path.iterdir()) == []

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polab.cli import main
+from polab.marketdata.cache import checksum_path
 from polab.tables import read_table
 
 
@@ -294,3 +301,123 @@ class TestErrorMapping:
     def test_bad_set_syntax(self, workdir, capsys):
         root, out, cfg = workdir
         assert main(["polarity", "--config", str(cfg), "--set", "oops"]) == 2
+
+
+def test_cli_imports_without_scipy():
+    # scipy costs about a second of start-up; only the fits and Granger tests import it
+    import polab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+    code = "import sys, polab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+class TestFailedIngest:
+    def test_aborted_ingest_leaves_no_cache(self, tmp_path, capsys):
+        good = [
+            f"2015-05-04,{1 + i % 5:06d},{9 + i % 2:02d}:{31 + i % 20:02d}:00.000,"
+            f"10.0,100,{1 + i % 97},{1 + i % 89}"
+            for i in range(30_000)
+        ]
+        tx = tmp_path / "tx.csv"
+        header = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
+        tx.write_text("\n".join([header] + good) + "\n")
+        cache_path = tmp_path / "cache.plab"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"transactions": str(tx), "cache": str(cache_path), "out_dir": str(tmp_path / "out")}
+        ))
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        assert cache_path.exists() and checksum_path(cache_path).exists()
+
+        corrupt = [line if i % 100 else "2015-05-04,000001,garbage" for i, line in enumerate(good)]
+        tx.write_text("\n".join([header] + corrupt) + "\n")
+        capsys.readouterr()
+        assert main(["ingest", "--config", str(cfg)]) == 4
+        assert "malformed share" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out", "tx.csv"]
+        assert main(["polarity", "--config", str(cfg)]) != 0
+
+
+@pytest.fixture(scope="module")
+def cached_market(tmp_path_factory):
+    """A small ingested market and the panel.csv its cache gives."""
+    import datetime as dt
+
+    from polab.synth import RegimeSpec, generate
+
+    root = tmp_path_factory.mktemp("corrupt")
+    regime = RegimeSpec(
+        "flow", buy_rate=0.8, sell_rate=0.8, mean_fills=1.6, bars=tuple(range(1, 238, 9))
+    )
+    files, _ = generate(regime, 3, [dt.date(2015, 5, 4), dt.date(2015, 5, 5)], 17, root / "feed")
+    cache_path = root / "cache.plab"
+    cfg = root / "ingest.json"
+    cfg.write_text(json.dumps({
+        "transactions": str(files.transactions),
+        "cache": str(cache_path),
+        "out_dir": str(root / "out"),
+    }))
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    assert main(["polarity", "--config", str(cfg)]) == 0
+    panel = (root / "out" / "panel.csv").read_bytes()
+    return cache_path.read_bytes(), checksum_path(cache_path).read_text(), panel
+
+
+@st.composite
+def damage(draw, size):
+    if draw(st.booleans()):
+        return ("truncate", draw(st.integers(0, size - 1)))
+    return ("flip", draw(st.integers(0, size - 1)), draw(st.integers(1, 255)))
+
+
+def _polarity_on(tmp_path, raw: bytes, checksum: str | None):
+    cache_path = tmp_path / "cache.plab"
+    cache_path.write_bytes(raw)
+    checksum_path(cache_path).unlink(missing_ok=True)
+    if checksum is not None:
+        checksum_path(cache_path).write_text(checksum)
+    out = tmp_path / "out"
+    if out.exists():
+        for p in out.iterdir():
+            p.unlink()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
+    return main(["polarity", "--config", str(cfg)]), out / "panel.csv"
+
+
+def _damaged(raw: bytes, how) -> bytes:
+    if how[0] == "truncate":
+        return raw[: how[1]]
+    buf = bytearray(raw)
+    buf[how[1]] ^= how[2]
+    return bytes(buf)
+
+
+FUZZ = settings(
+    max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestCorruptCache:
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_cache_is_refused_or_harmless(self, cached_market, tmp_path, capsys, data):
+        raw, checksum, panel = cached_market
+        damaged = _damaged(raw, data.draw(damage(len(raw))))
+        code, panel_path = _polarity_on(tmp_path, damaged, checksum)
+        assert code == 4 or (code == 0 and panel_path.read_bytes() == panel)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damage_without_checksum_is_never_a_traceback(
+        self, cached_market, tmp_path, capsys, data
+    ):
+        # without the checksum file only the structure can be checked, so a
+        # flipped serial may change the panel, but must never crash the reader
+        raw, _, _ = cached_market
+        code, _ = _polarity_on(tmp_path, _damaged(raw, data.draw(damage(len(raw)))), None)
+        assert code in (0, 4)

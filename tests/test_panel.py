@@ -26,6 +26,16 @@ def rec(buy, sell, bar=1, stock="000001", time_ms=34_200_000):
     return TransactionRecord(D, stock, time_ms, 10.0, 100, buy, sell, bar)
 
 
+def add_records(builder, records):
+    """Feed records to ``builder.add_arrays``, one call per (stock, day) in row order."""
+    keys = {}
+    for r in records:
+        keys.setdefault((r.stock_id, r.trade_date), []).append(r)
+    for (stock, date), rows in keys.items():
+        cols = ("bar", "buy_serial", "sell_serial", "time_ms")
+        builder.add_arrays(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
+
+
 class TestCountMantimes:
     def test_distinct_serials_per_side(self):
         batch = [rec(5, 2), rec(5, 7), rec(9, 8)]
@@ -102,8 +112,8 @@ class TestPanelConstruction:
 
     def test_serial_spanning_bars_counts_in_each(self):
         builder = PanelBuilder()
-        builder.add_records(
-            [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)]
+        add_records(
+            builder, [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)]
         )
         panel = builder.build()
         assert panel.cell("000001", D, 1)[:2] == (1, 1)
@@ -111,8 +121,8 @@ class TestPanelConstruction:
 
     def test_day_scope_counts_serial_once(self):
         builder = PanelBuilder(serial_scope="day")
-        builder.add_records(
-            [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)]
+        add_records(
+            builder, [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)]
         )
         panel = builder.build()
         # buyer serial 1 belongs to its first minute only
@@ -124,7 +134,7 @@ class TestPanelConstruction:
         earlier = rec(4, 8, bar=2, time_ms=34_270_000)
         for batch in ([later, earlier], [earlier, later]):
             builder = PanelBuilder(serial_scope="day")
-            builder.add_records(batch)
+            add_records(builder, batch)
             panel = builder.build()
             assert panel.cell("000001", D, 2)[:2] == (1, 1)
             assert panel.cell("000001", D, 3)[:2] == (0, 1)

@@ -71,6 +71,10 @@ class TestMalformedHandling:
             ("2015-05-08,000001,09:31:00.000,10.0,100,1,-3", "nonpositive"),
             ("2015-05-08,000001,99:00:00.000,10.0,100,1,2", "bad_time"),
             ("garbage,000001,09:31:00.000,10.0,100,1,2", "unparsable"),
+            # a row breaking several rules gets the first reason that applies
+            ("2015-05-08,000001,99:00:00.000,0,100,1,2", "nonpositive"),
+            ("2015-05-08,000001,99:00:00.000,1O.5,0,1,2", "unparsable"),
+            ("2015-05-08,000001,99:00:00.000,10.0,0,1", "field_count"),
         ],
     )
     def test_malformed_reasons(self, tmp_path, bad, reason):
@@ -90,6 +94,11 @@ class TestMalformedHandling:
         path = write(tmp_path, [HEADER, good, "broken,row"])
         records, report = parse_transactions(path, malformed_threshold=0.6)
         assert len(records) == 1 and report.malformed_rows == 1
+
+    def test_integer_beyond_int64_is_a_data_error(self, tmp_path):
+        path = write(tmp_path, [HEADER, f"2015-05-08,000001,09:31:00.000,10.0,100,{2**64},2"])
+        with pytest.raises(DataError, match="out of range"):
+            parse_transactions(path)
 
     def test_early_abort_on_dense_corruption(self, tmp_path):
         path = write(tmp_path, [HEADER] + ["junk"] * 30_000)
@@ -165,7 +174,7 @@ class TestRoundTrip:
         expected_rows = sum(1 for _ in open(files.transactions)) - 1
         assert expected_rows >= 15_000  # dense regime actually produced volume
         report = ParseReport()
-        n = sum(1 for _ in iter_transactions(files.transactions, report=report))
+        n = sum(len(chunk) for chunk in iter_transactions(files.transactions, report=report))
         assert n == expected_rows
         assert report.malformed_rows == 0
         assert report.total_rows == expected_rows

@@ -1,0 +1,229 @@
+"""The chunked parser against the per-row rule, at several chunk sizes.
+
+The reference reads the file with ``csv`` one row at a time and applies
+``parse._parse_row`` with the running abort check, which is how the parser
+worked before it read chunks. Every chunk size must reproduce its records,
+its ParseReport and its abort, and every cache built from the chunks must
+be byte-identical to one built from the reference records.
+"""
+
+import csv
+import datetime as dt
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from polab.errors import DataError
+from polab.marketdata import cache, parse
+from polab.marketdata.grid import assign_bar
+from polab.marketdata.schema import ParseReport, TransactionRecord
+
+HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
+CHUNK_SIZES = (1, 7, parse._CHUNK_LINES)
+IDX = (7, 0, 1, 2, 3, 4, 5, 6)
+
+
+def reference_parse(path, malformed_threshold):
+    """(records, report, abort message or None) of the row-by-row reader."""
+    report = ParseReport()
+    records = []
+    floor = parse._EARLY_CHECK_FLOOR
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            report.total_rows += 1
+            out = parse._parse_row(row, IDX)
+            if isinstance(out, int):
+                report.note_malformed(reader.line_num, parse._REASONS[out - 1])
+            else:
+                bar = assign_bar(out[2])
+                report.off_grid_rows += bar == 0
+                report.parsed_rows += 1
+                records.append(TransactionRecord(*out, bar))
+            t, m = report.total_rows, report.malformed_rows
+            if m and t >= floor and t % floor == 0 and m > malformed_threshold * t:
+                return records, report, _abort(path, malformed_threshold, report)
+    if report.total_rows and report.malformed_rows > malformed_threshold * report.total_rows:
+        return records, report, _abort(path, malformed_threshold, report)
+    return records, report, None
+
+
+def _abort(path, threshold, report):
+    return f"malformed share exceeds {threshold:.4%} in {path}: " + report.summary()
+
+
+def chunked_parse(path, malformed_threshold):
+    report = ParseReport()
+    records, message = [], None
+    try:
+        for chunk in parse.iter_transactions(
+            path, report=report, malformed_threshold=malformed_threshold
+        ):
+            records.extend(chunk.records())
+    except DataError as exc:
+        message = str(exc)
+    return records, report, message
+
+
+def reference_cache(path, records, flush_rows):
+    """A cache written with per-record buffering, flushed every ``flush_rows`` rows."""
+    buffers = {}
+
+    def flush(writer):
+        for (stock, day), rows in buffers.items():
+            cols = list(zip(*rows))
+            arrays = (np.asarray(c, dtype=dtype) for c, (_, dtype) in zip(cols, cache._COLUMNS))
+            writer.append(cache.CacheBlock(stock, day, *arrays))
+        buffers.clear()
+
+    with cache.CacheWriter(path) as writer:
+        for k, r in enumerate(records, 1):
+            buffers.setdefault((r.stock_id, r.trade_date), []).append(
+                (r.time_ms, r.bar, r.price, r.volume, r.buy_serial, r.sell_serial)
+            )
+            if k % flush_rows == 0:
+                flush(writer)
+        flush(writer)
+    return path.read_bytes()
+
+
+def comparable(records):
+    """Records with NaN prices made comparable."""
+    return [r._replace(price="nan") if math.isnan(r.price) else r for r in records]
+
+
+# -- random feeds ------------------------------------------------------------------
+
+DATES = ("2015-05-04", "2015-05-05", "2015-06-12")
+STOCKS = ("000001", "000002", "300750", "12", "", "Ω01")
+
+
+def mostly(plain, edge):
+    """Plain values three times in four; edge values only the per-row rule reads."""
+    return st.one_of(plain, plain, plain, st.sampled_from(edge))
+
+
+@st.composite
+def valid_fields(draw):
+    hms = draw(st.sampled_from(
+        ("09:31:02", "11:29:59", "13:00:00", "14:56:59", "09:25:00", "15:00:01")
+    ))
+    time = draw(mostly(
+        st.sampled_from((hms, hms + ".340", hms + ".000")), (hms + ".7", " " + hms, hms + ".1234")
+    ))
+    price = draw(mostly(
+        st.sampled_from(("12.50", "10", "0.01", "10.0039", "12.", ".5", "123456789.123456")),
+        ("nan", "1e3", " 12.5", "7236830840615796.5"),
+    ))
+    number = mostly(
+        st.integers(1, 2**32 - 1).map(str),
+        ("007", " 42", "+5", "1_000", "0000000000000000000012"),
+    )
+    return [
+        draw(st.sampled_from(DATES)), draw(st.sampled_from(STOCKS)), time, price,
+        draw(number), draw(number), draw(number),
+    ]
+
+
+@st.composite
+def feed_line(draw):
+    kind = draw(st.sampled_from(("valid",) * 5 + ("damaged",) * 3 + ("blank",)))
+    if kind == "blank":
+        return ""
+    f = draw(valid_fields())
+    damages = set()
+    if kind == "damaged":  # one or two at once, so that the rule's precedence shows
+        damages = draw(st.sets(
+            st.sampled_from(("field_count", "unparsable", "nonpositive", "bad_time")),
+            min_size=1, max_size=2,
+        ))
+    if "unparsable" in damages:
+        k, bad = draw(st.sampled_from(
+            ((0, "garbage"), (0, "2015-13-01"), (2, "notatime"), (2, "9:31"),
+             (3, "1O.5"), (4, "1.5"), (6, ""))
+        ))
+        f[k] = bad
+    if "nonpositive" in damages:
+        k, bad = draw(st.sampled_from(((3, "0"), (3, "-1.0"), (4, "0"), (5, "0"), (6, "-3"))))
+        f[k] = bad
+    if "bad_time" in damages:
+        f[2] = draw(st.sampled_from(("24:00:00.000", "99:00:00", "-1:00:00")))
+    if "field_count" in damages:
+        f = f[:-1] if draw(st.booleans()) else f + ["1"]
+    line = ",".join(f)
+    if draw(st.integers(0, 19)) == 0:  # CRLF ends, and rows only csv reads right: quotes, lone CR
+        line = draw(st.sampled_from((
+            line.replace(f[1], f'"{f[1]}"', 1) if f[1] else line,
+            line + "\r",
+            line.replace(",", "\r", 1),
+            f'{f[0]},"00\n01",' + ",".join(f[2:]),
+        )))
+    return line
+
+
+@settings(
+    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    lines=st.one_of(
+        st.lists(feed_line(), max_size=10), st.lists(feed_line(), min_size=40, max_size=160)
+    ),
+    threshold=st.sampled_from((0.001, 0.2, 0.5, 1.0)),
+    floor=st.sampled_from((5, 10, parse._EARLY_CHECK_FLOOR)),
+    flush_rows=st.sampled_from((64, 128, 512)),
+    trailing_newline=st.booleans(),
+)
+def test_chunks_match_the_per_row_rule(
+    tmp_path, monkeypatch, lines, threshold, floor, flush_rows, trailing_newline
+):
+    path = tmp_path / "tx.csv"
+    text = "\n".join([HEADER] + lines) + ("\n" if trailing_newline else "")
+    path.write_text(text, newline="")
+    monkeypatch.setattr(parse, "_EARLY_CHECK_FLOOR", floor)
+    want_records, want_report, want_abort = reference_parse(path, threshold)
+    want_cache = None
+    if want_abort is None:
+        want_cache = reference_cache(tmp_path / "want.plab", want_records, flush_rows)
+    for size in CHUNK_SIZES:
+        monkeypatch.setattr(parse, "_CHUNK_LINES", size)
+        records, report, abort = chunked_parse(path, threshold)
+        assert comparable(records) == comparable(want_records), size
+        assert report == want_report, size
+        assert abort == want_abort, size
+        if want_cache is not None:
+            got = tmp_path / "got.plab"
+            chunks = parse.iter_transactions(path, malformed_threshold=threshold)
+            cache.write_cache(got, chunks, flush_rows)
+            assert got.read_bytes() == want_cache, size
+
+
+@pytest.mark.parametrize("flush_rows", (64, 128, 512))
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_cache_bytes_do_not_depend_on_chunking(
+    small_scenario, tmp_path, monkeypatch, size, flush_rows
+):
+    files, _ = small_scenario
+    want_records, _, _ = reference_parse(files.transactions, 0.001)
+    want = reference_cache(tmp_path / "want.plab", want_records, flush_rows)
+    monkeypatch.setattr(parse, "_CHUNK_LINES", size)
+    got = tmp_path / "got.plab"
+    n = cache.write_cache(got, parse.iter_transactions(files.transactions), flush_rows)
+    assert n == len(want_records)
+    assert got.read_bytes() == want
+
+
+def test_early_abort_yields_rows_before_it(tmp_path):
+    good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
+    path = tmp_path / "tx.csv"
+    path.write_text("\n".join([HEADER] + [good] * 9_980 + ["junk"] * 40) + "\n")
+    want_records, want_report, want_abort = reference_parse(path, 0.001)
+    records, report, abort = chunked_parse(path, 0.001)
+    assert want_abort is not None and report.total_rows == 10_000
+    assert (records, report, abort) == (want_records, want_report, want_abort)
+    assert dt.date(2015, 5, 8) == records[0].trade_date
