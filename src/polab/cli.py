@@ -50,7 +50,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _load_panel(cfg: RunConfig) -> PolarityPanel:
     if cfg.cache and Path(cfg.cache).exists():
-        return PolarityPanel.from_cache(
+        return PolarityPanel.from_cache_memo(
             cfg.cache, serial_scope=cfg.serial_scope, threads=cfg.threads
         )
     if cfg.transactions:
@@ -189,8 +189,14 @@ def _load_capitalization(path) -> dict:
         if header is None or tuple(h.strip() for h in header) != ("id", "capitalization"):
             raise DataError(f"capitalization file must have header 'id,capitalization': {path}")
         for row in reader:
-            if row:
+            if not row:
+                continue
+            try:
                 caps[row[0]] = float(row[1])
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{path} line {reader.line_num}: expected 'id,capitalization', got {row}"
+                ) from None
     return caps
 
 
@@ -620,10 +626,15 @@ def _load_emotion(path) -> dict:
         for row in reader:
             if not row:
                 continue
-            value = float(row[1])
+            try:
+                date, value = dt.date.fromisoformat(row[0]), float(row[1])
+            except (IndexError, ValueError):
+                raise DataError(
+                    f"{path} line {reader.line_num}: expected 'date,rjf', got {row}"
+                ) from None
             if value <= 0:
                 raise DataError(f"rjf must be positive: {row}")
-            out[dt.date.fromisoformat(row[0])] = value
+            out[date] = value
     return out
 
 

@@ -221,11 +221,13 @@ def _granger_f(x: np.ndarray, y: np.ndarray, lag: int):
     if ssr_u is None or ssr_r is None or ssr_u <= 0:
         return None
     f = ((ssr_r - ssr_u) / lag) / (ssr_u / df)
-    # imported here: loading scipy takes about a second, which every
-    # subcommand would otherwise pay at start-up
-    from scipy import stats
+    # imported here, and scipy.special rather than scipy.stats (the same
+    # survival function): loading scipy.stats takes over a second, which
+    # every subcommand would otherwise pay at start-up
+    from scipy import special
 
-    return float(f), float(stats.f.sf(f, lag, df))
+    # fdtrc is NaN below 0, where the F survival function is 1
+    return float(f), float(special.fdtrc(lag, df, max(f, 0.0)))
 
 
 def _bic_lag(x: np.ndarray, y: np.ndarray, max_lag: int) -> int | None:

@@ -13,7 +13,10 @@ repeats in file order. Off-grid rows are kept with bar 0 so row counts
 reconcile against the source file.
 
 The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
-it, and readers refuse a cache that does not match it.
+it, and readers refuse a cache that does not match it. Analyses may keep
+a built panel beside the cache as ``<cache>.panel-<scope>.npz`` (see
+``polab.panel``); the writer deletes those whenever it replaces or deletes
+the cache.
 """
 
 from __future__ import annotations
@@ -69,11 +72,11 @@ class CacheBlock:
         return len(self.time_ms)
 
 
-def _date_to_int(d: dt.date) -> int:
+def date_to_int(d: dt.date) -> int:
     return d.year * 10_000 + d.month * 100 + d.day
 
 
-def _int_to_date(v: int) -> dt.date:
+def int_to_date(v: int) -> dt.date:
     return dt.date(v // 10_000, (v // 100) % 100, v % 100)
 
 
@@ -81,6 +84,28 @@ def checksum_path(path) -> Path:
     """The file beside a cache that records its CRC-32 and size."""
     path = Path(path)
     return path.with_name(path.name + ".crc32")
+
+
+def panel_memo_path(path, serial_scope: str) -> Path:
+    """The file beside a cache that keeps the panel built from it."""
+    path = Path(path)
+    return path.with_name(f"{path.name}.panel-{serial_scope}.npz")
+
+
+def _remove_panel_memos(path: Path) -> None:
+    prefix = f"{path.name}.panel-"
+    for memo in path.parent.iterdir():
+        if memo.name.startswith(prefix):
+            memo.unlink(missing_ok=True)
+
+
+def _stream_crc32(fh) -> tuple[int, int]:
+    """CRC-32 and length of the bytes from ``fh``'s position to its end."""
+    crc = size = 0
+    for piece in iter(lambda: fh.read(1 << 20), b""):
+        crc = zlib.crc32(piece, crc)
+        size += len(piece)
+    return crc, size
 
 
 def _read_checksum(path) -> tuple[int, int] | None:
@@ -126,7 +151,7 @@ class CacheWriter:
         sid = block.stock_id.encode("utf-8")
         self._fh.write(_BLOCK_HEAD.pack(len(sid)))
         self._fh.write(sid)
-        self._fh.write(_BLOCK_META.pack(_date_to_int(block.trade_date), n))
+        self._fh.write(_BLOCK_META.pack(date_to_int(block.trade_date), n))
         for name, dtype in _COLUMNS:
             self._fh.write(np.ascontiguousarray(getattr(block, name), dtype=dtype).tobytes())
         self.n_blocks += 1
@@ -138,13 +163,11 @@ class CacheWriter:
             fh.seek(0)
             fh.write(_HEADER.pack(MAGIC, VERSION, 0, self.n_blocks))
             fh.seek(0)
-            crc = 0
-            for piece in iter(lambda: fh.read(1 << 20), b""):
-                crc = zlib.crc32(piece, crc)
-            size = fh.tell()
+            crc, size = _stream_crc32(fh)
             fh.close()
             os.replace(self._tmp, self._path)
             checksum_path(self._path).write_text(f"{crc:08x} {size}\n")
+            _remove_panel_memos(self._path)
         except BaseException:
             self.abort()
             raise
@@ -153,6 +176,7 @@ class CacheWriter:
         self._fh.close()
         for path in (self._tmp, self._path, checksum_path(self._path)):
             path.unlink(missing_ok=True)
+        _remove_panel_memos(self._path)
 
     def __enter__(self):
         return self
@@ -162,6 +186,29 @@ class CacheWriter:
             self.close()
         else:
             self.abort()
+
+
+def _size_mismatch(path, size: int, recorded: int) -> DataError:
+    return DataError(f"cache {path} holds {size} bytes, its checksum file says {recorded}")
+
+
+def verified_crc32(path) -> tuple[int, int]:
+    """The cache's CRC-32 and size, streamed from the file.
+
+    Where the writer recorded a checksum, a cache that does not match it
+    raises the DataError that ``iter_blocks`` raises for it.
+    """
+    try:
+        with open(path, "rb") as fh:
+            crc, size = _stream_crc32(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read cache file {path}: {exc}") from exc
+    recorded = _read_checksum(path)
+    if recorded is not None and recorded[1] != size:
+        raise _size_mismatch(path, size, recorded[1])
+    if recorded is not None and recorded[0] != crc:
+        raise DataError(f"cache {path} does not match its checksum")
+    return crc, size
 
 
 def iter_blocks(path) -> Iterator[CacheBlock]:
@@ -181,9 +228,7 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
         size = os.fstat(fh.fileno()).st_size
         recorded = _read_checksum(path)
         if recorded is not None and recorded[1] != size:
-            raise DataError(
-                f"cache {path} holds {size} bytes, its checksum file says {recorded[1]}"
-            )
+            raise _size_mismatch(path, size, recorded[1])
         pos = crc = 0
 
         def take(n: int, what: str) -> bytes:
@@ -211,7 +256,7 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
                 raise DataError(f"stock id is not UTF-8 in {path} at byte {pos}") from None
             date_int, n = _BLOCK_META.unpack_from(head, sid_len)
             try:
-                trade_date = _int_to_date(date_int)
+                trade_date = int_to_date(date_int)
             except ValueError:
                 raise DataError(f"bad date {date_int} in {path} at byte {pos}") from None
             raw = take(_ROW_BYTES * n, "block")

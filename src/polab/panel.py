@@ -10,12 +10,19 @@ By default a serial trading in several minutes counts once in each
 (``serial_scope="bar"``). The alternative ``"day"`` scope counts each
 serial once per day, attributed to the minute of its first fill; it exists
 for sensitivity analysis only.
+
+Building the panel from a cache costs far more than any analysis of it, so
+``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
+an uncompressed ``<cache>.panel-<scope>.npz`` and loads it from there while
+the cache's CRC-32, size and the scope still match the memo's key.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -30,6 +37,9 @@ from .marketdata.schema import DEFAULT_SCHEMA, ParseReport, TransactionRecord
 
 # Serials are bounded by the cache's u32 columns, so bar << 33 never collides.
 _SERIAL_SHIFT = 33
+
+#: bumped whenever the arrays a memo holds, or how a panel is built, change
+_MEMO_VERSION = 1
 
 
 def count_mantimes(records: Iterable[TransactionRecord]) -> tuple[int, int]:
@@ -179,6 +189,30 @@ class PolarityPanel:
                     builder.add_reduced(stock, date, reduced)
         return builder.build()
 
+    @classmethod
+    def from_cache_memo(
+        cls, path, *, serial_scope: str = "bar", threads: int = 1
+    ) -> "PolarityPanel":
+        """``from_cache``, built once per cache and kept beside it.
+
+        The cache is first checked against its recorded checksum, so a
+        damaged cache raises DataError whether or not a memo exists. A
+        memo is used only when its key matches the cache and its arrays
+        are well formed; otherwise the panel is built and the memo
+        rewritten. Failing to write the memo leaves the result unchanged.
+        """
+        before = _file_identity(path)
+        crc, size = cache_mod.verified_crc32(path)
+        key = np.array([_MEMO_VERSION, crc, size], dtype=np.int64)
+        memo = cache_mod.panel_memo_path(path, serial_scope)
+        panel = _load_memo(memo, key, serial_scope)
+        if panel is None:
+            panel = cls.from_cache(path, serial_scope=serial_scope, threads=threads)
+            # a cache replaced while it was read must not key the panel
+            if _file_identity(path) == before:
+                _save_memo(memo, panel, key, serial_scope)
+        return panel
+
     # -- export ------------------------------------------------------------
 
     def write_text(self, path, delimiter: str = ",", include_empty: bool = False) -> None:
@@ -242,6 +276,74 @@ def _panel_from_cells(cells: dict) -> PolarityPanel:
         buy[sidx[stock], didx[date], bar - 1] = b
         sell[sidx[stock], didx[date], bar - 1] = s
     return PolarityPanel(stocks, dates, buy, sell)
+
+
+def _file_identity(path) -> tuple | None:
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _save_memo(memo, panel: PolarityPanel, key: np.ndarray, serial_scope: str) -> None:
+    ids = [s.encode("utf-8") for s in panel.stocks]
+    tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                key=key,
+                scope=np.array(serial_scope),
+                buy=panel.buy,
+                sell=panel.sell,
+                # UTF-8 bytes and end offsets keep any id exactly; a numpy
+                # string array would drop trailing NULs
+                stock_bytes=np.frombuffer(b"".join(ids), dtype=np.uint8),
+                stock_ends=np.cumsum([len(b) for b in ids], dtype=np.int64),
+                dates=np.array([cache_mod.date_to_int(d) for d in panel.dates], dtype=np.int32),
+            )
+        os.replace(tmp, memo)
+    except OSError:
+        tmp.unlink(missing_ok=True)
+
+
+def _load_memo(memo, key: np.ndarray, serial_scope: str) -> PolarityPanel | None:
+    """The memo's panel, or None when it is absent, stale or malformed."""
+    try:
+        with np.load(memo, allow_pickle=False) as z:
+            if not (np.array_equal(z["key"], key) and z["scope"].item() == serial_scope):
+                return None
+            arrays = {k: z[k] for k in ("buy", "sell", "stock_bytes", "stock_ends", "dates")}
+        return _panel_from_memo(**arrays)
+    except FileNotFoundError:
+        return None
+    except Exception as exc:
+        # damage surfaces as any of a dozen zipfile, numpy and decode errors;
+        # whichever it is, the panel is rebuilt and the run goes on
+        print(f"polab: rebuilding the panel, memo {memo} is unusable: {exc!r}", file=sys.stderr)
+        return None
+
+
+def _panel_from_memo(buy, sell, stock_bytes, stock_ends, dates) -> PolarityPanel:
+    """Raises ValueError unless the arrays form a panel ``from_cache`` could build."""
+    if (stock_bytes.dtype, stock_ends.dtype, dates.dtype) != (np.uint8, np.int64, np.int32):
+        raise ValueError("memo axes have the wrong dtype")
+    if stock_bytes.ndim != 1 or dates.ndim != 1 or stock_ends.ndim != 1:
+        raise ValueError("memo axes are not vectors")
+    bounds = np.concatenate([[0], stock_ends])
+    if np.any(np.diff(bounds) < 0) or bounds[-1] != len(stock_bytes):
+        raise ValueError("memo stock offsets do not cover its id bytes")
+    raw = stock_bytes.tobytes()
+    stocks = [raw[a:b].decode("utf-8") for a, b in zip(bounds[:-1], bounds[1:])]
+    days = [cache_mod.int_to_date(int(v)) for v in dates]
+    for axis in (stocks, days):
+        if any(a >= b for a, b in zip(axis, axis[1:])):
+            raise ValueError("memo axis is not strictly increasing")
+    shape = (len(stocks), len(days), BARS_PER_DAY)
+    if any(c.dtype != np.int32 or c.shape != shape for c in (buy, sell)):
+        raise ValueError("memo counts have the wrong dtype or shape")
+    return PolarityPanel(stocks, days, buy, sell)
 
 
 def _reduce_bar_scope(bar, buy_serial, sell_serial):

@@ -1,12 +1,19 @@
 import datetime as dt
 import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polab.errors import DataError
+from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import (
-    MAGIC, CacheBlock, CacheWriter, checksum_path, iter_blocks, write_cache,
+    MAGIC, CacheBlock, CacheWriter, checksum_path, iter_blocks, panel_memo_path,
+    verified_crc32, write_cache,
 )
 from polab.marketdata.parse import iter_transactions
 from polab.panel import PolarityPanel
@@ -77,6 +84,69 @@ class TestRoundTrip:
         off = sum(int((b.bar == 0).sum()) for b in iter_blocks(path))
         assert off == 4
         assert n == sum(len(chunk) for chunk in iter_transactions(files.transactions))
+
+
+U32 = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
+ROW = st.tuples(U32, st.integers(0, 237), st.floats(width=64), U32, U32, U32)
+
+
+@st.composite
+def cache_blocks(draw):
+    """Blocks as the writer takes them; keys repeat, ids may be non-ASCII."""
+    ids = st.one_of(st.sampled_from(["000001", "平安银行", "a\x00", ""]), st.text(max_size=4))
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        rows = draw(st.lists(ROW, max_size=12))
+        cols = list(zip(*rows)) if rows else [()] * 6
+        out.append(
+            CacheBlock(
+                draw(ids),
+                draw(st.sampled_from([dt.date(2015, 5, 4), dt.date(2015, 6, 15)]) | st.dates()),
+                time_ms=np.array(cols[0], dtype="<u4"),
+                bar=np.array(cols[1], dtype="<u1"),
+                price=np.array(cols[2], dtype="<f8"),
+                volume=np.array(cols[3], dtype="<u4"),
+                buy_serial=np.array(cols[4], dtype="<u4"),
+                sell_serial=np.array(cols[5], dtype="<u4"),
+            )
+        )
+    return out
+
+
+def _same_panel(a: PolarityPanel, b: PolarityPanel) -> bool:
+    return (
+        a.stocks == b.stocks
+        and a.dates == b.dates
+        and a.buy.dtype == b.buy.dtype == b.sell.dtype == np.int32
+        and np.array_equal(a.buy, b.buy)
+        and np.array_equal(a.sell, b.sell)
+    )
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=cache_blocks())
+    def test_writer_reader_and_panel_memo_round_trip(self, blocks):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.plab"
+            with CacheWriter(path) as w:
+                for b in blocks:
+                    w.append(b)
+            got = list(iter_blocks(path))
+            assert [(b.stock_id, b.trade_date) for b in got] == [
+                (b.stock_id, b.trade_date) for b in blocks
+            ]
+            for orig, back in zip(blocks, got):
+                for col in ("time_ms", "bar", "price", "volume", "buy_serial", "sell_serial"):
+                    assert getattr(back, col).tobytes() == getattr(orig, col).tobytes()
+
+            for scope in ("bar", "day"):
+                built = PolarityPanel.from_cache(path, serial_scope=scope)
+                assert _same_panel(PolarityPanel.from_cache_memo(path, serial_scope=scope), built)
+                assert panel_memo_path(path, scope).exists()
+                with mock.patch.object(cache_mod, "iter_blocks", side_effect=AssertionError):
+                    loaded = PolarityPanel.from_cache_memo(path, serial_scope=scope)
+                assert _same_panel(loaded, built)
 
 
 class TestValidation:
@@ -182,6 +252,34 @@ class TestDamage:
                 w.append(block())
                 raise RuntimeError("feed broke")
         assert list(tmp_path.iterdir()) == []
+
+    def test_verified_crc32_raises_what_the_reader_raises(self, raw, tmp_path):
+        path = tmp_path / "c.plab"
+        assert verified_crc32(path) == (int(checksum_path(path).read_text().split()[0], 16), len(raw))
+        for edit, message in (
+            (lambda raw: _edited(raw, 60, b"\x01"), "does not match its checksum"),
+            (lambda raw: raw[:-1], "its checksum file says"),
+        ):
+            path.write_bytes(edit(raw))
+            with pytest.raises(DataError, match=message):
+                verified_crc32(path)
+            with pytest.raises(DataError, match=message):
+                list(iter_blocks(path))
+
+    def test_writer_removes_panel_memos(self, raw, tmp_path):
+        path = tmp_path / "c.plab"
+        memos = [panel_memo_path(path, scope) for scope in ("bar", "day")]
+        other = tmp_path / "d.plab.panel-bar.npz"
+        for memo in memos + [other]:
+            memo.write_bytes(b"stale")
+        with CacheWriter(path) as w:
+            w.append(block())
+        assert not any(m.exists() for m in memos) and other.exists()
+        memos[0].write_bytes(b"stale")
+        with pytest.raises(RuntimeError):
+            with CacheWriter(path) as w:
+                raise RuntimeError("feed broke")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [other.name]
 
     def test_failed_close_removes_temporary_and_older_cache(self, raw, tmp_path, monkeypatch):
         def full_disk(src, dst):

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polab.cli import main
-from polab.marketdata.cache import checksum_path
+from polab.marketdata import cache as cache_mod
+from polab.marketdata.cache import checksum_path, panel_memo_path
+from polab.panel import PolarityPanel
 from polab.tables import read_table
 
 
@@ -101,8 +105,11 @@ class TestPipeline:
 
     def test_threads_do_not_change_artifacts(self, workdir):
         root, out, cfg = workdir
+        memo = panel_memo_path(out / "cache.plab", "bar")
+        memo.unlink(missing_ok=True)  # so that both runs build the panel
         assert run(cfg, "polarity") == 0
         single = (out / "panel.csv").read_bytes()
+        memo.unlink(missing_ok=True)
         assert run(cfg, "polarity", "--threads", "2") == 0
         assert (out / "panel.csv").read_bytes() == single
 
@@ -302,6 +309,26 @@ class TestErrorMapping:
         root, out, cfg = workdir
         assert main(["polarity", "--config", str(cfg), "--set", "oops"]) == 2
 
+    @pytest.mark.parametrize(
+        "command,key,text",
+        [
+            ("ratios", "capitalization", "id,capitalization\n000001,1e9\n000002,abc\n"),
+            ("ratios", "capitalization", "id,capitalization\n000001,1e9\n000002\n"),
+            ("emotion", "emotion", "date,rjf\n2015-06-10,1.0\n2015-06-11,x1\n"),
+            ("emotion", "emotion", "date,rjf\n2015-06-10,1.0\n2015-06-31,1.2\n"),
+        ],
+    )
+    def test_bad_value_in_side_file_is_data_error(
+        self, workdir, tmp_path, capsys, command, key, text
+    ):
+        root, out, cfg = workdir
+        bad = tmp_path / f"{key}.csv"
+        bad.write_text(text)
+        args = ("--out", str(tmp_path / "out"), "--set", f"{key}={bad}")
+        assert run(cfg, command, *args) == 4
+        err = capsys.readouterr().err
+        assert "category=data" in err and f"{bad} line 3" in err
+
 
 def test_cli_imports_without_scipy():
     # scipy costs about a second of start-up; only the fits and Granger tests import it
@@ -313,6 +340,28 @@ def test_cli_imports_without_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_granger_run_loads_no_scipy_stats(workdir, tmp_path):
+    # the F survival function comes from scipy.special, which loads in a
+    # third of the time and half the memory of scipy.stats
+    import polab
+
+    root, out, cfg = workdir
+    env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
+    code = (
+        "import sys\nfrom polab.cli import main\n"
+        "code = main(['granger', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, 'scipy.special' in sys.modules,"
+        " sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(cfg), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip().splitlines()[-1] == "0 True []"
+    meta, cols, rows = read_table(tmp_path / "granger_days.csv")
+    assert rows
 
 
 class TestFailedIngest:
@@ -342,18 +391,16 @@ class TestFailedIngest:
         assert main(["polarity", "--config", str(cfg)]) != 0
 
 
-@pytest.fixture(scope="module")
-def cached_market(tmp_path_factory):
-    """A small ingested market and the panel.csv its cache gives."""
+def _ingested_market(root, seed):
+    """A small market ingested and analysed once: its cache, memo and panel.csv."""
     import datetime as dt
 
     from polab.synth import RegimeSpec, generate
 
-    root = tmp_path_factory.mktemp("corrupt")
     regime = RegimeSpec(
         "flow", buy_rate=0.8, sell_rate=0.8, mean_fills=1.6, bars=tuple(range(1, 238, 9))
     )
-    files, _ = generate(regime, 3, [dt.date(2015, 5, 4), dt.date(2015, 5, 5)], 17, root / "feed")
+    files, _ = generate(regime, 3, [dt.date(2015, 5, 4), dt.date(2015, 5, 5)], seed, root / "feed")
     cache_path = root / "cache.plab"
     cfg = root / "ingest.json"
     cfg.write_text(json.dumps({
@@ -363,8 +410,28 @@ def cached_market(tmp_path_factory):
     }))
     assert main(["ingest", "--config", str(cfg)]) == 0
     assert main(["polarity", "--config", str(cfg)]) == 0
-    panel = (root / "out" / "panel.csv").read_bytes()
-    return cache_path.read_bytes(), checksum_path(cache_path).read_text(), panel
+    return SimpleNamespace(
+        transactions=files.transactions,
+        raw=cache_path.read_bytes(),
+        checksum=checksum_path(cache_path).read_text(),
+        memo=panel_memo_path(cache_path, "bar").read_bytes(),
+        panel=(root / "out" / "panel.csv").read_bytes(),
+    )
+
+
+@pytest.fixture(scope="module")
+def two_markets(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corrupt")
+    a, b = _ingested_market(root / "a", 17), _ingested_market(root / "b", 18)
+    assert a.panel != b.panel
+    return a, b
+
+
+@pytest.fixture(scope="module")
+def cached_market(two_markets):
+    """A small ingested market and the panel.csv its cache gives."""
+    a = two_markets[0]
+    return a.raw, a.checksum, a.panel
 
 
 @st.composite
@@ -374,12 +441,15 @@ def damage(draw, size):
     return ("flip", draw(st.integers(0, size - 1)), draw(st.integers(1, 255)))
 
 
-def _polarity_on(tmp_path, raw: bytes, checksum: str | None):
+def _polarity_on(tmp_path, raw: bytes, checksum: str | None, memo: bytes | None = None):
     cache_path = tmp_path / "cache.plab"
     cache_path.write_bytes(raw)
     checksum_path(cache_path).unlink(missing_ok=True)
     if checksum is not None:
         checksum_path(cache_path).write_text(checksum)
+    panel_memo_path(cache_path, "bar").unlink(missing_ok=True)
+    if memo is not None:
+        panel_memo_path(cache_path, "bar").write_bytes(memo)
     out = tmp_path / "out"
     if out.exists():
         for p in out.iterdir():
@@ -421,3 +491,55 @@ class TestCorruptCache:
         raw, _, _ = cached_market
         code, _ = _polarity_on(tmp_path, _damaged(raw, data.draw(damage(len(raw)))), None)
         assert code in (0, 4)
+
+
+def _memo_panel(cache_path):
+    """The panel the memo beside ``cache_path`` holds; fails if it is unusable."""
+    with mock.patch.object(cache_mod, "iter_blocks", side_effect=AssertionError("rebuilt")):
+        return PolarityPanel.from_cache_memo(cache_path)
+
+
+class TestPanelMemo:
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_memo_is_rebuilt(self, two_markets, tmp_path, capsys, data):
+        a = two_markets[0]
+        damaged = _damaged(a.memo, data.draw(damage(len(a.memo))))
+        cache_path = tmp_path / "cache.plab"
+        code, panel_path = _polarity_on(tmp_path, a.raw, a.checksum, damaged)
+        assert code == 0 and panel_path.read_bytes() == a.panel
+        # the memo left behind is usable: rewritten, unless the damage was harmless
+        assert _memo_panel(cache_path).equals(PolarityPanel.from_cache(cache_path))
+
+    @FUZZ
+    @given(data=st.data())
+    def test_damaged_cache_is_refused_beside_a_valid_memo(
+        self, two_markets, tmp_path, capsys, data
+    ):
+        a = two_markets[0]
+        damaged = _damaged(a.raw, data.draw(damage(len(a.raw))))
+        code, _ = _polarity_on(tmp_path, damaged, a.checksum, a.memo)
+        assert code == 4
+        assert "category=data" in capsys.readouterr().err
+
+    def test_memo_of_another_cache_is_never_used(self, two_markets, tmp_path):
+        a, b = two_markets
+        code, panel_path = _polarity_on(tmp_path, a.raw, a.checksum, b.memo)
+        assert code == 0 and panel_path.read_bytes() == a.panel
+        code, panel_path = _polarity_on(tmp_path, b.raw, b.checksum, a.memo)
+        assert code == 0 and panel_path.read_bytes() == b.panel
+
+    def test_reingest_drops_the_memo(self, two_markets, tmp_path):
+        a, b = two_markets
+        code, panel_path = _polarity_on(tmp_path, a.raw, a.checksum, a.memo)
+        assert code == 0 and panel_path.read_bytes() == a.panel
+        cache_path = tmp_path / "cache.plab"
+        cfg = tmp_path / "ingest.json"
+        cfg.write_text(json.dumps({
+            "transactions": str(b.transactions), "cache": str(cache_path), "out_dir": str(tmp_path),
+        }))
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        assert not panel_memo_path(cache_path, "bar").exists()
+        assert cache_path.read_bytes() == b.raw
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        assert (tmp_path / "panel.csv").read_bytes() == b.panel

@@ -9,6 +9,42 @@ from polab.synth import generate_causal_days
 D = dt.date(2015, 5, 4)
 
 
+def reference_granger(x, y, lag):
+    """Granger's (1969) F test that x's lags add nothing to y's own lags.
+
+    An independent check of ``_granger_f``: both regressions are solved from
+    their normal equations, with the design matrices written out row by row,
+    and the p-value comes from ``scipy.stats.f``.
+    """
+    from scipy import stats
+
+    T = len(y)
+    target = np.array([y[t] for t in range(lag, T)])
+
+    def ssr(with_x):
+        rows = []
+        for t in range(lag, T):
+            row = [1.0] + [y[t - k] for k in range(1, lag + 1)]
+            if with_x:
+                row += [x[t - k] for k in range(1, lag + 1)]
+            rows.append(row)
+        X = np.array(rows)
+        beta = np.linalg.solve(X.T @ X, X.T @ target)
+        resid = target - X @ beta
+        return float(resid @ resid)
+
+    df = (T - lag) - (2 * lag + 1)
+    f = ((ssr(False) - ssr(True)) / lag) / (ssr(True) / df)
+    return f, float(stats.f.sf(f, lag, df))
+
+
+REFERENCE_DAYS = {
+    "coupled lag 1": generate_causal_days(3, lag=1, coef=0.8, seed=11),
+    "coupled lag 2": generate_causal_days(3, lag=2, coef=0.5, seed=12),
+    "white noise": generate_causal_days(6, coupled=False, seed=13),
+}
+
+
 class TestGrangerDay:
     def test_planted_coupling_detected(self):
         days = generate_causal_days(1, lag=1, coef=0.8, seed=0)
@@ -70,6 +106,40 @@ class TestGrangerDay:
             want_f, want_p, _, _ = table[lag][0]["ssr_ftest"]
             assert f == pytest.approx(want_f, rel=1e-9)
             assert p == pytest.approx(want_p, rel=1e-9)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DAYS))
+    def test_f_and_p_match_normal_equations(self, name):
+        for x, y in REFERENCE_DAYS[name].values():
+            for cause, effect in ((x, y), (y, x)):
+                for lag in (1, 2, 3, 5):
+                    f, p = _granger_f(cause, effect, lag)
+                    want_f, want_p = reference_granger(cause, effect, lag)
+                    assert f == pytest.approx(want_f, rel=1e-9)
+                    assert p == pytest.approx(want_p, rel=1e-9, abs=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DAYS))
+    def test_granger_day_reports_the_reference_test(self, name):
+        for day, (x, y) in REFERENCE_DAYS[name].items():
+            results, reason = granger_day(day, x, y)
+            assert reason is None and len(results) == 2
+            by_dir = {r.direction: r for r in results}
+            for direction, (cause, effect) in (
+                ("polarity->return", (x, y)),
+                ("return->polarity", (y, x)),
+            ):
+                got = by_dir[direction]
+                want_f, want_p = reference_granger(cause, effect, got.lag)
+                assert got.f_stat == pytest.approx(want_f, rel=1e-9)
+                assert got.p_value == pytest.approx(want_p, rel=1e-9, abs=1e-300)
+                assert got.reject_at_5pct == (want_p < 0.05)
+
+    def test_reference_sees_the_planted_coupling(self):
+        # guards the reference itself: it must find the planted direction
+        (x, y), = generate_causal_days(1, lag=1, coef=0.8, seed=0).values()
+        assert reference_granger(x, y, 1)[1] < 1e-6
+        assert reference_granger(y, x, 1)[1] > 1e-3
 
 
 class TestPassRates:

@@ -1,10 +1,15 @@
 import datetime as dt
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from polab.errors import DataError
+from polab.marketdata import cache as cache_mod
+from polab.marketdata.cache import checksum_path, panel_memo_path, write_cache
+from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import TransactionRecord
 from polab.panel import (
     PanelBuilder,
@@ -347,3 +352,152 @@ class TestDailyPolarityAtIndexMin:
             expected = series[j, bar - 1]
             got = daily_polarity_at_index_min(small_panel, idx, date)
             assert (math.isnan(expected) and math.isnan(got)) or got == pytest.approx(expected)
+
+
+def _reencode_ids(arrays, ids):
+    raw = [s.encode("utf-8") for s in ids]
+    arrays["stock_bytes"] = np.frombuffer(b"".join(raw), dtype=np.uint8)
+    arrays["stock_ends"] = np.cumsum([len(b) for b in raw], dtype=np.int64)
+
+
+def _swap_first_ids(arrays):
+    bounds = np.concatenate([[0], arrays["stock_ends"]])
+    raw = arrays["stock_bytes"].tobytes()
+    ids = [raw[a:b].decode() for a, b in zip(bounds[:-1], bounds[1:])]
+    _reencode_ids(arrays, [ids[1], ids[0]] + ids[2:])
+
+
+#: edits that make a memo unusable: the panel must be rebuilt from the cache
+MEMO_DAMAGE = {
+    "other cache": lambda a: a.update(key=a["key"] + np.array([0, 1, 0])),
+    "other size": lambda a: a.update(key=a["key"] + np.array([0, 0, 1])),
+    "other format": lambda a: a.update(key=a["key"] + np.array([1, 0, 0])),
+    "other scope": lambda a: a.update(scope=np.array("day")),
+    "int64 counts": lambda a: a.update(buy=a["buy"].astype(np.int64)),
+    "short sell": lambda a: a.update(sell=a["sell"][:, :1]),
+    "flat buy": lambda a: a.update(buy=a["buy"].reshape(-1)),
+    "unsorted ids": _swap_first_ids,
+    "duplicate ids": lambda a: _reencode_ids(a, ["000001"] * len(a["stock_ends"])),
+    "ids past the bytes": lambda a: a.update(stock_ends=a["stock_ends"] + 1),
+    "id not UTF-8": lambda a: a.update(stock_bytes=np.full_like(a["stock_bytes"], 0xFF)),
+    "duplicate dates": lambda a: a.update(dates=np.repeat(a["dates"][:1], len(a["dates"]))),
+    "bad date": lambda a: a["dates"].__setitem__(-1, 20151399),
+    "int64 dates": lambda a: a.update(dates=a["dates"].astype(np.int64)),
+    "no sell": lambda a: a.pop("sell"),
+}
+
+
+class TestPanelMemo:
+    @pytest.fixture
+    def cached(self, small_scenario, tmp_path):
+        files, _ = small_scenario
+        path = tmp_path / "c.plab"
+        write_cache(path, iter_transactions(files.transactions))
+        return path, PolarityPanel.from_cache(path)
+
+    @staticmethod
+    def load(path, **kwargs):
+        """(panel, whether the cache was read to build it)."""
+        with mock.patch.object(cache_mod, "iter_blocks", wraps=cache_mod.iter_blocks) as read:
+            panel = PolarityPanel.from_cache_memo(path, **kwargs)
+        return panel, read.called
+
+    @staticmethod
+    def same(a, b):
+        return (
+            a.stocks == b.stocks and a.dates == b.dates
+            and np.array_equal(a.buy, b.buy) and np.array_equal(a.sell, b.sell)
+            and a.buy.dtype == a.sell.dtype == np.int32
+        )
+
+    def test_built_once_then_loaded(self, cached):
+        path, reference = cached
+        panel, built = self.load(path)
+        assert built and self.same(panel, reference)
+        panel, built = self.load(path, threads=2)
+        assert not built and self.same(panel, reference)
+        names = sorted(p.name for p in path.parent.iterdir())
+        assert names == ["c.plab", "c.plab.crc32", "c.plab.panel-bar.npz"]
+
+    def test_scopes_keep_separate_memos(self, tmp_path):
+        # buy serial 5 trades in bars 1 and 2: the scopes count it differently
+        path = tmp_path / "scopes.plab"
+        cols = dict(time_ms=[34_200_000, 34_260_000], bar=[1, 2], price=[10.0, 10.0],
+                    volume=[100, 100], buy_serial=[5, 5], sell_serial=[6, 7])
+        block = cache_mod.CacheBlock("000001", D, **{k: np.array(v) for k, v in cols.items()})
+        with cache_mod.CacheWriter(path) as w:
+            w.append(block)
+        for first in (True, False):
+            for scope, want in (("bar", [1, 1]), ("day", [1, 0])):
+                panel, built = self.load(path, serial_scope=scope)
+                assert built == first and panel.buy[0, 0, :2].tolist() == want
+        assert panel_memo_path(path, "bar").exists() and panel_memo_path(path, "day").exists()
+
+    @pytest.mark.parametrize("name", sorted(MEMO_DAMAGE))
+    def test_unusable_memo_is_rebuilt_and_replaced(self, cached, name):
+        path, reference = cached
+        self.load(path)
+        memo = panel_memo_path(path, "bar")
+        with np.load(memo) as z:
+            arrays = dict(z)
+        MEMO_DAMAGE[name](arrays)
+        with open(memo, "wb") as fh:
+            np.savez(fh, **arrays)
+        panel, built = self.load(path)
+        assert built and self.same(panel, reference)
+        panel, built = self.load(path)
+        assert not built and self.same(panel, reference)
+
+    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04", b"not a memo at all"])
+    def test_unreadable_memo_is_rebuilt(self, cached, content):
+        path, reference = cached
+        panel_memo_path(path, "bar").write_bytes(content)
+        panel, built = self.load(path)
+        assert built and self.same(panel, reference)
+        assert not self.load(path)[1]
+
+    def test_damaged_cache_is_refused_beside_a_valid_memo(self, cached):
+        path, _ = cached
+        self.load(path)
+        raw = bytearray(path.read_bytes())
+        raw[100] ^= 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="does not match its checksum"):
+            PolarityPanel.from_cache_memo(path)
+
+    def test_memo_without_checksum_file_follows_the_cache_bytes(self, cached, tmp_path):
+        path, reference = cached
+        checksum_path(path).unlink()
+        assert self.load(path)[1] and not self.load(path)[1]
+        other = tmp_path / "other.plab"
+        with cache_mod.CacheWriter(other) as w:
+            w.append(next(cache_mod.iter_blocks(path)))
+        os.replace(other, path)
+        panel, built = self.load(path)
+        assert built and len(panel.stocks) == 1 and not self.same(panel, reference)
+
+    def test_failed_memo_write_still_returns_the_panel(self, cached, monkeypatch):
+        path, reference = cached
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        panel, built = self.load(path)
+        assert built and self.same(panel, reference)
+        assert sorted(p.name for p in path.parent.iterdir()) == ["c.plab", "c.plab.crc32"]
+
+    def test_cache_replaced_during_the_build_is_not_memoised(self, cached, monkeypatch):
+        path, reference = cached
+        build = PolarityPanel.from_cache
+
+        def build_then_replace(cache_path, **kwargs):
+            panel = build(cache_path, **kwargs)
+            first = next(cache_mod.iter_blocks(cache_path))
+            with cache_mod.CacheWriter(cache_path) as w:
+                w.append(first)
+            return panel
+
+        monkeypatch.setattr(PolarityPanel, "from_cache", build_then_replace)
+        assert self.same(PolarityPanel.from_cache_memo(path), reference)
+        assert not panel_memo_path(path, "bar").exists()
