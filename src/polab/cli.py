@@ -18,12 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, coupling, flips, tailfit
+from . import __version__
 from .config import RunConfig
 from .errors import ConfigError, DataError, FitRefusedError, InputError, PolabError
 from .marketdata import cache as cache_mod
 from .marketdata.parse import iter_transactions
-from .marketdata.prices import load_eod_prices, load_intraday_prices
+from .marketdata.prices import (
+    load_capitalization, load_emotion, load_eod_prices, load_intraday_prices,
+)
 from .marketdata.schema import ColumnSchema, ParseReport
 from .panel import (
     PolarityPanel,
@@ -33,9 +35,12 @@ from .panel import (
     market_polarity_series,
 )
 from .returns import build_return_series
-from .synth import RegimeSpec, generate
 from .tables import write_table
-from .verify import run_oracle_suite
+
+# coupling, flips, tailfit, synth and verify are imported by the commands
+# that use them: a process loads only what its subcommand needs. The names
+# above stay module attributes, and commands call through them, so they can
+# be wrapped from outside (the benchmark's traced mode does).
 
 
 def _schema(cfg: RunConfig) -> ColumnSchema:
@@ -64,14 +69,16 @@ def _load_panel(cfg: RunConfig) -> PolarityPanel:
 
 
 def _index_returns(cfg: RunConfig):
+    """The index's ReturnSeries; both price files are validated in full."""
     if not cfg.eod_prices or not cfg.intraday_prices:
         raise ConfigError("'eod_prices' and 'intraday_prices' are required for this command")
     eod = load_eod_prices(cfg.eod_prices, cfg.delimiter, cfg.has_header)
-    intraday = load_intraday_prices(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
+    intraday = load_intraday_prices(
+        cfg.intraday_prices, cfg.delimiter, cfg.has_header, ids=(cfg.index_id,)
+    )
     if cfg.index_id not in eod or cfg.index_id not in intraday:
         raise DataError(f"index id {cfg.index_id!r} absent from price files")
-    series = build_return_series(cfg.index_id, eod[cfg.index_id], intraday[cfg.index_id])
-    return eod, intraday, series
+    return build_return_series(cfg.index_id, eod[cfg.index_id], intraday[cfg.index_id])
 
 
 def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> dict:
@@ -92,7 +99,7 @@ def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> 
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_ingest(cfg: RunConfig) -> int:
+def _cmd_ingest(cfg: RunConfig, args) -> int:
     if not cfg.transactions:
         raise ConfigError("'transactions' is required for ingest")
     out = _out_dir(cfg)
@@ -138,7 +145,7 @@ def _moments(values: np.ndarray):
     return mean, std, kurt
 
 
-def _cmd_polarity(cfg: RunConfig) -> int:
+def _cmd_polarity(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     panel.write_text(out / "panel.csv")
@@ -175,36 +182,11 @@ def _cmd_polarity(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_capitalization(path) -> dict:
-    import csv
-
-    caps = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read capitalization file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("id", "capitalization"):
-            raise DataError(f"capitalization file must have header 'id,capitalization': {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                caps[row[0]] = float(row[1])
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{path} line {reader.line_num}: expected 'id,capitalization', got {row}"
-                ) from None
-    return caps
-
-
-def _cmd_ratios(cfg: RunConfig) -> int:
+def _cmd_ratios(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     periods = cfg.periods
-    caps = _load_capitalization(cfg.capitalization) if cfg.capitalization else None
+    caps = load_capitalization(cfg.capitalization) if cfg.capitalization else None
     rows = []
     for stock in panel.stocks:
         for name in ("all",) + periods.names():
@@ -236,7 +218,9 @@ def _cmd_ratios(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_flips(cfg: RunConfig) -> int:
+def _cmd_flips(cfg: RunConfig, args) -> int:
+    from . import coupling, flips
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     periods = cfg.periods
@@ -306,12 +290,14 @@ def _cmd_flips(cfg: RunConfig) -> int:
 
 
 def _run_length_samples(panel: PolarityPanel):
+    from . import flips
+
     for stock, date, row in panel.iter_stock_days():
         fs = flips.build_flip_series(stock, date, row)
         yield from flips.run_lengths(fs)
 
 
-def _cmd_runlengths(cfg: RunConfig) -> int:
+def _cmd_runlengths(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     rows = [(s.stock_id, s.trade_date, s.sign, s.length) for s in _run_length_samples(panel)]
@@ -330,7 +316,9 @@ def _cmd_runlengths(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
+def _cmd_fit(cfg: RunConfig, args) -> int:
+    from . import tailfit
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     samples: dict = {}
@@ -371,10 +359,12 @@ def _cmd_fit(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_market(cfg: RunConfig) -> int:
+def _cmd_market(cfg: RunConfig, args) -> int:
+    from . import coupling
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    _, _, index_series = _index_returns(cfg)
+    index_series = _index_returns(cfg)
     mp = market_polarity_series(panel)
     rows = []
     mp_flat = []
@@ -427,6 +417,8 @@ def _cmd_market(cfg: RunConfig) -> int:
 
 
 def _corr_dists(cfg: RunConfig, panel: PolarityPanel, intraday: dict):
+    from . import coupling
+
     log_returns = _stock_log_returns(cfg, panel, intraday)
     dists = []
     for date in panel.dates:
@@ -446,7 +438,9 @@ def _corr_dists(cfg: RunConfig, panel: PolarityPanel, intraday: dict):
     return dists
 
 
-def _cmd_kl(cfg: RunConfig) -> int:
+def _cmd_kl(cfg: RunConfig, args) -> int:
+    from . import coupling
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     if not cfg.intraday_prices:
@@ -506,10 +500,12 @@ def _granger_days(cfg: RunConfig, panel: PolarityPanel, index_series) -> dict:
     return days
 
 
-def _cmd_granger(cfg: RunConfig) -> int:
+def _cmd_granger(cfg: RunConfig, args) -> int:
+    from . import coupling
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    _, _, index_series = _index_returns(cfg)
+    index_series = _index_returns(cfg)
     days = _granger_days(cfg, panel, index_series)
     summary = coupling.granger_pass_rates(
         days, max_lag=cfg.max_lag, min_minutes=cfg.min_granger_minutes
@@ -551,7 +547,9 @@ def _cmd_granger(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_impact(cfg: RunConfig) -> int:
+def _cmd_impact(cfg: RunConfig, args) -> int:
+    from . import coupling
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     if not cfg.intraday_prices:
@@ -609,42 +607,15 @@ def _cmd_impact(cfg: RunConfig) -> int:
     return 0
 
 
-def _load_emotion(path) -> dict:
-    import csv
-    import datetime as dt
+def _cmd_emotion(cfg: RunConfig, args) -> int:
+    from . import coupling
 
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise InputError(f"cannot read emotion file {path}: {exc}") from exc
-    out = {}
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("date", "rjf"):
-            raise DataError(f"emotion file must have header 'date,rjf': {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                date, value = dt.date.fromisoformat(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{path} line {reader.line_num}: expected 'date,rjf', got {row}"
-                ) from None
-            if value <= 0:
-                raise DataError(f"rjf must be positive: {row}")
-            out[date] = value
-    return out
-
-
-def _cmd_emotion(cfg: RunConfig) -> int:
     out = _out_dir(cfg)
     if not cfg.emotion:
         raise ConfigError("'emotion' (a date,rjf file) is required for emotion")
     panel = _load_panel(cfg)
-    _, _, index_series = _index_returns(cfg)
-    rjf = _load_emotion(cfg.emotion)
+    index_series = _index_returns(cfg)
+    rjf = load_emotion(cfg.emotion)
     daily = {}
     for date in panel.dates:
         pct = index_series.intraday_pct_vs_prev_close.get(date)
@@ -672,12 +643,15 @@ def _cmd_emotion(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_synth(cfg: RunConfig) -> int:
+def _cmd_synth(cfg: RunConfig, args) -> int:
+    import datetime as dt
+
+    from .synth import RegimeSpec, generate
+
     out = _out_dir(cfg)
     spec = dict(cfg.synth)
     if not spec:
         raise ConfigError("config key 'synth' must describe the scenario to generate")
-    import datetime as dt
 
     try:
         n_stocks = int(spec.pop("n_stocks", 10))
@@ -731,9 +705,11 @@ def _cmd_synth(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, n_scenarios: int) -> int:
+def _cmd_verify(cfg: RunConfig, args) -> int:
+    from .verify import run_oracle_suite
+
     out = _out_dir(cfg)
-    report = run_oracle_suite(n_scenarios=n_scenarios, seed=cfg.seed)
+    report = run_oracle_suite(n_scenarios=args.scenarios, seed=cfg.seed)
     write_table(
         out / "verify_report.csv",
         "verify-report",
@@ -759,11 +735,6 @@ def _cmd_verify(cfg: RunConfig, n_scenarios: int) -> int:
 
 
 # -- argument plumbing ------------------------------------------------------------
-
-_COMMANDS = (
-    "ingest", "polarity", "ratios", "flips", "runlengths", "fit",
-    "market", "kl", "granger", "impact", "emotion", "synth", "verify",
-)
 
 
 def _parse_override(text: str):
@@ -827,56 +798,31 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-#: input paths each subcommand reads and must find at start
-_COMMAND_INPUTS = {
-    "ingest": ("transactions",),
-    "polarity": (),
-    "ratios": ("capitalization",),
-    "flips": ("eod_prices",),
-    "runlengths": (),
-    "fit": (),
-    "market": ("eod_prices", "intraday_prices"),
-    "kl": ("intraday_prices",),
-    "granger": ("eod_prices", "intraday_prices"),
-    "impact": ("intraday_prices",),
-    "emotion": ("eod_prices", "intraday_prices", "emotion"),
-    "synth": (),
-    "verify": (),
+#: subcommand -> (handler, input paths it reads and must find at start)
+_COMMANDS = {
+    "ingest": (_cmd_ingest, ("transactions",)),
+    "polarity": (_cmd_polarity, ()),
+    "ratios": (_cmd_ratios, ("capitalization",)),
+    "flips": (_cmd_flips, ("eod_prices",)),
+    "runlengths": (_cmd_runlengths, ()),
+    "fit": (_cmd_fit, ()),
+    "market": (_cmd_market, ("eod_prices", "intraday_prices")),
+    "kl": (_cmd_kl, ("intraday_prices",)),
+    "granger": (_cmd_granger, ("eod_prices", "intraday_prices")),
+    "impact": (_cmd_impact, ("intraday_prices",)),
+    "emotion": (_cmd_emotion, ("eod_prices", "intraday_prices", "emotion")),
+    "synth": (_cmd_synth, ()),
+    "verify": (_cmd_verify, ()),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, inputs = _COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)
-        cfg.validate_paths(_COMMAND_INPUTS[args.command])
-        if args.command == "ingest":
-            return _cmd_ingest(cfg)
-        if args.command == "polarity":
-            return _cmd_polarity(cfg)
-        if args.command == "ratios":
-            return _cmd_ratios(cfg)
-        if args.command == "flips":
-            return _cmd_flips(cfg)
-        if args.command == "runlengths":
-            return _cmd_runlengths(cfg)
-        if args.command == "fit":
-            return _cmd_fit(cfg)
-        if args.command == "market":
-            return _cmd_market(cfg)
-        if args.command == "kl":
-            return _cmd_kl(cfg)
-        if args.command == "granger":
-            return _cmd_granger(cfg)
-        if args.command == "impact":
-            return _cmd_impact(cfg)
-        if args.command == "emotion":
-            return _cmd_emotion(cfg)
-        if args.command == "synth":
-            return _cmd_synth(cfg)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.scenarios)
-        raise ConfigError(f"unknown command {args.command!r}")
+        cfg.validate_paths(inputs)
+        return handler(cfg, args)
     except PolabError as exc:
         print(f"error category={exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -2,7 +2,8 @@
 
 A run is driven by one JSON file; every key has a default so a config may
 specify only what it overrides. Every output table records the hash of the
-fully resolved configuration that produced it.
+fully resolved configuration that produced it, less the keys that cannot
+change a result (the output directory and the worker count).
 """
 
 from __future__ import annotations
@@ -151,7 +152,13 @@ class RunConfig:
             if path and not os.path.exists(path):
                 raise InputError(f"configured {key} does not exist: {path}")
 
+    #: keys that cannot change any result: where tables go, and the worker
+    #: count (a panel is the same however many processes build it)
+    _UNHASHED = ("out_dir", "threads")
+
     def to_canonical_json(self) -> str:
+        """The keys that can change a result, as sorted compact JSON."""
+
         def encode(v):
             if isinstance(v, dt.date):
                 return v.isoformat()
@@ -159,7 +166,9 @@ class RunConfig:
                 return list(v)
             return v
 
-        payload = {k: encode(v) for k, v in dataclasses.asdict(self).items()}
+        payload = {
+            k: encode(v) for k, v in dataclasses.asdict(self).items() if k not in self._UNHASHED
+        }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:

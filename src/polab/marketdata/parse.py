@@ -188,7 +188,9 @@ def _factorize(buf, start, end):
     width = end - start
     codes = np.empty(len(start), np.intp)
     values: list[bytes] = []
-    for w in np.unique(width).tolist():
+    # the distinct widths, ascending; a bare np.unique would import numpy.ma
+    # (about 10 ms) into every process that reads a file
+    for w in np.flatnonzero(np.bincount(width)).tolist():
         rows = np.flatnonzero(width == w)
         if w == 0:  # no S0 dtype: every empty field is one value
             codes[rows] = len(values)
@@ -243,14 +245,14 @@ class _Columns:
         )
 
 
-def _fast_chunk(lines: list, text: str, delim: str, idx: tuple):
-    """Outcomes of a chunk of lines free of quotes, NUL and CR but in CRLF
-    line ends; ``text`` is the lines joined, with LF line ends.
+def split_fields(raw: bytes, delim: str, ncols: int):
+    """Field byte ranges of LF-separated lines free of quotes, NUL and CR.
 
-    Returns (_Columns over its non-blank rows, line offset of each row).
+    Returns (buf, nonblank, regular, start, end): the bytes as a uint8
+    array, per-line masks of the non-blank lines and of those with exactly
+    ``ncols`` fields, and for each regular line, in order, the start and
+    end offsets of its fields as (n, ncols) arrays.
     """
-    ncols, i_date, i_stock, i_time, i_price, i_vol, i_buy, i_sell = idx
-    raw = text.encode("utf-8")
     if not raw.endswith(b"\n"):
         raw += b"\n"
     buf = np.frombuffer(raw, np.uint8)
@@ -262,17 +264,28 @@ def _fast_chunk(lines: list, text: str, delim: str, idx: tuple):
     n_fields = np.bincount(line_of_sep, minlength=len(line_end))
     nonblank = line_end > line_start
     regular = nonblank & (n_fields == ncols)
+    end = seps[regular[line_of_sep]].reshape(-1, ncols)
+    start = np.empty_like(end)
+    start[:, 0] = line_start[regular]
+    start[:, 1:] = end[:, :-1] + 1
+    return buf, nonblank, regular, start, end
+
+
+def _fast_chunk(lines: list, text: str, delim: str, idx: tuple):
+    """Outcomes of a chunk of lines free of quotes, NUL and CR but in CRLF
+    line ends; ``text`` is the lines joined, with LF line ends.
+
+    Returns (_Columns over its non-blank rows, line offset of each row).
+    """
+    ncols, i_date, i_stock, i_time, i_price, i_vol, i_buy, i_sell = idx
+    raw = text.encode("utf-8")
+    buf, nonblank, regular, start, end = split_fields(raw, delim, ncols)
 
     rows_line = np.flatnonzero(nonblank)
     cols = _Columns(len(rows_line))
     cols.status[~regular[rows_line]] = _FIELD_COUNT
     reg = np.flatnonzero(regular[rows_line])
     if len(reg):
-        end = seps[regular[line_of_sep]].reshape(-1, ncols)
-        start = np.empty_like(end)
-        start[:, 0] = line_start[regular]
-        start[:, 1:] = end[:, :-1] + 1
-
         ymd, ok = _yyyymmdd(buf, start[:, i_date], end[:, i_date])
         ymd_uniq, date_code = np.unique(np.where(ok, ymd, 0), return_inverse=True)
         date_of = []

@@ -23,7 +23,6 @@ import datetime as dt
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -178,6 +177,8 @@ class PolarityPanel:
                     blk.sell_serial, blk.time_ms,
                 )
         else:
+            from concurrent.futures import ProcessPoolExecutor  # 20 ms to import
+
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 args = (
                     (blk.stock_id, blk.trade_date, blk.bar, blk.buy_serial,

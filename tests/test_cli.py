@@ -103,15 +103,19 @@ class TestPipeline:
         assert (out / "polarity_moments.csv").read_bytes() == first
         assert (out / "panel.csv").read_bytes() == panel_first
 
-    def test_threads_do_not_change_artifacts(self, workdir):
+    def test_threads_do_not_change_artifacts(self, workdir, tmp_path):
+        # neither the worker count nor the output directory may change a
+        # byte of any table, headers (and their config hash) included
         root, out, cfg = workdir
         memo = panel_memo_path(out / "cache.plab", "bar")
-        memo.unlink(missing_ok=True)  # so that both runs build the panel
-        assert run(cfg, "polarity") == 0
-        single = (out / "panel.csv").read_bytes()
-        memo.unlink(missing_ok=True)
-        assert run(cfg, "polarity", "--threads", "2") == 0
-        assert (out / "panel.csv").read_bytes() == single
+        tables = {}
+        for name, extra in (("one", ()), ("two", ("--threads", "2"))):
+            for command in ("polarity", "fit"):
+                memo.unlink(missing_ok=True)  # so that every run builds the panel
+                assert run(cfg, command, "--out", str(tmp_path / name), *extra) == 0
+            tables[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert sorted(tables["one"]) == ["panel.csv", "polarity_moments.csv", "tail_fits.csv"]
+        assert tables["one"] == tables["two"]
 
     def test_ratios(self, workdir):
         root, out, cfg = workdir
@@ -330,16 +334,54 @@ class TestErrorMapping:
         assert "category=data" in err and f"{bad} line 3" in err
 
 
-def test_cli_imports_without_scipy():
-    # scipy costs about a second of start-up; only the fits and Granger tests import it
+#: names the commands call through polab.cli's module attributes, so that
+#: they can be wrapped from outside (the benchmark's traced mode does)
+CLI_ATTRIBUTES = (
+    "iter_transactions", "load_eod_prices", "load_intraday_prices", "build_return_series",
+    "write_table", "direction_ratios", "market_polarity_series", "daily_polarity_at_index_min",
+)
+
+
+def _loaded_modules(code: str, *args) -> list:
+    """Run ``code`` in a fresh interpreter; the modules it had loaded at exit."""
     import polab
 
     env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-    code = "import sys, polab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip().splitlines()[-1].split()
+
+
+def test_cli_imports_without_scipy():
+    # a process loads only what its subcommand uses: scipy alone costs half a
+    # second, the process pool 20 ms, each polab module its compile time
+    code = "import polab.cli as cli\n" + "".join(
+        f"assert callable(cli.{name})\n" for name in CLI_ATTRIBUTES
+    )
+    unused = (
+        "polab.synth", "polab.verify", "polab.coupling", "polab.tailfit", "polab.flips",
+        "concurrent.futures.process",
+    )
+    loaded = _loaded_modules(code)
+    assert "polab.cli" in loaded
+    assert [m for m in loaded if m in unused or m.split(".")[0] == "scipy"] == []
+
+
+def test_fit_run_loads_no_scipy(workdir, tmp_path):
+    # the power-law fit carries its own ports of scipy's zeta and minimiser
+    root, out, cfg = workdir
+    code = (
+        "from polab.cli import main\nimport sys\n"
+        "assert main(['fit', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
+    )
+    loaded = _loaded_modules(code, cfg, tmp_path)
+    assert "polab.tailfit" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    meta, cols, rows = read_table(tmp_path / "tail_fits.csv")
+    assert rows
 
 
 def test_granger_run_loads_no_scipy_stats(workdir, tmp_path):

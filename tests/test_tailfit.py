@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polab import tailfit
 from polab.errors import FitRefusedError
 from polab.synth import sample_discrete_power_law
 from polab.tailfit import burstiness, fit_power_law
@@ -141,3 +142,122 @@ class TestBurstiness:
             x = rng.uniform(0.1, 100, rng.integers(1, 200))
             out = burstiness(x)
             assert -1.0 <= out.b <= 1.0
+
+
+# -- the scipy-free fit against scipy itself ------------------------------------
+# scipy is only the oracle here: the fit's zeta and minimiser are ports of
+# scipy's and must give the same bits.
+
+
+class TestScipyPorts:
+    def test_zeta_is_bitwise_scipy(self):
+        from scipy.special import zeta
+
+        rng = np.random.default_rng(11)
+        n = 60_000
+        x = np.concatenate([
+            1.0 + rng.exponential(2.0, n),  # exponents the fit visits, 1 < x
+            1.000001 + rng.random(n) * 1e-3,  # next to the pole
+            rng.uniform(1.0, 25.0, n),
+        ])
+        q = np.concatenate([
+            np.floor(np.exp(rng.uniform(0.0, 14.0, n))),  # integer cutoffs
+            rng.uniform(1.0, 50.0, n),
+            np.exp(rng.uniform(np.log(1e7), np.log(1e12), n)),  # across the q > 1e8 asymptote
+        ])
+        mine = np.array([tailfit._zeta(a, b) for a, b in zip(x.tolist(), q.tolist())])
+        assert (q > 1e8).sum() > 20_000
+        assert np.array_equal(mine.view(np.int64), zeta(x, q).view(np.int64))
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_minimiser_is_scipy_bounded(self, case):
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(case)
+        lo, hi = 1.000001, 25.0
+        if case < 6:  # the fit's own objective on a power-law tail
+            tail = sample_discrete_power_law(rng.uniform(1.3, 4.0), 1 + case, 500, rng)
+            n, slog, xmin = len(tail), float(np.log(tail).sum()), 1 + case
+            f = lambda a: float(n * np.log(tailfit._zeta(a, xmin)) + a * slog)
+        elif case < 10:  # smooth objectives with a minimum inside or at a bound
+            c, k = rng.uniform(lo - 3, hi + 3), rng.uniform(0.1, 10.0)
+            f = lambda a: k * (a - c) ** 2 + np.sin(3 * a)
+        else:  # flat: every step ties
+            f = lambda a: 1.0
+        mine = tailfit._minimize_bounded(f, lo, hi, xatol=1e-8)
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
+        assert float(mine) == float(ref.x)
+
+
+def _scipy_fit(lengths, min_samples=50, min_tail=10, xmin_quantile=90.0):
+    """The fit as it was written on scipy: zeta and minimize_scalar from
+    scipy, and the KS distance over every integer of the tail's range up to
+    2**20 values (above that, at observed values and one below each)."""
+    from scipy import optimize, special
+
+    x = np.sort(np.asarray(lengths, dtype=np.int64))
+    distinct = np.unique(x)
+    cap = np.percentile(x, xmin_quantile)
+    candidates = distinct[distinct <= cap]
+    best = None
+    for xm in candidates.tolist():
+        tail = x[np.searchsorted(x, xm, side="left"):]
+        if len(tail) < min_tail or tail[0] == tail[-1]:
+            continue
+        n, slog = len(tail), float(np.log(tail).sum())
+        res = optimize.minimize_scalar(
+            lambda a: n * np.log(special.zeta(a, xm)) + a * slog,
+            bounds=(1.000001, 25.0), method="bounded", options={"xatol": 1e-8},
+        )
+        alpha = float(res.x)
+        xmax = int(tail[-1])
+        if xmax - xm <= (1 << 20):
+            xs = np.arange(xm, xmax + 1, dtype=np.float64)
+        else:
+            vals = np.unique(tail)
+            xs = np.unique(np.concatenate([vals, vals - 1]))
+            xs = xs[xs >= xm].astype(np.float64)
+        fitted = 1.0 - special.zeta(alpha, xs + 1.0) / special.zeta(alpha, xm)
+        empirical = np.searchsorted(tail, xs, side="right") / len(tail)
+        ks = float(np.abs(empirical - fitted).max())
+        if best is None or ks < best[0]:
+            best = (ks, xm, alpha, len(tail))
+    ks, xmin, alpha, n_tail = best
+    lz = lambda a: np.log(special.zeta(a, xmin))
+    h = 1e-4
+    d2 = (lz(alpha + h) - 2.0 * lz(alpha) + lz(alpha - h)) / (h * h)
+    stderr = float(1.0 / np.sqrt(n_tail * d2)) if d2 > 0 else float("nan")
+    return tailfit.PowerLawFit(alpha, xmin, stderr, ks, n_tail, len(x))
+
+
+@pytest.fixture(scope="module")
+def reference_samples():
+    rng = np.random.default_rng(2024)
+    out = []
+    for k in range(8):  # light tails, geometric noise
+        out.append(sample_discrete_power_law(rng.uniform(2.0, 4.0), 1 + k % 4, 3_000, rng))
+        out.append(rng.geometric(rng.uniform(0.1, 0.6), 2_000))
+    for g in (4, 8):  # masses at 1 and g with nothing between: the fitted CDF
+        # climbs through the empty stretch, and the KS sup sits at g - 1
+        lengths = np.concatenate([np.ones(500, np.int64), np.full(400, g),
+                                  sample_discrete_power_law(2.0, g + 1, 100, rng)])
+        out.append(rng.permutation(lengths))
+    wide = 0
+    while wide < 6:  # heavy tails whose range passes 1e5 (and stays cheap to scan)
+        x = sample_discrete_power_law(rng.uniform(1.4, 1.8), 1, 300, rng)
+        if 100_000 < x.max() <= 300_000:
+            out.append(x)
+            wide += 1
+    return out
+
+
+@pytest.mark.parametrize("k", range(24))
+def test_fit_matches_the_scipy_fit_field_for_field(reference_samples, k):
+    x = reference_samples[k]
+    got, ref = fit_power_law(x), _scipy_fit(x)
+    assert (got.alpha, got.xmin, got.ks_distance, got.n_tail, got.n_total) == (
+        ref.alpha, ref.xmin, ref.ks_distance, ref.n_tail, ref.n_total
+    )
+    assert got.stderr_alpha == ref.stderr_alpha or (
+        np.isnan(got.stderr_alpha) and np.isnan(ref.stderr_alpha)
+    )
