@@ -13,8 +13,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# Numpy and scipy each load an OpenBLAS that starts a pool of worker threads
+# at import, about 70 ms of every polab process on 2 cores. polab's only BLAS
+# calls are tiny (coupling's lstsq on at most about 232 x 11, a 2 x 2 det,
+# cov and corrcoef on 237 points), so processes started through this module
+# run OpenBLAS on one thread unless the caller chose otherwise. OpenBLAS reads
+# the variable when it loads, so this must precede the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -221,10 +221,10 @@ def _granger_f(x: np.ndarray, y: np.ndarray, lag: int):
     if ssr_u is None or ssr_r is None or ssr_u <= 0:
         return None
     f = ((ssr_r - ssr_u) / lag) / (ssr_u / df)
-    # the one scipy use left in the analyses (the F survival function rests
-    # on cephes' incomplete beta): imported here so that only granger pays
-    # for it, and from scipy.special, not scipy.stats (the same function),
-    # since loading scipy.stats takes over a second
+    # the one scipy use left in the analyses (the F survival function, which
+    # scipy wraps from Boost Math's incomplete beta): imported here so that
+    # only granger pays for it, and from scipy.special, not scipy.stats (the
+    # same function), since loading scipy.stats takes over a second
     from scipy import special
 
     # fdtrc is NaN below 0, where the F survival function is 1

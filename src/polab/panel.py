@@ -40,6 +40,9 @@ _SERIAL_SHIFT = 33
 #: bumped whenever the arrays a memo holds, or how a panel is built, change
 _MEMO_VERSION = 1
 
+#: grid cells per slice of stocks that ``write_text`` formats at once
+_WRITE_CELLS = 1 << 12
+
 
 def count_mantimes(records: Iterable[TransactionRecord]) -> tuple[int, int]:
     """Distinct buy and sell serials in one (stock, day, bar) batch.
@@ -222,31 +225,30 @@ class PolarityPanel:
         By default only minutes with activity are written; ``include_empty``
         adds the no-trade minutes with polarity NA, one row per grid cell.
         """
-        pol = self.polarity
+        d = delimiter
+        days = [f"{stock}{d}{date.isoformat()}{d}" for stock in self.stocks for date in self.dates]
+        bars = [f"{k + 1}{d}" for k in range(BARS_PER_DAY)]
+        # what follows a cell's bar depends only on its (buy, sell) pair, so
+        # each distinct pair is formatted once
+        tails = {}
+        n_dates = len(self.dates)
+        # stocks go out in slices of about _WRITE_CELLS grid cells, which
+        # bounds the per-cell strings held at once
+        step = max(1, _WRITE_CELLS // max(1, n_dates * BARS_PER_DAY))
         with open(path, "w", newline="") as fh:
-            fh.write(delimiter.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
+            fh.write(d.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
             fh.write("\n")
-            for i, stock in enumerate(self.stocks):
-                for j, date in enumerate(self.dates):
-                    if include_empty:
-                        bars = range(BARS_PER_DAY)
-                    else:
-                        bars = np.nonzero((self.buy[i, j] + self.sell[i, j]) > 0)[0]
-                    for k in bars:
-                        p = pol[i, j, k]
-                        fh.write(
-                            delimiter.join(
-                                (
-                                    stock,
-                                    date.isoformat(),
-                                    str(k + 1),
-                                    str(int(self.buy[i, j, k])),
-                                    str(int(self.sell[i, j, k])),
-                                    "NA" if math.isnan(p) else format(p, ".12g"),
-                                )
-                            )
-                        )
-                        fh.write("\n")
+            for lo in range(0, len(self.stocks), step):
+                buy, sell = self.buy[lo : lo + step], self.sell[lo : lo + step]
+                cells = np.ones(buy.shape, bool) if include_empty else (buy + sell) > 0
+                i, j, k = np.nonzero(cells)
+                pairs = (buy[i, j, k].astype(np.int64) << 32 | sell[i, j, k]).tolist()
+                for pair in set(pairs).difference(tails):
+                    b, s = pair >> 32, pair & 0xFFFFFFFF
+                    p = polarity(b, s)
+                    tails[pair] = f"{b}{d}{s}{d}{'NA' if p is None else format(p, '.12g')}\n"
+                rows = zip(((i + lo) * n_dates + j).tolist(), k.tolist(), pairs)
+                fh.write("".join([f"{days[day]}{bars[bar]}{tails[pair]}" for day, bar, pair in rows]))
 
     @classmethod
     def read_text(cls, path, delimiter: str = ",") -> "PolarityPanel":

@@ -342,17 +342,33 @@ CLI_ATTRIBUTES = (
 )
 
 
-def _loaded_modules(code: str, *args) -> list:
-    """Run ``code`` in a fresh interpreter; the modules it had loaded at exit."""
+# OpenBLAS also sizes its pool from these; importing polab.cli in this process
+# has set the first, so each subprocess below gets an environment built here
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_env(**variables) -> dict:
     import polab
 
-    env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
-    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(polab.__file__).parents[1])
+    env.update(variables)
+    return env
+
+
+def _last_line(code: str, env: dict, *args) -> str:
+    """Run ``code`` in a fresh interpreter; the last line it printed."""
     out = subprocess.run(
         [sys.executable, "-c", code, *map(str, args)],
         env=env, capture_output=True, text=True, check=True,
     )
-    return out.stdout.strip().splitlines()[-1].split()
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _loaded_modules(code: str, *args) -> list:
+    """Run ``code`` in a fresh interpreter; the modules it had loaded at exit."""
+    code += "\nimport sys; print(' '.join(sorted(sys.modules)))"
+    return _last_line(code, _blas_env(), *args).split()
 
 
 def test_cli_imports_without_scipy():
@@ -387,23 +403,56 @@ def test_fit_run_loads_no_scipy(workdir, tmp_path):
 def test_granger_run_loads_no_scipy_stats(workdir, tmp_path):
     # the F survival function comes from scipy.special, which loads in a
     # third of the time and half the memory of scipy.stats
-    import polab
-
     root, out, cfg = workdir
-    env = dict(os.environ, PYTHONPATH=str(Path(polab.__file__).parents[1]))
     code = (
         "import sys\nfrom polab.cli import main\n"
         "code = main(['granger', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(code, 'scipy.special' in sys.modules,"
         " sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code, str(cfg), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert result.stdout.strip().splitlines()[-1] == "0 True []"
+    assert _last_line(code, _blas_env(), cfg, tmp_path) == "0 True []"
     meta, cols, rows = read_table(tmp_path / "granger_days.csv")
     assert rows
+
+
+THREAD_COUNT = "\nimport os; print(len(os.listdir('/proc/self/task')))"
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs /proc and two usable CPUs, where OpenBLAS starts a pool",
+)
+def test_cli_process_starts_no_blas_thread_pool():
+    assert int(_last_line("import numpy" + THREAD_COUNT, _blas_env())) >= 2
+    assert _last_line("import polab.cli" + THREAD_COUNT, _blas_env()) == "1"
+    assert _last_line("import polab.cli" + THREAD_COUNT, _blas_env(OPENBLAS_NUM_THREADS="2")) == "2"
+
+
+@pytest.mark.parametrize("caller, seen", [(None, "1"), ("2", "2")])
+def test_cli_keeps_the_callers_thread_setting(caller, seen):
+    env = _blas_env() if caller is None else _blas_env(OPENBLAS_NUM_THREADS=caller)
+    code = "import os, polab.cli\nprint(repr(os.environ['OPENBLAS_NUM_THREADS']))"
+    assert _last_line(code, env) == repr(seen)
+
+
+def test_library_import_leaves_the_environment_alone():
+    code = (
+        "import os\nbefore = dict(os.environ)\n"
+        "import polab, polab.panel, polab.coupling\nprint(dict(os.environ) == before)"
+    )
+    assert _last_line(code, _blas_env()) == "True"
+
+
+def test_granger_tables_do_not_depend_on_blas_threads(workdir, tmp_path):
+    # the regressions are tiny, but their bytes must not depend on the pool
+    root, out, cfg = workdir
+    code = "import sys\nfrom polab.cli import main\nprint(main(sys.argv[1:]))"
+    tables = {}
+    for name, env in (("default", _blas_env()), ("two", _blas_env(OPENBLAS_NUM_THREADS="2"))):
+        assert _last_line(code, env, "granger", "--config", cfg, "--out", tmp_path / name) == "0"
+        tables[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert "granger_days.csv" in tables["default"]
+    assert tables["default"] == tables["two"]
 
 
 class TestFailedIngest:

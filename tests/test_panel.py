@@ -5,10 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import checksum_path, panel_memo_path, write_cache
+from polab.marketdata.grid import BARS_PER_DAY
 from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import TransactionRecord
 from polab.panel import (
@@ -39,6 +42,35 @@ def add_records(builder, records):
     for (stock, date), rows in keys.items():
         cols = ("bar", "buy_serial", "sell_serial", "time_ms")
         builder.add_arrays(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
+
+
+def _write_text_per_cell(panel, path, delimiter, include_empty):
+    """The writer ``write_text`` replaced, one format call per cell: the reference."""
+    pol = panel.polarity
+    with open(path, "w", newline="") as fh:
+        fh.write(delimiter.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
+        fh.write("\n")
+        for i, stock in enumerate(panel.stocks):
+            for j, date in enumerate(panel.dates):
+                if include_empty:
+                    bars = range(BARS_PER_DAY)
+                else:
+                    bars = np.nonzero((panel.buy[i, j] + panel.sell[i, j]) > 0)[0]
+                for k in bars:
+                    p = pol[i, j, k]
+                    fh.write(
+                        delimiter.join(
+                            (
+                                stock,
+                                date.isoformat(),
+                                str(k + 1),
+                                str(int(panel.buy[i, j, k])),
+                                str(int(panel.sell[i, j, k])),
+                                "NA" if math.isnan(p) else format(p, ".12g"),
+                            )
+                        )
+                    )
+                    fh.write("\n")
 
 
 class TestCountMantimes:
@@ -158,6 +190,44 @@ class TestPanelConstruction:
         assert len(lines) == n_cells + 1
         assert any(line.endswith(",0,0,NA") for line in lines[1:])
         assert PolarityPanel.read_text(path).equals(small_panel)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n_stocks=st.integers(0, 4),
+        n_dates=st.integers(0, 3),
+        cells=st.lists(
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 2), st.integers(0, BARS_PER_DAY - 1),
+                st.integers(0, 3) | st.integers(0, 1 << 30),
+                st.integers(0, 3) | st.integers(0, 1 << 30),
+            ),
+            max_size=60,
+        ),
+        delimiter=st.sampled_from([",", ";", "\t"]),
+        include_empty=st.booleans(),
+        slice_cells=st.sampled_from([1, BARS_PER_DAY, 500, 1 << 12]),
+    )
+    # (1, 0) beside (0, 2**k): pairs a narrower (buy, sell) key would merge
+    @example(
+        n_stocks=1, n_dates=1,
+        cells=[(0, 0, 0, 1, 0)] + [(0, 0, k, 0, 1 << k) for k in range(1, 31)],
+        delimiter=",", include_empty=False, slice_cells=1 << 12,
+    )
+    def test_text_export_matches_per_cell_writer(
+        self, tmp_path_factory, n_stocks, n_dates, cells, delimiter, include_empty, slice_cells
+    ):
+        shape = (n_stocks, n_dates, BARS_PER_DAY)
+        buy, sell = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
+        for i, j, k, b, s in cells:
+            if i < n_stocks and j < n_dates:
+                buy[i, j, k], sell[i, j, k] = b, s
+        stocks = [f"{600000 + i}" for i in range(n_stocks)]
+        panel = PolarityPanel(stocks, [D + dt.timedelta(days=j) for j in range(n_dates)], buy, sell)
+        root = tmp_path_factory.mktemp("panel_text")
+        _write_text_per_cell(panel, root / "ref.csv", delimiter, include_empty)
+        with mock.patch("polab.panel._WRITE_CELLS", slice_cells):
+            panel.write_text(root / "new.csv", delimiter, include_empty)
+        assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
 
     def test_threads_produce_identical_panel(self, small_scenario, tmp_path):
         from polab.marketdata.cache import write_cache
