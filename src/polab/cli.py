@@ -28,8 +28,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .config import RunConfig
-from .errors import ConfigError, DataError, FitRefusedError, InputError, PolabError
+from .config import RunConfig, read_config
+from .errors import ConfigError, DataError, FitRefusedError, PolabError
 from .marketdata import cache as cache_mod
 from .marketdata.parse import iter_transactions
 from .marketdata.prices import (
@@ -784,17 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    raw = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config root must be an object: {args.config}")
+    raw = read_config(args.config) if args.config else {}
     for item in args.set:
         key, value = _parse_override(item)
         raw[key] = value

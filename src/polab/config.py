@@ -17,6 +17,26 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, InputError
 
 
+def read_config(path) -> dict:
+    """The JSON object in the config file ``path``.
+
+    Raises InputError for an unreadable file and ConfigError for one that
+    is not UTF-8, not JSON, or whose root is not an object.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config root must be an object: {path}")
+    return raw
+
+
 @dataclass(frozen=True)
 class Periods:
     """Splits the sample into pre-crash / crash / post-crash date ranges."""
@@ -105,14 +125,7 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        return cls.from_dict(read_config(path))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":

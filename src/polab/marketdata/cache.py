@@ -43,6 +43,8 @@ _BLOCK_HEAD = struct.Struct("<H")
 _BLOCK_META = struct.Struct("<II")
 
 _U32_MAX = 2**32 - 1
+#: integer columns whose values the cache's u32 may not hold
+_U32_CHECKED = ("volume", "buy_serial", "sell_serial")
 
 _COLUMNS = (
     ("time_ms", "<u4"),
@@ -143,17 +145,17 @@ class CacheWriter:
         self.n_rows = 0
 
     def append(self, block: CacheBlock) -> None:
+        """Write one block; a volume or serial column not already u32 is
+        checked against the u32 range first."""
         n = block.n_rows
-        for name in ("volume", "buy_serial", "sell_serial"):
+        for name in _U32_CHECKED:
             col = getattr(block, name)
-            if n and int(np.max(col)) > _U32_MAX:
+            if n and col.dtype != np.uint32 and int(np.max(col)) > _U32_MAX:
                 raise DataError(f"{name} overflows the cache's u32 column")
         sid = block.stock_id.encode("utf-8")
-        self._fh.write(_BLOCK_HEAD.pack(len(sid)))
-        self._fh.write(sid)
-        self._fh.write(_BLOCK_META.pack(date_to_int(block.trade_date), n))
-        for name, dtype in _COLUMNS:
-            self._fh.write(np.ascontiguousarray(getattr(block, name), dtype=dtype).tobytes())
+        head = (_BLOCK_HEAD.pack(len(sid)), sid, _BLOCK_META.pack(date_to_int(block.trade_date), n))
+        cols = (np.ascontiguousarray(getattr(block, name), dtype=dtype) for name, dtype in _DTYPES)
+        self._fh.write(b"".join((*head, *cols)))
         self.n_blocks += 1
         self.n_rows += n
 
@@ -273,36 +275,73 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
             raise DataError(f"cache {path} does not match its checksum")
 
 
+class _Pending:
+    """Rows buffered for the next flush, compact: each column in its cache
+    dtype plus an int32 id of its (stock, day) key, 29 B a row."""
+
+    def __init__(self):
+        self.keys: dict[tuple[str, dt.date], int] = {}
+        self.key_parts: list[np.ndarray] = []
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name, _ in _COLUMNS}
+        self.rows = 0
+
+    def add(self, chunk: TransactionChunk, rows: slice) -> None:
+        """Buffer ``chunk[rows]``, whose u32 columns have been checked."""
+        n_dates = len(chunk.dates)
+        local = chunk.stock_idx[rows] * n_dates + chunk.date_idx[rows]
+        key_of = np.zeros(len(chunk.stocks) * n_dates, np.int32)
+        for k in np.flatnonzero(np.bincount(local, minlength=len(key_of))).tolist():
+            stock, day = divmod(k, n_dates)
+            key_of[k] = self.keys.setdefault((chunk.stocks[stock], chunk.dates[day]), len(self.keys))
+        self.key_parts.append(key_of[local])
+        for name, dtype in _COLUMNS:
+            self.parts[name].append(getattr(chunk, name)[rows].astype(dtype))
+        self.rows += len(local)
+
+    def flush(self, writer: CacheWriter) -> None:
+        """Write one block per key, keys in order of their first buffered
+        row and each key's rows in file order."""
+        if not self.rows:
+            return
+        key = np.concatenate(self.key_parts)
+        order = np.argsort(key, kind="stable")
+        ends = np.cumsum(np.bincount(key, minlength=len(self.keys)))
+        starts = np.concatenate(([0], ends[:-1]))
+        cols = []
+        for name, _ in _COLUMNS:  # one column at a time, to bound the copies
+            cols.append(np.concatenate(self.parts.pop(name))[order])
+        keys, lo, hi = list(self.keys), starts.tolist(), ends.tolist()
+        # a key's first buffered row heads its run in the stable order
+        for g in np.argsort(order[starts]).tolist():
+            rows = slice(lo[g], hi[g])
+            writer.append(CacheBlock(*keys[g], *(c[rows] for c in cols)))
+
+
 def write_cache(path, chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20) -> int:
     """Build a cache from a stream of parsed chunks with bounded memory.
 
-    Buffers rows per (stock, day) and flushes every group, in order of its
-    first buffered row, once the buffered total reaches ``flush_rows``, so
-    a key may span several blocks. Returns the number of rows written.
+    Buffers rows compactly, in their cache dtypes and tagged with their
+    (stock, day) key, and flushes once the buffered total reaches
+    ``flush_rows``: one stable sort by key gathers each key's rows, and
+    every key is written as one block, in order of its first buffered row.
+    So a key may span several blocks. A chunk whose volume or serial
+    overflows the cache's u32 columns raises DataError as it arrives.
+    Returns the number of rows written.
     """
-    pending: dict[tuple[str, dt.date], list[TransactionChunk]] = {}
-    buffered = 0
-
-    def flush(writer: CacheWriter) -> None:
-        for (stock, day), parts in pending.items():
-            cols = {
-                name: np.concatenate([getattr(p, name) for p in parts]) for name, _ in _COLUMNS
-            }
-            writer.append(CacheBlock(stock, day, **cols))
-        pending.clear()
-
+    pending = _Pending()
     with CacheWriter(path) as writer:
         for chunk in chunks:
+            for name in _U32_CHECKED:
+                col = getattr(chunk, name)
+                if len(col) and int(col.max()) > _U32_MAX:
+                    raise DataError(f"{name} overflows the cache's u32 column")
             start = 0
             while start < len(chunk):
-                stop = min(len(chunk), start + max(1, flush_rows - buffered))
-                part = chunk[start:stop]
-                for stock, day, rows in part.groups():
-                    pending.setdefault((stock, day), []).append(rows)
-                buffered += stop - start
+                stop = min(len(chunk), start + max(1, flush_rows - pending.rows))
+                pending.add(chunk, slice(start, stop))
                 start = stop
-                if buffered >= flush_rows:
-                    flush(writer)
-                    buffered = 0
-        flush(writer)
+                if pending.rows >= flush_rows:
+                    pending.flush(writer)
+                    pending = _Pending()
+        pending.flush(writer)
         return writer.n_rows

@@ -1,15 +1,18 @@
 """Chunked, vectorised streaming parser for delimited transaction files.
 
-The file is read in chunks of ``_CHUNK_LINES`` physical lines, so memory
-use is independent of file size. Each chunk is split into columns and
-converted with numpy; the ``nonpositive`` and ``bad_time`` rules run as
-masks. A row the fast path cannot convert exactly (a field that is not
-plain digits, a price with more than 15 digits, an unusual time width)
-goes through the per-row rule ``_parse_row``. So does every row of a
-chunk holding a quote, a NUL or a carriage return outside a CRLF line end,
-and of every chunk when the delimiter is not ASCII: such chunks are read
-with ``csv`` exactly as a row-by-row reader would. Either way each row
-gets the outcome of ``_parse_row``.
+The file is read as binary blocks of about ``_BLOCK_BYTES`` bytes, each
+read on to the next LF, so memory use is independent of file size and no
+line is split between blocks. A block is split into columns and converted with
+numpy; the ``nonpositive`` and ``bad_time`` rules run as masks. A row the
+fast path cannot convert exactly (a field that is not plain digits, a
+price with more than 15 digits, an unusual time width) goes through the
+per-row rule ``_parse_row``. So does every row of a block holding a quote,
+a NUL, a carriage return outside a CRLF line end or bytes that are not
+UTF-8, and of every block when the delimiter is not ASCII: such blocks are
+decoded and read with ``csv``, their lines split at CR, LF and CRLF and
+numbered exactly as a row-by-row text reader would. Either way each row
+gets the outcome of ``_parse_row``, except that a row holding bytes that
+are not UTF-8 is ``unparsable``.
 
 Malformed rows are counted per reason and reported, never silently
 dropped; once their share exceeds the abort threshold the parse stops with
@@ -21,8 +24,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
-from itertools import chain, islice
+import re
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -42,10 +45,14 @@ from .schema import (
 #: Abort threshold checked incrementally only after this many rows.
 _EARLY_CHECK_FLOOR = 10_000
 
-#: Physical lines per chunk. Fewer lines multiply the per-(stock, day) work
-#: of a chunk on markets with many stocks; more raise peak memory (64k lines
+#: Bytes read per block, about 19k lines of a typical feed. Smaller blocks
+#: multiply the per-block work; larger ones raise peak memory (64k lines
 #: took 40 MB more than 16k to ingest a 244k-row feed) for no gain.
-_CHUNK_LINES = 1 << 14
+_BLOCK_BYTES = 1 << 20
+
+#: One line as a text reader with ``newline=""`` splits them: ended by CRLF,
+#: a lone CR or LF, or by the end of the file.
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 #: Row outcome codes: 0 is a valid record, k > 0 is the reason _REASONS[k - 1].
 _REASONS = ("field_count", "unparsable", "nonpositive", "bad_time")
@@ -271,14 +278,14 @@ def split_fields(raw: bytes, delim: str, ncols: int):
     return buf, nonblank, regular, start, end
 
 
-def _fast_chunk(lines: list, text: str, delim: str, idx: tuple):
-    """Outcomes of a chunk of lines free of quotes, NUL and CR but in CRLF
-    line ends; ``text`` is the lines joined, with LF line ends.
+def _fast_chunk(raw: bytes, delim: str, idx: tuple):
+    """Outcomes of a block of UTF-8, LF-separated lines free of quotes, NUL
+    and CR.
 
-    Returns (_Columns over its non-blank rows, line offset of each row).
+    Returns (_Columns over its non-blank rows, line offset of each row,
+    number of lines).
     """
     ncols, i_date, i_stock, i_time, i_price, i_vol, i_buy, i_sell = idx
-    raw = text.encode("utf-8")
     buf, nonblank, regular, start, end = split_fields(raw, delim, ncols)
 
     rows_line = np.flatnonzero(nonblank)
@@ -327,17 +334,30 @@ def _fast_chunk(lines: list, text: str, delim: str, idx: tuple):
         cols.sell_serial[reg] = sell_serial
 
         for k in np.flatnonzero(fallback).tolist():
-            row = lines[int(rows_line[reg[k]])].rstrip("\r\n").split(delim)
+            row = raw[start[k, 0] : end[k, -1]].decode("utf-8").split(delim)
             cols.set_row(int(reg[k]), _parse_row(row, idx))
-    return cols, rows_line
+    return cols, rows_line, len(nonblank)
+
+
+def is_utf8(text: str) -> bool:
+    """False when ``text`` holds a byte that was not UTF-8, decoded to a
+    surrogate by ``surrogateescape``."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _csv_chunk(lines: list, rest, delim: str, idx: tuple):
-    """Outcomes of a chunk read through ``csv``, as the row-by-row reader does.
+    """Outcomes of a block read through ``csv``, as the row-by-row reader does.
 
-    A quoted field may carry a record past the chunk's last line; the lines
-    it needs are taken from ``rest``. Returns (_Columns, line offset of each
-    row, lines consumed).
+    A quoted field may carry a record past the block's last line; the lines
+    it needs are taken from ``rest``. A row holding bytes that are not UTF-8
+    is unparsable. Returns (_Columns, line offset of each row, lines
+    consumed).
     """
     consumed = 0
 
@@ -358,8 +378,67 @@ def _csv_chunk(lines: list, rest, delim: str, idx: tuple):
             offsets.append(consumed - 1)
     cols = _Columns(len(rows))
     for k, row in enumerate(rows):
-        cols.set_row(k, _parse_row(row, idx))
+        cols.set_row(k, _parse_row(row, idx) if is_utf8("".join(row)) else _UNPARSABLE)
     return cols, np.asarray(offsets, np.int64), consumed
+
+
+def _text_lines(raw: bytes) -> list:
+    """The lines of ``raw``, split and decoded as ``_Feed.lines`` does."""
+    return [line.decode("utf-8", "surrogateescape") for line in _LINE.findall(raw)]
+
+
+class _Feed:
+    """The bytes of an open binary file, handed out as whole lines.
+
+    ``block`` returns the next block of lines, about ``_BLOCK_BYTES`` long
+    and ending after an LF unless the file ends first. ``lines`` yields the
+    next lines one at a time, as ``csv`` needs them; the two may be mixed.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._buf = b""  # whole lines; the unread ones start at _pos
+        self._pos = 0
+
+    def _fill(self) -> bool:
+        """Read the next whole lines into the (consumed) buffer; False at
+        the end of the file."""
+        data = self._fh.read(_BLOCK_BYTES)
+        data += self._fh.readline()  # on to the next LF, or the end of the file
+        self._buf, self._pos = data, 0
+        return bool(data)
+
+    def block(self) -> bytes:
+        """The next whole lines; b"" at the end of the file."""
+        if self._pos == len(self._buf) and not self._fill():
+            return b""
+        out = self._buf[self._pos :]
+        self._pos = len(self._buf)
+        return out
+
+    def lines(self):
+        """The next lines one at a time, split at CR, LF and CRLF as a text
+        reader with ``newline=""`` splits them; bytes that are not UTF-8
+        decode to surrogates."""
+        while self._pos < len(self._buf) or self._fill():
+            line = _LINE.match(self._buf, self._pos)
+            self._pos = line.end()
+            yield line.group().decode("utf-8", "surrogateescape")
+
+
+def _plain(raw: bytes) -> bytes | None:
+    """``raw`` with CRLF line ends made LF, or None when the fast path may
+    not read it: a quote, a NUL, another CR, or bytes that are not UTF-8."""
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    return raw
 
 
 def _settle(cols, linenos, report, malformed_threshold, path):
@@ -408,39 +487,35 @@ def iter_transactions(
     if report is None:
         report = ParseReport()
     try:
-        fh = open(path, "r", newline="", buffering=io.DEFAULT_BUFFER_SIZE * 16)
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read transactions file {path}: {exc}") from exc
 
     delim = schema.delimiter
     idx = (len(schema.columns),) + tuple(schema.index_of(f) for f in FIELDS)
     with fh:
+        feed = _Feed(fh)
         lineno = 0
         if schema.has_header:
-            reader = csv.reader(fh, delimiter=delim)
-            try:
-                header = next(reader)
-            except StopIteration:
+            reader = csv.reader(feed.lines(), delimiter=delim)
+            header = next(reader, None)
+            if header is None:
                 return
             lineno = reader.line_num
+            if not is_utf8("".join(header)):
+                raise DataError(f"header of {path} is not UTF-8")
             if tuple(h.strip() for h in header) != schema.columns:
                 raise DataError(
                     f"header mismatch in {path}: expected {list(schema.columns)}, "
                     f"found {header}"
                 )
 
-        while True:
-            lines = list(islice(fh, _CHUNK_LINES))
-            if not lines:
-                break
-            text = "".join(lines)
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-            if not delim.isascii() or '"' in text or "\r" in text or "\0" in text:
-                cols, offsets, consumed = _csv_chunk(lines, fh, delim, idx)
+        while raw := feed.block():
+            plain = _plain(raw) if delim.isascii() else None
+            if plain is not None:
+                cols, offsets, consumed = _fast_chunk(plain, delim, idx)
             else:
-                cols, offsets = _fast_chunk(lines, text, delim, idx)
-                consumed = len(lines)
+                cols, offsets, consumed = _csv_chunk(_text_lines(raw), feed.lines(), delim, idx)
             chunk, abort = _settle(cols, lineno + 1 + offsets, report, malformed_threshold, path)
             lineno += consumed
             if len(chunk):

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY, assign_bar, assign_bars
 from .parse import (
-    _decimals, _digits, _factorize, _parse_time_ms, _times, _yyyymmdd, split_fields,
+    _decimals, _digits, _factorize, _parse_time_ms, _times, _yyyymmdd, is_utf8, split_fields,
 )
 
 EOD_COLUMNS = ("date", "id", "close")
@@ -37,9 +37,22 @@ _BLOCK_ROWS = 1 << 12
 
 def _open(path, what: str = "price"):
     try:
-        return open(path, "r", newline="")
+        return open(path, "r", newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _csv_reader(fh, path, delimiter: str = ","):
+    """``csv`` rows of a file from ``_open``; a line that is not UTF-8
+    raises DataError naming it."""
+
+    def lines():
+        for lineno, line in enumerate(fh, 1):
+            if not is_utf8(line):
+                raise DataError(f"{path} line {lineno} is not UTF-8")
+            yield line
+
+    return csv.reader(lines(), delimiter=delimiter)
 
 
 def _check_header(row, expected, path):
@@ -213,7 +226,7 @@ def _eod_rows(path, delimiter: str, has_header: bool) -> dict:
     out: dict[str, dict[dt.date, float]] = {}
     cache: dict = {}
     with _open(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _csv_reader(fh, path, delimiter)
         if has_header:
             _check_header(next(reader, []), EOD_COLUMNS, path)
         for row in reader:
@@ -249,7 +262,7 @@ def _intraday_rows(path, delimiter: str, has_header: bool) -> dict:
     out: dict[str, dict[dt.date, np.ndarray]] = {}
     cache: dict = {}
     with _open(path) as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = _csv_reader(fh, path, delimiter)
         if has_header:
             _check_header(next(reader, []), INTRADAY_COLUMNS, path)
         for row in reader:
@@ -306,7 +319,7 @@ def load_capitalization(path) -> dict:
     """Return {id: capitalization} from an ``id,capitalization`` file."""
     caps = {}
     with _open(path, "capitalization") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_reader(fh, path)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != ("id", "capitalization"):
             raise DataError(f"capitalization file must have header 'id,capitalization': {path}")
@@ -326,7 +339,7 @@ def load_emotion(path) -> dict:
     """Return {date: rjf} from a ``date,rjf`` file; rjf must be positive."""
     out = {}
     with _open(path, "emotion") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_reader(fh, path)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != ("date", "rjf"):
             raise DataError(f"emotion file must have header 'date,rjf': {path}")

@@ -19,6 +19,9 @@ from polab.marketdata.parse import iter_transactions
 from polab.panel import PolarityPanel
 
 
+HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
+
+
 def block(stock="000001", date=dt.date(2015, 5, 4), n=5, seed=0):
     rng = np.random.default_rng(seed)
     return CacheBlock(
@@ -159,6 +162,37 @@ class TestValidation:
         with pytest.raises(DataError, match="overflows"):
             write_cache(tmp_path / "c.plab", iter_transactions(tx))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
+
+    @pytest.mark.parametrize("column", ("volume", "buy_serial", "sell_serial"))
+    def test_each_u32_column_overflow_leaves_no_cache(self, tmp_path, column):
+        fields = {"volume": 100, "buy_serial": 1, "sell_serial": 2}
+        good = "2015-05-04,000001,09:31:00.000,10.0,{volume},{buy_serial},{sell_serial}"
+        lines = [good.format(**fields)] * 50
+        lines[30] = good.format(**{**fields, column: 2**32})
+        tx = tmp_path / "tx.csv"
+        tx.write_text("\n".join([HEADER] + lines) + "\n")
+        cache = tmp_path / "c.plab"
+        with CacheWriter(cache) as w:  # an older cache at the path goes too
+            w.append(block())
+        with pytest.raises(DataError, match=f"^{column} overflows the cache's u32 column$"):
+            write_cache(cache, iter_transactions(tx), flush_rows=8)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
+
+    def test_write_cache_appends_once_per_block(self, small_scenario, tmp_path):
+        files, _ = small_scenario
+        path = tmp_path / "c.plab"
+        appended = []
+        append = CacheWriter.append
+
+        def counted(writer, blk):
+            appended.append((blk.stock_id, blk.trade_date, blk.n_rows))
+            return append(writer, blk)
+
+        with mock.patch.object(CacheWriter, "append", counted):
+            write_cache(path, iter_transactions(files.transactions), flush_rows=512)
+        blocks = [(b.stock_id, b.trade_date, b.n_rows) for b in iter_blocks(path)]
+        assert len(blocks) > 24  # keys span several blocks
+        assert appended == blocks
 
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -482,6 +482,85 @@ class TestFailedIngest:
         assert main(["polarity", "--config", str(cfg)]) != 0
 
 
+def _polab(*args):
+    """Run the polab CLI in a fresh interpreter: (exit code, stderr)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "polab.cli", *map(str, args)],
+        env=_blas_env(), capture_output=True, text=True,
+    )
+    return out.returncode, out.stderr
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 in any input file ends in a categorised error."""
+
+    HEADER = b"trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
+    ROW = b"2015-05-04,000001,09:31:00.000,10.0,100,1,2"
+
+    def _ingest(self, tmp_path, lines, *args):
+        tx = tmp_path / "tx.csv"
+        tx.write_bytes(b"\n".join(lines) + b"\n")
+        cache = tmp_path / "cache.plab"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(
+            {"transactions": str(tx), "cache": str(cache), "out_dir": str(tmp_path / "out")}
+        ))
+        code, err = _polab("ingest", "--config", cfg, *args)
+        return code, err, cache
+
+    def test_feed_row_is_an_unparsable_row_at_its_line(self, tmp_path):
+        bad = self.ROW.replace(b"000001", b"0000\xff1")
+        code, err, cache = self._ingest(tmp_path, [self.HEADER, self.ROW, bad, self.ROW])
+        assert code == 4 and "Traceback" not in err
+        assert "malformed share" in err and "first_lines=[(3, 'unparsable')]" in err
+        assert not cache.exists() and not checksum_path(cache).exists()
+
+    def test_feed_row_counts_toward_the_abort_share(self, tmp_path):
+        bad = self.ROW.replace(b"000001", b"0000\xff1")
+        lines = [self.HEADER, self.ROW, bad, self.ROW]
+        code, err, _ = self._ingest(tmp_path, lines, "--set", "malformed_threshold=0.5")
+        assert code == 0 and "Traceback" not in err
+        _, _, rows = read_table(tmp_path / "out" / "ingest_report.csv")
+        report = dict(rows)
+        assert report["rows_cached"] == "2" and report["malformed_unparsable"] == "1"
+
+    def test_feed_header_is_a_data_error(self, tmp_path):
+        header = self.HEADER.replace(b"stock_id", b"stock\xffid")
+        code, err, cache = self._ingest(tmp_path, [header, self.ROW])
+        assert code == 4 and "Traceback" not in err
+        assert "category=data" in err and "not UTF-8" in err
+        assert not cache.exists() and not checksum_path(cache).exists()
+
+    @pytest.mark.parametrize(
+        "command,key", [("kl", "intraday_prices"), ("ratios", "capitalization"), ("emotion", "emotion")]
+    )
+    def test_side_file_is_a_data_error_naming_the_line(self, workdir, tmp_path, command, key):
+        root, out, cfg_path = workdir
+        cfg = json.loads(cfg_path.read_text())
+        if key == "capitalization":
+            raw = b"id,capitalization\n000001,1e9\n000002,2e9\n0000\xff3,3e9\n"
+        else:
+            raw = Path(cfg[key]).read_bytes()
+            lines = raw.split(b"\n")
+            lines[3] = lines[3].replace(b"-", b"\xff", 1)
+            raw = b"\n".join(lines)
+        bad = tmp_path / f"{key}.csv"
+        bad.write_bytes(raw)
+        cfg.update({key: str(bad), "cache": str(tmp_path / "none.plab"), "out_dir": str(tmp_path)})
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        code, err = _polab(command, "--config", tmp_path / "c.json")
+        assert code == 4 and "Traceback" not in err
+        assert "category=data" in err and f"{bad} line 4 is not UTF-8" in err
+
+    def test_config_is_a_config_error(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(b'{"out_dir": "\xff"}')
+        for command in ("ingest", "polarity"):
+            code, err = _polab(command, "--config", cfg)
+            assert code == 2 and "Traceback" not in err
+            assert "category=config" in err and "not UTF-8" in err
+
+
 def _ingested_market(root, seed):
     """A small market ingested and analysed once: its cache, memo and panel.csv."""
     import datetime as dt

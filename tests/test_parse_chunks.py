@@ -1,10 +1,14 @@
-"""The chunked parser against the per-row rule, at several chunk sizes.
+"""The chunked parser against the per-row rule, at several block sizes.
 
 The reference reads the file with ``csv`` one row at a time and applies
 ``parse._parse_row`` with the running abort check, which is how the parser
-worked before it read chunks. Every chunk size must reproduce its records,
+worked before it read chunks. Every block size must reproduce its records,
 its ParseReport and its abort, and every cache built from the chunks must
-be byte-identical to one built from the reference records.
+be byte-identical to one built from the reference records. Block sizes of
+1 and 7 bytes are shorter than a line and cut inside lines and between a
+CR and its LF; 256 and 2048 bytes give blocks of several lines that more
+blocks follow, so line numbers, aborts and quoted records carry across
+blocks of many lines.
 """
 
 import csv
@@ -18,11 +22,11 @@ from hypothesis import strategies as st
 
 from polab.errors import DataError
 from polab.marketdata import cache, parse
-from polab.marketdata.grid import assign_bar
-from polab.marketdata.schema import ParseReport, TransactionRecord
+from polab.marketdata.grid import assign_bar, assign_bars
+from polab.marketdata.schema import ParseReport, TransactionChunk, TransactionRecord
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
-CHUNK_SIZES = (1, 7, parse._CHUNK_LINES)
+BLOCK_SIZES = (1, 7, 256, 2048, 1 << 14, parse._BLOCK_BYTES)
 IDX = (7, 0, 1, 2, 3, 4, 5, 6)
 
 
@@ -190,8 +194,8 @@ def test_chunks_match_the_per_row_rule(
     want_cache = None
     if want_abort is None:
         want_cache = reference_cache(tmp_path / "want.plab", want_records, flush_rows)
-    for size in CHUNK_SIZES:
-        monkeypatch.setattr(parse, "_CHUNK_LINES", size)
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
         records, report, abort = chunked_parse(path, threshold)
         assert comparable(records) == comparable(want_records), size
         assert report == want_report, size
@@ -204,14 +208,14 @@ def test_chunks_match_the_per_row_rule(
 
 
 @pytest.mark.parametrize("flush_rows", (64, 128, 512))
-@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_cache_bytes_do_not_depend_on_chunking(
     small_scenario, tmp_path, monkeypatch, size, flush_rows
 ):
     files, _ = small_scenario
     want_records, _, _ = reference_parse(files.transactions, 0.001)
     want = reference_cache(tmp_path / "want.plab", want_records, flush_rows)
-    monkeypatch.setattr(parse, "_CHUNK_LINES", size)
+    monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
     got = tmp_path / "got.plab"
     n = cache.write_cache(got, parse.iter_transactions(files.transactions), flush_rows)
     assert n == len(want_records)
@@ -227,3 +231,119 @@ def test_early_abort_yields_rows_before_it(tmp_path):
     assert want_abort is not None and report.total_rows == 10_000
     assert (records, report, abort) == (want_records, want_report, want_abort)
     assert dt.date(2015, 5, 8) == records[0].trade_date
+
+
+# -- block cuts the random feeds may miss --------------------------------------------
+
+GOOD = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
+OTHER = "2015-05-08,300750,13:00:00.340,12.5,200,3,4"
+
+
+def assert_matches_reference(tmp_path, monkeypatch, raw: bytes, sizes):
+    """The feed ``raw`` parses and caches as the reference does at each block
+    size; no malformed share aborts. Returns the reference's result."""
+    path = tmp_path / "tx.csv"
+    path.write_bytes(raw)
+    want = reference_parse(path, 1.0)
+    want_cache = reference_cache(tmp_path / "want.plab", want[0], 64)
+    for size in sizes:
+        monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
+        assert chunked_parse(path, 1.0) == want, size
+        got = tmp_path / "got.plab"
+        cache.write_cache(got, parse.iter_transactions(path, malformed_threshold=1.0), 64)
+        assert got.read_bytes() == want_cache, size
+    return want
+
+
+def test_block_cut_between_cr_and_lf(tmp_path, monkeypatch):
+    raw = "\r\n".join([HEADER, GOOD, OTHER, GOOD, OTHER]).encode() + b"\r\n"
+    header_cr = raw.index(b"\r")
+    row_cr = raw.index(b"\r", header_cr + 2)
+    want = assert_matches_reference(tmp_path, monkeypatch, raw, (header_cr + 1, row_cr + 1, 7))
+    assert want[1].parsed_rows == 4
+
+
+def test_lone_cr_ends_a_line(tmp_path, monkeypatch):
+    # as a text reader splits them: GOOD, then two field-count rows, then OTHER
+    split = GOOD.replace(",10.0,", ",10.0\r", 1)
+    raw = "\n".join([HEADER, GOOD + "\r" + split, OTHER]).encode() + b"\n"
+    want = assert_matches_reference(tmp_path, monkeypatch, raw, (1, 7, 64, parse._BLOCK_BYTES))
+    assert want[1].parsed_rows == 2
+    assert want[1].first_malformed_lines == [(3, "field_count"), (4, "field_count")]
+
+
+@pytest.mark.parametrize("last", (OTHER, OTHER + "\r", "junk"))
+def test_file_without_trailing_newline(tmp_path, monkeypatch, last):
+    raw = "\n".join([HEADER, GOOD, GOOD, last]).encode()
+    sizes = (1, 7, len(raw) - 3, parse._BLOCK_BYTES)
+    want = assert_matches_reference(tmp_path, monkeypatch, raw, sizes)
+    assert want[1].total_rows == 3
+
+
+@pytest.mark.parametrize("quoted", (False, True))
+def test_row_that_is_not_utf8_is_unparsable(tmp_path, monkeypatch, quoted):
+    first = f'"{GOOD[:10]}"{GOOD[10:]}' if quoted else GOOD  # a quote sends blocks to csv
+    lines = [HEADER, first, OTHER, GOOD.replace("000001", "0000{}1"), OTHER]
+    bad = "\n".join(lines).format("\xff").encode("latin-1") + b"\n"
+    # its twin holds an ASCII row that the per-row rule finds unparsable
+    twin = "\n".join(lines).format("?").replace("?1,09:31:00.000,10.0,100,1,2", "?1,x,1,1,1,1")
+    path = tmp_path / "twin.csv"
+    path.write_text(twin + "\n")
+    want = reference_parse(path, 1.0)
+    assert want[1].first_malformed_lines == [(4, "unparsable")]
+    path.write_bytes(bad)
+    for size in (1, 7, parse._BLOCK_BYTES):
+        monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
+        assert chunked_parse(path, 1.0) == want, size
+
+
+def test_header_that_is_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "tx.csv"
+    path.write_bytes(HEADER.replace("stock_id", "stock\xffid").encode("latin-1") + b"\n" + GOOD.encode())
+    with pytest.raises(DataError, match="not UTF-8"):
+        list(parse.iter_transactions(path))
+
+
+# -- the cache writer on wide markets -------------------------------------------------
+
+
+@st.composite
+def wide_chunks(draw):
+    """Chunks of a time-ordered feed over many stocks: hundreds of keys per
+    chunk, each key recurring across chunks, each chunk listing its stocks
+    and dates in its own order."""
+    flush_rows = draw(st.sampled_from((1, 64, 8192)))
+    n_stocks = draw(st.integers(1, 400))
+    n_dates = draw(st.integers(1, 3))
+    max_rows = 300 if flush_rows == 1 else 3000
+    sizes = draw(st.lists(st.integers(0, max_rows), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stock_ids = [f"{k:06d}" for k in range(n_stocks)]
+    dates = [dt.date(2015, 6, 11) + dt.timedelta(days=k) for k in range(n_dates)]
+    chunks = []
+    for n in sizes:
+        stock = rng.integers(0, n_stocks, n)
+        day = np.sort(rng.integers(0, n_dates, n))
+        s_names, s_idx = np.unique(stock, return_inverse=True)
+        d_names, d_idx = np.unique(day, return_inverse=True)
+        s_perm, d_perm = rng.permutation(len(s_names)), rng.permutation(len(d_names))
+        time_ms = np.sort(rng.integers(33_000_000, 54_000_000, n))
+        chunks.append(TransactionChunk(
+            [stock_ids[k] for k in s_names[s_perm]], [dates[k] for k in d_names[d_perm]],
+            np.argsort(s_perm)[s_idx], np.argsort(d_perm)[d_idx], time_ms,
+            rng.uniform(1.0, 50.0, n).round(2), rng.integers(1, 2**32, n),
+            rng.integers(1, 2**32, n), rng.integers(1, 2**32, n), assign_bars(time_ms),
+        ))
+    return chunks, flush_rows
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=wide_chunks())
+def test_writer_matches_per_record_reference_on_wide_markets(tmp_path_factory, case):
+    chunks, flush_rows = case
+    tmp = tmp_path_factory.mktemp("wide")
+    records = [rec for chunk in chunks for rec in chunk.records()]
+    want = reference_cache(tmp / "want.plab", records, flush_rows)
+    n = cache.write_cache(tmp / "got.plab", iter(chunks), flush_rows)
+    assert n == len(records)
+    assert (tmp / "got.plab").read_bytes() == want
