@@ -38,7 +38,6 @@ from .marketdata.prices import (
 from .marketdata.schema import ColumnSchema, ParseReport
 from .panel import (
     PolarityPanel,
-    _panel_from_cells,
     daily_polarity_at_index_min,
     direction_ratios,
     market_polarity_series,
@@ -64,9 +63,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _load_panel(cfg: RunConfig) -> PolarityPanel:
     if cfg.cache and Path(cfg.cache).exists():
-        return PolarityPanel.from_cache_memo(
-            cfg.cache, serial_scope=cfg.serial_scope, threads=cfg.threads
-        )
+        return PolarityPanel.from_cache_memo(cfg.cache, serial_scope=cfg.serial_scope)
     if cfg.transactions:
         return PolarityPanel.from_transactions(
             cfg.transactions,
@@ -655,7 +652,7 @@ def _cmd_emotion(cfg: RunConfig, args) -> int:
 def _cmd_synth(cfg: RunConfig, args) -> int:
     import datetime as dt
 
-    from .synth import RegimeSpec, generate
+    from .synth import RegimeSpec, generate, weekdays
 
     out = _out_dir(cfg)
     spec = dict(cfg.synth)
@@ -685,21 +682,9 @@ def _cmd_synth(cfg: RunConfig, args) -> int:
         for k in ("index_id", "start_price", "index_start", "return_scale", "n_offgrid_rows")
         if k in spec
     }
-    dates = []
-    d = start
-    while len(dates) < n_days:
-        if d.weekday() < 5:
-            dates.append(d)
-        d += dt.timedelta(days=1)
+    dates = weekdays(start, n_days)
     files, truth = generate(regimes, n_stocks, dates, cfg.seed, out, **extra)
-    truth_cells = {}
-    idx = np.nonzero((truth.buy + truth.sell) > 0)
-    for i, j, k in zip(*idx):
-        truth_cells[(truth.stocks[i], truth.dates[j], int(k) + 1)] = (
-            int(truth.buy[i, j, k]),
-            int(truth.sell[i, j, k]),
-        )
-    _panel_from_cells(truth_cells).write_text(out / "truth_panel.csv")
+    truth.panel().write_text(out / "truth_panel.csv")
     write_table(
         out / "truth_index_min.csv",
         "truth-index-min",
@@ -768,7 +753,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=None, help="parallel workers")
+        p.add_argument(
+            "--threads", type=int, default=None, help="accepted for compatibility; no effect"
+        )
         p.add_argument(
             "--set",
             action="append",

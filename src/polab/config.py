@@ -94,6 +94,7 @@ class RunConfig:
     return_mode: str = "vs-prev-close"
     # execution
     out_dir: str = "out"
+    # accepted and validated but unused: panels are built in one process
     threads: int = 1
     seed: int = 7
     # synthetic scenario parameters (documented in the README)
@@ -165,8 +166,8 @@ class RunConfig:
             if path and not os.path.exists(path):
                 raise InputError(f"configured {key} does not exist: {path}")
 
-    #: keys that cannot change any result: where tables go, and the worker
-    #: count (a panel is the same however many processes build it)
+    #: keys that cannot change any result: where tables go, and the unused
+    #: worker count
     _UNHASHED = ("out_dir", "threads")
 
     def to_canonical_json(self) -> str:

@@ -98,10 +98,10 @@ def stock_day_correlation(polarity_row, return_row, min_bars: int = 30) -> float
     keep = np.isfinite(p) & np.isfinite(r)
     if keep.sum() < min_bars:
         return None
-    p, r = p[keep], r[keep]
-    if np.all(p == p[0]) or np.all(r == r[0]):
+    try:
+        return pearson(p[keep], r[keep])
+    except NumericError:
         return None
-    return float(np.corrcoef(p, r)[0, 1])
 
 
 def market_correlation(market_polarity, index_pct) -> float:

@@ -286,7 +286,7 @@ class _Pending:
         self.rows = 0
 
     def add(self, chunk: TransactionChunk, rows: slice) -> None:
-        """Buffer ``chunk[rows]``, whose u32 columns have been checked."""
+        """Buffer the rows ``rows`` of ``chunk``, whose u32 columns have been checked."""
         n_dates = len(chunk.dates)
         local = chunk.stock_idx[rows] * n_dates + chunk.date_idx[rows]
         key_of = np.zeros(len(chunk.stocks) * n_dates, np.int32)
@@ -298,9 +298,9 @@ class _Pending:
             self.parts[name].append(getattr(chunk, name)[rows].astype(dtype))
         self.rows += len(local)
 
-    def flush(self, writer: CacheWriter) -> None:
-        """Write one block per key, keys in order of their first buffered
-        row and each key's rows in file order."""
+    def blocks(self) -> Iterator[CacheBlock]:
+        """One block per key, keys in order of their first buffered row and
+        each key's rows in file order."""
         if not self.rows:
             return
         key = np.concatenate(self.key_parts)
@@ -314,34 +314,44 @@ class _Pending:
         # a key's first buffered row heads its run in the stable order
         for g in np.argsort(order[starts]).tolist():
             rows = slice(lo[g], hi[g])
-            writer.append(CacheBlock(*keys[g], *(c[rows] for c in cols)))
+            yield CacheBlock(*keys[g], *(c[rows] for c in cols))
 
 
-def write_cache(path, chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20) -> int:
-    """Build a cache from a stream of parsed chunks with bounded memory.
+def blocks_from_chunks(
+    chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20
+) -> Iterator[CacheBlock]:
+    """The cache blocks of a stream of parsed chunks, with bounded memory.
 
     Buffers rows compactly, in their cache dtypes and tagged with their
     (stock, day) key, and flushes once the buffered total reaches
     ``flush_rows``: one stable sort by key gathers each key's rows, and
-    every key is written as one block, in order of its first buffered row.
-    So a key may span several blocks. A chunk whose volume or serial
-    overflows the cache's u32 columns raises DataError as it arrives.
-    Returns the number of rows written.
+    every key becomes one block, in order of its first buffered row. So a
+    key may span several blocks. A chunk whose volume or serial overflows
+    the cache's u32 columns raises DataError as it arrives.
     """
     pending = _Pending()
+    for chunk in chunks:
+        for name in _U32_CHECKED:
+            col = getattr(chunk, name)
+            if len(col) and int(col.max()) > _U32_MAX:
+                raise DataError(f"{name} overflows the cache's u32 column")
+        start = 0
+        while start < len(chunk):
+            stop = min(len(chunk), start + max(1, flush_rows - pending.rows))
+            pending.add(chunk, slice(start, stop))
+            start = stop
+            if pending.rows >= flush_rows:
+                yield from pending.blocks()
+                pending = _Pending()
+    yield from pending.blocks()
+
+
+def write_cache(path, chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20) -> int:
+    """Write the blocks ``blocks_from_chunks`` makes of ``chunks`` as a cache.
+
+    Returns the number of rows written.
+    """
     with CacheWriter(path) as writer:
-        for chunk in chunks:
-            for name in _U32_CHECKED:
-                col = getattr(chunk, name)
-                if len(col) and int(col.max()) > _U32_MAX:
-                    raise DataError(f"{name} overflows the cache's u32 column")
-            start = 0
-            while start < len(chunk):
-                stop = min(len(chunk), start + max(1, flush_rows - pending.rows))
-                pending.add(chunk, slice(start, stop))
-                start = stop
-                if pending.rows >= flush_rows:
-                    pending.flush(writer)
-                    pending = _Pending()
-        pending.flush(writer)
+        for block in blocks_from_chunks(chunks, flush_rows):
+            writer.append(block)
         return writer.n_rows

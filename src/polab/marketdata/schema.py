@@ -65,30 +65,6 @@ class TransactionChunk:
     def __len__(self) -> int:
         return len(self.time_ms)
 
-    def __getitem__(self, rows) -> "TransactionChunk":
-        """The rows ``rows`` (a slice or an index array) of every column."""
-        return TransactionChunk(
-            self.stocks, self.dates, self.stock_idx[rows], self.date_idx[rows],
-            *(getattr(self, name)[rows] for name in CHUNK_COLUMNS),
-        )
-
-    def groups(self) -> Iterator[tuple[str, dt.date, "TransactionChunk"]]:
-        """(stock, date, rows of that key) per key, keys in order of first row.
-
-        Each key's rows keep their file order.
-        """
-        key = self.stock_idx.astype(np.int64) * len(self.dates) + self.date_idx
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        by_key = self[np.argsort(inverse, kind="stable")]
-        bounds = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
-        for g in np.argsort(first).tolist():
-            k = int(key[first[g]])
-            yield (
-                self.stocks[k // len(self.dates)],
-                self.dates[k % len(self.dates)],
-                by_key[bounds[g] : bounds[g + 1]],
-            )
-
     def records(self) -> Iterator[TransactionRecord]:
         columns = [getattr(self, name).tolist() for name in CHUNK_COLUMNS]
         for s, d, t, p, v, b, sl, bar in zip(

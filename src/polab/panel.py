@@ -8,8 +8,12 @@ resolve without trader identities. Polarity is the normalized difference
 
 By default a serial trading in several minutes counts once in each
 (``serial_scope="bar"``). The alternative ``"day"`` scope counts each
-serial once per day, attributed to the minute of its first fill; it exists
-for sensitivity analysis only.
+serial once per day, in the earliest on-grid minute it traded in, which is
+the minute of its first fill; it exists for sensitivity analysis only.
+
+A feed and its cache reach the panel as the same stream of cache blocks
+(``marketdata.cache.blocks_from_chunks`` and ``iter_blocks``), and one
+reducer counts both scopes.
 
 Building the panel from a cache costs far more than any analysis of it, so
 ``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
@@ -34,8 +38,11 @@ from .marketdata.grid import BARS_PER_DAY
 from .marketdata.parse import iter_transactions
 from .marketdata.schema import DEFAULT_SCHEMA, ParseReport, TransactionRecord
 
-# Serials are bounded by the cache's u32 columns, so bar << 33 never collides.
-_SERIAL_SHIFT = 33
+# A row's key on each side is serial << 9 | side | bar, where side is 0 for
+# the buyer and _SELL for the seller. Bars run 1..237 and serials are u32,
+# so keys fit an int64 and sort by serial and side, then bar.
+_BAR_BITS = 8
+_SELL = 1 << _BAR_BITS
 
 #: bumped whenever the arrays a memo holds, or how a panel is built, change
 _MEMO_VERSION = 1
@@ -159,44 +166,17 @@ class PolarityPanel:
         malformed_threshold: float = 0.001,
         report: ParseReport | None = None,
     ) -> "PolarityPanel":
-        builder = PanelBuilder(serial_scope=serial_scope)
-        for chunk in iter_transactions(
+        chunks = iter_transactions(
             path, schema, report=report, malformed_threshold=malformed_threshold
-        ):
-            for stock, date, rows in chunk.groups():
-                builder.add_arrays(
-                    stock, date, rows.bar, rows.buy_serial, rows.sell_serial, rows.time_ms
-                )
-        return builder.build()
+        )
+        return _panel_from_blocks(cache_mod.blocks_from_chunks(chunks), serial_scope)
 
     @classmethod
-    def from_cache(cls, path, *, serial_scope: str = "bar", threads: int = 1) -> "PolarityPanel":
-        builder = PanelBuilder(serial_scope=serial_scope)
-        blocks = cache_mod.iter_blocks(path)
-        if threads <= 1:
-            for blk in blocks:
-                builder.add_arrays(
-                    blk.stock_id, blk.trade_date, blk.bar, blk.buy_serial,
-                    blk.sell_serial, blk.time_ms,
-                )
-        else:
-            from concurrent.futures import ProcessPoolExecutor  # 20 ms to import
-
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                args = (
-                    (blk.stock_id, blk.trade_date, blk.bar, blk.buy_serial,
-                     blk.sell_serial, blk.time_ms, serial_scope)
-                    for blk in blocks
-                )
-                # map preserves submission order, so the merge is deterministic
-                for stock, date, reduced in pool.map(_reduce_block_task, args, chunksize=16):
-                    builder.add_reduced(stock, date, reduced)
-        return builder.build()
+    def from_cache(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
+        return _panel_from_blocks(cache_mod.iter_blocks(path), serial_scope)
 
     @classmethod
-    def from_cache_memo(
-        cls, path, *, serial_scope: str = "bar", threads: int = 1
-    ) -> "PolarityPanel":
+    def from_cache_memo(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
         """``from_cache``, built once per cache and kept beside it.
 
         The cache is first checked against its recorded checksum, so a
@@ -211,7 +191,7 @@ class PolarityPanel:
         memo = cache_mod.panel_memo_path(path, serial_scope)
         panel = _load_memo(memo, key, serial_scope)
         if panel is None:
-            panel = cls.from_cache(path, serial_scope=serial_scope, threads=threads)
+            panel = cls.from_cache(path, serial_scope=serial_scope)
             # a cache replaced while it was read must not key the panel
             if _file_identity(path) == before:
                 _save_memo(memo, panel, key, serial_scope)
@@ -349,100 +329,64 @@ def _panel_from_memo(buy, sell, stock_bytes, stock_ends, dates) -> PolarityPanel
     return PolarityPanel(stocks, days, buy, sell)
 
 
-def _reduce_bar_scope(bar, buy_serial, sell_serial):
-    on = bar > 0
-    b = bar[on].astype(np.int64)
-    bkeys = np.unique((b << _SERIAL_SHIFT) | buy_serial[on].astype(np.int64))
-    skeys = np.unique((b << _SERIAL_SHIFT) | sell_serial[on].astype(np.int64))
-    return bkeys, skeys
+def _serial_keys(keys: np.ndarray, day_scope: bool) -> np.ndarray:
+    """The sorted distinct keys among ``keys``; in day scope only the first
+    of each serial on each side, which holds its earliest bar."""
+    keys = np.sort(keys)
+    ids = keys >> _BAR_BITS if day_scope else keys  # (serial, side) or the whole key
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = ids[1:] != ids[:-1]
+    return keys[first]
 
 
-def _reduce_day_scope(bar, buy_serial, sell_serial, time_ms, order0):
-    on = bar > 0
-    b = bar[on].astype(np.int64)
-    t = time_ms[on].astype(np.int64)
-    order = np.arange(order0, order0 + len(b), dtype=np.int64)
-    parts = []
-    for serial in (buy_serial[on].astype(np.int64), sell_serial[on].astype(np.int64)):
-        srt = np.lexsort((order, t))
-        _, first = np.unique(serial[srt], return_index=True)
-        sel = srt[first]
-        parts.append((serial[sel], t[sel], order[sel], b[sel]))
-    return parts
-
-
-def _reduce_block_task(args):
-    stock, date, bar, buy_serial, sell_serial, time_ms, scope = args
-    if scope == "bar":
-        return stock, date, _reduce_bar_scope(bar, buy_serial, sell_serial)
-    return stock, date, _reduce_day_scope(bar, buy_serial, sell_serial, time_ms, 0)
+def _panel_from_blocks(blocks, serial_scope: str) -> PolarityPanel:
+    builder = PanelBuilder(serial_scope=serial_scope)
+    for blk in blocks:
+        builder.add_arrays(blk.stock_id, blk.trade_date, blk.bar, blk.buy_serial, blk.sell_serial)
+    return builder.build()
 
 
 class PanelBuilder:
     """Accumulates man-times evidence per (stock, day), then builds the panel.
 
-    Incoming rows are reduced immediately to distinct-serial keys, so memory
-    scales with participant counts rather than fills. Accumulation is
-    additive and order-independent, which makes partitioned or parallel
-    feeding safe.
+    Each call's on-grid rows are reduced at once to their distinct
+    (serial, side, bar) keys, so memory scales with participant counts
+    rather than fills. Bar scope counts every key. Day scope keeps each
+    serial's earliest on-grid bar on each side; bars rise with time of day,
+    so that is the minute of the serial's first fill. Keys from several
+    calls for one (stock, day) are merged by the same rule, so splitting a
+    stock-day across calls, in any order, gives the same panel.
     """
 
     def __init__(self, serial_scope: str = "bar"):
         if serial_scope not in ("bar", "day"):
             raise ValueError(f"serial_scope must be 'bar' or 'day', got {serial_scope!r}")
         self.serial_scope = serial_scope
-        self._reduced: dict[tuple[str, dt.date], list] = {}
-        self._order: dict[tuple[str, dt.date], int] = {}
+        self._keys: dict[tuple[str, dt.date], list] = {}
 
-    def add_arrays(self, stock, date, bar, buy_serial, sell_serial, time_ms) -> None:
-        key = (stock, date)
-        if self.serial_scope == "bar":
-            reduced = _reduce_bar_scope(
-                np.asarray(bar), np.asarray(buy_serial), np.asarray(sell_serial)
-            )
-        else:
-            order0 = self._order.get(key, 0)
-            self._order[key] = order0 + len(bar)
-            reduced = _reduce_day_scope(
-                np.asarray(bar), np.asarray(buy_serial), np.asarray(sell_serial),
-                np.asarray(time_ms), order0,
-            )
-        self._reduced.setdefault(key, []).append(reduced)
-
-    def add_reduced(self, stock, date, reduced) -> None:
-        self._reduced.setdefault((stock, date), []).append(reduced)
+    def add_arrays(self, stock, date, bar, buy_serial, sell_serial) -> None:
+        bar = np.asarray(bar)
+        on = bar > 0
+        b = bar[on].astype(np.int64)
+        buy = np.asarray(buy_serial)[on].astype(np.int64) << (_BAR_BITS + 1) | b
+        sell = np.asarray(sell_serial)[on].astype(np.int64) << (_BAR_BITS + 1) | _SELL | b
+        keys = _serial_keys(np.concatenate((buy, sell)), self.serial_scope == "day")
+        self._keys.setdefault((stock, date), []).append(keys)
 
     def build(self) -> PolarityPanel:
-        stocks = sorted({k[0] for k in self._reduced})
-        dates = sorted({k[1] for k in self._reduced})
+        stocks = sorted({k[0] for k in self._keys})
+        dates = sorted({k[1] for k in self._keys})
         sidx = {s: i for i, s in enumerate(stocks)}
         didx = {d: j for j, d in enumerate(dates)}
         buy = np.zeros((len(stocks), len(dates), BARS_PER_DAY), dtype=np.int32)
         sell = np.zeros_like(buy)
-        for (stock, date), parts in self._reduced.items():
+        day = self.serial_scope == "day"
+        for (stock, date), parts in self._keys.items():
+            keys = parts[0] if len(parts) == 1 else _serial_keys(np.concatenate(parts), day)
+            counts = np.bincount(keys & (2 * _SELL - 1), minlength=2 * _SELL)
             i, j = sidx[stock], didx[date]
-            if self.serial_scope == "bar":
-                bkeys = np.unique(np.concatenate([p[0] for p in parts]))
-                skeys = np.unique(np.concatenate([p[1] for p in parts]))
-                buy[i, j] = np.bincount(
-                    (bkeys >> _SERIAL_SHIFT), minlength=BARS_PER_DAY + 1
-                )[1:]
-                sell[i, j] = np.bincount(
-                    (skeys >> _SERIAL_SHIFT), minlength=BARS_PER_DAY + 1
-                )[1:]
-            else:
-                for side, target in ((0, buy), (1, sell)):
-                    serial = np.concatenate([p[side][0] for p in parts])
-                    t = np.concatenate([p[side][1] for p in parts])
-                    order = np.concatenate([p[side][2] for p in parts])
-                    b = np.concatenate([p[side][3] for p in parts])
-                    srt = np.lexsort((order, t, serial))
-                    s_sorted = serial[srt]
-                    first = np.ones(len(s_sorted), dtype=bool)
-                    first[1:] = s_sorted[1:] != s_sorted[:-1]
-                    target[i, j] = np.bincount(
-                        b[srt][first], minlength=BARS_PER_DAY + 1
-                    )[1:]
+            buy[i, j] = counts[1 : BARS_PER_DAY + 1]
+            sell[i, j] = counts[_SELL + 1 : _SELL + BARS_PER_DAY + 1]
         return PolarityPanel(stocks, dates, buy, sell)
 
 

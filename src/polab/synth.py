@@ -108,12 +108,19 @@ class GroundTruth:
     index_min_bar: dict = field(default_factory=dict)
     sign_pattern: dict = field(default_factory=dict)
 
-    def polarity(self) -> np.ndarray:
-        total = (self.buy + self.sell).astype(np.float64)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = (self.buy - self.sell) / total
-        p[total == 0] = np.nan
-        return p
+    def panel(self) -> PolarityPanel:
+        return PolarityPanel(self.stocks, self.dates, self.buy, self.sell)
+
+
+def weekdays(start: dt.date, n: int) -> list:
+    """The first ``n`` weekdays from ``start`` on, the synthetic calendar."""
+    out = []
+    d = start
+    while len(out) < n:
+        if d.weekday() < 5:
+            out.append(d)
+        d += dt.timedelta(days=1)
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .marketdata.parse import iter_transactions
 from .marketdata.prices import load_eod_prices, load_intraday_prices
 from .panel import PolarityPanel, direction_ratios
 from .returns import build_return_series
-from .synth import RegimeSpec, brute_force_recount, generate
+from .synth import RegimeSpec, brute_force_recount, generate, weekdays
 
 
 @dataclass
@@ -40,20 +40,10 @@ class OracleReport:
         return not self.failures
 
 
-def _weekdays(start: dt.date, n: int) -> list:
-    out = []
-    d = start
-    while len(out) < n:
-        if d.weekday() < 5:
-            out.append(d)
-        d += dt.timedelta(days=1)
-    return out
-
-
 def _random_scenario(rng, max_stocks: int, max_days: int):
     n_stocks = int(rng.integers(1, max_stocks + 1))
     n_days = int(rng.integers(1, max_days + 1))
-    dates = _weekdays(dt.date(2015, 5, 4), n_days)
+    dates = weekdays(dt.date(2015, 5, 4), n_days)
     k = int(rng.integers(3, 16))
     bars = tuple(sorted(int(b) + 1 for b in rng.choice(237, size=k, replace=False)))
     if rng.random() < 0.3:
@@ -70,17 +60,6 @@ def _random_scenario(rng, max_stocks: int, max_days: int):
             bars=bars,
         )
     return regime, n_stocks, dates, int(rng.integers(0, 2**31))
-
-
-def _truth_cells(truth) -> dict:
-    cells = {}
-    idx = np.nonzero((truth.buy + truth.sell) > 0)
-    for i, j, k in zip(*idx):
-        cells[(truth.stocks[i], truth.dates[j], int(k) + 1)] = (
-            int(truth.buy[i, j, k]),
-            int(truth.sell[i, j, k]),
-        )
-    return cells
 
 
 def _expected_runs(signs: list) -> list:
@@ -173,7 +152,7 @@ def run_oracle_suite(
             engine_cells = panel.active_cells()
             if engine_cells != brute.cells:
                 report.failures.append(f"[{s}] engine cells differ from brute-force recount")
-            if engine_cells != _truth_cells(truth):
+            if engine_cells != truth.panel().active_cells():
                 report.failures.append(f"[{s}] engine cells differ from ground truth")
             _check_planted(s, truth, panel, files, report.failures)
             report.n_scenarios += 1

@@ -288,6 +288,20 @@ class TestErrorMapping:
         assert main(["polarity", "--config", str(cfg)]) == 4
         assert "category=data" in capsys.readouterr().err
 
+    def test_serial_beyond_u32_without_a_cache_is_a_data_error(self, tmp_path, capsys):
+        tx = tmp_path / "tx.csv"
+        tx.write_text(
+            "trade_date,stock_id,time,price,volume,buy_serial,sell_serial\n"
+            f"2015-05-04,000001,09:31:10.000,10.0,100,{2**33 + 5},1\n"
+            "2015-05-04,000001,09:32:10.000,10.0,100,5,2\n"
+        )
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"transactions": str(tx), "out_dir": str(out)}))
+        assert main(["polarity", "--config", str(cfg)]) == 4
+        assert "buy_serial overflows the cache's u32 column" in capsys.readouterr().err
+        assert not (out / "panel.csv").exists()
+
     def test_degenerate_market_is_numeric_error(self, workdir, tmp_path, capsys):
         root, out, cfg_path = workdir
         # an index whose only close is on the final day has no prior close

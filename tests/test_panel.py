@@ -40,8 +40,49 @@ def add_records(builder, records):
     for r in records:
         keys.setdefault((r.stock_id, r.trade_date), []).append(r)
     for (stock, date), rows in keys.items():
-        cols = ("bar", "buy_serial", "sell_serial", "time_ms")
+        cols = ("bar", "buy_serial", "sell_serial")
         builder.add_arrays(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
+
+
+def day_scope_reference(records) -> dict:
+    """The day-scope rule as first written, one record at a time: the
+    reference. Each serial counts once per (stock, day) and side, in the bar
+    of its first on-grid fill by ``time_ms``, file order breaking ties.
+    Returns {(stock, date, bar): (buy, sell)} over active cells."""
+    first = {}
+    for order, r in enumerate(records):
+        if r.bar == 0:
+            continue
+        for side, serial in ((0, r.buy_serial), (1, r.sell_serial)):
+            key = (r.stock_id, r.trade_date, side, serial)
+            if key not in first or (r.time_ms, order) < first[key][:2]:
+                first[key] = (r.time_ms, order, r.bar)
+    cells = {}
+    for (stock, date, side, _), (_, _, bar) in first.items():
+        cells.setdefault((stock, date, bar), [0, 0])[side] += 1
+    return {cell: tuple(counts) for cell, counts in cells.items()}
+
+
+def assert_day_scope_follows_first_fill_rule(feed, work_dir) -> None:
+    """Day-scope panels from the feed and from caches of it split into
+    blocks of several sizes equal ``day_scope_reference``."""
+    records = [r for chunk in iter_transactions(feed) for r in chunk.records()]
+    want = day_scope_reference(records)
+    assert PolarityPanel.from_transactions(feed, serial_scope="day").active_cells() == want
+    for flush_rows in (1 << 20, 128, 7):
+        path = work_dir / f"day-{flush_rows}.plab"
+        write_cache(path, iter_transactions(feed), flush_rows)
+        assert PolarityPanel.from_cache(path, serial_scope="day").active_cells() == want
+
+
+#: days and times of the random day-scope feeds: session edges, repeats
+#: within a minute, and off-grid times
+FEED_DAYS = ("2015-05-04", "2015-05-05", "2015-05-06")
+FEED_TIMES = (
+    "09:25:00.000", "09:30:00.000", "09:30:59.999", "09:31:00.000",
+    "09:31:30.500", "11:29:59.999", "11:30:00.000", "12:00:00.000", "13:00:00.000",
+    "13:00:00.001", "14:56:59.999", "14:57:00.000",
+)
 
 
 def _write_text_per_cell(panel, path, delimiter, include_empty):
@@ -229,24 +270,9 @@ class TestPanelConstruction:
             panel.write_text(root / "new.csv", delimiter, include_empty)
         assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
 
-    def test_threads_produce_identical_panel(self, small_scenario, tmp_path):
-        from polab.marketdata.cache import write_cache
-        from polab.marketdata.parse import iter_transactions
-
-        files, _ = small_scenario
-        path = tmp_path / "c.plab"
-        write_cache(path, iter_transactions(files.transactions), flush_rows=512)
-        single = PolarityPanel.from_cache(path, threads=1)
-        multi = PolarityPanel.from_cache(path, threads=2)
-        assert single.equals(multi)
-        np.testing.assert_array_equal(single.buy, multi.buy)
-
     def test_day_scope_stable_across_block_splits_and_threads(self, small_scenario, tmp_path):
         # splitting a stock-day across cache blocks must not change which
-        # minute a serial's first fill lands in, in any execution mode
-        from polab.marketdata.cache import write_cache
-        from polab.marketdata.parse import iter_transactions
-
+        # minute a serial's first fill lands in
         files, _ = small_scenario
         reference = PolarityPanel.from_transactions(files.transactions, serial_scope="day")
         whole = tmp_path / "whole.plab"
@@ -254,10 +280,43 @@ class TestPanelConstruction:
         write_cache(whole, iter_transactions(files.transactions))
         write_cache(split, iter_transactions(files.transactions), flush_rows=128)
         for path in (whole, split):
-            for threads in (1, 2):
-                panel = PolarityPanel.from_cache(path, serial_scope="day", threads=threads)
-                np.testing.assert_array_equal(panel.buy, reference.buy)
-                np.testing.assert_array_equal(panel.sell, reference.sell)
+            panel = PolarityPanel.from_cache(path, serial_scope="day")
+            np.testing.assert_array_equal(panel.buy, reference.buy)
+            np.testing.assert_array_equal(panel.sell, reference.sell)
+
+    def test_day_scope_follows_first_fill_rule_on_scenario(self, small_scenario, tmp_path):
+        files, _ = small_scenario
+        assert_day_scope_follows_first_fill_rule(files.transactions, tmp_path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(
+            st.sampled_from(FEED_DAYS), st.sampled_from(("000001", "000002")),
+            st.sampled_from(FEED_TIMES), st.integers(1, 6), st.integers(1, 6),
+        ),
+        min_size=1, max_size=80,
+    ))
+    def test_day_scope_follows_first_fill_rule_on_random_feeds(self, tmp_path_factory, rows):
+        # few serials over few minutes and days, rows in no time order: a
+        # serial trades in several bars, on several days, often in one
+        # millisecond with another of its fills
+        root = tmp_path_factory.mktemp("day_scope")
+        feed = root / "tx.csv"
+        lines = ["trade_date,stock_id,time,price,volume,buy_serial,sell_serial"]
+        lines += [f"{d},{stock},{t},10.0,100,{b},{s}" for d, stock, t, b, s in rows]
+        feed.write_text("\n".join(lines) + "\n")
+        assert_day_scope_follows_first_fill_rule(feed, root)
+
+    def test_serial_beyond_u32_is_a_data_error(self, tmp_path):
+        # 2**33 + 5 differs from the next row's serial 5 only above bit 32
+        feed = tmp_path / "tx.csv"
+        feed.write_text(
+            "trade_date,stock_id,time,price,volume,buy_serial,sell_serial\n"
+            f"2015-05-04,000001,09:31:10.000,10.0,100,{2**33 + 5},1\n"
+            "2015-05-04,000001,09:32:10.000,10.0,100,5,2\n"
+        )
+        with pytest.raises(DataError, match="buy_serial overflows the cache's u32 column"):
+            PolarityPanel.from_transactions(feed)
 
 
 class TestDirectionRatios:
@@ -484,7 +543,7 @@ class TestPanelMemo:
         path, reference = cached
         panel, built = self.load(path)
         assert built and self.same(panel, reference)
-        panel, built = self.load(path, threads=2)
+        panel, built = self.load(path)
         assert not built and self.same(panel, reference)
         names = sorted(p.name for p in path.parent.iterdir())
         assert names == ["c.plab", "c.plab.crc32", "c.plab.panel-bar.npz"]
