@@ -63,6 +63,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def _load_panel(cfg: RunConfig) -> PolarityPanel:
     if cfg.cache and Path(cfg.cache).exists():
+        if cfg.transactions:
+            cache_mod.check_feed(cfg.cache, cfg.transactions)
         return PolarityPanel.from_cache_memo(cfg.cache, serial_scope=cfg.serial_scope)
     if cfg.transactions:
         return PolarityPanel.from_transactions(
@@ -119,6 +121,8 @@ def _cmd_ingest(cfg: RunConfig, args) -> int:
             report=report,
             malformed_threshold=cfg.malformed_threshold,
         ),
+        feed=cfg.transactions,
+        report=report,
     )
     rows = [
         ("rows_total", report.total_rows),

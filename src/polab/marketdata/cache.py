@@ -1,11 +1,16 @@
 """Compact binary cache of parsed transactions, for fast re-analysis.
 
-Layout (all little-endian), version 1:
+Layout (all little-endian), version 2:
 
     header:  magic "PLAB1" | u16 version | u8 reserved | u64 n_blocks
     block:   u16 stock-id length | stock-id utf8 | u32 date yyyymmdd | u32 n_rows
-             u32 time_ms[n] | u8 bar[n] | f64 price[n] | u32 volume[n]
-             u32 buy_serial[n] | u32 sell_serial[n]
+             u8 bar[n] | u32 buy_serial[n] | u32 sell_serial[n]
+
+A row keeps only what the panel counts: its bar and the serials of its two
+orders, 9 B. The parser still reads and validates each row's time, price
+and volume, which decide whether a row is malformed or off-grid, but no
+analysis reads them back, so the cache does not keep them. A cache of
+another version is refused: re-run ``polab ingest`` to rebuild it.
 
 Each block holds rows of one (stock, trading day). A key may repeat across
 blocks (the writer flushes in bounded-memory chunks); readers concatenate
@@ -13,10 +18,12 @@ repeats in file order. Off-grid rows are kept with bar 0 so row counts
 reconcile against the source file.
 
 The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
-it, and readers refuse a cache that does not match it. Analyses may keep
-a built panel beside the cache as ``<cache>.panel-<scope>.npz`` (see
-``polab.panel``); the writer deletes those whenever it replaces or deletes
-the cache.
+it, and readers refuse a cache that does not match it. When ingest names
+the feed, that file also records the feed's size, mtime (ns) and row
+count, and ``check_feed`` refuses a cache whose feed has changed since.
+Analyses may keep a built panel beside the cache as
+``<cache>.panel-<scope>.npz`` (see ``polab.panel``); the writer deletes
+those whenever it replaces or deletes the cache.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ import numpy as np
 
 from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY
-from .schema import TransactionChunk
+from .schema import ParseReport, TransactionChunk
 
 MAGIC = b"PLAB1"
-VERSION = 1
+VERSION = 2
 
 _HEADER = struct.Struct("<5sHBQ")
 _BLOCK_HEAD = struct.Struct("<H")
@@ -44,13 +51,10 @@ _BLOCK_META = struct.Struct("<II")
 
 _U32_MAX = 2**32 - 1
 #: integer columns whose values the cache's u32 may not hold
-_U32_CHECKED = ("volume", "buy_serial", "sell_serial")
+_U32_CHECKED = ("buy_serial", "sell_serial")
 
 _COLUMNS = (
-    ("time_ms", "<u4"),
     ("bar", "<u1"),
-    ("price", "<f8"),
-    ("volume", "<u4"),
     ("buy_serial", "<u4"),
     ("sell_serial", "<u4"),
 )
@@ -62,16 +66,22 @@ _ROW_BYTES = sum(dtype.itemsize for _, dtype in _DTYPES)
 class CacheBlock:
     stock_id: str
     trade_date: dt.date
-    time_ms: np.ndarray
     bar: np.ndarray
-    price: np.ndarray
-    volume: np.ndarray
     buy_serial: np.ndarray
     sell_serial: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return len(self.time_ms)
+        return len(self.bar)
+
+
+@dataclass(frozen=True)
+class FeedStamp:
+    """The feed a cache was built from, as its checksum file records it."""
+
+    size: int
+    mtime_ns: int
+    rows_total: int
 
 
 def date_to_int(d: dt.date) -> int:
@@ -110,7 +120,15 @@ def _stream_crc32(fh) -> tuple[int, int]:
     return crc, size
 
 
-def _read_checksum(path) -> tuple[int, int] | None:
+def _checksum_text(crc: int, size: int, feed: FeedStamp | None) -> str:
+    text = f"{crc:08x} {size}\n"
+    if feed is not None:
+        text += f"feed {feed.size} {feed.mtime_ns} {feed.rows_total}\n"
+    return text
+
+
+def _read_checksum(path) -> tuple[int, int, FeedStamp | None] | None:
+    """The cache's recorded CRC-32, size and feed, or None without a checksum file."""
     try:
         text = checksum_path(path).read_text()
     except FileNotFoundError:
@@ -118,9 +136,12 @@ def _read_checksum(path) -> tuple[int, int] | None:
     except OSError as exc:
         raise InputError(f"cannot read cache checksum {checksum_path(path)}: {exc}") from exc
     try:
-        crc, size = text.split()
-        return int(crc, 16), int(size)
-    except ValueError:
+        crc, size, *feed = text.split()
+        if feed and feed[0] != "feed":
+            raise ValueError
+        stamp = FeedStamp(*map(int, feed[1:])) if feed else None
+        return int(crc, 16), int(size), stamp
+    except (ValueError, TypeError):
         raise DataError(f"unreadable cache checksum {checksum_path(path)}") from None
 
 
@@ -128,9 +149,10 @@ class CacheWriter:
     """Appends per-(stock, day) blocks to a temporary file beside ``path``.
 
     Leaving the ``with`` block normally patches the block count into the
-    header, moves the file onto ``path`` and records its checksum. Leaving
-    it by an exception deletes the temporary file, any older cache at
-    ``path`` and its checksum, so a failed build leaves no cache behind.
+    header, moves the file onto ``path`` and records its checksum, with
+    ``feed`` if it has been set. Leaving it by an exception deletes the
+    temporary file, any older cache at ``path`` and its checksum, so a
+    failed build leaves no cache behind.
     """
 
     def __init__(self, path):
@@ -143,10 +165,11 @@ class CacheWriter:
         self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
         self.n_blocks = 0
         self.n_rows = 0
+        self.feed: FeedStamp | None = None
 
     def append(self, block: CacheBlock) -> None:
-        """Write one block; a volume or serial column not already u32 is
-        checked against the u32 range first."""
+        """Write one block; a serial column not already u32 is checked
+        against the u32 range first."""
         n = block.n_rows
         for name in _U32_CHECKED:
             col = getattr(block, name)
@@ -168,7 +191,7 @@ class CacheWriter:
             crc, size = _stream_crc32(fh)
             fh.close()
             os.replace(self._tmp, self._path)
-            checksum_path(self._path).write_text(f"{crc:08x} {size}\n")
+            checksum_path(self._path).write_text(_checksum_text(crc, size, self.feed))
             _remove_panel_memos(self._path)
         except BaseException:
             self.abort()
@@ -248,7 +271,10 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
         if magic != MAGIC:
             raise DataError(f"{path} is not a polab cache: bad magic {magic!r}")
         if version != VERSION:
-            raise DataError(f"unsupported cache version {version} in {path}")
+            raise DataError(
+                f"unsupported cache version {version} in {path} (this polab reads "
+                f"version {VERSION}); re-run `polab ingest` to rebuild it"
+            )
         for _ in range(n_blocks):
             (sid_len,) = _BLOCK_HEAD.unpack(take(_BLOCK_HEAD.size, "block header"))
             head = take(sid_len + _BLOCK_META.size, "block header")
@@ -277,7 +303,7 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
 
 class _Pending:
     """Rows buffered for the next flush, compact: each column in its cache
-    dtype plus an int32 id of its (stock, day) key, 29 B a row."""
+    dtype plus an int32 id of its (stock, day) key, 13 B a row."""
 
     def __init__(self):
         self.keys: dict[tuple[str, dt.date], int] = {}
@@ -326,8 +352,8 @@ def blocks_from_chunks(
     (stock, day) key, and flushes once the buffered total reaches
     ``flush_rows``: one stable sort by key gathers each key's rows, and
     every key becomes one block, in order of its first buffered row. So a
-    key may span several blocks. A chunk whose volume or serial overflows
-    the cache's u32 columns raises DataError as it arrives.
+    key may span several blocks. A chunk whose serial overflows the
+    cache's u32 columns raises DataError as it arrives.
     """
     pending = _Pending()
     for chunk in chunks:
@@ -346,12 +372,52 @@ def blocks_from_chunks(
     yield from pending.blocks()
 
 
-def write_cache(path, chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20) -> int:
+def write_cache(
+    path,
+    chunks: Iterable[TransactionChunk],
+    flush_rows: int = 1 << 20,
+    feed=None,
+    report: ParseReport | None = None,
+) -> int:
     """Write the blocks ``blocks_from_chunks`` makes of ``chunks`` as a cache.
 
-    Returns the number of rows written.
+    ``feed``, the file the chunks are parsed from, is stamped before the
+    first chunk is read and recorded in the checksum file with the
+    ``report.total_rows`` the parse counted, for ``check_feed``. Returns the
+    number of rows written.
     """
+    if feed is not None:
+        try:
+            st = os.stat(feed)
+        except OSError as exc:
+            raise InputError(f"cannot read {feed}: {exc}") from exc
     with CacheWriter(path) as writer:
         for block in blocks_from_chunks(chunks, flush_rows):
             writer.append(block)
+        if feed is not None:
+            writer.feed = FeedStamp(st.st_size, st.st_mtime_ns, report.total_rows)
         return writer.n_rows
+
+
+def check_feed(path, feed) -> None:
+    """Refuse the cache at ``path`` if ``feed`` changed since it was ingested.
+
+    Raises DataError when ``feed``'s size or mtime differs from what the
+    cache's checksum file records. Passes when that file records no feed
+    or ``feed`` no longer exists: then there is nothing to compare.
+    """
+    recorded = _read_checksum(path)
+    stamp = recorded[2] if recorded else None
+    if stamp is None:
+        return
+    try:
+        st = os.stat(feed)
+    except FileNotFoundError:
+        return
+    except OSError as exc:
+        raise InputError(f"cannot read {feed}: {exc}") from exc
+    if (st.st_size, st.st_mtime_ns) != (stamp.size, stamp.mtime_ns):
+        raise DataError(
+            f"cache {path} was built from an earlier {feed}: the feed's size or mtime "
+            f"has changed since; re-run `polab ingest` to rebuild the cache"
+        )

@@ -13,7 +13,8 @@ the minute of its first fill; it exists for sensitivity analysis only.
 
 A feed and its cache reach the panel as the same stream of cache blocks
 (``marketdata.cache.blocks_from_chunks`` and ``iter_blocks``), and one
-reducer counts both scopes.
+reducer counts both scopes. A block carries only what the count reads:
+each row's bar and its buy and sell serials.
 
 Building the panel from a cache costs far more than any analysis of it, so
 ``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
@@ -44,8 +45,9 @@ from .marketdata.schema import DEFAULT_SCHEMA, ParseReport, TransactionRecord
 _BAR_BITS = 8
 _SELL = 1 << _BAR_BITS
 
-#: bumped whenever the arrays a memo holds, or how a panel is built, change
-_MEMO_VERSION = 1
+#: bumped whenever the arrays a memo holds, or how a panel is built, change;
+#: 2 since the cache's version 2, so no memo of a version-1 cache is loaded
+_MEMO_VERSION = 2
 
 #: grid cells per slice of stocks that ``write_text`` formats at once
 _WRITE_CELLS = 1 << 12

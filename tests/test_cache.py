@@ -16,6 +16,7 @@ from polab.marketdata.cache import (
     verified_crc32, write_cache,
 )
 from polab.marketdata.parse import iter_transactions
+from polab.marketdata.schema import ParseReport
 from polab.panel import PolarityPanel
 
 
@@ -27,10 +28,7 @@ def block(stock="000001", date=dt.date(2015, 5, 4), n=5, seed=0):
     return CacheBlock(
         stock_id=stock,
         trade_date=date,
-        time_ms=rng.integers(34_200_000, 41_400_000, n).astype("<u4"),
         bar=rng.integers(1, 238, n).astype("<u1"),
-        price=rng.uniform(5, 50, n),
-        volume=rng.integers(100, 1000, n).astype("<u4"),
         buy_serial=rng.integers(1, 10_000, n).astype("<u4"),
         sell_serial=rng.integers(1, 10_000, n).astype("<u4"),
     )
@@ -48,7 +46,7 @@ class TestRoundTrip:
         for orig, got in zip(blocks, loaded):
             assert got.stock_id == orig.stock_id
             assert got.trade_date == orig.trade_date
-            for col in ("time_ms", "bar", "price", "volume", "buy_serial", "sell_serial"):
+            for col in ("bar", "buy_serial", "sell_serial"):
                 np.testing.assert_array_equal(getattr(got, col), getattr(orig, col))
 
     def test_magic_bytes_lead_the_file(self, tmp_path):
@@ -90,7 +88,7 @@ class TestRoundTrip:
 
 
 U32 = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
-ROW = st.tuples(U32, st.integers(0, 237), st.floats(width=64), U32, U32, U32)
+ROW = st.tuples(st.integers(0, 237), U32, U32)
 
 
 @st.composite
@@ -100,17 +98,14 @@ def cache_blocks(draw):
     out = []
     for _ in range(draw(st.integers(0, 6))):
         rows = draw(st.lists(ROW, max_size=12))
-        cols = list(zip(*rows)) if rows else [()] * 6
+        cols = list(zip(*rows)) if rows else [()] * 3
         out.append(
             CacheBlock(
                 draw(ids),
                 draw(st.sampled_from([dt.date(2015, 5, 4), dt.date(2015, 6, 15)]) | st.dates()),
-                time_ms=np.array(cols[0], dtype="<u4"),
-                bar=np.array(cols[1], dtype="<u1"),
-                price=np.array(cols[2], dtype="<f8"),
-                volume=np.array(cols[3], dtype="<u4"),
-                buy_serial=np.array(cols[4], dtype="<u4"),
-                sell_serial=np.array(cols[5], dtype="<u4"),
+                bar=np.array(cols[0], dtype="<u1"),
+                buy_serial=np.array(cols[1], dtype="<u4"),
+                sell_serial=np.array(cols[2], dtype="<u4"),
             )
         )
     return out
@@ -140,7 +135,7 @@ class TestRoundTripProperty:
                 (b.stock_id, b.trade_date) for b in blocks
             ]
             for orig, back in zip(blocks, got):
-                for col in ("time_ms", "bar", "price", "volume", "buy_serial", "sell_serial"):
+                for col in ("bar", "buy_serial", "sell_serial"):
                     assert getattr(back, col).tobytes() == getattr(orig, col).tobytes()
 
             for scope in ("bar", "day"):
@@ -163,7 +158,7 @@ class TestValidation:
             write_cache(tmp_path / "c.plab", iter_transactions(tx))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
 
-    @pytest.mark.parametrize("column", ("volume", "buy_serial", "sell_serial"))
+    @pytest.mark.parametrize("column", ("buy_serial", "sell_serial"))
     def test_each_u32_column_overflow_leaves_no_cache(self, tmp_path, column):
         fields = {"volume": 100, "buy_serial": 1, "sell_serial": 2}
         good = "2015-05-04,000001,09:31:00.000,10.0,{volume},{buy_serial},{sell_serial}"
@@ -177,6 +172,23 @@ class TestValidation:
         with pytest.raises(DataError, match=f"^{column} overflows the cache's u32 column$"):
             write_cache(cache, iter_transactions(tx), flush_rows=8)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
+
+    def test_volume_beyond_u32_is_cached(self, tmp_path):
+        # volume is parsed and validated but not cached, so it has no u32 limit
+        import polab.synth as synth
+
+        lines = [
+            f"2015-05-04,00000{1 + i % 3},{9 + i % 2:02d}:{31 + i % 7:02d}:00.000,10.0,"
+            f"{2**40 if i % 4 == 0 else 100},{1 + i % 11},{1 + i % 5}"
+            for i in range(60)
+        ]
+        tx = tmp_path / "tx.csv"
+        tx.write_text("\n".join([HEADER] + lines) + "\n")
+        report = ParseReport()
+        n = write_cache(tmp_path / "c.plab", iter_transactions(tx, report=report))
+        assert n == 60 and report.malformed_rows == 0
+        panel = PolarityPanel.from_cache(tmp_path / "c.plab")
+        assert panel.active_cells() == synth.brute_force_recount(tx).cells
 
     def test_write_cache_appends_once_per_block(self, small_scenario, tmp_path):
         files, _ = small_scenario
@@ -234,14 +246,14 @@ def _edited(raw: bytes, offset: int, value: bytes) -> bytes:
 
 
 # one block of 5 rows: header 0-15, stock-id length 16, stock id 18-23, date 24,
-# row count 28, time_ms 32-51, bar 52-56, then price, volume and serials to 157
+# row count 28, bar 32-36, buy serials 37-56, sell serials 57-76
 STRUCTURE_DAMAGE = [
     (lambda raw: raw[:17], "truncated block header"),
     (lambda raw: _edited(raw, 8, (2).to_bytes(8, "little")), "truncated block header"),
     (lambda raw: _edited(raw, 18, b"\xff"), "not UTF-8"),
     (lambda raw: _edited(raw, 24, (20151399).to_bytes(4, "little")), "bad date"),
     (lambda raw: _edited(raw, 28, (2**32 - 1).to_bytes(4, "little")), "truncated block"),
-    (lambda raw: _edited(raw, 52, b"\xf0"), "bar index out of range"),
+    (lambda raw: _edited(raw, 32, b"\xf0"), "bar index out of range"),
     (lambda raw: raw + b"xx", "bytes after its last block"),
 ]
 
@@ -267,7 +279,7 @@ class TestDamage:
         [
             (lambda raw: _edited(raw, 60, b"\x01"), "does not match its checksum"),
             (lambda raw: raw[:-1], "its checksum file says"),
-            (lambda raw: _edited(raw, 52, b"\xf0"), "bar index out of range"),
+            (lambda raw: _edited(raw, 32, b"\xf0"), "bar index out of range"),
         ],
     )
     def test_checksum_catches_damage_to_values(self, raw, tmp_path, edit, message):

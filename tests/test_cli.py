@@ -496,6 +496,114 @@ class TestFailedIngest:
         assert main(["polarity", "--config", str(cfg)]) != 0
 
 
+def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
+    """A small synthetic market ingested through the CLI: (config, feed, cache, out)."""
+    import datetime as dt
+
+    from polab.synth import RegimeSpec, generate, weekdays
+
+    regime = RegimeSpec(
+        "flow", buy_rate=0.8, sell_rate=0.8, mean_fills=1.6, bars=tuple(range(1, 238, 9))
+    )
+    days = weekdays(dt.date(2015, 5, 4), n_days)
+    files, _ = generate(regime, n_stocks, days, seed, root / "feed", **extra)
+    cache_path, out = root / "cache.plab", root / "out"
+    cfg = root / "c.json"
+    cfg.write_text(json.dumps(
+        {"transactions": str(files.transactions), "cache": str(cache_path), "out_dir": str(out)}
+    ))
+    assert main(["ingest", "--config", str(cfg)]) == 0
+    return cfg, files.transactions, cache_path, out
+
+
+def test_cache_holds_nine_bytes_a_row(tmp_path):
+    # header, then per block its stock id, date and row count, then 9 B a row
+    # (u8 bar, u32 buy and sell serials): a column added later fails here
+    cfg, _, cache_path, out = _ingest_market(tmp_path, n_stocks=4, n_days=3, n_offgrid_rows=2)
+    _, _, rows = read_table(out / "ingest_report.csv")
+    report = dict(rows)
+    assert int(report["rows_off_grid"]) == 6
+    blocks = [(b.stock_id, b.n_rows) for b in cache_mod.iter_blocks(cache_path)]
+    assert len(blocks) == 12  # one block per (stock, day): the feed is under a flush
+    heads = sum(2 + len(stock.encode("utf-8")) + 8 for stock, _ in blocks)
+    assert cache_path.stat().st_size == 16 + heads + 9 * int(report["rows_cached"])
+
+
+class TestFeedFingerprint:
+    """A cache records the feed it was built from and refuses a changed one."""
+
+    def test_checksum_file_records_the_feed(self, tmp_path):
+        _, tx, cache_path, out = _ingest_market(tmp_path)
+        _, _, rows = read_table(out / "ingest_report.csv")
+        st = tx.stat()
+        lines = checksum_path(cache_path).read_text().splitlines()
+        assert lines[1] == f"feed {st.st_size} {st.st_mtime_ns} {dict(rows)['rows_total']}"
+
+    @pytest.mark.parametrize("change", ("rewrite", "touch"))
+    def test_changed_feed_is_refused(self, tmp_path, capsys, change):
+        cfg, tx, cache_path, out = _ingest_market(tmp_path)
+        if change == "rewrite":
+            tx.write_text(tx.read_text() + "2015-05-04,000001,09:31:00.000,10.0,100,1,2\n")
+        else:
+            st = tx.stat()
+            os.utime(tx, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "category=data" in err and str(cache_path) in err and str(tx) in err
+        assert "re-run `polab ingest`" in err
+        assert not (out / "panel.csv").exists()
+        assert not cache_mod.panel_memo_path(cache_path, "bar").exists()
+
+    def test_unchanged_feed_runs(self, tmp_path):
+        cfg, tx, cache_path, out = _ingest_market(tmp_path)
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        assert PolarityPanel.read_text(out / "panel.csv").equals(
+            PolarityPanel.from_transactions(tx)
+        )
+
+    @pytest.mark.parametrize("feed", ("unnamed", "deleted"))
+    def test_no_feed_to_compare_runs(self, tmp_path, feed):
+        cfg, tx, cache_path, out = _ingest_market(tmp_path)
+        want = PolarityPanel.from_transactions(tx)
+        tx.write_text("")  # the feed the cache was built from is gone either way
+        if feed == "unnamed":
+            cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
+        else:
+            tx.unlink()
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        assert PolarityPanel.read_text(out / "panel.csv").equals(want)
+
+
+class TestOldCacheVersion:
+    @pytest.mark.parametrize("old_memo", (False, True))
+    def test_version_1_cache_is_refused(self, tmp_path, capsys, old_memo):
+        import datetime as dt
+        import zlib
+
+        from polab import panel as panel_mod
+
+        cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
+        raw = cache_mod.MAGIC + (1).to_bytes(2, "little") + bytes(9)  # a version-1 header
+        cache_path.write_bytes(raw)
+        checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+        memo = panel_memo_path(cache_path, "bar")
+        if old_memo:  # as the previous format's polab kept it, keyed to this cache
+            counts = np.zeros((1, 1, 237), np.int32)
+            panel = PolarityPanel(["000001"], [dt.date(2015, 5, 4)], counts, counts)
+            key = np.array([1, zlib.crc32(raw), len(raw)], dtype=np.int64)
+            panel_mod._save_memo(memo, panel, key, "bar")
+        memo_before = memo.read_bytes() if old_memo else None
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "unsupported cache version 1" in err and "re-run `polab ingest`" in err
+        assert not (out / "panel.csv").exists()
+        assert (memo.read_bytes() if memo.exists() else None) == memo_before
+
+
 def _polab(*args):
     """Run the polab CLI in a fresh interpreter: (exit code, stderr)."""
     out = subprocess.run(
@@ -577,29 +685,14 @@ class TestNotUtf8:
 
 def _ingested_market(root, seed):
     """A small market ingested and analysed once: its cache, memo and panel.csv."""
-    import datetime as dt
-
-    from polab.synth import RegimeSpec, generate
-
-    regime = RegimeSpec(
-        "flow", buy_rate=0.8, sell_rate=0.8, mean_fills=1.6, bars=tuple(range(1, 238, 9))
-    )
-    files, _ = generate(regime, 3, [dt.date(2015, 5, 4), dt.date(2015, 5, 5)], seed, root / "feed")
-    cache_path = root / "cache.plab"
-    cfg = root / "ingest.json"
-    cfg.write_text(json.dumps({
-        "transactions": str(files.transactions),
-        "cache": str(cache_path),
-        "out_dir": str(root / "out"),
-    }))
-    assert main(["ingest", "--config", str(cfg)]) == 0
+    cfg, tx, cache_path, out = _ingest_market(root, seed=seed)
     assert main(["polarity", "--config", str(cfg)]) == 0
     return SimpleNamespace(
-        transactions=files.transactions,
+        transactions=tx,
         raw=cache_path.read_bytes(),
         checksum=checksum_path(cache_path).read_text(),
         memo=panel_memo_path(cache_path, "bar").read_bytes(),
-        panel=(root / "out" / "panel.csv").read_bytes(),
+        panel=(out / "panel.csv").read_bytes(),
     )
 
 

@@ -551,8 +551,7 @@ class TestPanelMemo:
     def test_scopes_keep_separate_memos(self, tmp_path):
         # buy serial 5 trades in bars 1 and 2: the scopes count it differently
         path = tmp_path / "scopes.plab"
-        cols = dict(time_ms=[34_200_000, 34_260_000], bar=[1, 2], price=[10.0, 10.0],
-                    volume=[100, 100], buy_serial=[5, 5], sell_serial=[6, 7])
+        cols = dict(bar=[1, 2], buy_serial=[5, 5], sell_serial=[6, 7])
         block = cache_mod.CacheBlock("000001", D, **{k: np.array(v) for k, v in cols.items()})
         with cache_mod.CacheWriter(path) as w:
             w.append(block)

@@ -89,7 +89,7 @@ def reference_cache(path, records, flush_rows):
     with cache.CacheWriter(path) as writer:
         for k, r in enumerate(records, 1):
             buffers.setdefault((r.stock_id, r.trade_date), []).append(
-                (r.time_ms, r.bar, r.price, r.volume, r.buy_serial, r.sell_serial)
+                (r.bar, r.buy_serial, r.sell_serial)
             )
             if k % flush_rows == 0:
                 flush(writer)
