@@ -17,8 +17,9 @@ import os
 import sys
 from pathlib import Path
 
-# Numpy and scipy each load an OpenBLAS that starts a pool of worker threads
-# at import, about 70 ms of every polab process on 2 cores. polab's only BLAS
+# Numpy loads an OpenBLAS that starts a pool of worker threads at import,
+# about 70 ms of every polab process on 2 cores (scipy, which only the
+# synthetic generator imports, bundles another). polab's only BLAS
 # calls are tiny (coupling's lstsq on at most about 232 x 11, a 2 x 2 det,
 # cov and corrcoef on 237 points), so processes started through this module
 # run OpenBLAS on one thread unless the caller chose otherwise. OpenBLAS reads
@@ -42,7 +43,7 @@ from .panel import (
     direction_ratios,
     market_polarity_series,
 )
-from .returns import build_return_series
+from .returns import build_return_series, intraday_log_returns
 from .tables import write_table
 
 # coupling, flips, tailfit, synth and verify are imported by the commands
@@ -90,17 +91,19 @@ def _index_returns(cfg: RunConfig):
 
 
 def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> dict:
-    """{(stock, date): ndarray(237) of log-returns} for stocks in the panel."""
+    """{(stock, date): ndarray(237) of log-returns} for stocks in the panel.
+
+    Takes ownership of ``intraday``'s arrays: every date of a panel stock is
+    checked, and each panel date's last prices are overwritten with their
+    log-returns, so no second copy of the minute prices is held.
+    """
     out = {}
     for stock in panel.stocks:
         per_day = intraday.get(stock)
         if not per_day:
             continue
-        series = build_return_series(stock, {}, per_day)
-        for date in panel.dates:
-            logs = series.intraday_log.get(date)
-            if logs is not None:
-                out[(stock, date)] = logs
+        for date, logs in intraday_log_returns(stock, per_day, panel.dates).items():
+            out[(stock, date)] = logs
     return out
 
 

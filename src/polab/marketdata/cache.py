@@ -217,6 +217,12 @@ def _size_mismatch(path, size: int, recorded: int) -> DataError:
     return DataError(f"cache {path} holds {size} bytes, its checksum file says {recorded}")
 
 
+def recorded_crc32(path) -> tuple[int, int] | None:
+    """The CRC-32 and size the writer recorded for the cache, or None."""
+    recorded = _read_checksum(path)
+    return None if recorded is None else recorded[:2]
+
+
 def verified_crc32(path) -> tuple[int, int]:
     """The cache's CRC-32 and size, streamed from the file.
 

@@ -181,22 +181,28 @@ class PolarityPanel:
     def from_cache_memo(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
         """``from_cache``, built once per cache and kept beside it.
 
-        The cache is first checked against its recorded checksum, so a
-        damaged cache raises DataError whether or not a memo exists. A
-        memo is used only when its key matches the cache and its arrays
-        are well formed; otherwise the panel is built and the memo
-        rewritten. Failing to write the memo leaves the result unchanged.
+        A memo is keyed by the cache's CRC-32 and size: those its checksum
+        file records, or else those streamed from the cache. It is used
+        only when its key matches and its arrays are well formed; a hit
+        still checks the cache against its recorded checksum, so a damaged
+        cache raises DataError whether or not a memo exists. On a miss the
+        panel is built, which checks the cache in the same read, and the
+        memo rewritten. Failing to write the memo leaves the result
+        unchanged.
         """
         before = _file_identity(path)
-        crc, size = cache_mod.verified_crc32(path)
+        recorded = cache_mod.recorded_crc32(path)
+        crc, size = recorded or cache_mod.verified_crc32(path)
         key = np.array([_MEMO_VERSION, crc, size], dtype=np.int64)
         memo = cache_mod.panel_memo_path(path, serial_scope)
         panel = _load_memo(memo, key, serial_scope)
-        if panel is None:
-            panel = cls.from_cache(path, serial_scope=serial_scope)
-            # a cache replaced while it was read must not key the panel
-            if _file_identity(path) == before:
-                _save_memo(memo, panel, key, serial_scope)
+        # a cache replaced since its record was read fails the comparison
+        if panel is not None and (recorded is None or cache_mod.verified_crc32(path) == recorded):
+            return panel
+        panel = cls.from_cache(path, serial_scope=serial_scope)
+        # a cache replaced while it was read must not key the panel
+        if _file_identity(path) == before:
+            _save_memo(memo, panel, key, serial_scope)
         return panel
 
     # -- export ------------------------------------------------------------

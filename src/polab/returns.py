@@ -38,6 +38,41 @@ class ReturnSeries:
     intraday_pct_vs_prev_close: dict = field(default_factory=dict)
 
 
+def intraday_log_returns(series_id: str, intraday: dict, dates=None) -> dict:
+    """One-minute log-returns computed in place: {date: ndarray(237)}.
+
+    ``intraday`` maps date -> ndarray(237) of last prices with NaN for
+    untraded minutes. Every day is checked (shape, and a non-positive price
+    is a hard error naming the record); then the arrays of ``dates`` (every
+    day when None) are overwritten with their log-returns and returned. Bar 1
+    and every bar next to an untraded minute are NaN.
+    """
+    for d, arr in intraday.items():
+        if arr.shape != (BARS_PER_DAY,):
+            raise DataError(
+                f"intraday series for {series_id} on {d} has shape {arr.shape}, "
+                f"expected ({BARS_PER_DAY},)"
+            )
+        bad = np.nonzero(~np.isnan(arr) & (arr <= 0))[0]
+        if len(bad):
+            raise DataError(
+                f"non-positive last price for {series_id} on {d} bar {bad[0] + 1}"
+            )
+    out = {}
+    for d in intraday if dates is None else dates:
+        arr = intraday.get(d)
+        if arr is None:
+            continue
+        with np.errstate(invalid="ignore"):
+            np.log(arr, out=arr)
+        # numpy buffers the overlapping operands, so each bar sees the
+        # previous bar's log price, not its log-return
+        np.subtract(arr[1:], arr[:-1], out=arr[1:])
+        arr[0] = np.nan
+        out[d] = arr
+    return out
+
+
 def build_return_series(series_id: str, eod: dict, intraday: dict | None = None) -> ReturnSeries:
     """Assemble a ReturnSeries from close prices and optional intraday lasts.
 
@@ -51,17 +86,9 @@ def build_return_series(series_id: str, eod: dict, intraday: dict | None = None)
     intraday = {
         d: np.asarray(arr, dtype=np.float64) for d, arr in (intraday or {}).items()
     }
-    for d, arr in intraday.items():
-        if arr.shape != (BARS_PER_DAY,):
-            raise DataError(
-                f"intraday series for {series_id} on {d} has shape {arr.shape}, "
-                f"expected ({BARS_PER_DAY},)"
-            )
-        bad = np.nonzero(~np.isnan(arr) & (arr <= 0))[0]
-        if len(bad):
-            raise DataError(
-                f"non-positive last price for {series_id} on {d} bar {bad[0] + 1}"
-            )
+    intraday_log = intraday_log_returns(
+        series_id, {d: arr.copy() for d, arr in intraday.items()}
+    )
 
     eod_dates = sorted(eod)
     all_dates = sorted(set(eod) | set(intraday))
@@ -88,14 +115,8 @@ def build_return_series(series_id: str, eod: dict, intraday: dict | None = None)
             if earlier:
                 prev_close[d] = eod[earlier[-1]]
 
-    intraday_log: dict[dt.date, np.ndarray] = {}
     intraday_pct: dict[dt.date, np.ndarray] = {}
     for d, arr in intraday.items():
-        logs = np.full(BARS_PER_DAY, np.nan)
-        with np.errstate(invalid="ignore"):
-            lp = np.log(arr)
-        logs[1:] = lp[1:] - lp[:-1]
-        intraday_log[d] = logs
         base = prev_close.get(d, math.nan)
         intraday_pct[d] = arr / base - 1.0 if not math.isnan(base) else np.full(BARS_PER_DAY, np.nan)
 

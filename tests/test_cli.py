@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -414,19 +415,72 @@ def test_fit_run_loads_no_scipy(workdir, tmp_path):
     assert rows
 
 
-def test_granger_run_loads_no_scipy_stats(workdir, tmp_path):
-    # the F survival function comes from scipy.special, which loads in a
-    # third of the time and half the memory of scipy.stats
+def test_granger_run_loads_no_scipy(workdir, tmp_path):
+    # the F survival function is computed in decimal (coupling._f_survival)
     root, out, cfg = workdir
     code = (
         "import sys\nfrom polab.cli import main\n"
         "code = main(['granger', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(code, 'scipy.special' in sys.modules,"
-        " sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    assert _last_line(code, _blas_env(), cfg, tmp_path) == "0 True []"
+    assert _last_line(code, _blas_env(), cfg, tmp_path) == "0 []"
     meta, cols, rows = read_table(tmp_path / "granger_days.csv")
     assert rows
+
+
+ANALYSES = (
+    "polarity", "ratios", "flips", "runlengths", "fit",
+    "market", "kl", "granger", "impact", "emotion",
+)
+
+
+def test_analyses_load_no_scipy(workdir, tmp_path):
+    # only the synthetic generator's power-law sampler still imports scipy,
+    # which costs an analysis process about 26 MB and 0.3 s
+    root, out, cfg = workdir
+    code = (
+        "import sys\nfrom polab.cli import main\n"
+        f"for command in {ANALYSES!r}:\n"
+        "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, command"
+    )
+    loaded = _loaded_modules(code, cfg, tmp_path)
+    assert {"polab.coupling", "polab.tailfit", "polab.flips"} <= set(loaded)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert (tmp_path / "granger_days.csv").exists() and (tmp_path / "corr_kl.csv").exists()
+
+
+class TestStockLogReturns:
+    def test_bitwise_equal_to_the_return_series(self, workdir):
+        from polab import cli
+        from polab.config import RunConfig
+        from polab.marketdata.prices import load_intraday_prices
+        from polab.returns import build_return_series
+
+        root, out, cfg = workdir
+        rc = RunConfig.from_json(cfg)
+        panel = cli._load_panel(rc)
+        want = {}
+        for stock, per_day in load_intraday_prices(rc.intraday_prices).items():
+            series = build_return_series(stock, {}, per_day)
+            for date in panel.dates:
+                if stock in panel.stocks and date in series.intraday_log:
+                    want[(stock, date)] = series.intraday_log[date]
+        got = cli._stock_log_returns(rc, panel, load_intraday_prices(rc.intraday_prices))
+        assert len(got) == len(panel.stocks) * len(panel.dates)
+        assert got.keys() == want.keys()
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    def test_bad_price_outside_the_panel_is_a_data_error(self, workdir, tmp_path, capsys):
+        # every date of a panel stock is checked, not only the panel's dates
+        root, out, cfg = workdir
+        text = (out / "intraday.csv").read_text()
+        stock = text.splitlines()[1].split(",")[1]
+        bad = tmp_path / "intraday.csv"
+        bad.write_text(text + f"2015-06-16,{stock},5,0.0\n")
+        args = ("--out", str(tmp_path / "out"), "--set", f"intraday_prices={bad}")
+        assert run(cfg, "kl", *args) == 4
+        err = capsys.readouterr().err
+        assert f"non-positive last price for {stock} on 2015-06-16 bar 5" in err
 
 
 THREAD_COUNT = "\nimport os; print(len(os.listdir('/proc/self/task')))"
@@ -798,6 +852,27 @@ class TestPanelMemo:
         code, _ = _polarity_on(tmp_path, damaged, a.checksum, a.memo)
         assert code == 4
         assert "category=data" in capsys.readouterr().err
+
+    def test_cache_is_read_once_on_a_miss_and_on_a_hit(self, two_markets, tmp_path, monkeypatch):
+        # a miss is keyed by the checksum file's record and builds through
+        # iter_blocks, which checks the cache against it in the same read
+        a = two_markets[0]
+        cache_path = tmp_path / "cache.plab"
+        cache_path.write_bytes(a.raw)
+        checksum_path(cache_path).write_text(a.checksum)
+        fed = []
+
+        def crc32(data, value=0):
+            fed.append(len(data))
+            return zlib.crc32(data, value)
+
+        monkeypatch.setattr(cache_mod, "zlib", SimpleNamespace(crc32=crc32))
+        built = PolarityPanel.from_cache_memo(cache_path)
+        assert sum(fed) == len(a.raw)
+        assert panel_memo_path(cache_path, "bar").exists()
+        fed.clear()
+        assert _memo_panel(cache_path).equals(built)
+        assert sum(fed) == len(a.raw)
 
     def test_memo_of_another_cache_is_never_used(self, two_markets, tmp_path):
         a, b = two_markets

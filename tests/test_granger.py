@@ -3,7 +3,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from polab.coupling import _granger_f, granger_day, granger_pass_rates
+from polab.coupling import _f_survival, _granger_f, granger_day, granger_pass_rates
 from polab.synth import generate_causal_days
 
 D = dt.date(2015, 5, 4)
@@ -170,3 +170,70 @@ class TestPassRates:
         lags = [r.lag for r in summary.results if r.direction == "polarity->return"]
         assert np.median(lags) == 2
         assert summary.pass_rate["polarity->return"] >= 0.9
+
+
+# -- the F tail against mpmath ---------------------------------------------------
+# _f_survival is computed in decimal and rounded once, so it must give the
+# float nearest the exact tail; mpmath at 60 digits is the oracle for that.
+
+
+def _f_triples(n=5000, seed=20261018):
+    """Half with f log-uniform on [1e-8, 1e6], half drawn from F(dfn, dfd)
+    and scaled up by up to e^3.5, as Granger statistics land."""
+    rng = np.random.default_rng(seed)
+    dfn = rng.integers(1, 11, n)
+    dfd = rng.integers(1, 401, n)
+    f = np.where(
+        np.arange(n) % 2 == 0,
+        10.0 ** rng.uniform(-8.0, 6.0, n),
+        rng.f(dfn, dfd) * np.exp(rng.uniform(0.0, 3.5, n)),
+    )
+    return list(zip(dfn.tolist(), dfd.tolist(), f.tolist()))
+
+
+F_TRIPLES = _f_triples()
+
+
+def mpmath_f_survival(dfn, dfd, f):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        x = mpmath.mpf(dfd) / (dfd + dfn * mpmath.mpf(f))
+        p = mpmath.betainc(mpmath.mpf(dfd) / 2, mpmath.mpf(dfn) / 2, 0, x, regularized=True)
+        return float(p)
+
+
+@pytest.fixture(scope="module")
+def f_tails():
+    return [_f_survival(*t) for t in F_TRIPLES]
+
+
+class TestFSurvival:
+    def test_triples_reach_the_far_tail(self, f_tails):
+        # the set covers the whole range, subnormal tails included
+        assert sum(0.0 < p < 1e-300 for p in f_tails) >= 20
+        assert sum(p == 0.0 for p in f_tails) and sum(p == 1.0 for p in f_tails)
+        assert sum(1e-6 < p < 0.5 for p in f_tails) >= 1000
+
+    def test_correctly_rounded_against_mpmath(self, f_tails):
+        want = [mpmath_f_survival(*t) for t in F_TRIPLES]
+        wrong = [(t, got, w) for t, got, w in zip(F_TRIPLES, f_tails, want) if got != w]
+        assert wrong == []
+
+    def test_more_digits_give_the_same_floats(self, f_tails):
+        assert [_f_survival(*t, digits=80) for t in F_TRIPLES] == f_tails
+
+    @pytest.mark.parametrize("dfn", [1, 2, 3, 10])
+    @pytest.mark.parametrize("dfd", [1, 2, 57, 230])
+    def test_edges_follow_scipy(self, dfn, dfd):
+        assert _f_survival(dfn, dfd, 0.0) == 1.0
+        assert _f_survival(dfn, dfd, -1e-17) == 1.0
+        assert np.isnan(_f_survival(dfn, dfd, float("nan")))
+        assert _f_survival(dfn, dfd, float("inf")) == 0.0
+
+    def test_close_to_scipy(self, f_tails):
+        # scipy is only the oracle here: Boost's incomplete beta is good to a
+        # few hundred ulp, and loses the subnormal tail
+        special = pytest.importorskip("scipy.special")
+        dfn, dfd, f = (np.array(c) for c in zip(*F_TRIPLES))
+        want = special.fdtrc(dfn, dfd, f)
+        np.testing.assert_allclose(f_tails, want, rtol=1e-12, atol=1e-300)

@@ -6,7 +6,7 @@ import pytest
 
 from polab.errors import DataError
 from polab.marketdata.grid import BARS_PER_DAY
-from polab.returns import build_return_series
+from polab.returns import build_return_series, intraday_log_returns
 
 D1 = dt.date(2015, 5, 4)
 D2 = dt.date(2015, 5, 5)
@@ -68,6 +68,46 @@ class TestIntradayLog:
     def test_nonpositive_intraday_price_is_hard_error(self):
         with pytest.raises(DataError, match="bar 7"):
             build_return_series("S", {}, {D1: intraday({7: 0.0})})
+
+
+class TestIntradayLogInPlace:
+    @staticmethod
+    def grid(n_days, seed=0):
+        """Rows of one 2-D grid, as the columnar price reader hands them out:
+        views whose start is 8-byte but seldom 64-byte aligned."""
+        rng = np.random.default_rng(seed)
+        g = np.exp(np.cumsum(rng.normal(0, 0.01, (n_days, BARS_PER_DAY)), axis=1)) * 10
+        g[rng.random(g.shape) < 0.3] = np.nan
+        return g
+
+    def test_bitwise_equal_to_an_out_of_place_log_difference(self):
+        g = self.grid(64)
+        want = np.full_like(g, np.nan)
+        lp = np.log(g)
+        want[:, 1:] = lp[:, 1:] - lp[:, :-1]
+        days = {dt.date(2015, 1, 1) + dt.timedelta(days=k): row for k, row in enumerate(g)}
+        got = intraday_log_returns("S", days)
+        assert all(got[d] is days[d] for d in days)
+        assert g.tobytes() == want.tobytes()
+
+    def test_only_the_given_dates_are_overwritten(self):
+        days = {D1: intraday({1: 10.0, 2: 10.5}), D2: intraday({1: 10.0, 2: 11.0})}
+        got = intraday_log_returns("S", days, [D2, D3])
+        assert list(got) == [D2]
+        assert days[D1][1] == 10.5
+        assert days[D2][1] == pytest.approx(math.log(1.1))
+
+    def test_every_day_is_checked_before_any_is_overwritten(self):
+        days = {D1: intraday({1: 10.0, 2: 10.5}), D2: intraday({3: -1.0})}
+        with pytest.raises(DataError, match=f"S on {D2} bar 3"):
+            intraday_log_returns("S", days, [D1])
+        assert days[D1][1] == 10.5
+
+    def test_series_leaves_its_inputs_alone(self):
+        arr = intraday({1: 10.0, 2: 10.5})
+        before = arr.copy()
+        build_return_series("S", {}, {D1: arr})
+        assert arr.tobytes() == before.tobytes()
 
 
 class TestIntradayPctVsPrevClose:
