@@ -231,8 +231,8 @@ class TestFSurvival:
         assert _f_survival(dfn, dfd, float("inf")) == 0.0
 
     def test_close_to_scipy(self, f_tails):
-        # scipy is only the oracle here: Boost's incomplete beta is good to a
-        # few hundred ulp, and loses the subnormal tail
+        # scipy is only the oracle here: Boost's incomplete beta is off by a
+        # few ulp (up to a few hundred), and loses the subnormal tail
         special = pytest.importorskip("scipy.special")
         dfn, dfd, f = (np.array(c) for c in zip(*F_TRIPLES))
         want = special.fdtrc(dfn, dfd, f)
