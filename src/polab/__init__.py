@@ -31,7 +31,6 @@ _EXPORTS = {
     "DirectionRatios": "panel",
     "PanelBuilder": "panel",
     "PolarityPanel": "panel",
-    "count_mantimes": "panel",
     "daily_polarity_at_index_min": "panel",
     "direction_ratios": "panel",
     "market_polarity": "panel",

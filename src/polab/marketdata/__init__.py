@@ -16,9 +16,7 @@ _EXPORTS = {
     "ColumnSchema": "schema",
     "ParseReport": "schema",
     "TransactionChunk": "schema",
-    "TransactionRecord": "schema",
     "iter_transactions": "parse",
-    "parse_transactions": "parse",
     "CacheBlock": "cache",
     "CacheWriter": "cache",
     "iter_blocks": "cache",

@@ -12,8 +12,6 @@ Times are handled as integer milliseconds since midnight throughout.
 
 from __future__ import annotations
 
-import datetime as dt
-
 import numpy as np
 
 MS_PER_MINUTE = 60_000
@@ -62,11 +60,3 @@ def bar_start_ms(bar: int) -> int:
     if bar <= MORNING_BARS:
         return MORNING_OPEN_MS + (bar - 1) * MS_PER_MINUTE
     return AFTERNOON_OPEN_MS + (bar - MORNING_BARS - 1) * MS_PER_MINUTE
-
-
-def time_of_day(time_ms: int) -> dt.time:
-    """Convert ms since midnight to a datetime.time (millisecond precision)."""
-    sec, ms = divmod(time_ms, 1000)
-    minute, s = divmod(sec, 60)
-    h, m = divmod(minute, 60)
-    return dt.time(h, m, s, ms * 1000)

@@ -12,7 +12,9 @@ UTF-8, and of every block when the delimiter is not ASCII: such blocks are
 decoded and read with ``csv``, their lines split at CR, LF and CRLF and
 numbered exactly as a row-by-row text reader would. Either way each row
 gets the outcome of ``_parse_row``, except that a row holding bytes that
-are not UTF-8 is ``unparsable``.
+are not UTF-8 is ``unparsable``. Time, price and volume decide a row's
+outcome, but a chunk keeps of each valid row only its stock, date, bar and
+two serials: what the cache stores.
 
 Malformed rows are counted per reason and reported, never silently
 dropped; once their share exceeds the abort threshold the parse stops with
@@ -31,16 +33,8 @@ from typing import Iterator
 import numpy as np
 
 from ..errors import DataError, InputError
-from .grid import assign_bars
-from .schema import (
-    CHUNK_COLUMNS,
-    DEFAULT_SCHEMA,
-    FIELDS,
-    ColumnSchema,
-    ParseReport,
-    TransactionChunk,
-    TransactionRecord,
-)
+from .grid import assign_bar, assign_bars
+from .schema import DEFAULT_SCHEMA, FIELDS, ColumnSchema, ParseReport, TransactionChunk
 
 #: Abort threshold checked incrementally only after this many rows.
 _EARLY_CHECK_FLOOR = 10_000
@@ -63,6 +57,8 @@ _MS_PER_DAY = 86_400_000
 #: may have for mantissa / 10**k to be exact (both operands exact doubles).
 _MAX_INT_DIGITS = 18
 _MAX_PRICE_DIGITS = 15
+#: Largest volume or serial a valid row may hold; the serials are kept as int64.
+_INT64_MAX = (1 << 63) - 1
 
 
 def _parse_time_ms(s: str) -> int:
@@ -212,15 +208,13 @@ def _factorize(buf, start, end):
 
 
 class _Columns:
-    """Outcomes and column values of the rows of one chunk, being assembled."""
+    """Outcomes and kept columns of the rows of one chunk, being assembled."""
 
     def __init__(self, n: int):
         self.status = np.zeros(n, np.int8)
         self.stock_idx = np.zeros(n, np.intp)
         self.date_idx = np.zeros(n, np.intp)
-        self.time_ms = np.zeros(n, np.int64)
-        self.price = np.zeros(n, np.float64)
-        self.volume = np.zeros(n, np.int64)
+        self.bar = np.zeros(n, np.int16)
         self.buy_serial = np.zeros(n, np.int64)
         self.sell_serial = np.zeros(n, np.int64)
         self.stocks: dict[str, int] = {}
@@ -231,24 +225,21 @@ class _Columns:
         if isinstance(outcome, int):
             self.status[k] = outcome
             return
-        d, stock, t, p, v, b, s = outcome
+        d, stock, t, _, v, b, s = outcome
+        if max(v, b, s) > _INT64_MAX:
+            raise DataError(f"integer field out of range: {outcome}")
         self.status[k] = 0
         self.date_idx[k] = self.dates.setdefault(d, len(self.dates))
         self.stock_idx[k] = self.stocks.setdefault(stock, len(self.stocks))
-        try:
-            self.time_ms[k], self.volume[k], self.buy_serial[k], self.sell_serial[k] = t, v, b, s
-        except OverflowError:
-            raise DataError(f"integer field out of range: {outcome}") from None
-        self.price[k] = p
+        self.bar[k] = assign_bar(t)
+        self.buy_serial[k], self.sell_serial[k] = b, s
 
     def chunk(self, rows) -> TransactionChunk:
         """The valid rows among ``rows`` as a TransactionChunk."""
         keep = rows[self.status[rows] == 0]
-        t = self.time_ms[keep]
         return TransactionChunk(
             list(self.stocks), list(self.dates), self.stock_idx[keep], self.date_idx[keep],
-            t, self.price[keep], self.volume[keep], self.buy_serial[keep],
-            self.sell_serial[keep], assign_bars(t),
+            self.buy_serial[keep], self.sell_serial[keep], self.bar[keep],
         )
 
 
@@ -327,9 +318,7 @@ def _fast_chunk(raw: bytes, delim: str, idx: tuple):
         cols.status[reg] = status
         cols.stock_idx[reg] = stock_idx
         cols.date_idx[reg] = date_idx
-        cols.time_ms[reg] = time_ms
-        cols.price[reg] = price
-        cols.volume[reg] = volume
+        cols.bar[reg] = assign_bars(time_ms)
         cols.buy_serial[reg] = buy_serial
         cols.sell_serial[reg] = sell_serial
 
@@ -527,21 +516,3 @@ def iter_transactions(
         raise DataError(
             f"malformed share exceeds {malformed_threshold:.4%} in {path}: " + report.summary()
         )
-
-
-def parse_transactions(
-    path,
-    schema: ColumnSchema = DEFAULT_SCHEMA,
-    *,
-    malformed_threshold: float = 0.001,
-) -> tuple[list[TransactionRecord], ParseReport]:
-    """Eager convenience wrapper: returns (records, report). Test-sized inputs only."""
-    report = ParseReport()
-    records = [
-        rec
-        for chunk in iter_transactions(
-            path, schema, report=report, malformed_threshold=malformed_threshold
-        )
-        for rec in chunk.records()
-    ]
-    return records, report

@@ -1,76 +1,38 @@
-"""Transaction record model and the column mapping for delimited input files."""
+"""Parsed transaction chunks and the column mapping for delimited input files."""
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigError
-from . import grid
 
 #: Canonical field names, in the order the public dataset uses.
 FIELDS = ("trade_date", "stock_id", "time", "price", "volume", "buy_serial", "sell_serial")
 
 
-class TransactionRecord(NamedTuple):
-    """One executed trade.
-
-    ``time_ms`` is milliseconds since midnight; ``bar`` is the trading-minute
-    index 1..237 or ``grid.OFF_GRID`` for auction/after-hours records.
-    ``buy_serial``/``sell_serial`` are the daily order serials of the two
-    sides; a partially filled order repeats its serial across records.
-    """
-
-    trade_date: dt.date
-    stock_id: str
-    time_ms: int
-    price: float
-    volume: int
-    buy_serial: int
-    sell_serial: int
-    bar: int
-
-    def time_of_day(self) -> dt.time:
-        return grid.time_of_day(self.time_ms)
-
-
-#: Per-row columns of a TransactionChunk, in TransactionRecord order after the keys.
-CHUNK_COLUMNS = ("time_ms", "price", "volume", "buy_serial", "sell_serial", "bar")
-
-
 @dataclass
 class TransactionChunk:
-    """Consecutive valid records of one parse chunk, as columns, in file order.
+    """Consecutive valid rows of one parse chunk, as columns, in file order:
+    what the cache keeps of each row.
 
     ``stocks`` and ``dates`` list the distinct keys of the chunk;
-    ``stock_idx`` and ``date_idx`` index them per row. Integer columns are
-    int64 (``bar`` is int16, as ``grid.assign_bars`` returns it) and
-    ``price`` is float64.
+    ``stock_idx`` and ``date_idx`` index them per row. The serials are int64;
+    ``bar`` is int16 (as ``grid.assign_bars`` returns it), ``grid.OFF_GRID``
+    outside the continuous sessions.
     """
 
     stocks: list
     dates: list
     stock_idx: np.ndarray
     date_idx: np.ndarray
-    time_ms: np.ndarray
-    price: np.ndarray
-    volume: np.ndarray
     buy_serial: np.ndarray
     sell_serial: np.ndarray
     bar: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.time_ms)
-
-    def records(self) -> Iterator[TransactionRecord]:
-        columns = [getattr(self, name).tolist() for name in CHUNK_COLUMNS]
-        for s, d, t, p, v, b, sl, bar in zip(
-            self.stock_idx.tolist(), self.date_idx.tolist(), *columns
-        ):
-            yield TransactionRecord(self.dates[d], self.stocks[s], t, p, v, b, sl, bar)
+        return len(self.bar)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .errors import DataError
 from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
 from .marketdata.parse import iter_transactions
-from .marketdata.schema import DEFAULT_SCHEMA, ParseReport, TransactionRecord
+from .marketdata.schema import DEFAULT_SCHEMA, ParseReport
 
 # A row's key on each side is serial << 9 | side | bar, where side is 0 for
 # the buyer and _SELL for the seller. Bars run 1..237 and serials are u32,
@@ -51,19 +51,6 @@ _MEMO_VERSION = 2
 
 #: grid cells per slice of stocks that ``write_text`` formats at once
 _WRITE_CELLS = 1 << 12
-
-
-def count_mantimes(records: Iterable[TransactionRecord]) -> tuple[int, int]:
-    """Distinct buy and sell serials in one (stock, day, bar) batch.
-
-    Order-independent by construction; an empty batch is (0, 0).
-    """
-    buys = set()
-    sells = set()
-    for rec in records:
-        buys.add(rec.buy_serial)
-        sells.add(rec.sell_serial)
-    return len(buys), len(sells)
 
 
 def polarity(buy: int, sell: int) -> float | None:

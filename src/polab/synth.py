@@ -30,7 +30,8 @@ import numpy as np
 from .errors import ConfigError
 from .marketdata.grid import BARS_PER_DAY, bar_start_ms
 from .marketdata.schema import DEFAULT_SCHEMA
-from .panel import PolarityPanel, _panel_from_cells
+from .panel import PolarityPanel
+from .tailfit import _zeta
 
 _SIGN_COUNTS = {1: (2, 1), -1: (1, 2), 0: (1, 1)}
 
@@ -397,9 +398,6 @@ class BruteForceCount:
     off_grid: int
     rows: int
 
-    def to_panel(self) -> PolarityPanel:
-        return _panel_from_cells(self.cells)
-
 
 def brute_force_recount(path, schema=DEFAULT_SCHEMA) -> BruteForceCount:
     """Recount man-times the slow, obvious way. Test oracle only.
@@ -448,18 +446,23 @@ def brute_force_recount(path, schema=DEFAULT_SCHEMA) -> BruteForceCount:
 # -- series-level generators for coupling tests ---------------------------------
 
 
+def _zetas(alpha: float, q: np.ndarray) -> np.ndarray:
+    """Hurwitz zeta(alpha, q) per element, one scalar call per distinct q:
+    the bisection asks for millions of values but only thousands differ."""
+    distinct, inverse = np.unique(q, return_inverse=True)
+    return np.array([_zeta(alpha, v) for v in distinct.tolist()])[inverse]
+
+
 def sample_discrete_power_law(alpha: float, xmin: int, n: int, rng) -> np.ndarray:
     """Exact inverse-CDF samples of the integer power law via bisection."""
     if alpha <= 1.0 or xmin < 1:
         raise ConfigError(f"need alpha > 1 and xmin >= 1, got {alpha}, {xmin}")
-    from scipy import special
-
     u = rng.random(n)
-    target = (1.0 - u) * special.zeta(alpha, xmin)
+    target = (1.0 - u) * _zeta(alpha, xmin)
     lo = np.full(n, xmin, dtype=np.int64)
     hi = np.full(n, 2 * xmin + 1, dtype=np.int64)
     for _ in range(128):
-        need = special.zeta(alpha, hi + 1.0) > target
+        need = _zetas(alpha, hi + 1.0) > target
         if not need.any():
             break
         hi[need] = hi[need] * 2 + 1
@@ -468,7 +471,7 @@ def sample_discrete_power_law(alpha: float, xmin: int, n: int, rng) -> np.ndarra
         if not undecided.any():
             break
         mid = (lo + hi) // 2
-        greater = special.zeta(alpha, mid + 1.0) > target
+        greater = _zetas(alpha, mid + 1.0) > target
         lo = np.where(undecided & greater, mid + 1, lo)
         hi = np.where(undecided & ~greater, mid, hi)
     return lo

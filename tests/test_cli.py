@@ -435,8 +435,8 @@ ANALYSES = (
 
 
 def test_analyses_load_no_scipy(workdir, tmp_path):
-    # only the synthetic generator's power-law sampler still imports scipy,
-    # which costs an analysis process about 26 MB and 0.3 s
+    # no polab module imports scipy, which would cost an analysis process
+    # about 26 MB and 0.3 s
     root, out, cfg = workdir
     code = (
         "import sys\nfrom polab.cli import main\n"
@@ -447,6 +447,28 @@ def test_analyses_load_no_scipy(workdir, tmp_path):
     assert {"polab.coupling", "polab.tailfit", "polab.flips"} <= set(loaded)
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert (tmp_path / "granger_days.csv").exists() and (tmp_path / "corr_kl.csv").exists()
+
+
+def test_synth_with_planted_run_lengths_loads_no_scipy(tmp_path):
+    # the power-law sampler takes its Hurwitz zeta from tailfit's port
+    out = tmp_path / "out"
+    config = {
+        "out_dir": str(out),
+        "seed": 404,
+        "synth": {
+            "n_stocks": 4,
+            "n_days": 1,
+            "start_date": "2015-05-04",
+            "regimes": [{"name": "planted-tail", "run_length_alpha": 2.5, "run_length_xmin": 1}],
+        },
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = "import sys\nfrom polab.cli import main\nassert main(['synth', '--config', sys.argv[1]]) == 0"
+    loaded = _loaded_modules(code, cfg)
+    assert "polab.synth" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert (out / "transactions.csv").stat().st_size > 0
 
 
 class TestStockLogReturns:

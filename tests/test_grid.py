@@ -7,7 +7,6 @@ from polab.marketdata.grid import (
     assign_bar,
     assign_bars,
     bar_start_ms,
-    time_of_day,
 )
 
 
@@ -68,7 +67,3 @@ class TestAssignBar:
             bar_start_ms(0)
         with pytest.raises(ValueError):
             bar_start_ms(238)
-
-    def test_time_of_day(self):
-        t = time_of_day(ms(9, 31, 2, 340))
-        assert (t.hour, t.minute, t.second, t.microsecond) == (9, 31, 2, 340_000)

@@ -1,6 +1,8 @@
+import csv
 import datetime as dt
 import math
 import os
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -11,13 +13,11 @@ from hypothesis import strategies as st
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import checksum_path, panel_memo_path, write_cache
-from polab.marketdata.grid import BARS_PER_DAY
-from polab.marketdata.parse import iter_transactions
-from polab.marketdata.schema import TransactionRecord
+from polab.marketdata.grid import BARS_PER_DAY, assign_bar
+from polab.marketdata.parse import _parse_row, iter_transactions
 from polab.panel import (
     PanelBuilder,
     PolarityPanel,
-    count_mantimes,
     daily_polarity_at_index_min,
     direction_ratios,
     market_polarity,
@@ -30,8 +30,33 @@ from polab.synth import brute_force_recount
 D = dt.date(2015, 5, 4)
 
 
+class Fill(NamedTuple):
+    """One valid feed row, as the panel reads it plus the time its bar comes from."""
+
+    stock_id: str
+    trade_date: dt.date
+    time_ms: int
+    bar: int
+    buy_serial: int
+    sell_serial: int
+
+
 def rec(buy, sell, bar=1, stock="000001", time_ms=34_200_000):
-    return TransactionRecord(D, stock, time_ms, 10.0, 100, buy, sell, bar)
+    return Fill(stock, D, time_ms, bar, buy, sell)
+
+
+def feed_fills(feed) -> list:
+    """The valid rows of ``feed`` read through the per-row rule, in file order."""
+    fills = []
+    with open(feed, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            out = _parse_row(row, (7, 0, 1, 2, 3, 4, 5, 6))
+            if isinstance(out, tuple):
+                day, stock, time_ms, _, _, buy, sell = out
+                fills.append(Fill(stock, day, time_ms, assign_bar(time_ms), buy, sell))
+    return fills
 
 
 def add_records(builder, records):
@@ -66,8 +91,7 @@ def day_scope_reference(records) -> dict:
 def assert_day_scope_follows_first_fill_rule(feed, work_dir) -> None:
     """Day-scope panels from the feed and from caches of it split into
     blocks of several sizes equal ``day_scope_reference``."""
-    records = [r for chunk in iter_transactions(feed) for r in chunk.records()]
-    want = day_scope_reference(records)
+    want = day_scope_reference(feed_fills(feed))
     assert PolarityPanel.from_transactions(feed, serial_scope="day").active_cells() == want
     for flush_rows in (1 << 20, 128, 7):
         path = work_dir / f"day-{flush_rows}.plab"
@@ -115,20 +139,6 @@ def _write_text_per_cell(panel, path, delimiter, include_empty):
 
 
 class TestCountMantimes:
-    def test_distinct_serials_per_side(self):
-        batch = [rec(5, 2), rec(5, 7), rec(9, 8)]
-        assert count_mantimes(batch) == (2, 3)
-
-    def test_empty_batch(self):
-        assert count_mantimes([]) == (0, 0)
-
-    def test_order_independent(self):
-        rng = np.random.default_rng(3)
-        batch = [rec(int(b), int(s)) for b, s in rng.integers(1, 40, (200, 2))]
-        shuffled = list(batch)
-        rng.shuffle(shuffled)
-        assert count_mantimes(batch) == count_mantimes(shuffled)
-
     def test_partial_fills_count_once(self, small_scenario):
         # generator duplicates serials across fills; distinct counts equal truth
         files, truth = small_scenario

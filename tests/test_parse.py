@@ -1,12 +1,14 @@
 import datetime as dt
+import re
 
 import pytest
 
 from polab.errors import ConfigError, DataError, InputError
-from polab.marketdata.parse import iter_transactions, parse_transactions
-from polab.marketdata.schema import ColumnSchema, ParseReport
+from polab.marketdata.parse import _parse_row, iter_transactions
+from polab.marketdata.schema import DEFAULT_SCHEMA, ColumnSchema, ParseReport
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
+IDX = (7, 0, 1, 2, 3, 4, 5, 6)
 
 
 def write(tmp_path, lines, name="tx.csv"):
@@ -15,48 +17,57 @@ def write(tmp_path, lines, name="tx.csv"):
     return path
 
 
+def parse(path, schema=DEFAULT_SCHEMA, **kwargs):
+    """(rows, report) of ``iter_transactions``: each valid row as
+    (trade_date, stock_id, bar, buy_serial, sell_serial), in file order."""
+    report = ParseReport()
+    rows = []
+    for c in iter_transactions(path, schema, report=report, **kwargs):
+        dates = [c.dates[d] for d in c.date_idx.tolist()]
+        stocks = [c.stocks[s] for s in c.stock_idx.tolist()]
+        rows += zip(dates, stocks, c.bar.tolist(), c.buy_serial.tolist(), c.sell_serial.tolist())
+    return rows, report
+
+
 class TestRowParsing:
     def test_single_row_maps_fields_and_bar(self, tmp_path):
-        path = write(tmp_path, [HEADER, "2015-05-08,000001,09:31:02.340,12.50,200,1042,998"])
-        records, report = parse_transactions(path)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.trade_date == dt.date(2015, 5, 8)
-        assert rec.stock_id == "000001"
-        assert rec.price == 12.50
-        assert rec.volume == 200
-        assert rec.buy_serial == 1042
-        assert rec.sell_serial == 998
-        assert rec.bar == 2  # 09:31:02 falls in [09:31, 09:32)
-        assert rec.time_of_day() == dt.time(9, 31, 2, 340_000)
+        line = "2015-05-08,000001,09:31:02.340,12.50,200,1042,998"
+        rows, report = parse(write(tmp_path, [HEADER, line]))
+        # 09:31:02 falls in [09:31, 09:32)
+        assert rows == [(dt.date(2015, 5, 8), "000001", 2, 1042, 998)]
         assert report.parsed_rows == 1 and report.malformed_rows == 0
+        # time, price and volume decide the outcome but are not kept
+        time_ms = ((9 * 60 + 31) * 60 + 2) * 1000 + 340
+        want = (dt.date(2015, 5, 8), "000001", time_ms, 12.50, 200, 1042, 998)
+        assert _parse_row(line.split(","), IDX) == want
 
     def test_pre_open_row_is_off_grid_but_kept(self, tmp_path):
         path = write(tmp_path, [HEADER, "2015-05-08,000001,09:29:59.000,12.50,200,1,2"])
-        records, report = parse_transactions(path)
-        assert len(records) == 1
-        assert records[0].bar == 0
+        rows, report = parse(path)
+        assert len(rows) == 1
+        assert rows[0][2] == 0
         assert report.off_grid_rows == 1
 
     def test_file_order_preserved(self, tmp_path):
-        rows = [f"2015-05-08,0000{i:02d},09:31:00.000,10.0,100,{i+1},{i+2}" for i in range(20)]
-        path = write(tmp_path, [HEADER] + rows)
-        records, _ = parse_transactions(path)
-        assert [r.stock_id for r in records] == [f"0000{i:02d}" for i in range(20)]
+        lines = [f"2015-05-08,0000{i:02d},09:31:00.000,10.0,100,{i+1},{i+2}" for i in range(20)]
+        path = write(tmp_path, [HEADER] + lines)
+        rows, _ = parse(path)
+        assert [r[1] for r in rows] == [f"0000{i:02d}" for i in range(20)]
 
     def test_time_without_millis(self, tmp_path):
-        path = write(tmp_path, [HEADER, "2015-05-08,000001,09:31:02,12.50,200,1,2"])
-        records, _ = parse_transactions(path)
-        assert records[0].time_ms == ((9 * 60 + 31) * 60 + 2) * 1000
+        line = "2015-05-08,000001,09:31:02,12.50,200,1,2"
+        rows, _ = parse(write(tmp_path, [HEADER, line]))
+        assert rows[0][2] == 2
+        assert _parse_row(line.split(","), IDX)[2] == ((9 * 60 + 31) * 60 + 2) * 1000
 
 
 class TestMalformedHandling:
     def test_malformed_counted_not_dropped_silently(self, tmp_path):
         good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
-        rows = [good] * 2000 + ["2015-05-08,000001,notatime,10.0,100,1,2"]
-        path = write(tmp_path, [HEADER] + rows)
-        records, report = parse_transactions(path)
-        assert len(records) == 2000
+        lines = [good] * 2000 + ["2015-05-08,000001,notatime,10.0,100,1,2"]
+        path = write(tmp_path, [HEADER] + lines)
+        rows, report = parse(path)
+        assert len(rows) == 2000
         assert report.malformed_rows == 1
         assert report.malformed_reasons == {"unparsable": 1}
         assert report.total_rows == 2001
@@ -80,25 +91,30 @@ class TestMalformedHandling:
     def test_malformed_reasons(self, tmp_path, bad, reason):
         good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
         path = write(tmp_path, [HEADER] + [good] * 1999 + [bad])
-        _, report = parse_transactions(path)
+        _, report = parse(path)
         assert report.malformed_reasons == {reason: 1}
 
     def test_share_above_threshold_aborts_with_summary(self, tmp_path):
         good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
         path = write(tmp_path, [HEADER, good, "broken,row"])
         with pytest.raises(DataError, match="malformed share"):
-            parse_transactions(path)
+            parse(path)
 
     def test_threshold_configurable(self, tmp_path):
         good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
         path = write(tmp_path, [HEADER, good, "broken,row"])
-        records, report = parse_transactions(path, malformed_threshold=0.6)
-        assert len(records) == 1 and report.malformed_rows == 1
+        rows, report = parse(path, malformed_threshold=0.6)
+        assert len(rows) == 1 and report.malformed_rows == 1
 
-    def test_integer_beyond_int64_is_a_data_error(self, tmp_path):
-        path = write(tmp_path, [HEADER, f"2015-05-08,000001,09:31:00.000,10.0,100,{2**64},2"])
-        with pytest.raises(DataError, match="out of range"):
-            parse_transactions(path)
+    @pytest.mark.parametrize("column", (4, 5, 6), ids=("volume", "buy_serial", "sell_serial"))
+    def test_integer_beyond_int64_is_a_data_error(self, tmp_path, column):
+        fields = "2015-05-08,000001,09:31:00.000,10.0,100,1,2".split(",")
+        fields[column] = str(2**63 - 1)  # the largest int64 still parses
+        assert len(parse(write(tmp_path, [HEADER, ",".join(fields)]))[0]) == 1
+        fields[column] = str(2**63)
+        message = f"integer field out of range: {_parse_row(fields, IDX)}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            parse(write(tmp_path, [HEADER, ",".join(fields)]))
 
     def test_early_abort_on_dense_corruption(self, tmp_path):
         path = write(tmp_path, [HEADER] + ["junk"] * 30_000)
@@ -113,11 +129,11 @@ class TestSchemaContract:
     def test_header_mismatch(self, tmp_path):
         path = write(tmp_path, ["a,b,c,d,e,f,g", "2015-05-08,x,09:31:00,1,1,1,1"])
         with pytest.raises(DataError, match="header mismatch"):
-            parse_transactions(path)
+            parse(path)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(InputError):
-            parse_transactions(tmp_path / "missing.csv")
+            parse(tmp_path / "missing.csv")
 
     def test_reordered_columns_via_schema(self, tmp_path):
         schema = ColumnSchema(
@@ -127,15 +143,14 @@ class TestSchemaContract:
             delimiter=";",
         )
         path = write(tmp_path, [schema.header_line(), "000001;2015-05-08;12.5;09:31:02.340;200;998;1042"])
-        records, _ = parse_transactions(path, schema)
-        assert records[0].buy_serial == 1042 and records[0].sell_serial == 998
-        assert records[0].bar == 2
+        rows, _ = parse(path, schema)
+        assert rows == [(dt.date(2015, 5, 8), "000001", 2, 1042, 998)]
 
     def test_headerless_mode(self, tmp_path):
         schema = ColumnSchema(has_header=False)
         path = write(tmp_path, ["2015-05-08,000001,09:31:02.340,12.5,200,1042,998"])
-        records, _ = parse_transactions(path, schema)
-        assert len(records) == 1
+        rows, _ = parse(path, schema)
+        assert len(rows) == 1
 
     def test_schema_requires_all_fields(self):
         with pytest.raises(ConfigError, match="missing required columns"):
@@ -154,14 +169,14 @@ class TestSchemaContract:
 class TestRoundTrip:
     def test_per_bar_grouping_recovers_on_grid_subset(self, small_scenario):
         files, _ = small_scenario
-        records, report = parse_transactions(files.transactions)
-        on_grid = [r for r in records if r.bar != 0]
+        rows, report = parse(files.transactions)
+        on_grid = [r for r in rows if r[2] != 0]
         grouped = {}
         for r in on_grid:
-            grouped.setdefault((r.stock_id, r.trade_date, r.bar), []).append(r)
+            grouped.setdefault((r[1], r[0], r[2]), []).append(r)
         flattened = [r for batch in grouped.values() for r in batch]
         assert sorted(flattened) == sorted(on_grid)
-        assert report.parsed_rows == len(records)
+        assert report.parsed_rows == len(rows)
 
     def test_synthetic_million_row_file(self, tmp_path):
         import datetime as dt

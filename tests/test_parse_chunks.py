@@ -2,9 +2,10 @@
 
 The reference reads the file with ``csv`` one row at a time and applies
 ``parse._parse_row`` with the running abort check, which is how the parser
-worked before it read chunks. Every block size must reproduce its records,
-its ParseReport and its abort, and every cache built from the chunks must
-be byte-identical to one built from the reference records. Block sizes of
+worked before it read chunks. Every block size must reproduce what it keeps
+of each valid row (date, stock, bar and the two serials), its ParseReport
+and its abort, and every cache built from the chunks must be byte-identical
+to one built from the reference rows. Block sizes of
 1 and 7 bytes are shorter than a line and cut inside lines and between a
 CR and its LF; 256 and 2048 bytes give blocks of several lines that more
 blocks follow, so line numbers, aborts and quoted records carry across
@@ -13,7 +14,6 @@ blocks of many lines.
 
 import csv
 import datetime as dt
-import math
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from polab.errors import DataError
 from polab.marketdata import cache, parse
 from polab.marketdata.grid import assign_bar, assign_bars
-from polab.marketdata.schema import ParseReport, TransactionChunk, TransactionRecord
+from polab.marketdata.schema import ParseReport, TransactionChunk
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
 BLOCK_SIZES = (1, 7, 256, 2048, 1 << 14, parse._BLOCK_BYTES)
@@ -31,7 +31,8 @@ IDX = (7, 0, 1, 2, 3, 4, 5, 6)
 
 
 def reference_parse(path, malformed_threshold):
-    """(records, report, abort message or None) of the row-by-row reader."""
+    """(rows, report, abort message or None) of the row-by-row reader; each
+    valid row as (trade_date, stock_id, bar, buy_serial, sell_serial)."""
     report = ParseReport()
     records = []
     floor = parse._EARLY_CHECK_FLOOR
@@ -49,7 +50,7 @@ def reference_parse(path, malformed_threshold):
                 bar = assign_bar(out[2])
                 report.off_grid_rows += bar == 0
                 report.parsed_rows += 1
-                records.append(TransactionRecord(*out, bar))
+                records.append((out[0], out[1], bar, out[5], out[6]))
             t, m = report.total_rows, report.malformed_rows
             if m and t >= floor and t % floor == 0 and m > malformed_threshold * t:
                 return records, report, _abort(path, malformed_threshold, report)
@@ -62,6 +63,14 @@ def _abort(path, threshold, report):
     return f"malformed share exceeds {threshold:.4%} in {path}: " + report.summary()
 
 
+def rows_of(chunk):
+    """The rows of ``chunk`` as ``reference_parse`` gives them."""
+    dates = [chunk.dates[d] for d in chunk.date_idx.tolist()]
+    stocks = [chunk.stocks[s] for s in chunk.stock_idx.tolist()]
+    serials = chunk.buy_serial.tolist(), chunk.sell_serial.tolist()
+    return list(zip(dates, stocks, chunk.bar.tolist(), *serials))
+
+
 def chunked_parse(path, malformed_threshold):
     report = ParseReport()
     records, message = [], None
@@ -69,14 +78,14 @@ def chunked_parse(path, malformed_threshold):
         for chunk in parse.iter_transactions(
             path, report=report, malformed_threshold=malformed_threshold
         ):
-            records.extend(chunk.records())
+            records.extend(rows_of(chunk))
     except DataError as exc:
         message = str(exc)
     return records, report, message
 
 
 def reference_cache(path, records, flush_rows):
-    """A cache written with per-record buffering, flushed every ``flush_rows`` rows."""
+    """A cache written with per-row buffering, flushed every ``flush_rows`` rows."""
     buffers = {}
 
     def flush(writer):
@@ -87,19 +96,12 @@ def reference_cache(path, records, flush_rows):
         buffers.clear()
 
     with cache.CacheWriter(path) as writer:
-        for k, r in enumerate(records, 1):
-            buffers.setdefault((r.stock_id, r.trade_date), []).append(
-                (r.bar, r.buy_serial, r.sell_serial)
-            )
+        for k, (day, stock, *cells) in enumerate(records, 1):
+            buffers.setdefault((stock, day), []).append(cells)
             if k % flush_rows == 0:
                 flush(writer)
         flush(writer)
     return path.read_bytes()
-
-
-def comparable(records):
-    """Records with NaN prices made comparable."""
-    return [r._replace(price="nan") if math.isnan(r.price) else r for r in records]
 
 
 # -- random feeds ------------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_chunks_match_the_per_row_rule(
     for size in BLOCK_SIZES:
         monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
         records, report, abort = chunked_parse(path, threshold)
-        assert comparable(records) == comparable(want_records), size
+        assert records == want_records, size
         assert report == want_report, size
         assert abort == want_abort, size
         if want_cache is not None:
@@ -230,7 +232,7 @@ def test_early_abort_yields_rows_before_it(tmp_path):
     records, report, abort = chunked_parse(path, 0.001)
     assert want_abort is not None and report.total_rows == 10_000
     assert (records, report, abort) == (want_records, want_report, want_abort)
-    assert dt.date(2015, 5, 8) == records[0].trade_date
+    assert dt.date(2015, 5, 8) == records[0][0]
 
 
 # -- block cuts the random feeds may miss --------------------------------------------
@@ -330,8 +332,7 @@ def wide_chunks(draw):
         time_ms = np.sort(rng.integers(33_000_000, 54_000_000, n))
         chunks.append(TransactionChunk(
             [stock_ids[k] for k in s_names[s_perm]], [dates[k] for k in d_names[d_perm]],
-            np.argsort(s_perm)[s_idx], np.argsort(d_perm)[d_idx], time_ms,
-            rng.uniform(1.0, 50.0, n).round(2), rng.integers(1, 2**32, n),
+            np.argsort(s_perm)[s_idx], np.argsort(d_perm)[d_idx],
             rng.integers(1, 2**32, n), rng.integers(1, 2**32, n), assign_bars(time_ms),
         ))
     return chunks, flush_rows
@@ -342,7 +343,7 @@ def wide_chunks(draw):
 def test_writer_matches_per_record_reference_on_wide_markets(tmp_path_factory, case):
     chunks, flush_rows = case
     tmp = tmp_path_factory.mktemp("wide")
-    records = [rec for chunk in chunks for rec in chunk.records()]
+    records = [row for chunk in chunks for row in rows_of(chunk)]
     want = reference_cache(tmp / "want.plab", records, flush_rows)
     n = cache.write_cache(tmp / "got.plab", iter(chunks), flush_rows)
     assert n == len(records)

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import hashlib
 
@@ -5,12 +6,22 @@ import numpy as np
 import pytest
 
 from polab.errors import ConfigError
-from polab.marketdata.parse import parse_transactions
-from polab.panel import PolarityPanel, count_mantimes
+from polab.panel import PolarityPanel
 from polab.synth import RegimeSpec, brute_force_recount, generate, generate_causal_days
 
 D1 = dt.date(2015, 5, 4)
 D2 = dt.date(2015, 5, 5)
+
+
+def serials_by_day(path) -> dict:
+    """{trade_date text: the buy and sell serials traded that day} of a feed."""
+    days = {}
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            days.setdefault(row["trade_date"], set()).update(
+                (int(row["buy_serial"]), int(row["sell_serial"]))
+            )
+    return days
 
 
 class TestRegimeValidation:
@@ -42,24 +53,22 @@ class TestExactConstruction:
         regime = RegimeSpec("exact", fixed_counts=(3, 2), bars=(10,))
         files, truth = generate(regime, 1, [D1], 3, tmp_path)
         assert truth.buy[0, 0, 9] == 3 and truth.sell[0, 0, 9] == 2
-        records, _ = parse_transactions(files.transactions)
-        batch = [r for r in records if r.bar == 10]
-        assert count_mantimes(batch) == (3, 2)
+        recount = brute_force_recount(files.transactions)
+        assert [v for (_, _, bar), v in recount.cells.items() if bar == 10] == [(3, 2)]
 
     def test_partial_fills_duplicate_serials(self, tmp_path):
         regime = RegimeSpec("fills", fixed_counts=(2, 2), mean_fills=4.0, bars=(1,))
         files, truth = generate(regime, 1, [D1], 11, tmp_path)
-        records, _ = parse_transactions(files.transactions)
-        assert len(records) > 2  # more fills than participants
-        assert count_mantimes(records) == (2, 2)
+        recount = brute_force_recount(files.transactions)
+        assert recount.rows > 2  # more fills than participants
+        assert list(recount.cells.values()) == [(2, 2)]
 
     def test_serials_reset_each_day_and_cover_a_contiguous_range(self, tmp_path):
         regime = RegimeSpec("flow", buy_rate=1.0, sell_rate=1.0, bars=tuple(range(1, 30)))
         files, _ = generate(regime, 4, [D1, D2], 17, tmp_path)
-        records, _ = parse_transactions(files.transactions)
+        by_day = serials_by_day(files.transactions)
         for day in (D1, D2):
-            serials = {r.buy_serial for r in records if r.trade_date == day}
-            serials |= {r.sell_serial for r in records if r.trade_date == day}
+            serials = by_day[day.isoformat()]
             assert min(serials) == 1
             assert serials == set(range(1, max(serials) + 1))
 
@@ -67,11 +76,8 @@ class TestExactConstruction:
         # within one bar the earliest quote gets the lowest serial, across all stocks
         regime = RegimeSpec("flow", buy_rate=2.0, sell_rate=2.0, bars=(1,))
         files, _ = generate(regime, 20, [D1], 23, tmp_path)
-        records, _ = parse_transactions(files.transactions)
-        serials = sorted(
-            {r.buy_serial for r in records} | {r.sell_serial for r in records}
-        )
-        assert serials == list(range(1, len(serials) + 1))
+        (serials,) = serials_by_day(files.transactions).values()
+        assert sorted(serials) == list(range(1, len(serials) + 1))
 
 
 class TestDeterminism:
