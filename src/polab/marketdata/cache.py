@@ -40,6 +40,7 @@ import numpy as np
 
 from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY
+from .parse import int_to_date
 from .schema import ParseReport, TransactionChunk
 
 MAGIC = b"PLAB1"
@@ -86,10 +87,6 @@ class FeedStamp:
 
 def date_to_int(d: dt.date) -> int:
     return d.year * 10_000 + d.month * 100 + d.day
-
-
-def int_to_date(v: int) -> dt.date:
-    return dt.date(v // 10_000, (v // 100) % 100, v % 100)
 
 
 def checksum_path(path) -> Path:

@@ -74,6 +74,11 @@ def _parse_date(s: str) -> dt.date:
     return dt.date(int(s[0:4]), int(s[5:7]), int(s[8:10]))
 
 
+def int_to_date(v: int) -> dt.date:
+    """The date of a yyyymmdd integer; ValueError if it is not a calendar date."""
+    return dt.date(v // 10_000, v // 100 % 100, v % 100)
+
+
 def _parse_row(row: list, idx: tuple) -> tuple | int:
     """The per-row rule: a (date, stock, time_ms, price, volume, buy, sell)
     tuple for a valid row, else the reason code of a malformed one.
@@ -289,7 +294,7 @@ def _fast_chunk(raw: bytes, delim: str, idx: tuple):
         date_of = []
         for v in ymd_uniq.tolist():
             try:
-                d = dt.date(v // 10_000, v // 100 % 100, v % 100)
+                d = int_to_date(v)
             except ValueError:
                 date_of.append(-1)
             else:
@@ -379,20 +384,23 @@ def _text_lines(raw: bytes) -> list:
 class _Feed:
     """The bytes of an open binary file, handed out as whole lines.
 
-    ``block`` returns the next block of lines, about ``_BLOCK_BYTES`` long
+    ``block`` returns the next block of lines, about ``block_bytes`` long
     and ending after an LF unless the file ends first. ``lines`` yields the
     next lines one at a time, as ``csv`` needs them; the two may be mixed.
+    It reads every input text file: the feed, and the price and side files
+    in ``prices``.
     """
 
-    def __init__(self, fh):
+    def __init__(self, fh, block_bytes: int):
         self._fh = fh
+        self._block_bytes = block_bytes
         self._buf = b""  # whole lines; the unread ones start at _pos
         self._pos = 0
 
     def _fill(self) -> bool:
         """Read the next whole lines into the (consumed) buffer; False at
         the end of the file."""
-        data = self._fh.read(_BLOCK_BYTES)
+        data = self._fh.read(self._block_bytes)
         data += self._fh.readline()  # on to the next LF, or the end of the file
         self._buf, self._pos = data, 0
         return bool(data)
@@ -483,7 +491,7 @@ def iter_transactions(
     delim = schema.delimiter
     idx = (len(schema.columns),) + tuple(schema.index_of(f) for f in FIELDS)
     with fh:
-        feed = _Feed(fh)
+        feed = _Feed(fh, _BLOCK_BYTES)
         lineno = 0
         if schema.has_header:
             reader = csv.reader(feed.lines(), delimiter=delim)

@@ -7,47 +7,63 @@ row, or an empty last_price field, means no trade in that minute. The side
 files are a capitalization table (id, capitalization) and a daily emotion
 series (date, rjf).
 
-Price files are read column-wise: the whole file is split into field byte
-ranges, converted with numpy and validated with masks. A file the columnar
-reader does not take as a whole (a quote, a carriage return outside a CRLF
-line end, a non-ASCII byte, a field that is not plain digits or a plain
-decimal, or any invalid row) is read again by the per-row loop, so every
-DataError it raises is the row loop's.
+Every file is read through the feed's block reader, ``parse._Feed``, in
+blocks of ``_BLOCK_BYTES``. Price files are read column-wise, one block at
+a time: each block is split into field byte ranges, converted with numpy
+and validated with masks, and its (id, date) pairs join one table for the
+whole file, in order of first appearance. If any block needs the row loop
+(a quote, a carriage return outside a CRLF line end, bytes that are not
+UTF-8, a field that is not plain digits or a plain decimal, or any invalid
+row), or two rows share a minute (a day, at end of day), the whole file is
+read again by the row loop, so every DataError it raises is the row loop's.
+A price must be positive and finite. A side file's value must be finite,
+and each id or date may appear once.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
+import os
+from contextlib import contextmanager
 
 import numpy as np
 
 from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY, assign_bar, assign_bars
 from .parse import (
-    _decimals, _digits, _factorize, _parse_time_ms, _times, _yyyymmdd, is_utf8, split_fields,
+    _Feed, _decimals, _digits, _factorize, _parse_date, _parse_time_ms, _plain, _times, is_utf8,
+    split_fields,
 )
 
 EOD_COLUMNS = ("date", "id", "close")
 INTRADAY_COLUMNS = ("date", "id", "bar_or_time", "last_price")
 
-#: Rows converted per step of the columnar reader; bounds its scratch memory.
-_BLOCK_ROWS = 1 << 12
+#: Bytes read per block, about 4,500 price rows; a block takes about ten
+#: times its size in scratch. With the feed's 1 MiB blocks the allocator kept
+#: about 6 MB more resident after loading the wide bench market, and ``kl``
+#: and ``impact`` peaked up to 4 MB higher. 128 KiB loads no slower.
+_BLOCK_BYTES = 1 << 17
 
 
-def _open(path, what: str = "price"):
+@contextmanager
+def _feed(path, what: str = "price"):
+    """The file at ``path`` as a ``_Feed``; InputError if it cannot be opened."""
     try:
-        return open(path, "r", newline="", encoding="utf-8", errors="surrogateescape")
+        fh = open(path, "rb")
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    with fh:
+        yield _Feed(fh, _BLOCK_BYTES)
 
 
-def _csv_reader(fh, path, delimiter: str = ","):
-    """``csv`` rows of a file from ``_open``; a line that is not UTF-8
+def _csv_reader(feed, path, delimiter: str = ","):
+    """``csv`` rows of the lines left in ``feed``; a line that is not UTF-8
     raises DataError naming it."""
 
     def lines():
-        for lineno, line in enumerate(fh, 1):
+        for lineno, line in enumerate(feed.lines(), 1):
             if not is_utf8(line):
                 raise DataError(f"{path} line {lineno} is not UTF-8")
             yield line
@@ -60,62 +76,7 @@ def _check_header(row, expected, path):
         raise DataError(f"header mismatch in {path}: expected {list(expected)}, found {row}")
 
 
-def _parse_date(s: str, cache: dict) -> dt.date:
-    d = cache.get(s)
-    if d is None:
-        d = dt.date(int(s[0:4]), int(s[5:7]), int(s[8:10]))
-        cache[s] = d
-    return d
-
-
 # -- columnar reader ------------------------------------------------------------
-
-
-def _plain_fields(path, delimiter: str, has_header: bool, columns: tuple):
-    """(buf, start, end) field byte ranges of every non-blank row, or None
-    when the file needs the row loop: unreadable, a quote, NUL, lone CR or
-    non-ASCII byte, a header other than ``columns``, or a row with another
-    number of fields."""
-    if len(delimiter) != 1 or not delimiter.isascii() or delimiter in '"\r\n\0':
-        return None
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError:
-        return None
-    if b"\r" in raw:
-        raw = raw.replace(b"\r\n", b"\n")
-    if b"\r" in raw or b'"' in raw or b"\0" in raw or not raw.isascii():
-        return None
-    if has_header:
-        head, _, raw = raw.partition(b"\n")
-        if tuple(h.strip() for h in head.decode().split(delimiter)) != columns:
-            return None
-    buf, nonblank, regular, start, end = split_fields(raw, delimiter, len(columns))
-    if not np.array_equal(nonblank, regular):
-        return None
-    return buf, start, end
-
-
-def _blocks(n: int):
-    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n, _BLOCK_ROWS))
-
-
-def _dates(ymd: np.ndarray):
-    """(distinct dates, code of each row) for yyyymmdd integers, or None
-    when one is not a calendar date."""
-    uniq, codes = np.unique(ymd, return_inverse=True)
-    try:
-        dates = [dt.date(v // 10_000, v // 100 % 100, v % 100) for v in uniq.tolist()]
-    except ValueError:
-        return None
-    return dates, codes
-
-
-def _positive_prices(buf, start, end):
-    """Plain decimal fields as float64, or None unless every one is > 0."""
-    price, ok = _decimals(buf, start, end)
-    return price if ok.all() and (price > 0).all() else None
 
 
 def _bars(buf, start, end):
@@ -145,77 +106,95 @@ def _first_seen_order(keys: np.ndarray):
     return uniq[order], rank[inverse]
 
 
+def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
+    """(days, key, price) of the rows of a price file that carry a price.
+
+    ``days`` lists the file's distinct (id, date) pairs in order of first
+    appearance; ``key`` is ``day << 8 | bar`` for each row, with bar 0 at
+    end of day. None when the file needs the row loop: a header other than
+    ``columns``, a block ``_plain`` refuses, a row with another number of
+    fields, a field that is not a plain date, bar or positive decimal, or
+    two rows with the same key.
+    """
+    if len(delimiter) != 1 or not delimiter.isascii():
+        return None
+    intraday = columns == INTRADAY_COLUMNS
+    days: dict[tuple, int] = {}
+    with _feed(path) as feed:
+        # a row taken here is at least 13 bytes: a date of 9 or more characters,
+        # a price, separators and a line end (room grows for a pipe or a file
+        # that grows while read)
+        room = os.path.getsize(path) // 13 + 1
+        keys, prices, n_rows = np.empty(room, np.int64), np.empty(room), 0
+        if has_header:
+            header = next(csv.reader(feed.lines(), delimiter=delimiter), None)
+            if header is None or tuple(h.strip() for h in header) != columns:
+                return None
+        while raw := feed.block():
+            plain = _plain(raw)
+            if plain is None:
+                return None
+            buf, nonblank, regular, start, end = split_fields(plain, delimiter, len(columns))
+            if not np.array_equal(nonblank, regular):
+                return None
+            if intraday:
+                traded = end[:, 3] > start[:, 3]  # an empty last_price is a no-trade minute
+                start, end = start[traded], end[traded]
+            bar = _bars(buf, start[:, 2], end[:, 2]) if intraday else 0
+            price, ok = _decimals(buf, start[:, -1], end[:, -1])
+            if bar is None or not (ok.all() and (price > 0).all()):
+                return None
+            date_raw, date_code = _factorize(buf, start[:, 0], end[:, 0])
+            try:
+                dates = [_parse_date(d.decode()) for d in date_raw]
+            except ValueError:
+                return None
+            id_raw, id_code = _factorize(buf, start[:, 1], end[:, 1])
+            names, n = [s.decode() for s in id_raw], len(dates)
+            pairs, row_pair = _first_seen_order(id_code * n + date_code)
+            day_of = [
+                days.setdefault((names[p // n], dates[p % n]), len(days)) for p in pairs.tolist()
+            ]
+            rows = slice(n_rows, n_rows + len(price))
+            if rows.stop > len(keys):
+                keys, prices = np.resize(keys, 2 * rows.stop), np.resize(prices, 2 * rows.stop)
+            keys[rows] = np.asarray(day_of, np.int64)[row_pair] << 8 | bar
+            prices[rows] = price
+            n_rows = rows.stop
+    ordered = np.sort(keys[:n_rows])
+    if (ordered[1:] == ordered[:-1]).any():  # a duplicate minute or day
+        return None
+    return list(days), keys[:n_rows], prices[:n_rows]
+
+
 def _eod_columnar(path, delimiter: str, has_header: bool):
-    fields = _plain_fields(path, delimiter, has_header, EOD_COLUMNS)
-    if fields is None:
+    rows = _columnar(path, delimiter, has_header, EOD_COLUMNS)
+    if rows is None:
         return None
-    buf, start, end = fields
-    n = len(start)
-    ymd = np.empty(n, np.int64)
-    close = np.empty(n, np.float64)
-    for blk in _blocks(n):
-        s, e = start[blk], end[blk]
-        ymd[blk], ok = _yyyymmdd(buf, s[:, 0], e[:, 0])
-        prices = _positive_prices(buf, s[:, 2], e[:, 2])
-        if not ok.all() or prices is None:
-            return None
-        close[blk] = prices
-    dates = _dates(ymd)
-    if dates is None:
-        return None
-    dates, date_code = dates
-    ids, id_code = _factorize(buf, start[:, 1], end[:, 1])
-    keys, row_key = _first_seen_order(id_code * len(dates) + date_code)
-    if len(keys) < n:  # a duplicate (id, date)
-        return None
+    days, key, price = rows
+    close = np.empty(len(days))
+    close[key >> 8] = price
     out: dict[str, dict[dt.date, float]] = {}
-    by_key = np.empty(n, np.float64)
-    by_key[row_key] = close
-    for key, value in zip(keys.tolist(), by_key.tolist()):
-        i, j = divmod(key, len(dates))
-        out.setdefault(ids[i].decode(), {})[dates[j]] = value
+    for (name, date), value in zip(days, close.tolist()):
+        out.setdefault(name, {})[date] = value
     return out
 
 
 def _intraday_columnar(path, delimiter: str, has_header: bool, ids):
-    fields = _plain_fields(path, delimiter, has_header, INTRADAY_COLUMNS)
-    if fields is None:
+    rows = _columnar(path, delimiter, has_header, INTRADAY_COLUMNS)
+    if rows is None:
         return None
-    buf, start, end = fields
-    traded = end[:, 3] > start[:, 3]  # an empty last_price is a no-trade minute
-    start, end = start[traded], end[traded]
-    n = len(start)
-    ymd = np.empty(n, np.int64)
-    bar = np.empty(n, np.int64)
-    price = np.empty(n, np.float64)
-    for blk in _blocks(n):
-        s, e = start[blk], end[blk]
-        ymd[blk], ok = _yyyymmdd(buf, s[:, 0], e[:, 0])
-        bars = _bars(buf, s[:, 2], e[:, 2])
-        prices = _positive_prices(buf, s[:, 3], e[:, 3])
-        if not ok.all() or bars is None or prices is None:
-            return None
-        bar[blk], price[blk] = bars, prices
-    dates = _dates(ymd)
-    if dates is None:
-        return None
-    dates, date_code = dates
-    names, id_code = _factorize(buf, start[:, 1], end[:, 1])
-    names = [name.decode() for name in names]
-    day = id_code * len(dates) + date_code
-    minutes = np.sort(day * (BARS_PER_DAY + 1) + bar)  # not np.unique: see _factorize
-    if (minutes[1:] == minutes[:-1]).any():  # a duplicate minute
-        return None
-    if ids is not None:
-        wanted = np.isin(id_code, [k for k, name in enumerate(names) if name in ids])
-        day, bar, price = day[wanted], bar[wanted], price[wanted]
-    keys, row_day = _first_seen_order(day)
-    grid = np.full((len(keys), BARS_PER_DAY), np.nan)
-    grid[row_day, bar - 1] = price
+    days, key, price = rows
+    if ids is not None:  # keep the wanted days' rows, with the days numbered afresh
+        wanted = np.array([name in ids for name, _ in days], bool)
+        keep = wanted[key >> 8]
+        key = (np.cumsum(wanted) - 1)[key[keep] >> 8] << 8 | key[keep] & 255
+        price, days = price[keep], [day for day, w in zip(days, wanted.tolist()) if w]
+    grid = np.full((len(days), BARS_PER_DAY), np.nan)
+    grid[key >> 8, (key & 255) - 1] = price
     out: dict[str, dict[dt.date, np.ndarray]] = {}
-    for key, row in zip(keys.tolist(), grid):
-        i, j = divmod(key, len(dates))
-        out.setdefault(names[i], {})[dates[j]] = row
+    for (name, date), row in zip(days, grid):
+        out.setdefault(name, {})[date] = row
     return out
 
 
@@ -224,9 +203,8 @@ def _intraday_columnar(path, delimiter: str, has_header: bool, ids):
 
 def _eod_rows(path, delimiter: str, has_header: bool) -> dict:
     out: dict[str, dict[dt.date, float]] = {}
-    cache: dict = {}
-    with _open(path) as fh:
-        reader = _csv_reader(fh, path, delimiter)
+    with _feed(path) as feed:
+        reader = _csv_reader(feed, path, delimiter)
         if has_header:
             _check_header(next(reader, []), EOD_COLUMNS, path)
         for row in reader:
@@ -235,12 +213,14 @@ def _eod_rows(path, delimiter: str, has_header: bool) -> dict:
             if len(row) != 3:
                 raise DataError(f"bad end-of-day row in {path}: {row}")
             try:
-                d = _parse_date(row[0], cache)
+                d = _parse_date(row[0])
                 close = float(row[2])
             except ValueError as exc:
                 raise DataError(f"unparsable end-of-day row in {path}: {row}") from exc
             if close <= 0:
                 raise DataError(f"non-positive close for {row[1]} on {row[0]}: {close}")
+            if not math.isfinite(close):
+                raise DataError(f"non-finite close for {row[1]} on {row[0]}: {close}")
             per_id = out.setdefault(row[1], {})
             if d in per_id:
                 raise DataError(f"duplicate end-of-day record for {row[1]} on {row[0]}")
@@ -260,9 +240,8 @@ def _parse_bar(field: str, path, row) -> int:
 
 def _intraday_rows(path, delimiter: str, has_header: bool) -> dict:
     out: dict[str, dict[dt.date, np.ndarray]] = {}
-    cache: dict = {}
-    with _open(path) as fh:
-        reader = _csv_reader(fh, path, delimiter)
+    with _feed(path) as feed:
+        reader = _csv_reader(feed, path, delimiter)
         if has_header:
             _check_header(next(reader, []), INTRADAY_COLUMNS, path)
         for row in reader:
@@ -273,13 +252,15 @@ def _intraday_rows(path, delimiter: str, has_header: bool) -> dict:
             if row[3].strip() == "":
                 continue  # explicit no-trade minute
             try:
-                d = _parse_date(row[0], cache)
+                d = _parse_date(row[0])
                 bar = _parse_bar(row[2], path, row)
                 price = float(row[3])
             except ValueError as exc:
                 raise DataError(f"unparsable intraday row in {path}: {row}") from exc
             if price <= 0:
                 raise DataError(f"non-positive last price for {row[1]} on {row[0]} bar {bar}")
+            if not math.isfinite(price):
+                raise DataError(f"non-finite last price for {row[1]} on {row[0]} bar {bar}")
             per_id = out.setdefault(row[1], {})
             day = per_id.get(d)
             if day is None:
@@ -290,11 +271,38 @@ def _intraday_rows(path, delimiter: str, has_header: bool) -> dict:
     return out
 
 
+def _side_rows(path, what: str, columns: tuple, parse_key):
+    """(where, row, key, value) of each row of a two-column side file, with
+    ``where`` naming the file and line; a wrong header or field count, a
+    key ``parse_key`` refuses, a value that is not a number, or a repeated
+    key is a DataError."""
+    seen = set()
+    with _feed(path, what) as feed:
+        reader = _csv_reader(feed, path)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != columns:
+            raise DataError(f"{what} file must have header '{','.join(columns)}': {path}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path} line {reader.line_num}"
+            try:
+                field, text = row  # ValueError unless two fields
+                key, value = parse_key(field), float(text)
+            except ValueError:
+                raise DataError(f"{where}: expected '{','.join(columns)}', got {row}") from None
+            if key in seen:
+                raise DataError(f"{where}: duplicate {columns[0]} {row[0]}")
+            seen.add(key)
+            yield where, row, key, value
+
+
 # -- public loaders ---------------------------------------------------------------
 
 
 def load_eod_prices(path, delimiter: str = ",", has_header: bool = True) -> dict:
-    """Return {id: {date: close}}. Duplicate (id, date) or close <= 0 is an error."""
+    """Return {id: {date: close}}. Duplicate (id, date), or a close that is
+    not positive and finite, is an error."""
     out = _eod_columnar(path, delimiter, has_header)
     return out if out is not None else _eod_rows(path, delimiter, has_header)
 
@@ -316,43 +324,27 @@ def load_intraday_prices(
 
 
 def load_capitalization(path) -> dict:
-    """Return {id: capitalization} from an ``id,capitalization`` file."""
+    """Return {id: capitalization} from an ``id,capitalization`` file; a
+    capitalization must be finite and not negative."""
     caps = {}
-    with _open(path, "capitalization") as fh:
-        reader = _csv_reader(fh, path)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("id", "capitalization"):
-            raise DataError(f"capitalization file must have header 'id,capitalization': {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                caps[row[0]] = float(row[1])
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{path} line {reader.line_num}: expected 'id,capitalization', got {row}"
-                ) from None
+    rows = _side_rows(path, "capitalization", ("id", "capitalization"), str)
+    for where, row, stock, value in rows:
+        if not 0 <= value < math.inf:
+            raise DataError(
+                f"{where}: capitalization must be finite and not negative, got {row}"
+            )
+        caps[stock] = value
     return caps
 
 
 def load_emotion(path) -> dict:
-    """Return {date: rjf} from a ``date,rjf`` file; rjf must be positive."""
+    """Return {date: rjf} from a ``date,rjf`` file; rjf must be positive and finite."""
     out = {}
-    with _open(path, "emotion") as fh:
-        reader = _csv_reader(fh, path)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != ("date", "rjf"):
-            raise DataError(f"emotion file must have header 'date,rjf': {path}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                date, value = dt.date.fromisoformat(row[0]), float(row[1])
-            except (IndexError, ValueError):
-                raise DataError(
-                    f"{path} line {reader.line_num}: expected 'date,rjf', got {row}"
-                ) from None
-            if value <= 0:
-                raise DataError(f"rjf must be positive: {row}")
-            out[date] = value
+    rows = _side_rows(path, "emotion", ("date", "rjf"), dt.date.fromisoformat)
+    for where, row, date, value in rows:
+        if value <= 0:
+            raise DataError(f"rjf must be positive: {row}")
+        if not math.isfinite(value):
+            raise DataError(f"{where}: rjf must be finite, got {row}")
+        out[date] = value
     return out

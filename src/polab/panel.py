@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DataError
 from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
-from .marketdata.parse import iter_transactions
+from .marketdata.parse import int_to_date, iter_transactions
 from .marketdata.schema import DEFAULT_SCHEMA, ParseReport
 
 # A row's key on each side is serial << 9 | side | bar, where side is 0 for
@@ -93,9 +93,14 @@ class PolarityPanel:
     @property
     def polarity(self) -> np.ndarray:
         if self._polarity is None:
-            total = (self.buy + self.sell).astype(np.float64)
+            # in float64, where counts and their sum are exact: an int32
+            # buy + sell can wrap past 2**31 - 1
+            total = self.buy.astype(np.float64)
+            total += self.sell
+            p = self.buy.astype(np.float64)
+            p -= self.sell
             with np.errstate(invalid="ignore", divide="ignore"):
-                p = (self.buy - self.sell) / total
+                p /= total
             p[total == 0] = np.nan
             self._polarity = p
         return self._polarity
@@ -131,7 +136,7 @@ class PolarityPanel:
     def active_cells(self) -> dict:
         """{(stock, date, bar): (buy, sell)} over minutes with any activity."""
         out = {}
-        idx = np.nonzero((self.buy + self.sell) > 0)
+        idx = np.nonzero((self.buy != 0) | (self.sell != 0))
         for i, j, k in zip(*idx):
             out[(self.stocks[i], self.dates[j], int(k) + 1)] = (
                 int(self.buy[i, j, k]),
@@ -215,7 +220,7 @@ class PolarityPanel:
             fh.write("\n")
             for lo in range(0, len(self.stocks), step):
                 buy, sell = self.buy[lo : lo + step], self.sell[lo : lo + step]
-                cells = np.ones(buy.shape, bool) if include_empty else (buy + sell) > 0
+                cells = np.ones(buy.shape, bool) if include_empty else (buy != 0) | (sell != 0)
                 i, j, k = np.nonzero(cells)
                 pairs = (buy[i, j, k].astype(np.int64) << 32 | sell[i, j, k]).tolist()
                 for pair in set(pairs).difference(tails):
@@ -314,7 +319,7 @@ def _panel_from_memo(buy, sell, stock_bytes, stock_ends, dates) -> PolarityPanel
         raise ValueError("memo stock offsets do not cover its id bytes")
     raw = stock_bytes.tobytes()
     stocks = [raw[a:b].decode("utf-8") for a, b in zip(bounds[:-1], bounds[1:])]
-    days = [cache_mod.int_to_date(int(v)) for v in dates]
+    days = [int_to_date(int(v)) for v in dates]
     for axis in (stocks, days):
         if any(a >= b for a, b in zip(axis, axis[1:])):
             raise ValueError("memo axis is not strictly increasing")

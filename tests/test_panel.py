@@ -120,7 +120,7 @@ def _write_text_per_cell(panel, path, delimiter, include_empty):
                 if include_empty:
                     bars = range(BARS_PER_DAY)
                 else:
-                    bars = np.nonzero((panel.buy[i, j] + panel.sell[i, j]) > 0)[0]
+                    bars = np.nonzero((panel.buy[i, j] != 0) | (panel.sell[i, j] != 0))[0]
                 for k in bars:
                     p = pol[i, j, k]
                     fh.write(
@@ -262,6 +262,12 @@ class TestPanelConstruction:
     @example(
         n_stocks=1, n_dates=1,
         cells=[(0, 0, 0, 1, 0)] + [(0, 0, k, 0, 1 << k) for k in range(1, 31)],
+        delimiter=",", include_empty=False, slice_cells=1 << 12,
+    )
+    # buy + sell beyond 2**31 - 1, which an int32 sum wraps negative
+    @example(
+        n_stocks=1, n_dates=1,
+        cells=[(0, 0, 0, 1 << 30, 1 << 30), (0, 0, 1, 1 << 30, (1 << 30) - 1)],
         delimiter=",", include_empty=False, slice_cells=1 << 12,
     )
     def test_text_export_matches_per_cell_writer(

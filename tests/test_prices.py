@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polab.errors import DataError, InputError
-from polab.marketdata import prices
+from polab.marketdata import parse, prices
 from polab.marketdata.grid import assign_bar, bar_start_ms
-from polab.marketdata.prices import load_eod_prices, load_intraday_prices
+from polab.marketdata.prices import (
+    load_capitalization, load_emotion, load_eod_prices, load_intraday_prices,
+)
 
 D = dt.date(2015, 5, 4)
 
@@ -200,14 +202,18 @@ def _same_days(a: dict, b: dict) -> bool:
     )
 
 
+#: block sizes of the price reader: a line per block, a few lines, one block
+BLOCK_BYTES = (1, 7, 64, prices._BLOCK_BYTES)
+
+
 @settings(max_examples=150, deadline=None)
-@given(price_files("intraday"), st.sets(st.sampled_from(IDS)), st.sampled_from((1, 3, 4096)))
-def test_columnar_intraday_equals_row_loop(tmp_path_factory, spec, ids, block_rows):
+@given(price_files("intraday"), st.sets(st.sampled_from(IDS)), st.sampled_from(BLOCK_BYTES))
+def test_columnar_intraday_equals_row_loop(tmp_path_factory, spec, ids, block_bytes):
     text, has_header = spec
     path = tmp_path_factory.mktemp("intra") / "intraday.csv"
     path.write_bytes(text.encode())
     rows = prices._intraday_rows(path, ",", has_header)
-    with mock.patch.object(prices, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(prices, "_BLOCK_BYTES", block_bytes):
         columnar = prices._intraday_columnar(path, ",", has_header, None)
     assert columnar is not None  # plain files never fall back
     assert _same_days(columnar, rows)
@@ -217,13 +223,13 @@ def test_columnar_intraday_equals_row_loop(tmp_path_factory, spec, ids, block_ro
 
 
 @settings(max_examples=100, deadline=None)
-@given(price_files("eod"), st.sampled_from((1, 3, 4096)))
-def test_columnar_eod_equals_row_loop(tmp_path_factory, spec, block_rows):
+@given(price_files("eod"), st.sampled_from(BLOCK_BYTES))
+def test_columnar_eod_equals_row_loop(tmp_path_factory, spec, block_bytes):
     text, has_header = spec
     path = tmp_path_factory.mktemp("eod") / "eod.csv"
     path.write_bytes(text.encode())
     rows = prices._eod_rows(path, ",", has_header)
-    with mock.patch.object(prices, "_BLOCK_ROWS", block_rows):
+    with mock.patch.object(prices, "_BLOCK_BYTES", block_bytes):
         columnar = prices._eod_columnar(path, ",", has_header)
     assert columnar is not None
     assert _same_days(columnar, rows)
@@ -261,6 +267,22 @@ INTRA_HEAD = "date,id,bar_or_time,last_price"
             [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-13-04,000001,2,10.5"],
             "unparsable intraday row in {path}: ['2015-13-04', '000001', '2', '10.5']",
         ),
+        (
+            [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,7,nan"],
+            "non-finite last price for 000001 on 2015-05-04 bar 7",
+        ),
+        (
+            [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,09:36:00,inf"],
+            "non-finite last price for 000001 on 2015-05-04 bar 7",
+        ),
+        (
+            [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,7,1e400"],
+            "non-finite last price for 000001 on 2015-05-04 bar 7",
+        ),
+        (
+            [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,7,-inf"],
+            "non-positive last price for 000001 on 2015-05-04 bar 7",
+        ),
     ],
 )
 def test_intraday_errors_keep_the_row_loop_text(tmp_path, body, message):
@@ -284,6 +306,10 @@ def test_intraday_errors_keep_the_row_loop_text(tmp_path, body, message):
             ["date,id,close", "2015-05-04,A,1.5", "2015-05-04,A,1.5"],
             "duplicate end-of-day record for A on 2015-05-04",
         ),
+        (["date,id,close", "2015-05-04,A,nan"], "non-finite close for A on 2015-05-04: nan"),
+        (["date,id,close", "2015-05-04,A,inf"], "non-finite close for A on 2015-05-04: inf"),
+        (["date,id,close", "2015-05-04,A,1e400"], "non-finite close for A on 2015-05-04: inf"),
+        (["date,id,close", "2015-05-04,A,-inf"], "non-positive close for A on 2015-05-04: -inf"),
     ],
 )
 def test_eod_errors_keep_the_row_loop_text(tmp_path, body, message):
@@ -309,3 +335,141 @@ def test_quoted_and_signed_fields_take_the_row_loop(tmp_path):
     assert prices._intraday_columnar(path, ",", True, None) is None
     out = load_intraday_prices(path)
     assert out["000001"][D][4] == 10.5 and out["000002"][D][4] == 10.0
+
+
+# -- price files across the feed's block boundaries -------------------------------
+
+
+def intraday_rows(ids, bars=range(1, 11)):
+    """Lines of a plain intraday file: each id trades bars ``bars`` on D."""
+    return [INTRA_HEAD] + [f"2015-05-04,{i},{b},{10 + b}.5" for i in ids for b in bars]
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Blocks of about 64 bytes, two or three lines each; returns the list
+    of the blocks read."""
+    monkeypatch.setattr(prices, "_BLOCK_BYTES", 64)
+    read, block = [], parse._Feed.block
+    monkeypatch.setattr(parse._Feed, "block", lambda self: read.append(block(self)) or read[-1])
+    return read
+
+
+def test_several_blocks_take_the_columnar_path(tmp_path, small_blocks, monkeypatch):
+    path = write(tmp_path, "intra.csv", intraday_rows(["B", "A", "C"]))
+    eod_lines = ["date,id,close"] + [f"2015-05-{k:02d},A,1.{k}" for k in range(4, 30)]
+    eod = write(tmp_path, "eod.csv", eod_lines)
+    monkeypatch.setattr(prices, "_intraday_rows", mock.Mock(side_effect=AssertionError("row loop")))
+    monkeypatch.setattr(prices, "_eod_rows", mock.Mock(side_effect=AssertionError("row loop")))
+    out = load_intraday_prices(path)
+    assert len([b for b in small_blocks if b]) > 5
+    assert list(out) == ["B", "A", "C"]
+    assert all(out[i][D][b - 1] == 10 + b + 0.5 for i in out for b in range(1, 11))
+    assert list(load_intraday_prices(path, ids={"C", "A"})) == ["A", "C"]
+    closes = load_eod_prices(eod)
+    assert list(closes["A"]) == [dt.date(2015, 5, k) for k in range(4, 30)]
+    assert closes["A"][dt.date(2015, 5, 29)] == 1.29
+
+
+def test_id_first_seen_in_a_later_block_keeps_its_place(tmp_path, small_blocks):
+    later = ["2015-05-05,Z,3,7.5", "2015-05-04,A,1,9.5", "2015-05-04,M,11,1.5"]
+    lines = intraday_rows(["Z", "M"]) + later
+    path = write(tmp_path, "intra.csv", lines)
+    out = prices._intraday_columnar(path, ",", True, None)
+    assert out is not None
+    assert list(out) == ["Z", "M", "A"] and list(out["Z"]) == [D, dt.date(2015, 5, 5)]
+    assert out["M"][D][10] == 1.5
+    assert _same_days(out, prices._intraday_rows(path, ",", True))
+
+
+@pytest.mark.parametrize(
+    "loader,lines,message",
+    [
+        (
+            load_intraday_prices,
+            intraday_rows(["A", "B"]) + ["2015-05-04,A,09:32:10,1.5"],
+            "duplicate intraday record for A on 2015-05-04 bar 3",
+        ),
+        (
+            load_eod_prices,
+            ["date,id,close"] + [f"2015-05-{k:02d},A,1.5" for k in range(4, 20)]
+            + ["2015-05-04,A,2"],
+            "duplicate end-of-day record for A on 2015-05-04",
+        ),
+    ],
+)
+def test_duplicate_across_blocks_keeps_the_row_loop_text(
+    tmp_path, small_blocks, loader, lines, message
+):
+    path = write(tmp_path, "prices.csv", lines)
+    with pytest.raises(DataError) as err:
+        loader(path)
+    assert str(err.value) == message
+    assert len([b for b in small_blocks if b]) > 3
+
+
+def test_quote_in_the_last_block_sends_the_file_to_the_row_loop(tmp_path, small_blocks):
+    path = write(tmp_path, "intra.csv", intraday_rows(["A", "B"]) + ['2015-05-04,"C",1,2.5'])
+    assert prices._intraday_columnar(path, ",", True, None) is None
+    *before, last = small_blocks  # the columnar reader stops at the block with the quote
+    assert len(before) > 2 and b'"' not in b"".join(before) and last.endswith(b'"C",1,2.5\n')
+    out = load_intraday_prices(path)
+    assert list(out) == ["A", "B", "C"] and out["C"][D][0] == 2.5
+
+
+def test_rows_beyond_the_room_made_for_them_still_load(tmp_path, small_blocks, monkeypatch):
+    path = write(tmp_path, "intra.csv", intraday_rows(["A", "B"]))
+    monkeypatch.setattr(prices.os.path, "getsize", lambda _: 0)  # as for a pipe
+    out = prices._intraday_columnar(path, ",", True, None)
+    assert out is not None and _same_days(out, prices._intraday_rows(path, ",", True))
+
+
+# -- side files -------------------------------------------------------------------
+
+RJF = ["date,rjf", "2015-05-04,1.5"]
+CAPS = ["id,capitalization", "A,1e9"]
+NOT_CAPS = "{path} line 3: capitalization must be finite and not negative, got "
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (RJF + ["2015-05-05,nan"], "{path} line 3: rjf must be finite, got ['2015-05-05', 'nan']"),
+        (RJF + ["2015-05-05,inf"], "{path} line 3: rjf must be finite, got ['2015-05-05', 'inf']"),
+        (RJF + ["2015-05-04,1.6"], "{path} line 3: duplicate date 2015-05-04"),
+        (
+            RJF + ["2015-05-05,1.6,7"],
+            "{path} line 3: expected 'date,rjf', got ['2015-05-05', '1.6', '7']",
+        ),
+        (RJF + ["2015-05-05,-inf"], "rjf must be positive: ['2015-05-05', '-inf']"),
+    ],
+)
+def test_emotion_errors(tmp_path, body, message):
+    path = write(tmp_path, "emotion.csv", body)
+    with pytest.raises(DataError) as err:
+        load_emotion(path)
+    assert str(err.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (CAPS + ["A,2e9"], "{path} line 3: duplicate id A"),
+        (CAPS + ["B,nan,7"], "{path} line 3: expected 'id,capitalization', got ['B', 'nan', '7']"),
+        (CAPS + ["B,nan"], NOT_CAPS + "['B', 'nan']"),
+        (CAPS + ["B,-1"], NOT_CAPS + "['B', '-1']"),
+        (CAPS + ["B,inf"], NOT_CAPS + "['B', 'inf']"),
+    ],
+)
+def test_capitalization_errors(tmp_path, body, message):
+    path = write(tmp_path, "caps.csv", body)
+    with pytest.raises(DataError) as err:
+        load_capitalization(path)
+    assert str(err.value) == message.format(path=path)
+
+
+def test_side_files_load(tmp_path):
+    caps = write(tmp_path, "caps.csv", ["id,capitalization", "B,0", "", "A,1e9"])
+    rjf = write(tmp_path, "emotion.csv", ["date,rjf", "2015-05-05,0.5", "2015-05-04,2"])
+    assert load_capitalization(caps) == {"B": 0.0, "A": 1e9}
+    assert list(load_emotion(rjf).items()) == [(dt.date(2015, 5, 5), 0.5), (D, 2.0)]
