@@ -29,7 +29,6 @@ _EXPORTS = {
     "flip_stats": "flips",
     "run_lengths": "flips",
     "DirectionRatios": "panel",
-    "PanelBuilder": "panel",
     "PolarityPanel": "panel",
     "daily_polarity_at_index_min": "panel",
     "direction_ratios": "panel",

@@ -10,14 +10,12 @@ emotion series.
 from __future__ import annotations
 
 import datetime as dt
-import decimal
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DataError, NumericError
+from .special import _f_survival
 
 # -- five-number summaries and sign-grouped price impact ----------------------
 
@@ -227,83 +225,6 @@ def _granger_f(x: np.ndarray, y: np.ndarray, lag: int):
     # a negative f (ssr_r below ssr_u by rounding) has an upper tail of 1;
     # max keeps a NaN, which gives a NaN p-value
     return float(f), _f_survival(lag, df, max(f, 0.0))
-
-
-# -- the F distribution's upper tail ---------------------------------------------
-
-# pi to 60 significant digits: 1/B(a, b) needs it only when both degrees of
-# freedom are odd
-_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
-
-
-def _half_gamma(h: int) -> Fraction:
-    """Gamma(h/2) / sqrt(pi)**(h % 2), which is rational."""
-    if h % 2 == 0:
-        return Fraction(math.factorial(h // 2 - 1))
-    k = h // 2
-    return Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
-
-
-def _beta_cf(x, a, b, eps, tiny):
-    """The incomplete beta's continued fraction by Lentz's method
-    (Numerical Recipes' ``betacf``); it converges fast for
-    x < (a + 1)/(a + b + 2)."""
-    qab, qap, qam = a + b, a + 1, a - 1
-    c = decimal.Decimal(1)
-    d = 1 - qab * x / qap
-    d = 1 / (d if abs(d) >= tiny else tiny)
-    h = d
-    for m in range(1, 100_000):
-        m2 = 2 * m
-        for aa in (
-            m * (b - m) * x / ((qam + m2) * (a + m2)),
-            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
-        ):
-            d = 1 + aa * d
-            d = 1 / (d if abs(d) >= tiny else tiny)
-            c = 1 + aa / c
-            c = c if abs(c) >= tiny else tiny
-            h *= d * c
-        if abs(d * c - 1) < eps:
-            return h
-    raise NumericError(f"incomplete beta continued fraction did not converge at x={x}")
-
-
-def _f_survival(dfn: int, dfd: int, f: float, digits: int = 50) -> float:
-    """P(F > f) for F ~ F(dfn, dfd), correctly rounded to a float.
-
-    The upper tail is the regularized incomplete beta I_x(dfd/2, dfn/2) at
-    x = dfd/(dfd + dfn*f). It is computed in ``decimal`` at ``digits``
-    significant digits, whose ``ln`` and ``exp`` are correctly rounded, and
-    rounded to float once, so the result does not depend on the platform's
-    libm. 1/B(a, b) is exact from integer factorials; the sqrt(pi) factors of
-    the half-integer gammas cancel unless both dfs are odd, which leaves 1/pi.
-    Edges follow ``scipy.special.fdtrc``: 1.0 at f = 0, NaN at NaN, 0.0 at +inf.
-    """
-    if math.isnan(f):
-        return math.nan
-    if f <= 0.0:
-        return 1.0
-    if math.isinf(f):
-        return 0.0
-    D = decimal.Decimal
-    with decimal.localcontext(decimal.Context(prec=digits)):
-        g = dfn * D(f)
-        s = dfd + g
-        x, y = dfd / s, g / s  # y = 1 - x without the cancellation
-        a, b = D(dfd) / 2, D(dfn) / 2
-        q = _half_gamma(dfd + dfn) / (_half_gamma(dfd) * _half_gamma(dfn))
-        inv_beta = D(q.numerator) / q.denominator
-        if dfd % 2 and dfn % 2:
-            inv_beta /= _PI
-        # x**a * y**b / B(a, b), the front factor shared by both branches
-        front = (a * x.ln() + b * y.ln()).exp() * inv_beta
-        eps, tiny = D(1).scaleb(2 - digits), D(1).scaleb(-4 * digits)
-        if x < (a + 1) / (a + b + 2):
-            p = front * _beta_cf(x, a, b, eps, tiny) / a
-        else:
-            p = 1 - front * _beta_cf(y, b, a, eps, tiny) / b
-        return float(p)
 
 
 def _bic_lag(x: np.ndarray, y: np.ndarray, max_lag: int) -> int | None:

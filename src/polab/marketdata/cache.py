@@ -12,10 +12,12 @@ and volume, which decide whether a row is malformed or off-grid, but no
 analysis reads them back, so the cache does not keep them. A cache of
 another version is refused: re-run ``polab ingest`` to rebuild it.
 
-Each block holds rows of one (stock, trading day). A key may repeat across
-blocks (the writer flushes in bounded-memory chunks); readers concatenate
-repeats in file order. Off-grid rows are kept with bar 0 so row counts
-reconcile against the source file.
+Each block holds all the rows of one (stock, trading day), in feed order,
+and no key has a second block. Ingest buffers rows in bounded-memory
+flushes, so it may append a key's rows as several blocks; the writer then
+merges them when it closes, and the file is byte for byte the one a single
+flush would write. A reader refuses a key it has already seen. Off-grid rows
+are kept with bar 0 so row counts reconcile against the source file.
 
 The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
 it, and readers refuse a cache that does not match it. When ingest names
@@ -32,6 +34,7 @@ import datetime as dt
 import os
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -61,6 +64,8 @@ _COLUMNS = (
 )
 _DTYPES = [(name, np.dtype(dtype)) for name, dtype in _COLUMNS]
 _ROW_BYTES = sum(dtype.itemsize for _, dtype in _DTYPES)
+#: where each column starts in a block's column bytes, in bytes a row
+_COL_STARTS = np.cumsum([0] + [dtype.itemsize for _, dtype in _DTYPES[:-1]]).tolist()
 
 
 @dataclass
@@ -87,6 +92,19 @@ class FeedStamp:
 
 def date_to_int(d: dt.date) -> int:
     return d.year * 10_000 + d.month * 100 + d.day
+
+
+def _block_bytes(stock_id: str, date_int: int, cols) -> bytes:
+    """A block as the file holds it: its head, then each column's bytes."""
+    sid = stock_id.encode("utf-8")
+    cols = [np.ascontiguousarray(c, dtype=dtype) for c, (_, dtype) in zip(cols, _DTYPES)]
+    head = _BLOCK_HEAD.pack(len(sid)) + sid + _BLOCK_META.pack(date_int, len(cols[0]))
+    return b"".join((head, *cols))
+
+
+def _columns(raw: bytes, n: int) -> list[np.ndarray]:
+    """The columns of a block's ``n`` rows, read from its column bytes."""
+    return [np.frombuffer(raw, dtype, n, k * n) for (_, dtype), k in zip(_DTYPES, _COL_STARTS)]
 
 
 def checksum_path(path) -> Path:
@@ -145,22 +163,26 @@ def _read_checksum(path) -> tuple[int, int, FeedStamp | None] | None:
 class CacheWriter:
     """Appends per-(stock, day) blocks to a temporary file beside ``path``.
 
-    Leaving the ``with`` block normally patches the block count into the
-    header, moves the file onto ``path`` and records its checksum, with
-    ``feed`` if it has been set. Leaving it by an exception deletes the
-    temporary file, any older cache at ``path`` and its checksum, so a
-    failed build leaves no cache behind.
+    Leaving the ``with`` block normally gives each key one block, patches
+    the block count into the header, moves the file onto ``path`` and
+    records its checksum, with ``feed`` if it has been set.
+    Leaving it by an exception deletes the temporary files, any older cache
+    at ``path`` and its checksum, so a failed build leaves no cache behind.
     """
 
     def __init__(self, path):
         self._path = Path(path)
         self._tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
+        self._merged = self._tmp.with_suffix(".merge.tmp")
         try:
             self._fh = open(self._tmp, "w+b")
         except OSError as exc:
             raise InputError(f"cannot create cache file {path}: {exc}") from exc
         self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
-        self.n_blocks = 0
+        # per block appended: its key (stock code << 32 | yyyymmdd), the
+        # offset of its column bytes and its row count
+        self._stock_codes: dict[str, int] = {}
+        self._keys, self._offsets, self._rows = array("q"), array("q"), array("q")
         self.n_rows = 0
         self.feed: FeedStamp | None = None
 
@@ -172,22 +194,52 @@ class CacheWriter:
             col = getattr(block, name)
             if n and col.dtype != np.uint32 and int(np.max(col)) > _U32_MAX:
                 raise DataError(f"{name} overflows the cache's u32 column")
-        sid = block.stock_id.encode("utf-8")
-        head = (_BLOCK_HEAD.pack(len(sid)), sid, _BLOCK_META.pack(date_to_int(block.trade_date), n))
-        cols = (np.ascontiguousarray(getattr(block, name), dtype=dtype) for name, dtype in _DTYPES)
-        self._fh.write(b"".join((*head, *cols)))
-        self.n_blocks += 1
+        date_int = date_to_int(block.trade_date)
+        raw = _block_bytes(block.stock_id, date_int, (getattr(block, name) for name, _ in _DTYPES))
+        code = self._stock_codes.setdefault(block.stock_id, len(self._stock_codes))
+        self._keys.append(code << 32 | date_int)
+        self._offsets.append(self._fh.tell() + len(raw) - _ROW_BYTES * n)
+        self._rows.append(n)
+        self._fh.write(raw)
         self.n_rows += n
 
+    def _one_block_per_key(self) -> tuple[Path, int]:
+        """The temporary file that holds the cache with one block per key, and
+        its block count. If a key was appended more than once, the blocks are
+        copied into a second temporary file: keys in order of first
+        appearance, each key's rows in append order, as a single flush writes
+        them. One key's rows are held at a time."""
+        keys = np.frombuffer(self._keys, dtype=np.int64)
+        order = np.argsort(keys, kind="stable")
+        bounds = np.append(np.flatnonzero(np.diff(keys[order], prepend=-1)), len(keys))
+        if len(bounds) - 1 == len(keys):
+            return self._tmp, len(keys)
+        stocks = list(self._stock_codes)
+        src, self._fh = self._fh, open(self._merged, "w+b")
+        with src:
+            self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
+            # a stable sort leaves each key's first block at the head of its run
+            for g in np.argsort(order[bounds[:-1]]):
+                members, parts = order[bounds[g] : bounds[g + 1]].tolist(), []
+                for m in members:
+                    src.seek(self._offsets[m])
+                    parts.append(_columns(src.read(_ROW_BYTES * self._rows[m]), self._rows[m]))
+                key = int(keys[members[0]])
+                cols = (np.concatenate(col) for col in zip(*parts))
+                self._fh.write(_block_bytes(stocks[key >> 32], key & 0xFFFFFFFF, cols))
+        self._tmp.unlink()
+        return self._merged, len(bounds) - 1
+
     def close(self) -> None:
-        fh = self._fh
         try:
+            tmp, n_blocks = self._one_block_per_key()
+            fh = self._fh
             fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, VERSION, 0, self.n_blocks))
+            fh.write(_HEADER.pack(MAGIC, VERSION, 0, n_blocks))
             fh.seek(0)
             crc, size = _stream_crc32(fh)
             fh.close()
-            os.replace(self._tmp, self._path)
+            os.replace(tmp, self._path)
             checksum_path(self._path).write_text(_checksum_text(crc, size, self.feed))
             _remove_panel_memos(self._path)
         except BaseException:
@@ -196,7 +248,7 @@ class CacheWriter:
 
     def abort(self) -> None:
         self._fh.close()
-        for path in (self._tmp, self._path, checksum_path(self._path)):
+        for path in (self._tmp, self._merged, self._path, checksum_path(self._path)):
             path.unlink(missing_ok=True)
         _remove_panel_memos(self._path)
 
@@ -240,13 +292,14 @@ def verified_crc32(path) -> tuple[int, int]:
 
 
 def iter_blocks(path) -> Iterator[CacheBlock]:
-    """Yield cache blocks in file order.
+    """Yield cache blocks in file order, one per (stock, day).
 
     Validates magic and version, every length against the bytes the file
-    holds, each block's date, stock id and bar range, and, where the writer
-    recorded one, the file's size and CRC-32. The CRC is compared after the
-    last block, so a caller that drains the iterator has checked the file
-    before it uses any result. Every violation raises DataError.
+    holds, each block's date, stock id and bar range, that no (stock, day)
+    has a second block, and, where the writer recorded one, the file's size
+    and CRC-32. The CRC is compared after the last block, so a caller that
+    drains the iterator has checked the file before it uses any result.
+    Every violation raises DataError.
     """
     try:
         fh = open(path, "rb")
@@ -278,6 +331,7 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
                 f"unsupported cache version {version} in {path} (this polab reads "
                 f"version {VERSION}); re-run `polab ingest` to rebuild it"
             )
+        seen = set()
         for _ in range(n_blocks):
             (sid_len,) = _BLOCK_HEAD.unpack(take(_BLOCK_HEAD.size, "block header"))
             head = take(sid_len + _BLOCK_META.size, "block header")
@@ -290,14 +344,14 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
                 trade_date = int_to_date(date_int)
             except ValueError:
                 raise DataError(f"bad date {date_int} in {path} at byte {pos}") from None
-            raw = take(_ROW_BYTES * n, "block")
-            cols, offset = {}, 0
-            for name, dtype in _DTYPES:
-                cols[name] = np.frombuffer(raw, dtype=dtype, count=n, offset=offset)
-                offset += dtype.itemsize * n
-            if n and cols["bar"].max() > BARS_PER_DAY:
+            if (stock_id, date_int) in seen:
+                raise DataError(f"second block for ({stock_id!r}, {trade_date}) in {path} at byte "
+                                f"{pos}, as an older polab wrote; re-run `polab ingest` to rebuild it")
+            seen.add((stock_id, date_int))
+            cols = _columns(take(_ROW_BYTES * n, "block"), n)
+            if n and cols[0].max() > BARS_PER_DAY:
                 raise DataError(f"bar index out of range in {path} before byte {pos}")
-            yield CacheBlock(stock_id, trade_date, **cols)
+            yield CacheBlock(stock_id, trade_date, *cols)
         if pos != size:
             raise DataError(f"{path} has {size - pos} bytes after its last block")
         if recorded is not None and crc != recorded[0]:
@@ -314,22 +368,26 @@ class _Pending:
         self.parts: dict[str, list[np.ndarray]] = {name: [] for name, _ in _COLUMNS}
         self.rows = 0
 
-    def add(self, chunk: TransactionChunk, rows: slice) -> None:
-        """Buffer the rows ``rows`` of ``chunk``, whose u32 columns have been checked."""
+    def add(self, chunk: TransactionChunk) -> None:
+        """Buffer ``chunk``; a serial beyond the cache's u32 raises DataError."""
+        for name in _U32_CHECKED:
+            col = getattr(chunk, name)
+            if len(col) and int(col.max()) > _U32_MAX:
+                raise DataError(f"{name} overflows the cache's u32 column")
         n_dates = len(chunk.dates)
-        local = chunk.stock_idx[rows] * n_dates + chunk.date_idx[rows]
+        local = chunk.stock_idx * n_dates + chunk.date_idx
         key_of = np.zeros(len(chunk.stocks) * n_dates, np.int32)
         for k in np.flatnonzero(np.bincount(local, minlength=len(key_of))).tolist():
             stock, day = divmod(k, n_dates)
             key_of[k] = self.keys.setdefault((chunk.stocks[stock], chunk.dates[day]), len(self.keys))
         self.key_parts.append(key_of[local])
         for name, dtype in _COLUMNS:
-            self.parts[name].append(getattr(chunk, name)[rows].astype(dtype))
+            self.parts[name].append(getattr(chunk, name).astype(dtype))
         self.rows += len(local)
 
-    def blocks(self) -> Iterator[CacheBlock]:
-        """One block per key, keys in order of their first buffered row and
-        each key's rows in file order."""
+    def flush(self, writer: CacheWriter) -> None:
+        """Append one block per key, keys in order of their first buffered
+        row and each key's rows in file order."""
         if not self.rows:
             return
         key = np.concatenate(self.key_parts)
@@ -343,36 +401,7 @@ class _Pending:
         # a key's first buffered row heads its run in the stable order
         for g in np.argsort(order[starts]).tolist():
             rows = slice(lo[g], hi[g])
-            yield CacheBlock(*keys[g], *(c[rows] for c in cols))
-
-
-def blocks_from_chunks(
-    chunks: Iterable[TransactionChunk], flush_rows: int = 1 << 20
-) -> Iterator[CacheBlock]:
-    """The cache blocks of a stream of parsed chunks, with bounded memory.
-
-    Buffers rows compactly, in their cache dtypes and tagged with their
-    (stock, day) key, and flushes once the buffered total reaches
-    ``flush_rows``: one stable sort by key gathers each key's rows, and
-    every key becomes one block, in order of its first buffered row. So a
-    key may span several blocks. A chunk whose serial overflows the
-    cache's u32 columns raises DataError as it arrives.
-    """
-    pending = _Pending()
-    for chunk in chunks:
-        for name in _U32_CHECKED:
-            col = getattr(chunk, name)
-            if len(col) and int(col.max()) > _U32_MAX:
-                raise DataError(f"{name} overflows the cache's u32 column")
-        start = 0
-        while start < len(chunk):
-            stop = min(len(chunk), start + max(1, flush_rows - pending.rows))
-            pending.add(chunk, slice(start, stop))
-            start = stop
-            if pending.rows >= flush_rows:
-                yield from pending.blocks()
-                pending = _Pending()
-    yield from pending.blocks()
+            writer.append(CacheBlock(*keys[g], *(c[rows] for c in cols)))
 
 
 def write_cache(
@@ -382,7 +411,13 @@ def write_cache(
     feed=None,
     report: ParseReport | None = None,
 ) -> int:
-    """Write the blocks ``blocks_from_chunks`` makes of ``chunks`` as a cache.
+    """Write a stream of parsed chunks as a cache, with bounded memory.
+
+    Chunks are buffered compactly (``_Pending``) and flushed once
+    ``flush_rows`` rows are buffered, each key's rows as one block. The
+    writer merges the blocks of a key that spans flushes, so the file does
+    not depend on ``flush_rows``. A chunk whose serial overflows the cache's
+    u32 columns raises DataError as it arrives.
 
     ``feed``, the file the chunks are parsed from, is stamped before the
     first chunk is read and recorded in the checksum file with the
@@ -395,8 +430,13 @@ def write_cache(
         except OSError as exc:
             raise InputError(f"cannot read {feed}: {exc}") from exc
     with CacheWriter(path) as writer:
-        for block in blocks_from_chunks(chunks, flush_rows):
-            writer.append(block)
+        pending = _Pending()
+        for chunk in chunks:
+            pending.add(chunk)
+            if pending.rows >= flush_rows:
+                pending.flush(writer)
+                pending = _Pending()
+        pending.flush(writer)
         if feed is not None:
             writer.feed = FeedStamp(st.st_size, st.st_mtime_ns, report.total_rows)
         return writer.n_rows

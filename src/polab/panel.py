@@ -11,10 +11,13 @@ By default a serial trading in several minutes counts once in each
 serial once per day, in the earliest on-grid minute it traded in, which is
 the minute of its first fill; it exists for sensitivity analysis only.
 
-A feed and its cache reach the panel as the same stream of cache blocks
-(``marketdata.cache.blocks_from_chunks`` and ``iter_blocks``), and one
-reducer counts both scopes. A block carries only what the count reads:
-each row's bar and its buy and sell serials.
+A feed reaches the panel only through a cache: ``from_transactions`` writes
+the feed to a temporary one and builds from that. A cache holds exactly one
+block per (stock, day), which carries only what the count reads: each row's
+bar and its buy and sell serials. So one reducer, for both scopes, turns
+each block into its day's counts as it is read and keeps none of its
+serials: a build holds the panel, each day's counts until the axes are
+known, and one block.
 
 Building the panel from a cache costs far more than any analysis of it, so
 ``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
@@ -28,6 +31,7 @@ import datetime as dt
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -160,14 +164,24 @@ class PolarityPanel:
         malformed_threshold: float = 0.001,
         report: ParseReport | None = None,
     ) -> "PolarityPanel":
+        """The panel of a text feed, by way of a cache in a temporary directory."""
         chunks = iter_transactions(
             path, schema, report=report, malformed_threshold=malformed_threshold
         )
-        return _panel_from_blocks(cache_mod.blocks_from_chunks(chunks), serial_scope)
+        with tempfile.TemporaryDirectory(prefix="polab-") as tmp:
+            cache = os.path.join(tmp, "feed.plab")
+            cache_mod.write_cache(cache, chunks)
+            return cls.from_cache(cache, serial_scope=serial_scope)
 
     @classmethod
     def from_cache(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
-        return _panel_from_blocks(cache_mod.iter_blocks(path), serial_scope)
+        if serial_scope not in ("bar", "day"):
+            raise ValueError(f"serial_scope must be 'bar' or 'day', got {serial_scope!r}")
+        day_scope = serial_scope == "day"
+        return _grid(
+            {(blk.stock_id, blk.trade_date): _day_counts(blk, day_scope)
+             for blk in cache_mod.iter_blocks(path)}
+        )
 
     @classmethod
     def from_cache_memo(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
@@ -232,33 +246,45 @@ class PolarityPanel:
 
     @classmethod
     def read_text(cls, path, delimiter: str = ",") -> "PolarityPanel":
+        """The panel a ``write_text`` export holds. A short or unparsable row,
+        a bar off the grid, a count outside 0..2**31 - 1 or a repeated cell
+        raises DataError naming the file and the line."""
         import csv
 
-        cells = {}
+        days = {}
         with open(path, "r", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            header = next(reader)
-            if header[:5] != ["stock_id", "date", "bar", "buy", "sell"]:
+            if next(reader, [])[:5] != ["stock_id", "date", "bar", "buy", "sell"]:
                 raise DataError(f"not a panel export: {path}")
-            for row in reader:
-                if not row:
-                    continue
-                d = dt.date.fromisoformat(row[1])
-                cells[(row[0], d, int(row[2]))] = (int(row[3]), int(row[4]))
-        return _panel_from_cells(cells)
+            for row in filter(None, reader):
+                where = f"{path} line {reader.line_num}: {row!r}"
+                try:
+                    day, (bar, b, s) = dt.date.fromisoformat(row[1]), map(int, row[2:5])
+                except (IndexError, ValueError):
+                    raise DataError(f"unreadable panel row in {where}") from None
+                if not (1 <= bar <= BARS_PER_DAY and 0 <= b < 2**31 and 0 <= s < 2**31):
+                    raise DataError(f"bar or count out of range in {where}")
+                if (row[0], day) not in days:  # -1 marks a cell no row has given yet
+                    days[(row[0], day)] = np.full((2, BARS_PER_DAY), -1, np.int32)
+                counts = days[(row[0], day)]
+                if counts[0, bar - 1] >= 0:
+                    raise DataError(f"repeated cell in {where}")
+                counts[:, bar - 1] = b, s
+        return _grid({key: np.maximum(counts, 0) for key, counts in days.items()})
 
 
-def _panel_from_cells(cells: dict) -> PolarityPanel:
-    stocks = sorted({k[0] for k in cells})
-    dates = sorted({k[1] for k in cells})
+def _grid(counts: dict) -> PolarityPanel:
+    """The panel whose (stock, date) ``key`` holds ``counts[key]``, its buy
+    and sell rows of the day's bars: the axes are sorted, then each day
+    scattered into place."""
+    stocks = sorted({stock for stock, _ in counts})
+    dates = sorted({date for _, date in counts})
     sidx = {s: i for i, s in enumerate(stocks)}
     didx = {d: j for j, d in enumerate(dates)}
-    buy = np.zeros((len(stocks), len(dates), BARS_PER_DAY), dtype=np.int32)
-    sell = np.zeros_like(buy)
-    for (stock, date, bar), (b, s) in cells.items():
-        buy[sidx[stock], didx[date], bar - 1] = b
-        sell[sidx[stock], didx[date], bar - 1] = s
-    return PolarityPanel(stocks, dates, buy, sell)
+    grid = np.zeros((2, len(stocks), len(dates), BARS_PER_DAY), dtype=np.int32)
+    for (stock, date), day in counts.items():
+        grid[:, sidx[stock], didx[date]] = day
+    return PolarityPanel(stocks, dates, *grid)
 
 
 def _file_identity(path) -> tuple | None:
@@ -329,65 +355,25 @@ def _panel_from_memo(buy, sell, stock_bytes, stock_ends, dates) -> PolarityPanel
     return PolarityPanel(stocks, days, buy, sell)
 
 
-def _serial_keys(keys: np.ndarray, day_scope: bool) -> np.ndarray:
-    """The sorted distinct keys among ``keys``; in day scope only the first
-    of each serial on each side, which holds its earliest bar."""
-    keys = np.sort(keys)
+def _day_counts(blk, day_scope: bool) -> np.ndarray:
+    """One block's man-times counts, shape (2, 237): buy then sell.
+
+    The on-grid rows are reduced to their distinct (serial, side, bar) keys.
+    Bar scope counts every key. Day scope keeps each serial's earliest bar on
+    each side, the first of its sorted keys: the minute of its first fill.
+    """
+    on = blk.bar > 0
+    bar = blk.bar[on].astype(np.int64)
+    buy = blk.buy_serial[on].astype(np.int64) << (_BAR_BITS + 1) | bar
+    sell = blk.sell_serial[on].astype(np.int64) << (_BAR_BITS + 1) | _SELL | bar
+    keys = np.sort(np.concatenate((buy, sell)))
     ids = keys >> _BAR_BITS if day_scope else keys  # (serial, side) or the whole key
     first = np.ones(len(keys), dtype=bool)
     first[1:] = ids[1:] != ids[:-1]
-    return keys[first]
-
-
-def _panel_from_blocks(blocks, serial_scope: str) -> PolarityPanel:
-    builder = PanelBuilder(serial_scope=serial_scope)
-    for blk in blocks:
-        builder.add_arrays(blk.stock_id, blk.trade_date, blk.bar, blk.buy_serial, blk.sell_serial)
-    return builder.build()
-
-
-class PanelBuilder:
-    """Accumulates man-times evidence per (stock, day), then builds the panel.
-
-    Each call's on-grid rows are reduced at once to their distinct
-    (serial, side, bar) keys, so memory scales with participant counts
-    rather than fills. Bar scope counts every key. Day scope keeps each
-    serial's earliest on-grid bar on each side; bars rise with time of day,
-    so that is the minute of the serial's first fill. Keys from several
-    calls for one (stock, day) are merged by the same rule, so splitting a
-    stock-day across calls, in any order, gives the same panel.
-    """
-
-    def __init__(self, serial_scope: str = "bar"):
-        if serial_scope not in ("bar", "day"):
-            raise ValueError(f"serial_scope must be 'bar' or 'day', got {serial_scope!r}")
-        self.serial_scope = serial_scope
-        self._keys: dict[tuple[str, dt.date], list] = {}
-
-    def add_arrays(self, stock, date, bar, buy_serial, sell_serial) -> None:
-        bar = np.asarray(bar)
-        on = bar > 0
-        b = bar[on].astype(np.int64)
-        buy = np.asarray(buy_serial)[on].astype(np.int64) << (_BAR_BITS + 1) | b
-        sell = np.asarray(sell_serial)[on].astype(np.int64) << (_BAR_BITS + 1) | _SELL | b
-        keys = _serial_keys(np.concatenate((buy, sell)), self.serial_scope == "day")
-        self._keys.setdefault((stock, date), []).append(keys)
-
-    def build(self) -> PolarityPanel:
-        stocks = sorted({k[0] for k in self._keys})
-        dates = sorted({k[1] for k in self._keys})
-        sidx = {s: i for i, s in enumerate(stocks)}
-        didx = {d: j for j, d in enumerate(dates)}
-        buy = np.zeros((len(stocks), len(dates), BARS_PER_DAY), dtype=np.int32)
-        sell = np.zeros_like(buy)
-        day = self.serial_scope == "day"
-        for (stock, date), parts in self._keys.items():
-            keys = parts[0] if len(parts) == 1 else _serial_keys(np.concatenate(parts), day)
-            counts = np.bincount(keys & (2 * _SELL - 1), minlength=2 * _SELL)
-            i, j = sidx[stock], didx[date]
-            buy[i, j] = counts[1 : BARS_PER_DAY + 1]
-            sell[i, j] = counts[_SELL + 1 : _SELL + BARS_PER_DAY + 1]
-        return PolarityPanel(stocks, dates, buy, sell)
+    counts = np.bincount(keys[first] & (2 * _SELL - 1), minlength=2 * _SELL).reshape(2, _SELL)
+    # kept until the axes are known, in the narrowest type that holds a
+    # count (at most the block's row count): a thin day's counts fit a byte
+    return counts[:, 1 : BARS_PER_DAY + 1].astype(np.min_scalar_type(len(blk.bar)))
 
 
 # -- aggregate statistics ----------------------------------------------------

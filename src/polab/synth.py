@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .marketdata.grid import BARS_PER_DAY, bar_start_ms
 from .marketdata.schema import DEFAULT_SCHEMA
 from .panel import PolarityPanel
-from .tailfit import _zeta
+from .special import _zeta
 
 _SIGN_COUNTS = {1: (2, 1), -1: (1, 2), 0: (1, 1)}
 

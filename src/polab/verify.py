@@ -1,11 +1,11 @@
 """End-to-end oracle suite over randomized synthetic scenarios.
 
 Each scenario is generated, recounted by the naive oracle, and rebuilt by
-the engine (alternating the direct-parse and binary-cache routes). The
-checks are strict equalities: panel against recount, panel against ground
-truth, planted sign patterns against the flip statistics built from the
-panel, and the planted index-minimum minute against the return series
-loaded back from the emitted files.
+the engine, which reaches the panel through the binary cache. The checks
+are strict equalities: panel against recount, panel against ground truth,
+planted sign patterns against the flip statistics built from the panel,
+and the planted index-minimum minute against the return series loaded back
+from the emitted files.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import flips
-from .marketdata import cache as cache_mod
-from .marketdata.parse import iter_transactions
 from .marketdata.prices import load_eod_prices, load_intraday_prices
 from .panel import PolarityPanel, direction_ratios
 from .returns import build_return_series
@@ -142,12 +140,7 @@ def run_oracle_suite(
 
             brute = brute_force_recount(files.transactions)
             report.n_rows += brute.rows
-            if s % 2 == 0:
-                panel = PolarityPanel.from_transactions(files.transactions)
-            else:
-                cache_path = tmp / "cache.plab"
-                cache_mod.write_cache(cache_path, iter_transactions(files.transactions))
-                panel = PolarityPanel.from_cache(cache_path)
+            panel = PolarityPanel.from_transactions(files.transactions)
 
             engine_cells = panel.active_cells()
             if engine_cells != brute.cells:

@@ -1,6 +1,7 @@
 import datetime as dt
 import os
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +16,7 @@ from polab.marketdata.cache import (
     MAGIC, CacheBlock, CacheWriter, checksum_path, iter_blocks, panel_memo_path,
     verified_crc32, write_cache,
 )
+from polab.marketdata import parse
 from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import ParseReport
 from polab.panel import PolarityPanel
@@ -37,7 +39,7 @@ def block(stock="000001", date=dt.date(2015, 5, 4), n=5, seed=0):
 class TestRoundTrip:
     def test_blocks_survive_write_read(self, tmp_path):
         path = tmp_path / "c.plab"
-        blocks = [block(seed=i, n=3 + i) for i in range(4)]
+        blocks = [block(stock=f"00000{i}", seed=i, n=3 + i) for i in range(4)]
         with CacheWriter(path) as w:
             for b in blocks:
                 w.append(b)
@@ -64,12 +66,24 @@ class TestRoundTrip:
         assert cached.equals(direct)
         assert n == sum(len(chunk) for chunk in iter_transactions(files.transactions))
 
-    def test_small_flush_splits_keys_but_counts_agree(self, small_scenario, tmp_path):
+    def test_small_flush_splits_keys_but_counts_agree(self, small_scenario, tmp_path, monkeypatch):
         files, _ = small_scenario
-        path = tmp_path / "c.plab"
-        write_cache(path, iter_transactions(files.transactions), flush_rows=64)
+        monkeypatch.setattr(parse, "_BLOCK_BYTES", 256)  # chunks of a few rows
+        appended = []
+        append = CacheWriter.append
+
+        def counted(writer, blk):
+            appended.append((blk.stock_id, blk.trade_date))
+            return append(writer, blk)
+
+        path, whole = tmp_path / "c.plab", tmp_path / "whole.plab"
+        with mock.patch.object(CacheWriter, "append", counted):
+            write_cache(path, iter_transactions(files.transactions), flush_rows=64)
+        assert len(appended) > len(set(appended))  # keys really did split across flushes
         keys = [(b.stock_id, b.trade_date) for b in iter_blocks(path)]
-        assert len(keys) > len(set(keys))  # keys really did split across blocks
+        assert keys == list(dict.fromkeys(appended))  # the writer merged them
+        write_cache(whole, iter_transactions(files.transactions))
+        assert path.read_bytes() == whole.read_bytes()
         direct = PolarityPanel.from_transactions(files.transactions)
         assert PolarityPanel.from_cache(path).equals(direct)
 
@@ -93,7 +107,7 @@ ROW = st.tuples(st.integers(0, 237), U32, U32)
 
 @st.composite
 def cache_blocks(draw):
-    """Blocks as the writer takes them; keys repeat, ids may be non-ASCII."""
+    """Blocks as the writer takes them; keys may repeat, ids may be non-ASCII."""
     ids = st.one_of(st.sampled_from(["000001", "平安银行", "a\x00", ""]), st.text(max_size=4))
     out = []
     for _ in range(draw(st.integers(0, 6))):
@@ -109,6 +123,29 @@ def cache_blocks(draw):
             )
         )
     return out
+
+
+def merged(blocks) -> list:
+    """One block per key: keys in order of first appearance, each key's rows
+    in append order."""
+    keys = {}
+    for b in blocks:
+        keys.setdefault((b.stock_id, b.trade_date), []).append(b)
+    cols = ("bar", "buy_serial", "sell_serial")
+    return [
+        CacheBlock(*key, *(np.concatenate([getattr(b, c) for b in parts]) for c in cols))
+        for key, parts in keys.items()
+    ]
+
+
+def raw_cache(path, blocks) -> None:
+    """Write ``blocks`` as they are, repeats included, with a checksum file."""
+    raw = cache_mod._HEADER.pack(MAGIC, cache_mod.VERSION, 0, len(blocks))
+    for b in blocks:
+        cols = (b.bar, b.buy_serial, b.sell_serial)
+        raw += cache_mod._block_bytes(b.stock_id, cache_mod.date_to_int(b.trade_date), cols)
+    path.write_bytes(raw)
+    checksum_path(path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
 
 
 def _same_panel(a: PolarityPanel, b: PolarityPanel) -> bool:
@@ -130,11 +167,11 @@ class TestRoundTripProperty:
             with CacheWriter(path) as w:
                 for b in blocks:
                     w.append(b)
-            got = list(iter_blocks(path))
+            got, want = list(iter_blocks(path)), merged(blocks)
             assert [(b.stock_id, b.trade_date) for b in got] == [
-                (b.stock_id, b.trade_date) for b in blocks
+                (b.stock_id, b.trade_date) for b in want
             ]
-            for orig, back in zip(blocks, got):
+            for orig, back in zip(want, got):
                 for col in ("bar", "buy_serial", "sell_serial"):
                     assert getattr(back, col).tobytes() == getattr(orig, col).tobytes()
 
@@ -145,6 +182,31 @@ class TestRoundTripProperty:
                 with mock.patch.object(cache_mod, "iter_blocks", side_effect=AssertionError):
                     loaded = PolarityPanel.from_cache_memo(path, serial_scope=scope)
                 assert _same_panel(loaded, built)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(
+        st.tuples(
+            st.sampled_from(("2015-05-04", "2015-05-05")), st.sampled_from(("000001", "000002", "Ω3")),
+            st.sampled_from(("09:25:00.000", "09:31:00.000", "10:15:30.000", "14:56:59.999")),
+            st.integers(1, 9), st.integers(1, 9),
+        ),
+        max_size=60,
+    ))
+    def test_cache_bytes_do_not_depend_on_the_flush(self, rows):
+        # every flush size gives one block per key, so the same file
+        with tempfile.TemporaryDirectory() as tmp:
+            feed = Path(tmp) / "tx.csv"
+            lines = [HEADER] + [f"{d},{stock},{t},10.0,100,{b},{s}" for d, stock, t, b, s in rows]
+            feed.write_text("\n".join(lines) + "\n")
+            files = set()
+            for flush_rows in (1, 7, 8192, 1 << 20):
+                path = Path(tmp) / f"c{flush_rows}.plab"
+                report = ParseReport()
+                with mock.patch.object(parse, "_BLOCK_BYTES", 1):  # a chunk a row
+                    chunks = list(iter_transactions(feed, report=report))
+                write_cache(path, iter(chunks), flush_rows, feed, report)
+                files.add((path.read_bytes(), checksum_path(path).read_bytes()))
+            assert len(files) == 1
 
 
 class TestValidation:
@@ -190,22 +252,37 @@ class TestValidation:
         panel = PolarityPanel.from_cache(tmp_path / "c.plab")
         assert panel.active_cells() == synth.brute_force_recount(tx).cells
 
-    def test_write_cache_appends_once_per_block(self, small_scenario, tmp_path):
+    def test_write_cache_appends_once_per_block(self, small_scenario, tmp_path, monkeypatch):
         files, _ = small_scenario
+        monkeypatch.setattr(parse, "_BLOCK_BYTES", 2048)
         path = tmp_path / "c.plab"
         appended = []
         append = CacheWriter.append
 
         def counted(writer, blk):
-            appended.append((blk.stock_id, blk.trade_date, blk.n_rows))
+            appended.append(CacheBlock(blk.stock_id, blk.trade_date, blk.bar.copy(),
+                                       blk.buy_serial.copy(), blk.sell_serial.copy()))
             return append(writer, blk)
 
         with mock.patch.object(CacheWriter, "append", counted):
             write_cache(path, iter_transactions(files.transactions), flush_rows=512)
-        blocks = [(b.stock_id, b.trade_date, b.n_rows) for b in iter_blocks(path)]
-        assert len(blocks) > 24  # keys span several blocks
-        assert appended == blocks
+        blocks = list(iter_blocks(path))
+        assert len(appended) > len(blocks)  # keys span several flushes
+        assert len(blocks) == len({(b.stock_id, b.trade_date) for b in blocks})
+        for want, got in zip(merged(appended), blocks, strict=True):
+            assert (got.stock_id, got.trade_date) == (want.stock_id, want.trade_date)
+            for col in ("bar", "buy_serial", "sell_serial"):
+                assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
 
+    def test_repeated_key_is_refused(self, tmp_path):
+        # only a cache from a writer that split keys across blocks has one
+        path = tmp_path / "c.plab"
+        raw_cache(path, [block(n=3), block("000002"), block(n=4, seed=1)])
+        with pytest.raises(DataError, match=r"second block for \('000001', 2015-05-04\).*"
+                                            r"re-run `polab ingest`"):
+            list(iter_blocks(path))
+        raw_cache(path, [block(n=3), block("000002"), block(date=dt.date(2015, 5, 5))])
+        assert len(list(iter_blocks(path))) == 3
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.plab"
@@ -335,4 +412,15 @@ class TestDamage:
         with pytest.raises(OSError, match="No space"):
             with CacheWriter(tmp_path / "c.plab") as w:
                 w.append(block())
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_merge_removes_both_temporaries_and_older_cache(self, raw, tmp_path, monkeypatch):
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            with CacheWriter(tmp_path / "c.plab") as w:
+                w.append(block())
+                w.append(block(n=2))
         assert list(tmp_path.iterdir()) == []

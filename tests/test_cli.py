@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -416,7 +417,7 @@ def test_fit_run_loads_no_scipy(workdir, tmp_path):
 
 
 def test_granger_run_loads_no_scipy(workdir, tmp_path):
-    # the F survival function is computed in decimal (coupling._f_survival)
+    # the F survival function is computed in decimal (special._f_survival)
     root, out, cfg = workdir
     code = (
         "import sys\nfrom polab.cli import main\n"
@@ -531,6 +532,14 @@ def test_library_import_leaves_the_environment_alone():
         "import polab, polab.panel, polab.coupling\nprint(dict(os.environ) == before)"
     )
     assert _last_line(code, _blas_env()) == "True"
+
+
+@pytest.mark.parametrize("package", ("polab", "polab.marketdata"))
+def test_every_exported_name_resolves(package):
+    # the lazy export tables name each module by hand, so a name whose
+    # definition moved or went would fail only at its first use
+    module = importlib.import_module(package)
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 def test_granger_tables_do_not_depend_on_blas_threads(workdir, tmp_path):
@@ -678,6 +687,25 @@ class TestOldCacheVersion:
         assert "unsupported cache version 1" in err and "re-run `polab ingest`" in err
         assert not (out / "panel.csv").exists()
         assert (memo.read_bytes() if memo.exists() else None) == memo_before
+
+
+class TestSplitKeyCache:
+    def test_cache_with_a_repeated_key_is_refused(self, tmp_path, capsys):
+        # as an older polab wrote it when a (stock, day) spanned two flushes
+        cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
+        block = cache_mod._block_bytes("000001", 20150504, ([1, 2], [1, 2], [1, 2]))
+        raw = cache_mod._HEADER.pack(cache_mod.MAGIC, cache_mod.VERSION, 0, 2) + block + block
+        cache_path.write_bytes(raw)
+        checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "category=data" in err and "second block for ('000001', 2015-05-04)" in err
+        assert "re-run `polab ingest`" in err
+        assert not (out / "panel.csv").exists()
+        assert not panel_memo_path(cache_path, "bar").exists()
 
 
 def _polab(*args):

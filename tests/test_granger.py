@@ -3,7 +3,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from polab.coupling import _f_survival, _granger_f, granger_day, granger_pass_rates
+from polab.coupling import _granger_f, granger_day, granger_pass_rates
+from polab.special import _f_survival
 from polab.synth import generate_causal_days
 
 D = dt.date(2015, 5, 4)

@@ -16,7 +16,6 @@ from polab.marketdata.cache import checksum_path, panel_memo_path, write_cache
 from polab.marketdata.grid import BARS_PER_DAY, assign_bar
 from polab.marketdata.parse import _parse_row, iter_transactions
 from polab.panel import (
-    PanelBuilder,
     PolarityPanel,
     daily_polarity_at_index_min,
     direction_ratios,
@@ -59,14 +58,20 @@ def feed_fills(feed) -> list:
     return fills
 
 
-def add_records(builder, records):
-    """Feed records to ``builder.add_arrays``, one call per (stock, day) in row order."""
+def panel_of(records, tmp_path, serial_scope="bar") -> PolarityPanel:
+    """The panel of ``records`` read from a cache, one block per (stock, day)
+    with its rows in record order."""
     keys = {}
     for r in records:
         keys.setdefault((r.stock_id, r.trade_date), []).append(r)
-    for (stock, date), rows in keys.items():
-        cols = ("bar", "buy_serial", "sell_serial")
-        builder.add_arrays(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
+    path = tmp_path / "records.plab"
+    with cache_mod.CacheWriter(path) as w:
+        for (stock, date), rows in keys.items():
+            cols = ("bar", "buy_serial", "sell_serial")
+            w.append(cache_mod.CacheBlock(
+                stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols)
+            ))
+    return PolarityPanel.from_cache(path, serial_scope=serial_scope)
 
 
 def day_scope_reference(records) -> dict:
@@ -198,32 +203,24 @@ class TestPanelConstruction:
         files, _ = small_scenario
         assert small_panel.active_cells() == brute_force_recount(files.transactions).cells
 
-    def test_serial_spanning_bars_counts_in_each(self):
-        builder = PanelBuilder()
-        add_records(
-            builder, [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)]
-        )
-        panel = builder.build()
+    def test_serial_spanning_bars_counts_in_each(self, tmp_path):
+        panel = panel_of([rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)], tmp_path)
         assert panel.cell("000001", D, 1)[:2] == (1, 1)
         assert panel.cell("000001", D, 2)[:2] == (1, 1)
 
-    def test_day_scope_counts_serial_once(self):
-        builder = PanelBuilder(serial_scope="day")
-        add_records(
-            builder, [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)]
+    def test_day_scope_counts_serial_once(self, tmp_path):
+        panel = panel_of(
+            [rec(1, 2, bar=1), rec(1, 3, bar=2, time_ms=34_260_000)], tmp_path, "day"
         )
-        panel = builder.build()
         # buyer serial 1 belongs to its first minute only
         assert panel.cell("000001", D, 1)[:2] == (1, 1)
         assert panel.cell("000001", D, 2)[:2] == (0, 1)
 
-    def test_day_scope_first_bar_attribution_ignores_row_order(self):
+    def test_day_scope_first_bar_attribution_ignores_row_order(self, tmp_path):
         later = rec(4, 9, bar=3, time_ms=34_330_000)
         earlier = rec(4, 8, bar=2, time_ms=34_270_000)
         for batch in ([later, earlier], [earlier, later]):
-            builder = PanelBuilder(serial_scope="day")
-            add_records(builder, batch)
-            panel = builder.build()
+            panel = panel_of(batch, tmp_path, "day")
             assert panel.cell("000001", D, 2)[:2] == (1, 1)
             assert panel.cell("000001", D, 3)[:2] == (0, 1)
 
@@ -241,6 +238,22 @@ class TestPanelConstruction:
         assert len(lines) == n_cells + 1
         assert any(line.endswith(",0,0,NA") for line in lines[1:])
         assert PolarityPanel.read_text(path).equals(small_panel)
+
+    @pytest.mark.parametrize("line", [
+        "A,2015-05-04,0,3,1,0.5",  # bar 0 would index the last bar
+        "A,2015-05-04,238,3,1,0.5",
+        "A,2015-05-04,7,3,1,0.5",  # the cell the line above holds
+        "A,2015-05-04,8,-3,1,2",
+        "A,2015-05-04,8,3,2147483648,-1",
+        "A,2015-05-04,8",
+        "A,2015-05-04,8,3.0,1,0.5",
+        "A,2015-13-04,8,3,1,0.5",
+    ], ids=["bar 0", "bar 238", "repeated cell", "negative", "past int32", "short", "not an integer", "bad date"])
+    def test_malformed_export_is_a_data_error_at_its_line(self, tmp_path, line):
+        path = tmp_path / "panel.csv"
+        path.write_text(f"stock_id,date,bar,buy,sell,polarity\nA,2015-05-04,7,3,1,0.5\n{line}\n")
+        with pytest.raises(DataError, match=f"{path} line 3"):
+            PolarityPanel.read_text(path)
 
     @settings(max_examples=120, deadline=None)
     @given(

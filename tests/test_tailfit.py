@@ -3,6 +3,7 @@ import pytest
 
 from polab import tailfit
 from polab.errors import FitRefusedError
+from polab.special import _minimize_bounded, _zeta
 from polab.synth import sample_discrete_power_law
 from polab.tailfit import burstiness, fit_power_law
 
@@ -165,7 +166,7 @@ class TestScipyPorts:
             rng.uniform(1.0, 50.0, n),
             np.exp(rng.uniform(np.log(1e7), np.log(1e12), n)),  # across the q > 1e8 asymptote
         ])
-        mine = np.array([tailfit._zeta(a, b) for a, b in zip(x.tolist(), q.tolist())])
+        mine = np.array([_zeta(a, b) for a, b in zip(x.tolist(), q.tolist())])
         assert (q > 1e8).sum() > 20_000
         assert np.array_equal(mine.view(np.int64), zeta(x, q).view(np.int64))
 
@@ -178,13 +179,13 @@ class TestScipyPorts:
         if case < 6:  # the fit's own objective on a power-law tail
             tail = sample_discrete_power_law(rng.uniform(1.3, 4.0), 1 + case, 500, rng)
             n, slog, xmin = len(tail), float(np.log(tail).sum()), 1 + case
-            f = lambda a: float(n * np.log(tailfit._zeta(a, xmin)) + a * slog)
+            f = lambda a: float(n * np.log(_zeta(a, xmin)) + a * slog)
         elif case < 10:  # smooth objectives with a minimum inside or at a bound
             c, k = rng.uniform(lo - 3, hi + 3), rng.uniform(0.1, 10.0)
             f = lambda a: k * (a - c) ** 2 + np.sin(3 * a)
         else:  # flat: every step ties
             f = lambda a: 1.0
-        mine = tailfit._minimize_bounded(f, lo, hi, xatol=1e-8)
+        mine = _minimize_bounded(f, lo, hi, xatol=1e-8)
         ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": 1e-8})
         assert float(mine) == float(ref.x)
 
