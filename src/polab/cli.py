@@ -6,6 +6,12 @@ into the output directory. Artifacts carry the config hash and the method
 decisions that produced them; re-running with unchanged inputs reproduces
 them byte for byte.
 
+Each command's inputs are checked before any file is read: a required key
+that is not configured is a config error, a configured file that does not
+exist an io error. Every analysis reads its panel from one cache, at
+``cache`` or else ``<out_dir>/cache.plab``, where ``ingest`` writes it; an
+analysis whose cache is missing first runs that same ingest.
+
 Exit codes: 0 ok, 2 config, 3 io, 4 data, 5 numeric.
 """
 
@@ -52,35 +58,30 @@ from .tables import write_table
 # be wrapped from outside (the benchmark's traced mode does).
 
 
-def _schema(cfg: RunConfig) -> ColumnSchema:
-    return ColumnSchema(columns=cfg.columns, delimiter=cfg.delimiter, has_header=cfg.has_header)
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
+def _cache_path(cfg: RunConfig) -> Path:
+    return Path(cfg.cache) if cfg.cache else Path(cfg.out_dir) / "cache.plab"
+
+
 def _load_panel(cfg: RunConfig) -> PolarityPanel:
-    if cfg.cache and Path(cfg.cache).exists():
-        if cfg.transactions:
-            cache_mod.check_feed(cfg.cache, cfg.transactions)
-        return PolarityPanel.from_cache_memo(cfg.cache, serial_scope=cfg.serial_scope)
-    if cfg.transactions:
-        return PolarityPanel.from_transactions(
-            cfg.transactions,
-            _schema(cfg),
-            serial_scope=cfg.serial_scope,
-            malformed_threshold=cfg.malformed_threshold,
-        )
-    raise ConfigError("neither 'cache' nor 'transactions' is configured")
+    """The panel of the cache, which is first ingested if it is missing."""
+    cache_path = _cache_path(cfg)
+    if not cache_path.exists():
+        if not cfg.transactions:
+            raise ConfigError(f"no cache at {cache_path}, and no 'transactions' to ingest into it")
+        _cmd_ingest(cfg, None)
+    elif cfg.transactions:
+        cache_mod.check_feed(cache_path, cfg.transactions)
+    return PolarityPanel.from_cache_memo(cache_path, serial_scope=cfg.serial_scope)
 
 
 def _index_returns(cfg: RunConfig):
     """The index's ReturnSeries; both price files are validated in full."""
-    if not cfg.eod_prices or not cfg.intraday_prices:
-        raise ConfigError("'eod_prices' and 'intraday_prices' are required for this command")
     eod = load_eod_prices(cfg.eod_prices, cfg.delimiter, cfg.has_header)
     intraday = load_intraday_prices(
         cfg.intraday_prices, cfg.delimiter, cfg.has_header, ids=(cfg.index_id,)
@@ -111,16 +112,15 @@ def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> 
 
 
 def _cmd_ingest(cfg: RunConfig, args) -> int:
-    if not cfg.transactions:
-        raise ConfigError("'transactions' is required for ingest")
+    """Parse the feed into the cache, its checksum file and ingest_report.csv."""
     out = _out_dir(cfg)
-    cache_path = Path(cfg.cache) if cfg.cache else out / "cache.plab"
+    cache_path = _cache_path(cfg)
     report = ParseReport()
     n = cache_mod.write_cache(
         cache_path,
         iter_transactions(
             cfg.transactions,
-            _schema(cfg),
+            ColumnSchema(columns=cfg.columns, delimiter=cfg.delimiter, has_header=cfg.has_header),
             report=report,
             malformed_threshold=cfg.malformed_threshold,
         ),
@@ -456,8 +456,6 @@ def _cmd_kl(cfg: RunConfig, args) -> int:
 
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    if not cfg.intraday_prices:
-        raise ConfigError("'intraday_prices' is required for kl")
     intraday = load_intraday_prices(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
     dists = _corr_dists(cfg, panel, intraday)
 
@@ -565,8 +563,6 @@ def _cmd_impact(cfg: RunConfig, args) -> int:
 
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    if not cfg.intraday_prices:
-        raise ConfigError("'intraday_prices' is required for impact")
     intraday = load_intraday_prices(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
     log_returns = _stock_log_returns(cfg, panel, intraday)
     periods = cfg.periods
@@ -624,8 +620,6 @@ def _cmd_emotion(cfg: RunConfig, args) -> int:
     from . import coupling
 
     out = _out_dir(cfg)
-    if not cfg.emotion:
-        raise ConfigError("'emotion' (a date,rjf file) is required for emotion")
     panel = _load_panel(cfg)
     index_series = _index_returns(cfg)
     rjf = load_emotion(cfg.emotion)
@@ -791,30 +785,34 @@ def _resolve_config(args) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-#: subcommand -> (handler, input paths it reads and must find at start)
+#: subcommand -> (handler, input keys it requires, input keys it reads when
+#: configured). The files of both must exist before the handler runs.
 _COMMANDS = {
-    "ingest": (_cmd_ingest, ("transactions",)),
-    "polarity": (_cmd_polarity, ()),
-    "ratios": (_cmd_ratios, ("capitalization",)),
-    "flips": (_cmd_flips, ("eod_prices",)),
-    "runlengths": (_cmd_runlengths, ()),
-    "fit": (_cmd_fit, ()),
-    "market": (_cmd_market, ("eod_prices", "intraday_prices")),
-    "kl": (_cmd_kl, ("intraday_prices",)),
-    "granger": (_cmd_granger, ("eod_prices", "intraday_prices")),
-    "impact": (_cmd_impact, ("intraday_prices",)),
-    "emotion": (_cmd_emotion, ("eod_prices", "intraday_prices", "emotion")),
-    "synth": (_cmd_synth, ()),
-    "verify": (_cmd_verify, ()),
+    "ingest": (_cmd_ingest, ("transactions",), ()),
+    "polarity": (_cmd_polarity, (), ()),
+    "ratios": (_cmd_ratios, (), ("capitalization",)),
+    "flips": (_cmd_flips, (), ("eod_prices",)),
+    "runlengths": (_cmd_runlengths, (), ()),
+    "fit": (_cmd_fit, (), ()),
+    "market": (_cmd_market, ("eod_prices", "intraday_prices"), ()),
+    "kl": (_cmd_kl, ("intraday_prices",), ()),
+    "granger": (_cmd_granger, ("eod_prices", "intraday_prices"), ()),
+    "impact": (_cmd_impact, ("intraday_prices",), ()),
+    "emotion": (_cmd_emotion, ("eod_prices", "intraday_prices", "emotion"), ()),
+    "synth": (_cmd_synth, (), ()),
+    "verify": (_cmd_verify, (), ()),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, inputs = _COMMANDS[args.command]
+    handler, required, optional = _COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)
-        cfg.validate_paths(inputs)
+        for key in required:
+            if not getattr(cfg, key):
+                raise ConfigError(f"'{key}' is required for {args.command}")
+        cfg.validate_paths(required + optional)
         return handler(cfg, args)
     except PolabError as exc:
         print(f"error category={exc.category}: {exc}", file=sys.stderr)

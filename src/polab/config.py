@@ -149,9 +149,8 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def validate_paths(self, keys=None) -> None:
-        """The given input paths (default: every input key) must exist
-        where configured.
+    def validate_paths(self, keys) -> None:
+        """The input paths of ``keys`` must exist where configured.
 
         Commands pass the inputs they actually read: a config may also name
         outputs of an earlier subcommand (synth, ingest) that do not exist
@@ -159,8 +158,6 @@ class RunConfig:
         """
         import os
 
-        if keys is None:
-            keys = ("transactions", "eod_prices", "intraday_prices", "emotion", "capitalization")
         for key in keys:
             path = getattr(self, key)
             if path and not os.path.exists(path):

@@ -20,9 +20,10 @@ flush would write. A reader refuses a key it has already seen. Off-grid rows
 are kept with bar 0 so row counts reconcile against the source file.
 
 The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
-it, and readers refuse a cache that does not match it. When ingest names
-the feed, that file also records the feed's size, mtime (ns) and row
-count, and ``check_feed`` refuses a cache whose feed has changed since.
+it. The record is part of the cache: readers refuse a cache without one,
+or one that does not match it. When ingest names the feed, the record also
+holds the feed's size, mtime (ns) and row count, and ``check_feed``
+refuses a cache whose feed has changed since.
 Analyses may keep a built panel beside the cache as
 ``<cache>.panel-<scope>.npz`` (see ``polab.panel``); the writer deletes
 those whenever it replaces or deletes the cache.
@@ -142,12 +143,15 @@ def _checksum_text(crc: int, size: int, feed: FeedStamp | None) -> str:
     return text
 
 
-def _read_checksum(path) -> tuple[int, int, FeedStamp | None] | None:
-    """The cache's recorded CRC-32, size and feed, or None without a checksum file."""
+def read_checksum(path) -> tuple[int, int, FeedStamp | None]:
+    """The cache's recorded CRC-32, size and feed; DataError without a record."""
     try:
         text = checksum_path(path).read_text()
     except FileNotFoundError:
-        return None
+        raise DataError(
+            f"cache {path} has no checksum record {checksum_path(path)}; "
+            f"re-run `polab ingest` to rebuild it"
+        ) from None
     except OSError as exc:
         raise InputError(f"cannot read cache checksum {checksum_path(path)}: {exc}") from exc
     try:
@@ -266,27 +270,21 @@ def _size_mismatch(path, size: int, recorded: int) -> DataError:
     return DataError(f"cache {path} holds {size} bytes, its checksum file says {recorded}")
 
 
-def recorded_crc32(path) -> tuple[int, int] | None:
-    """The CRC-32 and size the writer recorded for the cache, or None."""
-    recorded = _read_checksum(path)
-    return None if recorded is None else recorded[:2]
-
-
 def verified_crc32(path) -> tuple[int, int]:
     """The cache's CRC-32 and size, streamed from the file.
 
-    Where the writer recorded a checksum, a cache that does not match it
-    raises the DataError that ``iter_blocks`` raises for it.
+    A cache that does not match its record raises the DataError that
+    ``iter_blocks`` raises for it.
     """
     try:
         with open(path, "rb") as fh:
             crc, size = _stream_crc32(fh)
     except OSError as exc:
         raise InputError(f"cannot read cache file {path}: {exc}") from exc
-    recorded = _read_checksum(path)
-    if recorded is not None and recorded[1] != size:
-        raise _size_mismatch(path, size, recorded[1])
-    if recorded is not None and recorded[0] != crc:
+    recorded_crc, recorded_size, _ = read_checksum(path)
+    if recorded_size != size:
+        raise _size_mismatch(path, size, recorded_size)
+    if recorded_crc != crc:
         raise DataError(f"cache {path} does not match its checksum")
     return crc, size
 
@@ -296,8 +294,8 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
 
     Validates magic and version, every length against the bytes the file
     holds, each block's date, stock id and bar range, that no (stock, day)
-    has a second block, and, where the writer recorded one, the file's size
-    and CRC-32. The CRC is compared after the last block, so a caller that
+    has a second block, and the file's size and CRC-32 against its record.
+    The CRC is compared after the last block, so a caller that
     drains the iterator has checked the file before it uses any result.
     Every violation raises DataError.
     """
@@ -307,9 +305,9 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
         raise InputError(f"cannot read cache file {path}: {exc}") from exc
     with fh:
         size = os.fstat(fh.fileno()).st_size
-        recorded = _read_checksum(path)
-        if recorded is not None and recorded[1] != size:
-            raise _size_mismatch(path, size, recorded[1])
+        recorded_crc, recorded_size, _ = read_checksum(path)
+        if recorded_size != size:
+            raise _size_mismatch(path, size, recorded_size)
         pos = crc = 0
 
         def take(n: int, what: str) -> bytes:
@@ -354,7 +352,7 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
             yield CacheBlock(stock_id, trade_date, *cols)
         if pos != size:
             raise DataError(f"{path} has {size - pos} bytes after its last block")
-        if recorded is not None and crc != recorded[0]:
+        if crc != recorded_crc:
             raise DataError(f"cache {path} does not match its checksum")
 
 
@@ -446,11 +444,11 @@ def check_feed(path, feed) -> None:
     """Refuse the cache at ``path`` if ``feed`` changed since it was ingested.
 
     Raises DataError when ``feed``'s size or mtime differs from what the
-    cache's checksum file records. Passes when that file records no feed
-    or ``feed`` no longer exists: then there is nothing to compare.
+    cache's record holds, or when there is no record. Passes when the
+    record names no feed or ``feed`` no longer exists: then there is
+    nothing to compare.
     """
-    recorded = _read_checksum(path)
-    stamp = recorded[2] if recorded else None
+    _, _, stamp = read_checksum(path)
     if stamp is None:
         return
     try:

@@ -22,7 +22,8 @@ known, and one block.
 Building the panel from a cache costs far more than any analysis of it, so
 ``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
 an uncompressed ``<cache>.panel-<scope>.npz`` and loads it from there while
-the cache's CRC-32, size and the scope still match the memo's key.
+the CRC-32 and size that the cache's checksum file records, and the scope,
+still match the memo's key. A cache without that record is refused.
 """
 
 from __future__ import annotations
@@ -187,23 +188,21 @@ class PolarityPanel:
     def from_cache_memo(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
         """``from_cache``, built once per cache and kept beside it.
 
-        A memo is keyed by the cache's CRC-32 and size: those its checksum
-        file records, or else those streamed from the cache. It is used
-        only when its key matches and its arrays are well formed; a hit
-        still checks the cache against its recorded checksum, so a damaged
-        cache raises DataError whether or not a memo exists. On a miss the
-        panel is built, which checks the cache in the same read, and the
-        memo rewritten. Failing to write the memo leaves the result
-        unchanged.
+        A memo is keyed by the CRC-32 and size that the cache's checksum
+        file records. It is used only when its key matches and its arrays
+        are well formed; a hit still checks the cache against that record,
+        so a damaged cache raises DataError whether or not a memo exists.
+        On a miss the panel is built, which checks the cache in the same
+        read, and the memo rewritten. Failing to write the memo leaves the
+        result unchanged.
         """
         before = _file_identity(path)
-        recorded = cache_mod.recorded_crc32(path)
-        crc, size = recorded or cache_mod.verified_crc32(path)
+        crc, size, _ = cache_mod.read_checksum(path)
         key = np.array([_MEMO_VERSION, crc, size], dtype=np.int64)
         memo = cache_mod.panel_memo_path(path, serial_scope)
         panel = _load_memo(memo, key, serial_scope)
         # a cache replaced since its record was read fails the comparison
-        if panel is not None and (recorded is None or cache_mod.verified_crc32(path) == recorded):
+        if panel is not None and cache_mod.verified_crc32(path) == (crc, size):
             return panel
         panel = cls.from_cache(path, serial_scope=serial_scope)
         # a cache replaced while it was read must not key the panel
@@ -229,7 +228,7 @@ class PolarityPanel:
         # stocks go out in slices of about _WRITE_CELLS grid cells, which
         # bounds the per-cell strings held at once
         step = max(1, _WRITE_CELLS // max(1, n_dates * BARS_PER_DAY))
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(d.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
             fh.write("\n")
             for lo in range(0, len(self.stocks), step):
@@ -252,7 +251,7 @@ class PolarityPanel:
         import csv
 
         days = {}
-        with open(path, "r", newline="") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             if next(reader, [])[:5] != ["stock_id", "date", "bar", "buy", "sell"]:
                 raise DataError(f"not a panel export: {path}")

@@ -414,7 +414,7 @@ def brute_force_recount(path, schema=DEFAULT_SCHEMA) -> BruteForceCount:
     sets: dict = {}
     off_grid = 0
     rows = 0
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=schema.delimiter)
         if schema.has_header:
             next(reader, None)

@@ -26,7 +26,7 @@ def fmt(value) -> str:
 
 
 def write_table(path, name, columns, rows, *, config_hash, meta=None, delimiter=","):
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# polab table={name} config={config_hash}\n")
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
@@ -40,7 +40,7 @@ def read_table(path, delimiter=","):
     meta = {}
     columns = None
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if line.startswith("#"):

@@ -1,5 +1,6 @@
 import datetime as dt
 import os
+import re
 import tempfile
 import zlib
 from pathlib import Path
@@ -138,14 +139,20 @@ def merged(blocks) -> list:
     ]
 
 
+def recorded(path, raw: bytes) -> None:
+    """Write ``raw`` at ``path`` with a checksum file that matches it, so a
+    reader gets past the record to the structure."""
+    path.write_bytes(raw)
+    checksum_path(path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+
+
 def raw_cache(path, blocks) -> None:
     """Write ``blocks`` as they are, repeats included, with a checksum file."""
     raw = cache_mod._HEADER.pack(MAGIC, cache_mod.VERSION, 0, len(blocks))
     for b in blocks:
         cols = (b.bar, b.buy_serial, b.sell_serial)
         raw += cache_mod._block_bytes(b.stock_id, cache_mod.date_to_int(b.trade_date), cols)
-    path.write_bytes(raw)
-    checksum_path(path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+    recorded(path, raw)
 
 
 def _same_panel(a: PolarityPanel, b: PolarityPanel) -> bool:
@@ -286,7 +293,7 @@ class TestValidation:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.plab"
-        path.write_bytes(b"NOTPL" + b"\x00" * 32)
+        recorded(path, b"NOTPL" + b"\x00" * 32)
         with pytest.raises(DataError, match="bad magic"):
             list(iter_blocks(path))
 
@@ -295,7 +302,7 @@ class TestValidation:
         with CacheWriter(path) as w:
             w.append(block(n=100))
         clipped = tmp_path / "clipped.plab"
-        clipped.write_bytes(path.read_bytes()[:-50])
+        recorded(clipped, path.read_bytes()[:-50])
         with pytest.raises(DataError, match="truncated"):
             list(iter_blocks(clipped))
 
@@ -346,8 +353,8 @@ class TestDamage:
 
     @pytest.mark.parametrize("edit,message", STRUCTURE_DAMAGE)
     def test_structure_damage_is_a_data_error(self, raw, tmp_path, edit, message):
-        path = tmp_path / "damaged.plab"  # no checksum file: the structure alone is checked
-        path.write_bytes(edit(raw))
+        path = tmp_path / "damaged.plab"  # its record matches: the structure is checked
+        recorded(path, edit(raw))
         with pytest.raises(DataError, match=message):
             list(iter_blocks(path))
 
@@ -364,6 +371,17 @@ class TestDamage:
         path.write_bytes(edit(raw))
         with pytest.raises(DataError, match=message):
             list(iter_blocks(path))
+
+    def test_cache_without_checksum_file_is_refused(self, raw, tmp_path):
+        # as a writer killed between moving the cache into place and
+        # recording its checksum leaves it: every reader refuses it
+        path = tmp_path / "c.plab"
+        checksum_path(path).unlink()
+        message = rf"cache {re.escape(str(path))} has no checksum record .*re-run `polab ingest`"
+        for read in (lambda: list(iter_blocks(path)), lambda: verified_crc32(path),
+                     lambda: cache_mod.check_feed(path, tmp_path / "feed.csv")):
+            with pytest.raises(DataError, match=message):
+                read()
 
     def test_writer_leaves_only_cache_and_checksum(self, raw, tmp_path):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.plab", "c.plab.crc32"]

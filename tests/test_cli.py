@@ -1,6 +1,6 @@
-import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import zlib
@@ -69,6 +69,9 @@ def workdir(tmp_path_factory):
     emotion_path.write_text("\n".join(lines) + "\n")
     analysis["emotion"] = str(emotion_path)
     analysis_path.write_text(json.dumps(analysis))
+    # ingested here, so that no analysis, whichever runs first, ingests the
+    # feed into its output directory
+    assert main(["ingest", "--config", str(analysis_path)]) == 0
     return root, out, analysis_path
 
 
@@ -534,14 +537,6 @@ def test_library_import_leaves_the_environment_alone():
     assert _last_line(code, _blas_env()) == "True"
 
 
-@pytest.mark.parametrize("package", ("polab", "polab.marketdata"))
-def test_every_exported_name_resolves(package):
-    # the lazy export tables name each module by hand, so a name whose
-    # definition moved or went would fail only at its first use
-    module = importlib.import_module(package)
-    assert [name for name in module.__all__ if not hasattr(module, name)] == []
-
-
 def test_granger_tables_do_not_depend_on_blas_threads(workdir, tmp_path):
     # the regressions are tiny, but their bytes must not depend on the pool
     root, out, cfg = workdir
@@ -581,8 +576,8 @@ class TestFailedIngest:
         assert main(["polarity", "--config", str(cfg)]) != 0
 
 
-def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
-    """A small synthetic market ingested through the CLI: (config, feed, cache, out)."""
+def _market_files(root, n_stocks=3, n_days=2, seed=17, **extra):
+    """A small synthetic market's feed and price files, under ``root / "feed"``."""
     import datetime as dt
 
     from polab.synth import RegimeSpec, generate, weekdays
@@ -591,7 +586,12 @@ def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
         "flow", buy_rate=0.8, sell_rate=0.8, mean_fills=1.6, bars=tuple(range(1, 238, 9))
     )
     days = weekdays(dt.date(2015, 5, 4), n_days)
-    files, _ = generate(regime, n_stocks, days, seed, root / "feed", **extra)
+    return generate(regime, n_stocks, days, seed, root / "feed", **extra)[0]
+
+
+def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
+    """A small synthetic market ingested through the CLI: (config, feed, cache, out)."""
+    files = _market_files(root, n_stocks, n_days, seed, **extra)
     cache_path, out = root / "cache.plab", root / "out"
     cfg = root / "c.json"
     cfg.write_text(json.dumps(
@@ -867,11 +867,11 @@ class TestCorruptCache:
     def test_damage_without_checksum_is_never_a_traceback(
         self, cached_market, tmp_path, capsys, data
     ):
-        # without the checksum file only the structure can be checked, so a
-        # flipped serial may change the panel, but must never crash the reader
+        # without its checksum file no cache is read, damaged or not
         raw, _, _ = cached_market
-        code, _ = _polarity_on(tmp_path, _damaged(raw, data.draw(damage(len(raw)))), None)
-        assert code in (0, 4)
+        code, panel_path = _polarity_on(tmp_path, _damaged(raw, data.draw(damage(len(raw)))), None)
+        assert code == 4 and not panel_path.exists()
+        assert "no checksum record" in capsys.readouterr().err
 
 
 def _memo_panel(cache_path):
@@ -945,3 +945,207 @@ class TestPanelMemo:
         assert cache_path.read_bytes() == b.raw
         assert main(["polarity", "--config", str(cfg)]) == 0
         assert (tmp_path / "panel.csv").read_bytes() == b.panel
+
+
+def _snapshot(root) -> dict:
+    """Every file and directory under ``root``, with its size and mtime."""
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in root.rglob("*")}
+
+
+@pytest.fixture
+def priced_market(tmp_path):
+    """An ingested market with price and emotion files, and no panel memo yet."""
+    root = tmp_path / "market"
+    cfg, tx, _, _ = _ingest_market(root)
+    (root / "emotion.csv").write_text("date,rjf\n2015-05-04,1.0\n2015-05-05,1.1\n")
+    config = json.loads(cfg.read_text())
+    config.update(
+        eod_prices=str(tx.parent / "eod.csv"),
+        intraday_prices=str(tx.parent / "intraday.csv"),
+        emotion=str(root / "emotion.csv"),
+    )
+    return root, config
+
+
+REQUIRED_INPUTS = {
+    "ingest": ("transactions",),
+    "market": ("eod_prices", "intraday_prices"),
+    "kl": ("intraday_prices",),
+    "granger": ("eod_prices", "intraday_prices"),
+    "impact": ("intraday_prices",),
+    "emotion": ("eod_prices", "intraday_prices", "emotion"),
+}
+
+
+class TestInputsCheckedFirst:
+    @pytest.mark.parametrize(
+        "command,key", [(c, k) for c, keys in REQUIRED_INPUTS.items() for k in keys]
+    )
+    @pytest.mark.parametrize("fault,code", [("unset", 2), ("absent", 3)])
+    def test_before_any_read(self, priced_market, tmp_path, capsys, command, key, fault, code):
+        # neither a cache, a memo nor a table is written: the check precedes
+        # the panel, so a missing cache would not be ingested either
+        root, config = priced_market
+        config = dict(config)
+        if fault == "unset":
+            del config[key]
+        else:
+            config[key] = str(root / "absent.csv")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        before = _snapshot(root)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        if fault == "unset":
+            assert f"category=config: '{key}' is required for {command}" in err
+        else:
+            assert f"category=io: configured {key} does not exist" in err
+        assert _snapshot(root) == before
+
+
+class TestOneCachePath:
+    """Every command finds the cache at ``cache``, else ``<out_dir>/cache.plab``."""
+
+    @staticmethod
+    def config(root, **extra):
+        files = _market_files(root)
+        cfg = root / "c.json"
+        cfg.write_text(json.dumps({
+            "transactions": str(files.transactions),
+            "intraday_prices": str(files.intraday_prices),
+            "out_dir": str(root / "out"),
+            **extra,
+        }))
+        return cfg, files.transactions
+
+    def test_analysis_reads_the_cache_ingest_wrote(self, tmp_path):
+        cfg, tx = self.config(tmp_path)
+        cache_path = tmp_path / "out" / "cache.plab"
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        assert panel_memo_path(cache_path, "bar").exists()
+        panel = (tmp_path / "out" / "panel.csv").read_bytes()
+        tx.rename(tmp_path / "moved.csv")
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "panel.csv").read_bytes() == panel
+
+    @pytest.mark.parametrize("command", ("polarity", "kl"))
+    @pytest.mark.parametrize("cache_key", (False, True))
+    def test_missing_cache_is_ingested_as_ingest_would(self, tmp_path, command, cache_key):
+        extra = {"cache": str(tmp_path / "out" / "c.plab")} if cache_key else {}
+        cfg, _ = self.config(tmp_path, **extra)
+        out = tmp_path / "out"
+        outputs = []
+        for steps in (("ingest", command), (command,)):
+            shutil.rmtree(out, ignore_errors=True)
+            for step in steps:
+                assert main([step, "--config", str(cfg)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        name = "c.plab" if cache_key else "cache.plab"
+        assert {name, f"{name}.crc32", "ingest_report.csv"} <= set(outputs[1])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cache_key", (False, True))
+    def test_no_cache_and_no_feed_is_a_config_error(self, tmp_path, capsys, cache_key):
+        cache_path = tmp_path / ("c.plab" if cache_key else "out/cache.plab")
+        config = {"out_dir": str(tmp_path / "out")}
+        if cache_key:
+            config["cache"] = str(cache_path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg)]) == 2
+        assert f"category=config: no cache at {cache_path}" in capsys.readouterr().err
+        assert not cache_path.exists() and not list((tmp_path / "out").glob("*.csv"))
+
+    @pytest.mark.parametrize("state", ("intact", "memo", "bar flipped"))
+    def test_cache_without_checksum_file_is_refused(self, tmp_path, capsys, state):
+        cfg, tx, cache_path, out = _ingest_market(tmp_path)
+        if state == "memo":
+            assert main(["polarity", "--config", str(cfg)]) == 0
+            (out / "panel.csv").unlink()
+        elif state == "bar flipped":  # the first row's bar: structure still valid
+            raw = bytearray(cache_path.read_bytes())
+            raw[32] ^= 1
+            cache_path.write_bytes(bytes(raw))
+        checksum_path(cache_path).unlink()
+        for config in (json.loads(cfg.read_text()), {"cache": str(cache_path), "out_dir": str(out)}):
+            cfg.write_text(json.dumps(config))
+            capsys.readouterr()
+            assert main(["polarity", "--config", str(cfg)]) == 4
+            err = capsys.readouterr().err
+            assert f"category=data: cache {cache_path} has no checksum record" in err
+            assert "re-run `polab ingest`" in err
+            assert not (out / "panel.csv").exists()
+
+
+def test_granger_vs_prev_minute(workdir, tmp_path):
+    from polab import coupling
+    from polab.config import RunConfig
+    from polab.marketdata.prices import load_eod_prices, load_intraday_prices
+    from polab.panel import market_polarity_series
+    from polab.returns import build_return_series
+    from polab.tables import fmt
+
+    root, out, cfg = workdir
+    flag, override = tmp_path / "flag", tmp_path / "set"
+    assert run(cfg, "granger", "--out", str(flag), "--return-mode", "vs-prev-minute") == 0
+    assert run(cfg, "granger", "--out", str(override), "--set", "return_mode=vs-prev-minute") == 0
+    meta, _, rows = read_table(flag / "granger_days.csv")
+    assert meta["return_mode"] == "vs-prev-minute"
+
+    rc = RunConfig.from_json(cfg)
+    panel = PolarityPanel.from_cache(rc.cache)
+    index = build_return_series(
+        rc.index_id,
+        load_eod_prices(rc.eod_prices)[rc.index_id],
+        load_intraday_prices(rc.intraday_prices, ids=(rc.index_id,))[rc.index_id],
+    )
+    mp = market_polarity_series(panel)
+    days = {d: (mp[j], index.intraday_log[d]) for j, d in enumerate(panel.dates)
+            if d in index.intraday_log}
+    summary = coupling.granger_pass_rates(
+        days, max_lag=rc.max_lag, min_minutes=rc.min_granger_minutes
+    )
+    want = [
+        [fmt(v) for v in (r.trade_date, r.direction, r.lag, r.f_stat, r.p_value, r.reject_at_5pct)]
+        for r in summary.results
+    ]
+    assert rows and rows == want
+    tables = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (flag, override)]
+    assert tables[0] == tables[1]
+
+
+def test_tables_are_utf8_in_an_ascii_locale(tmp_path):
+    # the parser and the cache take any UTF-8 stock id, so every writer must
+    # too, whatever encoding the locale prefers
+    rows = [
+        f"2015-05-04,{stock},09:{31 + i}:00.000,10.0,100,{i + 1},{i + 2 + len(stock)}"
+        for i in range(8) for stock in ("000002", "深A001")
+    ]
+    feed = tmp_path / "tx.csv"
+    feed.write_text("\n".join([TestNotUtf8.HEADER.decode()] + rows) + "\n", encoding="utf-8")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"transactions": str(feed), "out_dir": str(tmp_path / "out")}))
+    locales = {
+        "ascii": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf-8": {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+    }
+    base = {k: v for k, v in _blas_env().items()
+            if k != "PYTHONIOENCODING" and not k.startswith(("LANG", "LC_"))}
+    outputs = {}
+    for name, variables in locales.items():
+        env = {**base, **variables}
+        code = "import codecs, locale; print(codecs.lookup(locale.getpreferredencoding(False)).name)"
+        assert _last_line(code, env) == name
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        for command in ("ingest", "polarity", "ratios"):
+            done = subprocess.run(
+                [sys.executable, "-m", "polab.cli", command, "--config", str(cfg)],
+                env=env, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert "深A001,2015-05-04,".encode("utf-8") in outputs["ascii"]["panel.csv"]
+    assert outputs["ascii"] == outputs["utf-8"]

@@ -622,16 +622,19 @@ class TestPanelMemo:
         with pytest.raises(DataError, match="does not match its checksum"):
             PolarityPanel.from_cache_memo(path)
 
-    def test_memo_without_checksum_file_follows_the_cache_bytes(self, cached, tmp_path):
-        path, reference = cached
+    @pytest.mark.parametrize("memo", (False, True))
+    def test_cache_without_checksum_file_is_refused(self, cached, memo):
+        # the record is part of the cache: without it neither a memo nor a
+        # build is trusted, and no memo is written
+        path, _ = cached
+        if memo:
+            self.load(path)
+        memo_before = panel_memo_path(path, "bar").read_bytes() if memo else None
         checksum_path(path).unlink()
-        assert self.load(path)[1] and not self.load(path)[1]
-        other = tmp_path / "other.plab"
-        with cache_mod.CacheWriter(other) as w:
-            w.append(next(cache_mod.iter_blocks(path)))
-        os.replace(other, path)
-        panel, built = self.load(path)
-        assert built and len(panel.stocks) == 1 and not self.same(panel, reference)
+        with pytest.raises(DataError, match=r"no checksum record .*re-run `polab ingest`"):
+            PolarityPanel.from_cache_memo(path)
+        memo_path = panel_memo_path(path, "bar")
+        assert (memo_path.read_bytes() if memo_path.exists() else None) == memo_before
 
     def test_failed_memo_write_still_returns_the_panel(self, cached, monkeypatch):
         path, reference = cached
