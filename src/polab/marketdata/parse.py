@@ -2,11 +2,14 @@
 
 The file is read as binary blocks of about ``_BLOCK_BYTES`` bytes, each
 read on to the next LF, so memory use is independent of file size and no
-line is split between blocks. A block is split into columns and converted with
-numpy; the ``nonpositive`` and ``bad_time`` rules run as masks. A row the
-fast path cannot convert exactly (a field that is not plain digits, a
-price with more than 15 digits, an unusual time width) goes through the
-per-row rule ``_parse_row``. So does every row of a block holding a quote,
+line is split between blocks. A block is split into fields, read as byte
+windows with numpy: date, time and the serials are converted, while price
+and volume are checked as bytes and not converted, as the cache keeps
+neither; each is positive when a digit other than 0 is in it. The
+``nonpositive`` and ``bad_time`` rules run as masks. A row the fast path
+cannot read exactly (a field that is not plain digits, a price with more
+than 15 digits, an unusual time width) goes through the per-row rule
+``_parse_row``. So does every row of a block holding a quote,
 a NUL, a carriage return outside a CRLF line end or bytes that are not
 UTF-8, and of every block when the delimiter is not ASCII: such blocks are
 decoded and read with ``csv``, their lines split at CR, LF and CRLF and
@@ -31,6 +34,7 @@ from itertools import chain
 from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataError, InputError
 from .grid import assign_bar, assign_bars
@@ -107,88 +111,109 @@ def _parse_row(row: list, idx: tuple) -> tuple | int:
 
 # -- fast path: one chunk of plain lines as byte columns -------------------------
 
+#: Zero bytes on each side of a block in ``split_fields``: every field window
+#: read here, at most 18 bytes from a field's start or up to its end, lies
+#: inside the array.
+_PAD = 20
 
 _POW10 = np.array([float(10**k) for k in range(_MAX_PRICE_DIGITS + 1)])
+#: Digit values of a colon and a dot: byte - 48, wrapped in uint8.
+_COLON, _DOT = ord(":") - 48, (ord(".") - 48) & 0xFF
 
 
-def _join_digits(d, positions) -> np.ndarray:
-    """The integer the digit columns ``positions`` of ``d`` spell, per row."""
-    value = np.zeros(len(d), np.int64)
+def _digit_rows(buf, offsets, width: int) -> np.ndarray:
+    """Digit values (byte - 48, so a non-digit reads above 9) of the
+    ``width`` bytes from each offset on, as a (width, n) array: row k holds
+    byte k of every window."""
+    rows = np.ascontiguousarray(sliding_window_view(buf, width)[offsets].T)
+    rows -= np.uint8(48)
+    return rows
+
+
+def _join_digits(d, positions, dtype=np.int64) -> np.ndarray:
+    """The integer the digit rows ``positions`` of ``d`` spell, per field."""
+    value = np.zeros(d.shape[1], dtype)
     for k in positions:
-        value = value * 10 + d[:, k]
+        value = value * 10 + d[k]
     return value
 
 
-def _fixed_width(buf, start, width: int):
-    """The first ``width`` bytes of each field, and their digit values
-    (above 9 for a non-digit)."""
-    mat = buf[np.minimum(start[:, None] + np.arange(width), len(buf) - 1)]
-    return mat, (mat - np.uint8(48)).astype(np.int64)
-
-
-def _right_aligned(buf, start, end, width: int):
-    """Byte windows of ``width`` ending at each field's end, their digit
-    values, and the mask of the window bytes inside the field."""
-    idx = end[:, None] - width + np.arange(width)
-    mat = buf[np.maximum(idx, 0)]
-    return mat, (mat - np.uint8(48)).astype(np.int64), idx >= start[:, None]
+def _right_aligned(buf, start, end, max_width: int):
+    """Digit rows of windows ending at each field's end, 0 left of the
+    field, as wide as the widest field of 1 to ``max_width`` bytes; and the
+    mask of those fields."""
+    width = end - start
+    ok = (width >= 1) & (width <= max_width)
+    w = int(width[ok].max()) if ok.any() else 1
+    d = _digit_rows(buf, end - w, w)
+    d *= (w - width) <= np.arange(w)[:, None]
+    return d, ok
 
 
 def _digits(buf, start, end):
-    """Plain-digit integer fields: (value int64, ok mask)."""
-    width = end - start
-    ok = (width >= 1) & (width <= _MAX_INT_DIGITS)
-    w = int(width[ok].max()) if ok.any() else 1
-    _, d, inside = _right_aligned(buf, start, end, w)
-    ok &= ((d <= 9) | ~inside).all(axis=1)
-    return _join_digits(np.where(inside, d, 0), range(w)), ok
+    """Plain-digit integer fields of at most 18 digits: (digit rows as
+    ``_right_aligned`` gives them, ok mask). ``_join_digits(d, range(len(d)))``
+    is the value."""
+    d, ok = _right_aligned(buf, start, end, _MAX_INT_DIGITS)
+    return d, ok & (d.max(axis=0) <= 9)
 
 
 def _decimals(buf, start, end):
-    """Plain decimal fields ``digits[.digits]``: (value float64, ok mask).
+    """Plain decimal fields ``digits[.digits]`` of at most 15 digits: (digit
+    rows as ``_right_aligned`` gives them, where a dot reads ``_DOT``; ok
+    mask)."""
+    d, ok = _right_aligned(buf, start, end, _MAX_PRICE_DIGITS + 1)
+    dot = d == _DOT
+    dots = dot.sum(axis=0, dtype=np.uint8)
+    n_digits = end - start - dots
+    ok &= ((d <= 9) | dot).all(axis=0) & (dots <= 1)
+    return d, ok & (n_digits >= 1) & (n_digits <= _MAX_PRICE_DIGITS)
+
+
+def _decimal_values(d) -> np.ndarray:
+    """The values of ``_decimals``' fields where it holds.
 
     The value is mantissa / 10**k with both operands exact, so the one
     correctly rounded division gives what ``float()`` returns.
     """
-    width = end - start
-    ok = (width >= 1) & (width <= _MAX_PRICE_DIGITS + 1)
-    w = int(width[ok].max()) if ok.any() else 1
-    mat, d, inside = _right_aligned(buf, start, end, w)
-    digit = (d <= 9) & inside
-    dot = (mat == ord(".")) & inside
-    n_digits = digit.sum(axis=1)
-    ok &= ((digit | dot) == inside).all(axis=1) & (dot.sum(axis=1) <= 1)
-    ok &= (n_digits >= 1) & (n_digits <= _MAX_PRICE_DIGITS)
-    mantissa = np.zeros(len(start), np.int64)
-    for k in range(w):
-        mantissa = np.where(digit[:, k], mantissa * 10 + d[:, k], mantissa)
-    # digits after the dot: the window bytes right of it
-    frac = np.where(dot.any(axis=1), w - 1 - dot.argmax(axis=1), 0)
-    return mantissa / _POW10[frac], ok
+    mantissa = np.zeros(d.shape[1], np.int64)
+    frac = np.zeros(d.shape[1], np.intp)  # digits after the dot: the window bytes right of it
+    for k in range(len(d)):
+        dot = d[k] == _DOT
+        mantissa = np.where(dot, mantissa, mantissa * 10 + d[k])
+        frac[dot] = len(d) - 1 - k
+    return mantissa / _POW10[frac]
+
+
+def _positive(d) -> np.ndarray:
+    """Whether each field of ``_digits`` or ``_decimals`` is above zero,
+    where it holds: whether a digit other than 0 is in it."""
+    return (d - np.uint8(1) < 9).any(axis=0)
 
 
 def _times(buf, start, end):
-    """``HH:MM:SS`` and ``HH:MM:SS.mmm`` fields: (time_ms int64, ok mask)."""
+    """``HH:MM:SS`` and ``HH:MM:SS.mmm`` fields: (time_ms int32, ok mask)."""
     width = end - start
-    mat, d = _fixed_width(buf, start, 12)
+    d = _digit_rows(buf, start, 12)
     ms_form = width == 12
-    ok = ((width == 8) | ms_form) & (d[:, [0, 1, 3, 4, 6, 7]] <= 9).all(axis=1)
-    ok &= (mat[:, 2] == ord(":")) & (mat[:, 5] == ord(":"))
-    ok &= ~ms_form | ((mat[:, 8] == ord(".")) & (d[:, 9:12] <= 9).all(axis=1))
-    sec = _join_digits(d, (0, 1)) * 3600 + _join_digits(d, (3, 4)) * 60 + _join_digits(d, (6, 7))
-    return sec * 1000 + np.where(ms_form, _join_digits(d, (9, 10, 11)), 0), ok
+    ok = ((width == 8) | ms_form) & (d[[0, 1, 3, 4, 6, 7]].max(axis=0) <= 9)
+    ok &= (d[2] == _COLON) & (d[5] == _COLON)
+    ok &= ~ms_form | ((d[8] == _DOT) & (d[9:12].max(axis=0) <= 9))
+    hms = [_join_digits(d, pair, np.int32) for pair in ((0, 1), (3, 4), (6, 7))]
+    ms = np.where(ms_form, _join_digits(d, (9, 10, 11), np.int32), 0)
+    return ((hms[0] * 60 + hms[1]) * 60 + hms[2]) * 1000 + ms, ok
 
 
 def _yyyymmdd(buf, start, end):
-    """``YYYY?MM?DD`` fields as the integer yyyymmdd: (value int64, ok mask).
+    """``YYYY?MM?DD`` fields as the integer yyyymmdd: (value int32, ok mask).
 
     The per-row rule reads the same three digit runs and ignores the two
     separators, so it agrees wherever the mask holds.
     """
     digits = (0, 1, 2, 3, 5, 6, 8, 9)
-    _, d = _fixed_width(buf, start, 10)
-    ok = (end - start == 10) & (d[:, digits] <= 9).all(axis=1)
-    return _join_digits(d, digits), ok
+    d = _digit_rows(buf, start, 10)
+    ok = (end - start == 10) & (d[list(digits)].max(axis=0) <= 9)
+    return _join_digits(d, digits, np.int32), ok
 
 
 def _factorize(buf, start, end):
@@ -200,15 +225,16 @@ def _factorize(buf, start, end):
     # (about 10 ms) into every process that reads a file
     for w in np.flatnonzero(np.bincount(width)).tolist():
         rows = np.flatnonzero(width == w)
-        if w == 0:  # no S0 dtype: every empty field is one value
-            codes[rows] = len(values)
-            values.append(b"")
-            continue
-        mat = buf[start[rows, None] + np.arange(w)]
-        keys = mat.view(f"S{w}").ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        codes[rows] = inverse + len(values)
-        values.extend(mat[k].tobytes() for k in first.tolist())
+        mat = sliding_window_view(buf, w)[start[rows]]
+        if w <= 8:  # zero-padded to 8 bytes, a big-endian u8 sorts as the bytes do
+            keys = np.zeros((len(rows), 8), np.uint8)
+            keys[:, :w] = mat
+            uniq, inverse = np.unique(keys.view(">u8").ravel(), return_inverse=True)
+            values.extend(v.to_bytes(8, "big")[:w] for v in uniq.tolist())
+        else:  # no NUL is in a field here, so none is stripped
+            uniq, inverse = np.unique(mat.view(f"S{w}").ravel(), return_inverse=True)
+            values.extend(uniq.tolist())
+        codes[rows] = inverse + (len(values) - len(uniq))
     return values, codes
 
 
@@ -252,25 +278,28 @@ def split_fields(raw: bytes, delim: str, ncols: int):
     """Field byte ranges of LF-separated lines free of quotes, NUL and CR.
 
     Returns (buf, nonblank, regular, start, end): the bytes as a uint8
-    array, per-line masks of the non-blank lines and of those with exactly
-    ``ncols`` fields, and for each regular line, in order, the start and
-    end offsets of its fields as (n, ncols) arrays.
+    array, ended by an LF and with ``_PAD`` zero bytes on each side; per-line
+    masks of the non-blank lines and of those with exactly ``ncols`` fields;
+    and the offsets in ``buf`` of the start and end of the fields of the
+    regular lines as (ncols, n) arrays, row i holding field i of each line
+    in order.
     """
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    buf = np.frombuffer(raw, np.uint8)
-    seps = np.flatnonzero((buf == ord(delim)) | (buf == 10))
-    is_nl = buf[seps] == 10
-    line_end = seps[is_nl]
-    line_start = np.concatenate(([0], line_end[:-1] + 1))
-    line_of_sep = np.cumsum(is_nl) - is_nl
-    n_fields = np.bincount(line_of_sep, minlength=len(line_end))
+    size = len(raw) + (not raw.endswith(b"\n"))
+    buf = np.zeros(size + 2 * _PAD, np.uint8)
+    body = buf[_PAD : _PAD + size]
+    body[: len(raw)] = np.frombuffer(raw, np.uint8)
+    body[-1] = 10
+    seps = np.flatnonzero((body == ord(delim)) | (body == 10)) + _PAD
+    nl = np.flatnonzero(buf[seps] == 10)  # the separator that ends each line
+    line_end = seps[nl]
+    line_start = np.concatenate(([_PAD], line_end[:-1] + 1))
+    n_fields = np.diff(nl, prepend=-1)
     nonblank = line_end > line_start
     regular = nonblank & (n_fields == ncols)
-    end = seps[regular[line_of_sep]].reshape(-1, ncols)
+    end = np.ascontiguousarray(seps[np.repeat(regular, n_fields)].reshape(-1, ncols).T)
     start = np.empty_like(end)
-    start[:, 0] = line_start[regular]
-    start[:, 1:] = end[:, :-1] + 1
+    start[0] = line_start[regular]
+    start[1:] = end[:-1] + 1
     return buf, nonblank, regular, start, end
 
 
@@ -289,7 +318,7 @@ def _fast_chunk(raw: bytes, delim: str, idx: tuple):
     cols.status[~regular[rows_line]] = _FIELD_COUNT
     reg = np.flatnonzero(regular[rows_line])
     if len(reg):
-        ymd, ok = _yyyymmdd(buf, start[:, i_date], end[:, i_date])
+        ymd, ok = _yyyymmdd(buf, start[i_date], end[i_date])
         ymd_uniq, date_code = np.unique(np.where(ok, ymd, 0), return_inverse=True)
         date_of = []
         for v in ymd_uniq.tolist():
@@ -301,23 +330,28 @@ def _fast_chunk(raw: bytes, delim: str, idx: tuple):
                 date_of.append(cols.dates.setdefault(d, len(cols.dates)))
         date_idx = np.asarray(date_of, np.intp)[date_code]
         fallback = ~ok | (date_idx < 0)
-        stock_raw, stock_code = _factorize(buf, start[:, i_stock], end[:, i_stock])
+        stock_raw, stock_code = _factorize(buf, start[i_stock], end[i_stock])
         stock_of = [cols.stocks.setdefault(s.decode("utf-8"), len(cols.stocks)) for s in stock_raw]
         stock_idx = np.asarray(stock_of, np.intp)[stock_code]
 
-        time_ms, ok = _times(buf, start[:, i_time], end[:, i_time])
+        time_ms, ok = _times(buf, start[i_time], end[i_time])
         fallback |= ~ok
-        price, ok = _decimals(buf, start[:, i_price], end[:, i_price])
+        # price and volume decide the outcome, but only whether they are positive
+        d, ok = _decimals(buf, start[i_price], end[i_price])
         fallback |= ~ok
-        ints = []
-        for i in (i_vol, i_buy, i_sell):
-            value, ok = _digits(buf, start[:, i], end[:, i])
-            ints.append(value)
+        positive = _positive(d)
+        d, ok = _digits(buf, start[i_vol], end[i_vol])
+        fallback |= ~ok
+        positive &= _positive(d)
+        serials = []
+        for i in (i_buy, i_sell):
+            d, ok = _digits(buf, start[i], end[i])
+            serials.append(_join_digits(d, range(len(d))))
             fallback |= ~ok
-        volume, buy_serial, sell_serial = ints
+        buy_serial, sell_serial = serials
 
         status = np.zeros(len(reg), np.int8)
-        nonpositive = (price <= 0.0) | (volume <= 0) | (buy_serial <= 0) | (sell_serial <= 0)
+        nonpositive = ~positive | (buy_serial <= 0) | (sell_serial <= 0)
         status[(time_ms < 0) | (time_ms >= _MS_PER_DAY)] = _BAD_TIME
         status[nonpositive] = _NONPOSITIVE
         cols.status[reg] = status
@@ -328,7 +362,7 @@ def _fast_chunk(raw: bytes, delim: str, idx: tuple):
         cols.sell_serial[reg] = sell_serial
 
         for k in np.flatnonzero(fallback).tolist():
-            row = raw[start[k, 0] : end[k, -1]].decode("utf-8").split(delim)
+            row = buf[start[0, k] : end[-1, k]].tobytes().decode("utf-8").split(delim)
             cols.set_row(int(reg[k]), _parse_row(row, idx))
     return cols, rows_line, len(nonblank)
 

@@ -33,8 +33,8 @@ import numpy as np
 from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY, assign_bar, assign_bars
 from .parse import (
-    _Feed, _decimals, _digits, _factorize, _parse_date, _parse_time_ms, _plain, _times, is_utf8,
-    split_fields,
+    _Feed, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_date,
+    _parse_time_ms, _plain, _times, is_utf8, split_fields,
 )
 
 EOD_COLUMNS = ("date", "id", "close")
@@ -88,7 +88,8 @@ def _bars(buf, start, end):
     timed = (width == 8) | (width == 12)
     if not (short | timed).all():
         return None
-    bar[short], ok_short = _digits(buf, start[short], end[short])
+    d, ok_short = _digits(buf, start[short], end[short])
+    bar[short] = _join_digits(d, range(len(d)))
     time_ms, ok_timed = _times(buf, start[timed], end[timed])
     bar[timed] = assign_bars(time_ms)
     if not (ok_short.all() and ok_timed.all()):
@@ -138,18 +139,19 @@ def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
             if not np.array_equal(nonblank, regular):
                 return None
             if intraday:
-                traded = end[:, 3] > start[:, 3]  # an empty last_price is a no-trade minute
-                start, end = start[traded], end[traded]
-            bar = _bars(buf, start[:, 2], end[:, 2]) if intraday else 0
-            price, ok = _decimals(buf, start[:, -1], end[:, -1])
+                traded = end[3] > start[3]  # an empty last_price is a no-trade minute
+                start, end = start[:, traded], end[:, traded]
+            bar = _bars(buf, start[2], end[2]) if intraday else 0
+            d, ok = _decimals(buf, start[-1], end[-1])
+            price = _decimal_values(d)
             if bar is None or not (ok.all() and (price > 0).all()):
                 return None
-            date_raw, date_code = _factorize(buf, start[:, 0], end[:, 0])
+            date_raw, date_code = _factorize(buf, start[0], end[0])
             try:
                 dates = [_parse_date(d.decode()) for d in date_raw]
             except ValueError:
                 return None
-            id_raw, id_code = _factorize(buf, start[:, 1], end[:, 1])
+            id_raw, id_code = _factorize(buf, start[1], end[1])
             names, n = [s.decode() for s in id_raw], len(dates)
             pairs, row_pair = _first_seen_order(id_code * n + date_code)
             day_of = [

@@ -1,8 +1,16 @@
 import datetime as dt
+import os
 
 import pytest
+from hypothesis import settings
 
 from polab.synth import RegimeSpec, generate
+
+# Examples per property test that sets no count of its own, such as the
+# parser oracle: 120 by default, 1,000 under HYPOTHESIS_PROFILE=ci.
+settings.register_profile("default", max_examples=120)
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

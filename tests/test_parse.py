@@ -2,9 +2,14 @@ import datetime as dt
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polab.errors import ConfigError, DataError, InputError
-from polab.marketdata.parse import _parse_row, iter_transactions
+from polab.marketdata.parse import (
+    _REASONS, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_row,
+    _positive, _times, iter_transactions, split_fields,
+)
 from polab.marketdata.schema import DEFAULT_SCHEMA, ColumnSchema, ParseReport
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
@@ -93,6 +98,35 @@ class TestMalformedHandling:
         path = write(tmp_path, [HEADER] + [good] * 1999 + [bad])
         _, report = parse(path)
         assert report.malformed_reasons == {reason: 1}
+
+    @pytest.mark.parametrize(
+        "column,value,reason",
+        [
+            # zeros that only a scan of the digits finds not positive
+            (3, "0.000", "nonpositive"),
+            (3, ".0", "nonpositive"),
+            (3, "0.", "nonpositive"),
+            (3, "000", "nonpositive"),
+            (4, "000", "nonpositive"),
+            (4, "0" * 18, "nonpositive"),
+            # past the fast path's widths: the per-row rule reads them
+            (3, "0" * 16, "nonpositive"),
+            (3, "7236830840615796", None),
+            (3, "000000000000000.1", None),
+            (4, "0" * 19, "nonpositive"),
+            (4, "0" * 18 + "7", None),
+            (3, ".", "unparsable"),
+            (3, "1..0", "unparsable"),
+        ],
+    )
+    def test_digit_scan_edges_end_as_the_row_rule_decides(self, tmp_path, column, value, reason):
+        fields = "2015-05-08,000001,09:31:00.000,10.0,100,1,2".split(",")
+        fields[column] = value
+        want = _parse_row(fields, IDX)
+        assert (_REASONS[want - 1] if isinstance(want, int) else None) == reason
+        rows, report = parse(write(tmp_path, [HEADER, ",".join(fields)]), malformed_threshold=1.0)
+        assert report.malformed_reasons == ({reason: 1} if reason else {})
+        assert len(rows) == (reason is None)
 
     def test_share_above_threshold_aborts_with_summary(self, tmp_path):
         good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
@@ -193,3 +227,90 @@ class TestRoundTrip:
         assert n == expected_rows
         assert report.malformed_rows == 0
         assert report.total_rows == expected_rows
+
+
+# -- the fast path's field readers -------------------------------------------------
+
+
+def offsets(lines, ncols=1, trailing_newline=True):
+    """(buf, start, end) of ``split_fields`` over ``lines``; every line must be regular."""
+    raw = "\n".join(lines).encode() + (b"\n" if trailing_newline else b"")
+    buf, _, regular, start, end = split_fields(raw, ",", ncols)
+    assert regular.all()
+    return buf, start, end
+
+
+DIGITS = "0123456789"
+
+
+@st.composite
+def plain_decimals(draw):
+    """``digits[.digits]`` with 1 to 16 digits; the fast path reads up to 15."""
+    whole = draw(st.text(DIGITS, max_size=16))
+    if draw(st.booleans()):
+        return whole or draw(st.text(DIGITS, min_size=1, max_size=16))
+    return whole + "." + draw(st.text(DIGITS, min_size=0 if whole else 1, max_size=16 - len(whole)))
+
+
+class TestFieldReaders:
+    @given(st.lists(plain_decimals(), min_size=1, max_size=30))
+    def test_decimals_read_as_float_does(self, values):
+        buf, start, end = offsets(values)
+        d, ok = _decimals(buf, start[0], end[0])
+        n_digits = [len(v.replace(".", "")) for v in values]
+        assert ok.tolist() == [n <= 15 for n in n_digits]
+        want = [float(v) for v in values]
+        got = _decimal_values(d)
+        positive = _positive(d)
+        for k in range(len(values)):
+            if ok[k]:
+                assert got[k] == want[k] and positive[k] == (want[k] > 0), values[k]
+
+    @given(st.lists(st.text(DIGITS, min_size=1, max_size=19), min_size=1, max_size=30))
+    def test_digits_read_as_int_does(self, values):
+        buf, start, end = offsets(values)
+        d, ok = _digits(buf, start[0], end[0])
+        assert ok.tolist() == [len(v) <= 18 for v in values]
+        got, positive = _join_digits(d, range(len(d))), _positive(d)
+        for k in range(len(values)):
+            if ok[k]:
+                assert got[k] == int(values[k]) and positive[k] == (int(values[k]) > 0)
+
+    @given(st.lists(
+        st.text(st.sampled_from("019AZaz_Ω"), max_size=12).filter(lambda s: len(s.encode()) <= 12),
+        min_size=1, max_size=40,
+    ))
+    def test_factorize_matches_sorted_distinct_bytes(self, ids):
+        self.assert_factorized(ids)
+
+    def test_factorize_every_width(self):
+        ids = ["9" * w for w in range(13)] + ["0" * w for w in range(13)] + ["Ω01", "Ω01", ""]
+        self.assert_factorized(ids[::-1])
+
+    @staticmethod
+    def assert_factorized(ids):
+        """``_factorize`` gives the distinct ids, narrowest first and then
+        sorted as bytes, and each row's index into them."""
+        buf, start, end = offsets([f"{i},1" for i in ids], ncols=2)
+        values, codes = _factorize(buf, start[0], end[0])
+        raw = [i.encode() for i in ids]
+        want = sorted(set(raw), key=lambda b: (len(b), b))
+        assert values == want
+        assert codes.tolist() == [want.index(b) for b in raw]
+
+    def test_fields_at_the_edges_of_a_block(self):
+        # the first field is narrower than its column's window, and the last
+        # field is one digit with no LF after it
+        buf, start, end = offsets(["7,1.5,123456", "12345,12.25,9"], ncols=3, trailing_newline=False)
+        d, ok = _digits(buf, start[0], end[0])
+        assert ok.all() and _join_digits(d, range(len(d))).tolist() == [7, 12345]
+        d, ok = _decimals(buf, start[1], end[1])
+        assert ok.all() and _decimal_values(d).tolist() == [1.5, 12.25]
+        d, ok = _digits(buf, start[2], end[2])
+        assert ok.all() and _join_digits(d, range(len(d))).tolist() == [123456, 9]
+        d, ok = _decimals(buf, start[2], end[2])
+        assert ok.all() and _positive(d).all()
+        # a time as the last field: its 12-byte window runs past the block
+        buf, start, end = offsets(["1,09:31:02.340", "2,09:31:02"], ncols=2, trailing_newline=False)
+        time_ms, ok = _times(buf, start[1], end[1])
+        assert ok.all() and time_ms.tolist() == [34_262_340, 34_262_000]

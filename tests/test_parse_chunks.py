@@ -125,7 +125,7 @@ def valid_fields(draw):
     ))
     price = draw(mostly(
         st.sampled_from(("12.50", "10", "0.01", "10.0039", "12.", ".5", "123456789.123456")),
-        ("nan", "1e3", " 12.5", "7236830840615796.5"),
+        ("nan", "1e3", " 12.5", "7236830840615796.5", "7236830840615796"),
     ))
     number = mostly(
         st.integers(1, 2**32 - 1).map(str),
@@ -156,7 +156,11 @@ def feed_line(draw):
         ))
         f[k] = bad
     if "nonpositive" in damages:
-        k, bad = draw(st.sampled_from(((3, "0"), (3, "-1.0"), (4, "0"), (5, "0"), (6, "-3"))))
+        # zeros that only a scan of the digits finds not positive, besides signs
+        k, bad = draw(st.sampled_from((
+            (3, "0"), (3, "-1.0"), (3, "0.000"), (3, ".0"), (3, "0."), (3, "000"),
+            (4, "0"), (4, "000"), (5, "0"), (6, "-3"),
+        )))
         f[k] = bad
     if "bad_time" in damages:
         f[2] = draw(st.sampled_from(("24:00:00.000", "99:00:00", "-1:00:00")))
@@ -173,9 +177,8 @@ def feed_line(draw):
     return line
 
 
-@settings(
-    max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+# the example count comes from the hypothesis profile (tests/conftest.py)
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     lines=st.one_of(
         st.lists(feed_line(), max_size=10), st.lists(feed_line(), min_size=40, max_size=160)
