@@ -11,6 +11,26 @@ per-minute Poisson participant counts per side, each participant filled
 one or more times (geometric), trades only when both sides show up. A
 bar with participants on a single side emits nothing, so the recorded
 truth always equals the distinct serials present in the emitted rows.
+Minutes that no regime covers, or whose regime has zero rates and
+nothing planted, are quiet.
+
+The bytes stay stable because the draws keep one order and one set of
+arguments. Each day:
+
+1. For each stock in turn: when any of the day's scheduled bars has a
+   positive rate, one ``poisson`` vector over all of them per side, buy
+   first. Then, bar by bar, each planted or two-sided minute: the
+   run-length start sign and power-law lengths when a run regime needs
+   them; then for a minute that trades, the quote ``uniform``, the two
+   ``geometric`` fill draws when ``mean_fills > 1``, per side (buyers
+   first) the ``integers`` for a deficit and a ``shuffle``, then the trade
+   ``uniform``.
+2. For each trading minute in the same order: one ``standard_normal``
+   for the price step, then the volume ``integers``.
+3. The index path: one ``standard_normal`` vector, then the minimum bar.
+
+How the rows are then assembled and written draws nothing, so it may
+change freely as long as it emits the same text.
 
 ``brute_force_recount`` is the independent oracle for the whole counting
 pipeline: a deliberately naive reread of a transactions file with
@@ -22,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -152,11 +173,98 @@ def _regime_coverage(regimes, dates):
     return coverage
 
 
-def _fmt_time(ms: int) -> str:
-    sec, msec = divmod(ms, 1000)
-    minute, s = divmod(sec, 60)
-    h, m = divmod(minute, 60)
-    return f"{h:02d}:{m:02d}:{s:02d}.{msec:03d}"
+#: rows formatted and written at a time; bounds the text held at once
+_WRITE_SLICE = 8192
+
+#: 09:15:00.000, where the planted off-grid rows start, one second apart
+_OFFGRID_START_MS = (9 * 3600 + 15 * 60) * 1000
+
+#: the planted off-grid rows must end before the 09:30 open
+_MAX_OFFGRID_ROWS = 15 * 60
+
+#: "hh:mm:", "ss." and "mmm" pieces of a time-of-day text
+_MINUTE_TEXT = [f"{m // 60:02d}:{m % 60:02d}:" for m in range(24 * 60)]
+_SECOND_TEXT = [f"{s:02d}." for s in range(60)]
+_MILLI_TEXT = [f"{ms:03d}" for ms in range(1000)]
+
+
+def _time_text(ms: np.ndarray) -> list:
+    """"hh:mm:ss.mmm" of each time of day in ms."""
+    sec, milli = np.divmod(ms, 1000)
+    minute, sec = np.divmod(sec, 60)
+    return [
+        a + b + c
+        for a, b, c in zip(
+            map(_MINUTE_TEXT.__getitem__, minute.tolist()),
+            map(_SECOND_TEXT.__getitem__, sec.tolist()),
+            map(_MILLI_TEXT.__getitem__, milli.tolist()),
+        )
+    ]
+
+
+def _side_slots(rng, base, count, fills, total, n_trades):
+    """One side of a minute: the register of each trade's participant, shuffled.
+
+    Participant ``base + k`` fills ``fills[k]`` times (once when ``fills`` is
+    None); the side's deficit against ``n_trades`` goes to drawn participants.
+    """
+    side = np.arange(base, base + count)
+    deficit = n_trades - total
+    if deficit > 0:
+        extra = np.bincount(rng.integers(0, count, deficit), minlength=count)
+        fills = extra + 1 if fills is None else fills + extra
+    if fills is not None:
+        side = side.repeat(fills)
+    rng.shuffle(side)
+    return side
+
+
+def _minute_trades(rng, nb, ns, mean_fills, lo, base):
+    """Draw one trading minute: (quote times, buyer registers, seller
+    registers, sorted trade times). Registers count from ``base``."""
+    hi = lo + 60_000.0
+    quotes = rng.uniform(lo, hi, nb + ns)
+    if mean_fills > 1.0:
+        fb = rng.geometric(1.0 / mean_fills, nb)
+        fs = rng.geometric(1.0 / mean_fills, ns)
+        total_b, total_s = sum(fb.tolist()), sum(fs.tolist())
+    else:
+        fb = fs = None
+        total_b, total_s = nb, ns
+    n_trades = max(total_b, total_s)
+    buyers = _side_slots(rng, base, nb, fb, total_b, n_trades)
+    sellers = _side_slots(rng, base + nb, ns, fs, total_s, n_trades)
+    times = rng.uniform(lo, hi, n_trades)
+    times.sort()
+    return quotes, buyers, sellers, times
+
+
+def _cat(pieces):
+    """Concatenate int64 pieces; none give an empty array."""
+    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
+
+
+def _write_rows(fh, schema, iso, stocks, rank, px_text, *, stock_of, price_of, ms, buy, sell, vol):
+    """Write one day's feed rows, sorted stably by (time, stock id as text).
+
+    Row k is stock ``stock_of[k]`` trading at ``px_text[price_of[k]]`` at
+    ``ms[k]`` since midnight. Rows are formatted a slice at a time, in the
+    schema's column order; a column beyond the canonical fields is empty.
+    """
+    order = np.argsort(ms * len(stocks) + rank[stock_of], kind="stable")
+    for s in range(0, len(order), _WRITE_SLICE):
+        rows = order[s : s + _WRITE_SLICE]
+        text = {
+            "trade_date": itertools.repeat(iso),
+            "stock_id": map(stocks.__getitem__, stock_of[rows].tolist()),
+            "time": _time_text(ms[rows]),
+            "price": map(px_text.__getitem__, price_of[rows].tolist()),
+            "volume": map(str, vol[rows].tolist()),
+            "buy_serial": map(str, buy[rows].tolist()),
+            "sell_serial": map(str, sell[rows].tolist()),
+        }
+        cols = [text[c] if c in text else itertools.repeat("") for c in schema.columns]
+        fh.write("\n".join(map(schema.delimiter.join, zip(*cols))) + "\n")
 
 
 def generate(
@@ -181,18 +289,26 @@ def generate(
     dates = sorted(dates)
     if not dates:
         raise ConfigError("at least one date is required")
+    if not 0 <= n_offgrid_rows <= _MAX_OFFGRID_ROWS:
+        raise ConfigError(
+            f"n_offgrid_rows must be 0..{_MAX_OFFGRID_ROWS}, got {n_offgrid_rows}: the rows "
+            f"are one second apart from 09:15:00 and must end before the 09:30 open"
+        )
     coverage = _regime_coverage(regimes, dates)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     stocks = [f"{i + 1:06d}" for i in range(n_stocks)]
+    # a day's rows sort by (time, stock id as text)
+    rank = np.empty(n_stocks, dtype=np.int64)
+    rank[sorted(range(n_stocks), key=stocks.__getitem__)] = np.arange(n_stocks)
 
     buy_truth = np.zeros((n_stocks, len(dates), BARS_PER_DAY), dtype=np.int32)
     sell_truth = np.zeros_like(buy_truth)
     truth = GroundTruth(stocks, list(dates), buy_truth, sell_truth)
 
-    prices = np.full(n_stocks, start_price, dtype=np.float64)
+    prices = [float(start_price)] * n_stocks
     index_close = index_start
     baseline_date = dates[0] - dt.timedelta(days=1)
 
@@ -201,68 +317,70 @@ def generate(
     intra_path = out_dir / "intraday.csv"
 
     eod_rows = [f"{baseline_date.isoformat()},{index_id},{index_start:.4f}"]
-    for i, stock in enumerate(stocks):
+    for stock in stocks:
         eod_rows.append(f"{baseline_date.isoformat()},{stock},{start_price:.4f}")
     intra_rows = []
 
-    from .marketdata.schema import FIELDS
+    offgrid_ms = _OFFGRID_START_MS + 1000 * np.arange(n_offgrid_rows, dtype=np.int64)
 
     with open(tx_path, "w", newline="") as tx_fh:
         if schema.has_header:
             tx_fh.write(schema.header_line() + "\n")
-        # canonical field index of each file column, applied per emitted row
-        column_order = [FIELDS.index(c) for c in schema.columns]
-        delim = schema.delimiter
 
         for j, d in enumerate(dates):
-            active = coverage[d]
-            scheduled = (np.nonzero(active >= 0)[0] + 1).tolist()
             iso = d.isoformat()
-            # quote registry for the day's serial assignment
-            quote_times: list[np.ndarray] = []
-            trades = []  # (bar, stock_idx, times, buyer_reg, seller_reg)
+            scheduled = np.flatnonzero(coverage[d] >= 0)
+            bars = (scheduled + 1).tolist()
+            regime_of = coverage[d][scheduled].tolist()
+            specs = [regimes[ri] for ri in regime_of]
+            bar_lo = [float(bar_start_ms(b)) for b in bars]
+            buy_rates = np.array([s.buy_rate for s in specs], dtype=np.float64)
+            sell_rates = np.array([s.sell_rate for s in specs], dtype=np.float64)
+            any_poisson = bool((buy_rates + sell_rates > 0).any())
+            planted = [
+                p
+                for p, s in enumerate(specs)
+                if s.polarity_pattern is not None
+                or s.run_length_alpha is not None
+                or s.fixed_counts is not None
+            ]
+
+            # the day's trading minutes, in (stock, bar) order, and their draws
+            quote_pieces, buyer_pieces, seller_pieces, time_pieces = [], [], [], []
+            trade_stock, trade_pos, trade_nb, trade_ns = [], [], [], []
             n_participants = 0
-            pattern_pos: dict[tuple[int, int], int] = {}
-            run_state: dict[tuple[int, int], list] = {}
-
-            n_sched = len(scheduled)
-            rates = np.array(
-                [
-                    (regimes[active[b - 1]].buy_rate, regimes[active[b - 1]].sell_rate)
-                    for b in scheduled
-                ]
-            )
-            poisson_bars = rates.sum(axis=1) > 0
-
             for i in range(n_stocks):
-                # one vector draw per stock-day instead of one call per minute
-                if poisson_bars.any():
-                    nb_draw = rng.poisson(rates[:, 0])
-                    ns_draw = rng.poisson(rates[:, 1])
-                for pos_b, b in enumerate(scheduled):
-                    ri = active[b - 1]
-                    spec = regimes[ri]
+                visit = planted
+                if any_poisson:
+                    # one vector draw per side and stock-day
+                    nb_draw = rng.poisson(buy_rates)
+                    ns_draw = rng.poisson(sell_rates)
+                    nb_of, ns_of = nb_draw.tolist(), ns_draw.tolist()
+                    # one-sided interest never trades
+                    trading = np.flatnonzero((nb_draw > 0) & (ns_draw > 0)).tolist()
+                    visit = sorted(planted + trading) if planted else trading
+                pattern_pos: dict[int, int] = {}
+                run_state: dict[int, list] = {}
+                for p in visit:
+                    spec = specs[p]
                     if spec.polarity_pattern is not None:
-                        key = (i, ri)
-                        pos = pattern_pos.get(key, 0)
-                        pattern_pos[key] = pos + 1
+                        ri = regime_of[p]
+                        pos = pattern_pos.get(ri, 0)
+                        pattern_pos[ri] = pos + 1
                         sign = spec.polarity_pattern[pos % len(spec.polarity_pattern)]
-                        if sign is None:
-                            nb = ns = 0
-                        else:
-                            nb, ns = _SIGN_COUNTS[sign]
+                        nb, ns = (0, 0) if sign is None else _SIGN_COUNTS[sign]
                         pat = truth.sign_pattern.setdefault(
                             (stocks[i], d), np.full(BARS_PER_DAY, np.nan)
                         )
-                        pat[b - 1] = np.nan if sign is None else float(sign)
+                        pat[bars[p] - 1] = np.nan if sign is None else float(sign)
                     elif spec.run_length_alpha is not None:
                         # alternating signs with power-law run lengths; runs
                         # restart at each day so interior runs are whole draws
-                        key = (i, ri)
-                        state = run_state.get(key)
+                        ri = regime_of[p]
+                        state = run_state.get(ri)
                         if state is None:
                             start = 1 if rng.random() < 0.5 else -1
-                            state = run_state[key] = [start, 0, None, 0]
+                            state = run_state[ri] = [start, 0, None, 0]
                         if state[1] == 0:
                             if state[2] is None or state[3] >= len(state[2]):
                                 state[2] = sample_discrete_power_law(
@@ -278,93 +396,73 @@ def generate(
                         pat = truth.sign_pattern.setdefault(
                             (stocks[i], d), np.full(BARS_PER_DAY, np.nan)
                         )
-                        pat[b - 1] = float(sign)
+                        pat[bars[p] - 1] = float(sign)
                     elif spec.fixed_counts is not None:
                         nb, ns = spec.fixed_counts
                     else:
-                        nb = int(nb_draw[pos_b])
-                        ns = int(ns_draw[pos_b])
-                        if nb == 0 or ns == 0:
-                            nb = ns = 0  # one-sided interest never trades
+                        nb, ns = nb_of[p], ns_of[p]
                     if nb == 0:
                         continue
-                    buy_truth[i, j, b - 1] = nb
-                    sell_truth[i, j, b - 1] = ns
-
-                    lo = float(bar_start_ms(b))
-                    hi = lo + 60_000.0
-                    quote_times.append(rng.uniform(lo, hi, nb + ns))
-                    buyer_reg = n_participants + np.arange(nb)
-                    seller_reg = n_participants + nb + np.arange(ns)
+                    quotes, buyers, sellers, times = _minute_trades(
+                        rng, nb, ns, spec.mean_fills, bar_lo[p], n_participants
+                    )
                     n_participants += nb + ns
-                    if spec.mean_fills > 1.0:
-                        fb = rng.geometric(1.0 / spec.mean_fills, nb)
-                        fs = rng.geometric(1.0 / spec.mean_fills, ns)
-                        total_b, total_s = int(fb.sum()), int(fs.sum())
-                    else:
-                        fb = fs = None
-                        total_b, total_s = nb, ns
-                    n_trades = max(total_b, total_s)
-                    slots = []
-                    for fills, total, count, reg in (
-                        (fb, total_b, nb, buyer_reg),
-                        (fs, total_s, ns, seller_reg),
-                    ):
-                        deficit = n_trades - total
-                        if deficit == 0 and fills is None:
-                            side = reg.copy()
-                        else:
-                            if fills is None:
-                                fills = np.ones(count, dtype=np.int64)
-                            if deficit > 0:
-                                np.add.at(fills, rng.integers(0, count, deficit), 1)
-                            side = np.repeat(reg, fills)
-                        rng.shuffle(side)
-                        slots.append(side)
-                    times = np.sort(rng.uniform(lo, hi, n_trades))
-                    trades.append((b, i, times, slots[0], slots[1]))
+                    quote_pieces.append(quotes)
+                    buyer_pieces.append(buyers)
+                    seller_pieces.append(sellers)
+                    time_pieces.append(times)
+                    trade_stock.append(i)
+                    trade_pos.append(p)
+                    trade_nb.append(nb)
+                    trade_ns.append(ns)
 
             # serials follow the day's quote sequence across stocks and sides
+            serial_of = np.empty(n_participants, dtype=np.int64)
             if n_participants:
-                all_quotes = np.concatenate(quote_times)
-                serial_of = np.empty(n_participants, dtype=np.int64)
-                serial_of[np.argsort(all_quotes, kind="stable")] = np.arange(
-                    1, n_participants + 1
+                serial_of[np.argsort(np.concatenate(quote_pieces), kind="stable")] = (
+                    np.arange(1, n_participants + 1)
                 )
-            else:
-                serial_of = np.empty(0, dtype=np.int64)
+            del quote_pieces
 
             # stock prices move bar by bar, optionally coupled to polarity
-            day_rows = []
-            for b, i, times, buyer_slots, seller_slots in trades:
-                nb = buy_truth[i, j, b - 1]
-                ns = sell_truth[i, j, b - 1]
-                pol = (nb - ns) / (nb + ns)
-                spec = regimes[active[b - 1]]
-                z = rng.standard_normal()
-                prices[i] *= float(np.exp(return_scale * (spec.coupling * pol + z)))
-                px = f"{prices[i]:.4f}"
-                stock = stocks[i]
-                intra_rows.append(f"{iso},{stock},{b},{px}")
-                vols = rng.integers(100, 10_000, len(times))
-                for t, bs, ss, vol in zip(times, buyer_slots, seller_slots, vols):
-                    ms = int(t)
-                    canon = (
-                        iso, stock, _fmt_time(ms), px, str(vol),
-                        str(serial_of[bs]), str(serial_of[ss]),
-                    )
-                    day_rows.append((ms, stock, delim.join(canon[f] for f in column_order)))
+            z, vol_pieces = [], []
+            for times in time_pieces:
+                z.append(rng.standard_normal())
+                vol_pieces.append(rng.integers(100, 10_000, len(times)))
+            nb_a = np.array(trade_nb, dtype=np.int64)
+            ns_a = np.array(trade_ns, dtype=np.int64)
+            coupling = np.array([specs[p].coupling for p in trade_pos], dtype=np.float64)
+            growth = np.exp(return_scale * (coupling * ((nb_a - ns_a) / (nb_a + ns_a)) + z))
+            px_text = []
+            for i, p, g in zip(trade_stock, trade_pos, growth.tolist()):
+                prices[i] *= g
+                px_text.append(f"{prices[i]:.4f}")
+                intra_rows.append(f"{iso},{stocks[i]},{bars[p]},{px_text[-1]}")
+            stock_a = np.array(trade_stock, dtype=np.int64)
+            bar_a = scheduled[np.array(trade_pos, dtype=np.int64)]
+            buy_truth[stock_a, j, bar_a] = nb_a
+            sell_truth[stock_a, j, bar_a] = ns_a
 
-            for k in range(n_offgrid_rows):
-                ms = (9 * 3600 + 15 * 60) * 1000 + k * 1000
-                canon = (
-                    iso, stocks[0], _fmt_time(ms), f"{prices[0]:.4f}", "100", "1", "1",
-                )
-                day_rows.append((ms, stocks[0], delim.join(canon[f] for f in column_order)))
-
-            day_rows.sort(key=lambda r: (r[0], r[1]))
-            for _, _, line in day_rows:
-                tx_fh.write(line + "\n")
+            # the day's rows as columns, each trade's rows in turn, then the
+            # off-grid rows at the first stock's closing price
+            px_text.append(f"{prices[0]:.4f}")
+            rows_of = [len(t) for t in time_pieces] + [n_offgrid_rows]
+            off = np.ones(n_offgrid_rows, dtype=np.int64)
+            _write_rows(
+                tx_fh,
+                schema,
+                iso,
+                stocks,
+                rank,
+                px_text,
+                stock_of=np.repeat(np.append(stock_a, 0), rows_of),
+                price_of=np.repeat(np.arange(len(rows_of)), rows_of),
+                ms=np.concatenate(time_pieces + [offgrid_ms]).astype(np.int64),
+                buy=np.concatenate([serial_of[_cat(buyer_pieces)], off]),
+                sell=np.concatenate([serial_of[_cat(seller_pieces)], off]),
+                vol=np.concatenate([_cat(vol_pieces), 100 * off]),
+            )
+            del time_pieces, buyer_pieces, seller_pieces, vol_pieces
 
             # index path with a planted, strictly unique minimum minute
             pct = return_scale * np.cumsum(rng.standard_normal(BARS_PER_DAY))

@@ -1,11 +1,14 @@
 import csv
 import datetime as dt
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
+from polab.cli import main
 from polab.errors import ConfigError
+from polab.marketdata.schema import FIELDS, ColumnSchema
 from polab.panel import PolarityPanel
 from polab.synth import RegimeSpec, brute_force_recount, generate, generate_causal_days
 
@@ -119,6 +122,76 @@ class TestPoissonRegimeMoments:
         assert abs(vals.mean() - 0.08) <= 0.005
         np.testing.assert_array_equal(panel.buy, truth.buy)
         np.testing.assert_array_equal(panel.sell, truth.sell)
+
+
+class TestQuietMinutes:
+    """Minutes with zero rates and nothing planted emit nothing."""
+
+    def test_quiet_day_after_an_active_day(self, tmp_path):
+        regimes = [
+            RegimeSpec("active", buy_rate=3.0, sell_rate=3.0, dates=(D1,)),
+            RegimeSpec("quiet", dates=(D2,)),
+        ]
+        files, truth = generate(regimes, 3, [D1, D2], 1, tmp_path)
+        assert truth.buy[:, 0].sum() > 0
+        assert truth.buy[:, 1].sum() == 0 and truth.sell[:, 1].sum() == 0
+        assert set(serials_by_day(files.transactions)) == {D1.isoformat()}
+
+    def test_quiet_minutes_beside_planted_ones(self, tmp_path):
+        regimes = [
+            RegimeSpec("pattern", polarity_pattern=(1, -1), bars=(1, 2)),
+            RegimeSpec("quiet", bars=tuple(range(3, 238))),
+        ]
+        _, truth = generate(regimes, 2, [D1, D2], 5, tmp_path)
+        assert truth.buy[:, :, 2:].sum() == 0 and truth.sell[:, :, 2:].sum() == 0
+        assert truth.buy[:, :, :2].tolist() == [[[2, 1], [2, 1]]] * 2
+
+    @pytest.mark.parametrize(
+        "regime", [RegimeSpec("quiet"), RegimeSpec("elsewhere", buy_rate=2.0, sell_rate=2.0, dates=(D2,))]
+    )
+    def test_a_market_quiet_from_the_start(self, tmp_path, regime):
+        files, truth = generate(regime, 3, [D1], 1, tmp_path)
+        assert truth.buy.sum() == 0 and truth.sell.sum() == 0
+        assert files.transactions.read_text() == ",".join(FIELDS) + "\n"
+
+    def test_cli_synth_of_a_quiet_market(self, tmp_path):
+        out = tmp_path / "out"
+        config = {
+            "out_dir": str(out),
+            "seed": 1,
+            "synth": {"n_stocks": 3, "n_days": 2, "regimes": [{"name": "quiet"}]},
+        }
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert (out / "transactions.csv").read_text().count("\n") == 1
+        assert (out / "truth_panel.csv").read_text().count("\n") == 1
+
+
+class TestSchemaColumns:
+    def test_extra_columns_are_written_empty_and_read_back(self, tmp_path):
+        columns = ("venue",) + FIELDS[:3] + ("note",) + FIELDS[3:] + ("flag",)
+        schema = ColumnSchema(columns=columns, delimiter="|")
+        regime = RegimeSpec("flow", buy_rate=2.0, sell_rate=1.5, mean_fills=1.5, bars=tuple(range(1, 238, 4)))
+        files, truth = generate(regime, 5, [D1, D2], 8, tmp_path, n_offgrid_rows=3, schema=schema)
+        lines = files.transactions.read_text().splitlines()
+        assert lines[0] == "|".join(columns)
+        for line in lines[1:]:
+            fields = line.split("|")
+            assert len(fields) == len(columns)
+            assert fields[0] == fields[4] == fields[-1] == ""
+        panel = PolarityPanel.from_transactions(files.transactions, schema=schema)
+        np.testing.assert_array_equal(panel.buy, truth.buy)
+        np.testing.assert_array_equal(panel.sell, truth.sell)
+        recount = brute_force_recount(files.transactions, schema)
+        assert recount.cells == panel.active_cells() and recount.off_grid == 6
+
+    def test_off_grid_rows_must_end_before_the_open(self, tmp_path):
+        regime = RegimeSpec("flow", buy_rate=1.0, sell_rate=1.0, bars=(1,))
+        with pytest.raises(ConfigError, match="n_offgrid_rows"):
+            generate(regime, 1, [D1], 0, tmp_path, n_offgrid_rows=901)
+        files, _ = generate(regime, 1, [D1], 0, tmp_path, n_offgrid_rows=900)
+        assert brute_force_recount(files.transactions).off_grid == 900
 
 
 class TestBruteForce:
