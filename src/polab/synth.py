@@ -316,19 +316,25 @@ def generate(
     eod_path = out_dir / "eod.csv"
     intra_path = out_dir / "intraday.csv"
 
-    eod_rows = [f"{baseline_date.isoformat()},{index_id},{index_start:.4f}"]
-    for stock in stocks:
-        eod_rows.append(f"{baseline_date.isoformat()},{stock},{start_price:.4f}")
-    intra_rows = []
-
     offgrid_ms = _OFFGRID_START_MS + 1000 * np.arange(n_offgrid_rows, dtype=np.int64)
 
-    with open(tx_path, "w", newline="") as tx_fh:
+    # every file is written a day at a time, so memory follows the largest day
+    with (
+        open(tx_path, "w", newline="") as tx_fh,
+        open(eod_path, "w", newline="") as eod_fh,
+        open(intra_path, "w", newline="") as intra_fh,
+    ):
         if schema.has_header:
             tx_fh.write(schema.header_line() + "\n")
+        eod_rows = [f"{baseline_date.isoformat()},{index_id},{index_start:.4f}"]
+        for stock in stocks:
+            eod_rows.append(f"{baseline_date.isoformat()},{stock},{start_price:.4f}")
+        eod_fh.write("date,id,close\n" + "\n".join(eod_rows) + "\n")
+        intra_fh.write("date,id,bar_or_time,last_price\n")
 
         for j, d in enumerate(dates):
             iso = d.isoformat()
+            intra_rows, eod_rows = [], []
             scheduled = np.flatnonzero(coverage[d] >= 0)
             bars = (scheduled + 1).tolist()
             regime_of = coverage[d][scheduled].tolist()
@@ -476,13 +482,8 @@ def generate(
             eod_rows.append(f"{iso},{index_id},{index_close:.4f}")
             for i, stock in enumerate(stocks):
                 eod_rows.append(f"{iso},{stock},{prices[i]:.4f}")
-
-    with open(eod_path, "w", newline="") as fh:
-        fh.write("date,id,close\n")
-        fh.write("\n".join(eod_rows) + "\n")
-    with open(intra_path, "w", newline="") as fh:
-        fh.write("date,id,bar_or_time,last_price\n")
-        fh.write("\n".join(intra_rows) + "\n")
+            intra_fh.write("\n".join(intra_rows) + "\n")
+            eod_fh.write("\n".join(eod_rows) + "\n")
 
     return ScenarioFiles(tx_path, eod_path, intra_path, index_id), truth
 
