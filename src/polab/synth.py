@@ -189,7 +189,7 @@ _MILLI_TEXT = [f"{ms:03d}" for ms in range(1000)]
 
 
 def _time_text(ms: np.ndarray) -> list:
-    """"hh:mm:ss.mmm" of each time of day in ms."""
+    """The hh:mm:ss.mmm text of each time of day in ms since midnight."""
     sec, milli = np.divmod(ms, 1000)
     minute, sec = np.divmod(sec, 60)
     return [
