@@ -14,6 +14,7 @@ order, so the same seed must give the same bytes and the same truth.
 import datetime as dt
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -311,8 +312,21 @@ def test_generate_equals_the_per_row_reference(tmp_path, scenario):
     assert_same_as_reference(tmp_path, **scenario)
 
 
-def test_rows_at_the_same_millisecond_keep_their_order(tmp_path):
-    # ~180 trades a minute put several pairs of one stock's rows on the same
-    # millisecond; they keep the order the reference appended them in
-    regime = RegimeSpec("crowd", fixed_counts=(60, 60), mean_fills=3.0, bars=tuple(range(1, 31)))
-    assert_same_as_reference(tmp_path, [regime], 2, DATES[:1], 11)
+@pytest.mark.parametrize(
+    "regimes",
+    [
+        # ~180 trades a minute put several pairs of one stock's rows on the
+        # same millisecond; they keep the order the reference appended them in
+        [RegimeSpec("crowd", fixed_counts=(60, 60), mean_fills=3.0, bars=tuple(range(1, 31)))],
+        # Poisson minutes before and after planted ones: a stock's draws
+        # follow bar order across regimes
+        [
+            RegimeSpec("flow", buy_rate=2.0, sell_rate=2.0, bars=tuple(range(1, 20))),
+            RegimeSpec("runs", run_length_alpha=2.0, bars=tuple(range(20, 40))),
+            RegimeSpec("fills", buy_rate=1.0, sell_rate=3.0, mean_fills=1.5, bars=tuple(range(40, 60))),
+        ],
+    ],
+    ids=["same-millisecond", "poisson-around-planted"],
+)
+def test_fixed_scenarios_equal_the_reference(tmp_path, regimes):
+    assert_same_as_reference(tmp_path, regimes, 2, DATES[:2], 11)
