@@ -91,6 +91,20 @@ def _index_returns(cfg: RunConfig):
     return build_return_series(cfg.index_id, eod[cfg.index_id], intraday[cfg.index_id])
 
 
+def _index_min_days(panel: PolarityPanel, index_series) -> list:
+    """(date, bar, market polarity) for each panel date on which the index
+    has a finite change vs prior close; ``bar`` is the minute of the day's
+    lowest change, the earliest on ties."""
+    rows = []
+    for date in panel.dates:
+        pct = index_series.intraday_pct_vs_prev_close.get(date)
+        if pct is None or not np.isfinite(pct).any():
+            continue
+        bar = int(np.nanargmin(pct)) + 1
+        rows.append((date, bar, daily_polarity_at_index_min(panel, index_series, date)))
+    return rows
+
+
 def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> dict:
     """{(stock, date): ndarray(237) of log-returns} for stocks in the panel.
 
@@ -410,18 +424,11 @@ def _cmd_market(cfg: RunConfig, args) -> int:
         meta={"pairing": "minute-matched market polarity vs index change on prior close"},
     )
 
-    daily_rows = []
-    for date in panel.dates:
-        pct = index_series.intraday_pct_vs_prev_close.get(date)
-        if pct is None or not np.isfinite(pct).any():
-            continue
-        bar = int(np.nanargmin(pct)) + 1
-        daily_rows.append((date, bar, daily_polarity_at_index_min(panel, index_series, date)))
     write_table(
         out / "daily_polarity_at_index_min.csv",
         "daily-polarity-at-index-min",
         ("date", "bar", "market_polarity"),
-        daily_rows,
+        _index_min_days(panel, index_series),
         config_hash=cfg.config_hash(),
         meta={"bar": "minute of the day's lowest index change vs prior close, earliest on ties"},
     )
@@ -623,14 +630,11 @@ def _cmd_emotion(cfg: RunConfig, args) -> int:
     panel = _load_panel(cfg)
     index_series = _index_returns(cfg)
     rjf = load_emotion(cfg.emotion)
-    daily = {}
-    for date in panel.dates:
-        pct = index_series.intraday_pct_vs_prev_close.get(date)
-        if pct is None or not np.isfinite(pct).any():
-            continue
-        value = daily_polarity_at_index_min(panel, index_series, date)
-        if np.isfinite(value):
-            daily[date] = value
+    daily = {
+        date: value
+        for date, _, value in _index_min_days(panel, index_series)
+        if np.isfinite(value)
+    }
     corr = coupling.emotion_correlation(daily, rjf, cfg.periods)
     periods = cfg.periods
     joined = sorted(set(daily) & set(rjf))

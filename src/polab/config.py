@@ -41,8 +41,8 @@ def read_config(path) -> dict:
 class Periods:
     """Splits the sample into pre-crash / crash / post-crash date ranges."""
 
-    pre_crash_end: dt.date = dt.date(2015, 6, 12)
-    crash_end: dt.date = dt.date(2015, 7, 7)
+    pre_crash_end: dt.date
+    crash_end: dt.date
 
     def __post_init__(self):
         if self.pre_crash_end >= self.crash_end:

@@ -16,6 +16,9 @@ whole file, in order of first appearance. If any block needs the row loop
 UTF-8, a field that is not plain digits or a plain decimal, or any invalid
 row), or two rows share a minute (a day, at end of day), the whole file is
 read again by the row loop, so every DataError it raises is the row loop's.
+One row loop serves both formats. Both readers return one shape,
+``(days, key, price)``: the file's (id, date) pairs, and each priced row's
+``day << 8 | bar`` and price. Each loader shapes that triple once.
 A price must be positive and finite. A side file's value must be finite,
 and each id or date may appear once.
 """
@@ -69,11 +72,6 @@ def _csv_reader(feed, path, delimiter: str = ","):
             yield line
 
     return csv.reader(lines(), delimiter=delimiter)
-
-
-def _check_header(row, expected, path):
-    if tuple(h.strip() for h in row) != expected:
-        raise DataError(f"header mismatch in {path}: expected {list(expected)}, found {row}")
 
 
 # -- columnar reader ------------------------------------------------------------
@@ -169,108 +167,50 @@ def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
     return list(days), keys[:n_rows], prices[:n_rows]
 
 
-def _eod_columnar(path, delimiter: str, has_header: bool):
-    rows = _columnar(path, delimiter, has_header, EOD_COLUMNS)
-    if rows is None:
-        return None
-    days, key, price = rows
-    close = np.empty(len(days))
-    close[key >> 8] = price
-    out: dict[str, dict[dt.date, float]] = {}
-    for (name, date), value in zip(days, close.tolist()):
-        out.setdefault(name, {})[date] = value
-    return out
+# -- row loop ---------------------------------------------------------------------
 
 
-def _intraday_columnar(path, delimiter: str, has_header: bool, ids):
-    rows = _columnar(path, delimiter, has_header, INTRADAY_COLUMNS)
-    if rows is None:
-        return None
-    days, key, price = rows
-    if ids is not None:  # keep the wanted days' rows, with the days numbered afresh
-        wanted = np.array([name in ids for name, _ in days], bool)
-        keep = wanted[key >> 8]
-        key = (np.cumsum(wanted) - 1)[key[keep] >> 8] << 8 | key[keep] & 255
-        price, days = price[keep], [day for day, w in zip(days, wanted.tolist()) if w]
-    grid = np.full((len(days), BARS_PER_DAY), np.nan)
-    grid[key >> 8, (key & 255) - 1] = price
-    out: dict[str, dict[dt.date, np.ndarray]] = {}
-    for (name, date), row in zip(days, grid):
-        out.setdefault(name, {})[date] = row
-    return out
-
-
-# -- row loops ------------------------------------------------------------------
-
-
-def _eod_rows(path, delimiter: str, has_header: bool) -> dict:
-    out: dict[str, dict[dt.date, float]] = {}
+def _rows(path, delimiter: str, has_header: bool, columns: tuple):
+    """The ``(days, key, price)`` of ``_columnar``, read row by row with
+    ``csv``: the reader of any file ``_columnar`` refuses. The first bad row
+    raises a DataError that names it."""
+    intraday = columns == INTRADAY_COLUMNS
+    kind = "intraday" if intraday else "end-of-day"
+    days: dict[tuple, int] = {}
+    price_of: dict[int, float] = {}  # key -> price, in file order
     with _feed(path) as feed:
         reader = _csv_reader(feed, path, delimiter)
-        if has_header:
-            _check_header(next(reader, []), EOD_COLUMNS, path)
+        header = next(reader, []) if has_header else columns
+        if tuple(h.strip() for h in header) != columns:
+            raise DataError(f"header mismatch in {path}: expected {list(columns)}, found {header}")
         for row in reader:
             if not row:
                 continue
-            if len(row) != 3:
-                raise DataError(f"bad end-of-day row in {path}: {row}")
-            try:
-                d = _parse_date(row[0])
-                close = float(row[2])
-            except ValueError as exc:
-                raise DataError(f"unparsable end-of-day row in {path}: {row}") from exc
-            if close <= 0:
-                raise DataError(f"non-positive close for {row[1]} on {row[0]}: {close}")
-            if not math.isfinite(close):
-                raise DataError(f"non-finite close for {row[1]} on {row[0]}: {close}")
-            per_id = out.setdefault(row[1], {})
-            if d in per_id:
-                raise DataError(f"duplicate end-of-day record for {row[1]} on {row[0]}")
-            per_id[d] = close
-    return out
-
-
-def _parse_bar(field: str, path, row) -> int:
-    if ":" in field:
-        bar = assign_bar(_parse_time_ms(field))
-    else:
-        bar = int(field)
-    if not 1 <= bar <= BARS_PER_DAY:
-        raise DataError(f"off-grid intraday price row in {path}: {row}")
-    return bar
-
-
-def _intraday_rows(path, delimiter: str, has_header: bool) -> dict:
-    out: dict[str, dict[dt.date, np.ndarray]] = {}
-    with _feed(path) as feed:
-        reader = _csv_reader(feed, path, delimiter)
-        if has_header:
-            _check_header(next(reader, []), INTRADAY_COLUMNS, path)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataError(f"bad intraday row in {path}: {row}")
-            if row[3].strip() == "":
+            if len(row) != len(columns):
+                raise DataError(f"bad {kind} row in {path}: {row}")
+            if intraday and row[3].strip() == "":
                 continue  # explicit no-trade minute
             try:
-                d = _parse_date(row[0])
-                bar = _parse_bar(row[2], path, row)
-                price = float(row[3])
+                date, bar = _parse_date(row[0]), 0
+                if intraday:
+                    bar = assign_bar(_parse_time_ms(row[2])) if ":" in row[2] else int(row[2])
+                    if not 1 <= bar <= BARS_PER_DAY:
+                        raise DataError(f"off-grid intraday price row in {path}: {row}")
+                price = float(row[-1])
             except ValueError as exc:
-                raise DataError(f"unparsable intraday row in {path}: {row}") from exc
-            if price <= 0:
-                raise DataError(f"non-positive last price for {row[1]} on {row[0]} bar {bar}")
-            if not math.isfinite(price):
-                raise DataError(f"non-finite last price for {row[1]} on {row[0]} bar {bar}")
-            per_id = out.setdefault(row[1], {})
-            day = per_id.get(d)
-            if day is None:
-                day = per_id[d] = np.full(BARS_PER_DAY, np.nan)
-            if not np.isnan(day[bar - 1]):
-                raise DataError(f"duplicate intraday record for {row[1]} on {row[0]} bar {bar}")
-            day[bar - 1] = price
-    return out
+                raise DataError(f"unparsable {kind} row in {path}: {row}") from exc
+            if not 0 < price < math.inf:
+                sign = "non-positive" if price <= 0 else "non-finite"
+                if intraday:
+                    raise DataError(f"{sign} last price for {row[1]} on {row[0]} bar {bar}")
+                raise DataError(f"{sign} close for {row[1]} on {row[0]}: {price}")
+            key = days.setdefault((row[1], date), len(days)) << 8 | bar
+            if key in price_of:
+                at = f" bar {bar}" if intraday else ""
+                raise DataError(f"duplicate {kind} record for {row[1]} on {row[0]}{at}")
+            price_of[key] = price
+    n = len(price_of)
+    return list(days), np.fromiter(price_of, np.int64, n), np.fromiter(price_of.values(), float, n)
 
 
 def _side_rows(path, what: str, columns: tuple, parse_key):
@@ -302,11 +242,29 @@ def _side_rows(path, what: str, columns: tuple, parse_key):
 # -- public loaders ---------------------------------------------------------------
 
 
+def _read(path, delimiter: str, has_header: bool, columns: tuple):
+    """``(days, key, price)`` of a price file: ``_columnar``'s, or the row
+    loop's when ``_columnar`` refuses the file."""
+    return _columnar(path, delimiter, has_header, columns) or _rows(
+        path, delimiter, has_header, columns
+    )
+
+
+def _by_id(days: list, values) -> dict:
+    """{id: {date: value}} of the (id, date) pairs ``days`` and their values."""
+    out: dict = {}
+    for (name, date), value in zip(days, values):
+        out.setdefault(name, {})[date] = value
+    return out
+
+
 def load_eod_prices(path, delimiter: str = ",", has_header: bool = True) -> dict:
     """Return {id: {date: close}}. Duplicate (id, date), or a close that is
     not positive and finite, is an error."""
-    out = _eod_columnar(path, delimiter, has_header)
-    return out if out is not None else _eod_rows(path, delimiter, has_header)
+    days, key, price = _read(path, delimiter, has_header, EOD_COLUMNS)
+    close = np.empty(len(days))
+    close[key >> 8] = price
+    return _by_id(days, close.tolist())
 
 
 def load_intraday_prices(
@@ -317,12 +275,15 @@ def load_intraday_prices(
     Every row is validated; with ``ids`` (a collection of ids) only their
     day arrays are built and returned.
     """
-    out = _intraday_columnar(path, delimiter, has_header, ids)
-    if out is None:
-        out = _intraday_rows(path, delimiter, has_header)
-        if ids is not None:
-            out = {k: v for k, v in out.items() if k in ids}
-    return out
+    days, key, price = _read(path, delimiter, has_header, INTRADAY_COLUMNS)
+    if ids is not None:  # keep the wanted days' rows, with the days numbered afresh
+        wanted = np.array([name in ids for name, _ in days], bool)
+        keep = wanted[key >> 8]
+        key = (np.cumsum(wanted) - 1)[key[keep] >> 8] << 8 | key[keep] & 255
+        price, days = price[keep], [day for day, w in zip(days, wanted.tolist()) if w]
+    grid = np.full((len(days), BARS_PER_DAY), np.nan)
+    grid[key >> 8, (key & 255) - 1] = price
+    return _by_id(days, grid)
 
 
 def load_capitalization(path) -> dict:

@@ -11,16 +11,14 @@ needs is missing.
 from __future__ import annotations
 
 import datetime as dt
-import logging
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .marketdata.grid import BARS_PER_DAY
-
-log = logging.getLogger(__name__)
 
 #: Mainland A-shares move at most 10% a day; values this close to the band
 #: are treated as limit hits (flagged, never rejected).
@@ -101,8 +99,9 @@ def build_return_series(series_id: str, eod: dict, intraday: dict | None = None)
         if abs(pct) >= LIMIT_BAND_LOW:
             at_limit.add(cur)
             if abs(pct) > LIMIT_BAND_HIGH:
-                log.warning(
-                    "%s moved %.4f on %s, beyond the +/-10%% daily band", series_id, pct, cur
+                print(
+                    f"{series_id} moved {pct:.4f} on {cur}, beyond the +/-10% daily band",
+                    file=sys.stderr,
                 )
 
     prev_close: dict[dt.date, float] = {}

@@ -398,7 +398,7 @@ def test_cli_imports_without_scipy():
     )
     unused = (
         "polab.synth", "polab.verify", "polab.coupling", "polab.tailfit", "polab.flips",
-        "concurrent.futures.process",
+        "concurrent.futures.process", "logging",
     )
     loaded = _loaded_modules(code)
     assert "polab.cli" in loaded
@@ -1045,6 +1045,29 @@ class TestOneCachePath:
         name = "c.plab" if cache_key else "cache.plab"
         assert {name, f"{name}.crc32", "ingest_report.csv"} <= set(outputs[1])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cache_key", (False, True))
+    def test_out_moves_the_default_cache(self, tmp_path, capsys, cache_key):
+        # --out overrides out_dir, so the default cache moves with the tables;
+        # a configured cache stays where it is
+        extra = {"cache": str(tmp_path / "out" / "c.plab")} if cache_key else {}
+        cfg, _ = self.config(tmp_path, **extra)
+        cache_path = tmp_path / "out" / ("c.plab" if cache_key else "cache.plab")
+        assert main(["ingest", "--config", str(cfg)]) == 0
+        before = cache_path.read_bytes(), cache_path.stat().st_mtime_ns
+        alt = tmp_path / "alt"
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg), "--out", str(alt)]) == 0
+        printed = capsys.readouterr().out
+        written = {p.name for p in alt.iterdir()}
+        assert (cache_path.read_bytes(), cache_path.stat().st_mtime_ns) == before
+        assert "panel.csv" in written
+        if cache_key:
+            assert "ingest:" not in printed
+            assert not written & {"c.plab", "cache.plab", "ingest_report.csv"}
+        else:
+            assert "ingest: " in printed and str(alt / "cache.plab") in printed
+            assert {"cache.plab", "cache.plab.crc32", "ingest_report.csv"} <= written
 
     @pytest.mark.parametrize("cache_key", (False, True))
     def test_no_cache_and_no_feed_is_a_config_error(self, tmp_path, capsys, cache_key):

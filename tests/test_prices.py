@@ -202,38 +202,72 @@ def _same_days(a: dict, b: dict) -> bool:
     )
 
 
+def _same_triple(a, b) -> bool:
+    """The same (id, date) pairs in order, equal keys and bit-identical prices."""
+    return (
+        a[0] == b[0]
+        and np.array_equal(a[1], b[1])
+        and np.array_equal(a[2].view(np.int64), b[2].view(np.int64))
+    )
+
+
+def _shapes(out: dict, triple) -> bool:
+    """``out`` is a loader's dict of ``triple``: each id's dates in order of
+    first appearance, and each row's price bit for bit at its bar (the value
+    itself, at end of day) with nothing else set."""
+    days, key, price = triple
+    ids = dict.fromkeys(name for name, _ in days)
+    if list(out) != list(ids) or any(
+        list(out[i]) != [date for name, date in days if name == i] for i in ids
+    ):
+        return False
+    for k, p in zip(key.tolist(), price.tolist()):
+        name, date = days[k >> 8]
+        value = out[name][date][(k & 255) - 1] if k & 255 else out[name][date]
+        if float(value).hex() != p.hex():
+            return False
+    n_set = sum(
+        np.count_nonzero(~np.isnan(np.asarray(v))) for per in out.values() for v in per.values()
+    )
+    return n_set == len(key)
+
+
 #: block sizes of the price reader: a line per block, a few lines, one block
 BLOCK_BYTES = (1, 7, 64, prices._BLOCK_BYTES)
 
 
-@settings(max_examples=150, deadline=None)
+# at least the count the test sets, and the profile's count when that is larger
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(price_files("intraday"), st.sets(st.sampled_from(IDS)), st.sampled_from(BLOCK_BYTES))
 def test_columnar_intraday_equals_row_loop(tmp_path_factory, spec, ids, block_bytes):
     text, has_header = spec
     path = tmp_path_factory.mktemp("intra") / "intraday.csv"
     path.write_bytes(text.encode())
-    rows = prices._intraday_rows(path, ",", has_header)
+    rows = prices._rows(path, ",", has_header, prices.INTRADAY_COLUMNS)
     with mock.patch.object(prices, "_BLOCK_BYTES", block_bytes):
-        columnar = prices._intraday_columnar(path, ",", has_header, None)
+        columnar = prices._columnar(path, ",", has_header, prices.INTRADAY_COLUMNS)
     assert columnar is not None  # plain files never fall back
-    assert _same_days(columnar, rows)
-    assert _same_days(load_intraday_prices(path, has_header=has_header), rows)
+    assert _same_triple(columnar, rows)
+    out = load_intraday_prices(path, has_header=has_header)
+    assert _shapes(out, rows)
     only = load_intraday_prices(path, has_header=has_header, ids=ids)
-    assert _same_days(only, {k: v for k, v in rows.items() if k in ids})
+    assert _same_days(only, {k: v for k, v in out.items() if k in ids})
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
 @given(price_files("eod"), st.sampled_from(BLOCK_BYTES))
 def test_columnar_eod_equals_row_loop(tmp_path_factory, spec, block_bytes):
     text, has_header = spec
     path = tmp_path_factory.mktemp("eod") / "eod.csv"
     path.write_bytes(text.encode())
-    rows = prices._eod_rows(path, ",", has_header)
+    rows = prices._rows(path, ",", has_header, prices.EOD_COLUMNS)
     with mock.patch.object(prices, "_BLOCK_BYTES", block_bytes):
-        columnar = prices._eod_columnar(path, ",", has_header)
+        columnar = prices._columnar(path, ",", has_header, prices.EOD_COLUMNS)
     assert columnar is not None
-    assert _same_days(columnar, rows)
-    assert all(type(v) is float for days in columnar.values() for v in days.values())
+    assert _same_triple(columnar, rows)
+    out = load_eod_prices(path, has_header=has_header)
+    assert _shapes(out, rows)
+    assert all(type(v) is float for days in out.values() for v in days.values())
 
 
 INTRA_HEAD = "date,id,bar_or_time,last_price"
@@ -283,6 +317,10 @@ INTRA_HEAD = "date,id,bar_or_time,last_price"
             [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,7,-inf"],
             "non-positive last price for 000001 on 2015-05-04 bar 7",
         ),
+        (
+            [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,2,10.5,7"],
+            "bad intraday row in {path}: ['2015-05-04', '000001', '2', '10.5', '7']",
+        ),
     ],
 )
 def test_intraday_errors_keep_the_row_loop_text(tmp_path, body, message):
@@ -310,6 +348,18 @@ def test_intraday_errors_keep_the_row_loop_text(tmp_path, body, message):
         (["date,id,close", "2015-05-04,A,inf"], "non-finite close for A on 2015-05-04: inf"),
         (["date,id,close", "2015-05-04,A,1e400"], "non-finite close for A on 2015-05-04: inf"),
         (["date,id,close", "2015-05-04,A,-inf"], "non-positive close for A on 2015-05-04: -inf"),
+        (
+            ["date,id,close", "2015-05-04,000001,12.5,7"],
+            "bad end-of-day row in {path}: ['2015-05-04', '000001', '12.5', '7']",
+        ),
+        (
+            ["date,id,close", "2015-05-04,A,1.5", "2015-13-04,A,1.5"],
+            "unparsable end-of-day row in {path}: ['2015-13-04', 'A', '1.5']",
+        ),
+        (
+            ["date,id,close", "2015-05-04,A,1.5", "2015-05-05,A,abc"],
+            "unparsable end-of-day row in {path}: ['2015-05-05', 'A', 'abc']",
+        ),
     ],
 )
 def test_eod_errors_keep_the_row_loop_text(tmp_path, body, message):
@@ -332,7 +382,7 @@ def test_quoted_and_signed_fields_take_the_row_loop(tmp_path):
         tmp_path, "intra.csv",
         [INTRA_HEAD, '2015-05-04,"000001",+5, 10.5', "2015-05-04,000002,0005,1e1"],
     )
-    assert prices._intraday_columnar(path, ",", True, None) is None
+    assert prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS) is None
     out = load_intraday_prices(path)
     assert out["000001"][D][4] == 10.5 and out["000002"][D][4] == 10.0
 
@@ -359,8 +409,7 @@ def test_several_blocks_take_the_columnar_path(tmp_path, small_blocks, monkeypat
     path = write(tmp_path, "intra.csv", intraday_rows(["B", "A", "C"]))
     eod_lines = ["date,id,close"] + [f"2015-05-{k:02d},A,1.{k}" for k in range(4, 30)]
     eod = write(tmp_path, "eod.csv", eod_lines)
-    monkeypatch.setattr(prices, "_intraday_rows", mock.Mock(side_effect=AssertionError("row loop")))
-    monkeypatch.setattr(prices, "_eod_rows", mock.Mock(side_effect=AssertionError("row loop")))
+    monkeypatch.setattr(prices, "_rows", mock.Mock(side_effect=AssertionError("row loop")))
     out = load_intraday_prices(path)
     assert len([b for b in small_blocks if b]) > 5
     assert list(out) == ["B", "A", "C"]
@@ -375,11 +424,15 @@ def test_id_first_seen_in_a_later_block_keeps_its_place(tmp_path, small_blocks):
     later = ["2015-05-05,Z,3,7.5", "2015-05-04,A,1,9.5", "2015-05-04,M,11,1.5"]
     lines = intraday_rows(["Z", "M"]) + later
     path = write(tmp_path, "intra.csv", lines)
-    out = prices._intraday_columnar(path, ",", True, None)
-    assert out is not None
+    triple = prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS)
+    assert triple is not None
+    days, key, price = triple
+    assert days == [("Z", D), ("M", D), ("Z", dt.date(2015, 5, 5)), ("A", D)]
+    assert price[key == 1 << 8 | 11].tolist() == [1.5]
+    assert _same_triple(triple, prices._rows(path, ",", True, prices.INTRADAY_COLUMNS))
+    out = load_intraday_prices(path)
     assert list(out) == ["Z", "M", "A"] and list(out["Z"]) == [D, dt.date(2015, 5, 5)]
     assert out["M"][D][10] == 1.5
-    assert _same_days(out, prices._intraday_rows(path, ",", True))
 
 
 @pytest.mark.parametrize(
@@ -410,7 +463,7 @@ def test_duplicate_across_blocks_keeps_the_row_loop_text(
 
 def test_quote_in_the_last_block_sends_the_file_to_the_row_loop(tmp_path, small_blocks):
     path = write(tmp_path, "intra.csv", intraday_rows(["A", "B"]) + ['2015-05-04,"C",1,2.5'])
-    assert prices._intraday_columnar(path, ",", True, None) is None
+    assert prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS) is None
     *before, last = small_blocks  # the columnar reader stops at the block with the quote
     assert len(before) > 2 and b'"' not in b"".join(before) and last.endswith(b'"C",1,2.5\n')
     out = load_intraday_prices(path)
@@ -420,8 +473,9 @@ def test_quote_in_the_last_block_sends_the_file_to_the_row_loop(tmp_path, small_
 def test_rows_beyond_the_room_made_for_them_still_load(tmp_path, small_blocks, monkeypatch):
     path = write(tmp_path, "intra.csv", intraday_rows(["A", "B"]))
     monkeypatch.setattr(prices.os.path, "getsize", lambda _: 0)  # as for a pipe
-    out = prices._intraday_columnar(path, ",", True, None)
-    assert out is not None and _same_days(out, prices._intraday_rows(path, ",", True))
+    out = prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS)
+    rows = prices._rows(path, ",", True, prices.INTRADAY_COLUMNS)
+    assert out is not None and _same_triple(out, rows)
 
 
 # -- side files -------------------------------------------------------------------

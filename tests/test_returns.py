@@ -34,6 +34,12 @@ class TestDailyPct:
         assert rs.daily_pct[D2] == pytest.approx(-0.10)
         assert D2 in rs.at_limit
 
+    def test_move_beyond_the_band_is_printed_and_flagged(self, capsys):
+        rs = build_return_series("S", {D1: 18.0, D2: 20.0})
+        assert D2 in rs.at_limit
+        err = capsys.readouterr().err
+        assert err == "S moved 0.1111 on 2015-05-05, beyond the +/-10% daily band\n"
+
     def test_normal_move_not_flagged(self):
         rs = build_return_series("S", {D1: 20.0, D2: 20.6})
         assert D2 not in rs.at_limit
