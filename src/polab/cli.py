@@ -38,6 +38,7 @@ from . import __version__
 from .config import RunConfig, read_config
 from .errors import ConfigError, DataError, FitRefusedError, PolabError
 from .marketdata import cache as cache_mod
+from .marketdata.grid import BARS_PER_DAY
 from .marketdata.parse import iter_transactions
 from .marketdata.prices import (
     load_capitalization, load_emotion, load_eod_prices, load_intraday_prices,
@@ -172,22 +173,29 @@ def _moments(values: np.ndarray):
     return mean, std, kurt
 
 
+def _scopes(cfg: RunConfig, panel: PolarityPanel) -> list:
+    """("all", every date) and each period with its columns of the panel's dates."""
+    periods = cfg.periods
+    return [("all", slice(None))] + [
+        (name, [j for j, d in enumerate(panel.dates) if periods.label(d) == name])
+        for name in periods.names()
+    ]
+
+
+def _finite_polarity(panel: PolarityPanel, cols) -> np.ndarray:
+    """The finite polarity values on the date columns ``cols``, in (stock,
+    date, bar) order, derived a stock at a time."""
+    pols = (panel.stock_polarity(i, cols) for i in range(len(panel.stocks) if cols else 0))
+    return np.concatenate([p[np.isfinite(p)] for p in pols] + [np.empty(0)])
+
+
 def _cmd_polarity(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     panel.write_text(out / "panel.csv")
-    periods = cfg.periods
-    pol = panel.polarity
     rows = []
-    scopes = [("all", list(range(len(panel.dates))))]
-    for name in periods.names():
-        scopes.append((name, [j for j, d in enumerate(panel.dates) if periods.label(d) == name]))
-    for name, cols in scopes:
-        if not cols:
-            rows.append((name, None, None, None, 0))
-            continue
-        vals = pol[:, cols, :]
-        vals = vals[np.isfinite(vals)]
+    for name, cols in _scopes(cfg, panel):
+        vals = _finite_polarity(panel, cols)
         if len(vals) == 0:
             rows.append((name, None, None, None, 0))
             continue
@@ -212,18 +220,13 @@ def _cmd_polarity(cfg: RunConfig, args) -> int:
 def _cmd_ratios(cfg: RunConfig, args) -> int:
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    periods = cfg.periods
+    scopes = _scopes(cfg, panel)
     caps = load_capitalization(cfg.capitalization) if cfg.capitalization else None
     rows = []
-    for stock in panel.stocks:
-        for name in ("all",) + periods.names():
-            if name == "all":
-                dates = None
-            else:
-                dates = [d for d in panel.dates if periods.label(d) == name]
-                if not dates:
-                    continue
-            ratios = direction_ratios(panel, stock, dates=dates, period=name)
+    for i, stock in enumerate(panel.stocks):
+        pol = panel.stock_polarity(i)
+        for name, cols in scopes:
+            ratios = direction_ratios(stock, pol[cols], period=name)
             if ratios is None:
                 continue
             row = [stock, name, ratios.pos_ratio, ratios.neg_ratio, ratios.zero_ratio, ratios.n]
@@ -440,22 +443,19 @@ def _corr_dists(cfg: RunConfig, panel: PolarityPanel, intraday: dict):
     from . import coupling
 
     log_returns = _stock_log_returns(cfg, panel, intraday)
-    dists = []
-    for date in panel.dates:
-        coeffs = []
-        for stock in panel.stocks:
-            logs = log_returns.get((stock, date))
-            if logs is None:
-                continue
-            r = coupling.stock_day_correlation(
-                panel.row(stock, date), logs, min_bars=cfg.min_corr_bars
-            )
-            if r is not None:
-                coeffs.append(r)
-        dists.append(
-            coupling.build_corr_dist(date, coeffs, bins=cfg.bins, pseudo_count=cfg.pseudo_count)
-        )
-    return dists
+    # stock by stock, so each date's coefficients come in stock order
+    coeffs = {date: [] for date in panel.dates}
+    for stock, date, row in panel.iter_stock_days():
+        logs = log_returns.get((stock, date))
+        if logs is None:
+            continue
+        r = coupling.stock_day_correlation(row, logs, min_bars=cfg.min_corr_bars)
+        if r is not None:
+            coeffs[date].append(r)
+    return [
+        coupling.build_corr_dist(date, c, bins=cfg.bins, pseudo_count=cfg.pseudo_count)
+        for date, c in coeffs.items()
+    ]
 
 
 def _cmd_kl(cfg: RunConfig, args) -> int:
@@ -574,26 +574,31 @@ def _cmd_impact(cfg: RunConfig, args) -> int:
     log_returns = _stock_log_returns(cfg, panel, intraday)
     periods = cfg.periods
 
-    pairs: dict = {"all": ([], [])}
-    for name in periods.names():
-        pairs[name] = ([], [])
+    scopes = ("all",) + periods.names()
+    label = {date: scopes.index(periods.label(date)) for date in panel.dates}
+    # each kept pair once, in stock, date and minute order, tagged with its
+    # period; pairs fill the arrays from the front, so pages past the last
+    # pair are never touched
+    size = len(log_returns) * BARS_PER_DAY
+    pol, ret, tag = np.empty(size), np.empty(size), np.empty(size, dtype=np.uint8)
+    n = 0
     for stock, date, row in panel.iter_stock_days():
         logs = log_returns.get((stock, date))
         if logs is None:
             continue
         keep = np.isfinite(row) & np.isfinite(logs)
-        if not keep.any():
-            continue
-        for scope in ("all", periods.label(date)):
-            pairs[scope][0].append(row[keep])
-            pairs[scope][1].append(logs[keep])
+        end = n + int(np.count_nonzero(keep))
+        pol[n:end], ret[n:end], tag[n:end] = row[keep], logs[keep], label[date]
+        n = end
+    pol, ret, tag = pol[:n], ret[:n], tag[:n]
 
     rows = []
-    for scope in ("all",) + periods.names():
-        ps, rs = pairs[scope]
-        if not ps:
+    for k, scope in enumerate(scopes):
+        mine = slice(None) if k == 0 else tag == k
+        ps, rs = pol[mine], ret[mine]
+        if len(ps) == 0:
             continue
-        groups = coupling.price_impact_groups(np.concatenate(ps), np.concatenate(rs))
+        groups = coupling.price_impact_groups(ps, rs)
         for group in coupling.GROUPS:
             s = groups[group]
             if s is None:

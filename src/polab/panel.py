@@ -4,7 +4,9 @@ A man-times count is the number of distinct order serials on one side of
 the trades inside one bar: the minimal trading decision unit the feed can
 resolve without trader identities. Polarity is the normalized difference
 (buy - sell) / (buy + sell), so a minute with no trades has no polarity
-(missing), while balanced non-zero activity gives exactly zero.
+(missing), while balanced non-zero activity gives exactly zero. The panel
+holds the counts alone: each reader derives polarity from them where it
+reads it, one stock (or one column) at a time, with ``derive_polarity``.
 
 By default a serial trading in several minutes counts once in each
 (``serial_scope="bar"``). The alternative ``"day"`` scope counts each
@@ -66,6 +68,20 @@ def polarity(buy: int, sell: int) -> float | None:
     return (buy - sell) / total
 
 
+def derive_polarity(buy: np.ndarray, sell: np.ndarray) -> np.ndarray:
+    """``polarity`` over count arrays: float64, NaN where both counts are 0."""
+    # in float64, where counts and their sum are exact: an int32 buy + sell
+    # can wrap past 2**31 - 1
+    total = buy.astype(np.float64)
+    total += sell
+    p = buy.astype(np.float64)
+    p -= sell
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p /= total
+    p[total == 0] = np.nan
+    return p
+
+
 @dataclass(frozen=True)
 class DirectionRatios:
     """Shares of positive / negative / zero polarity minutes for one stock."""
@@ -79,11 +95,13 @@ class DirectionRatios:
 
 
 class PolarityPanel:
-    """Dense (stock, date, bar) man-times counts with derived polarity.
+    """Dense (stock, date, bar) man-times counts.
 
-    ``buy`` and ``sell`` are int32 arrays of shape (n_stocks, n_dates, 237);
-    ``polarity`` is float64 with NaN in minutes without activity. Read-only
-    once built; queries are safe to run concurrently.
+    ``buy`` and ``sell`` are int32 arrays of shape (n_stocks, n_dates, 237),
+    and they are all the panel holds. Polarity is derived where it is read,
+    a stock at a time (``stock_polarity``), so no reader holds a float copy
+    of the whole panel. Read-only once built; queries are safe to run
+    concurrently.
     """
 
     def __init__(self, stocks, dates, buy, sell):
@@ -93,22 +111,6 @@ class PolarityPanel:
         self.sell = sell
         self._stock_idx = {s: i for i, s in enumerate(self.stocks)}
         self._date_idx = {d: j for j, d in enumerate(self.dates)}
-        self._polarity = None
-
-    @property
-    def polarity(self) -> np.ndarray:
-        if self._polarity is None:
-            # in float64, where counts and their sum are exact: an int32
-            # buy + sell can wrap past 2**31 - 1
-            total = self.buy.astype(np.float64)
-            total += self.sell
-            p = self.buy.astype(np.float64)
-            p -= self.sell
-            with np.errstate(invalid="ignore", divide="ignore"):
-                p /= total
-            p[total == 0] = np.nan
-            self._polarity = p
-        return self._polarity
 
     def stock_index(self, stock_id: str) -> int:
         try:
@@ -129,14 +131,20 @@ class PolarityPanel:
         s = int(self.sell[i, j, bar - 1])
         return b, s, polarity(b, s)
 
+    def stock_polarity(self, i: int, cols=slice(None)) -> np.ndarray:
+        """Stock ``i``'s polarity on the dates ``cols``, NaN where missing."""
+        return derive_polarity(self.buy[i, cols], self.sell[i, cols])
+
     def row(self, stock_id: str, date: dt.date) -> np.ndarray:
         """One stock-day of polarity values, shape (237,), NaN where missing."""
-        return self.polarity[self.stock_index(stock_id), self.date_index(date)]
+        return self.stock_polarity(self.stock_index(stock_id), self.date_index(date))
 
     def iter_stock_days(self) -> Iterator[tuple[str, dt.date, np.ndarray]]:
+        """(stock, date, polarity row) in stock, then date order; each
+        stock's rows are derived together."""
         for i, stock in enumerate(self.stocks):
-            for j, date in enumerate(self.dates):
-                yield stock, date, self.polarity[i, j]
+            for date, row in zip(self.dates, self.stock_polarity(i)):
+                yield stock, date, row
 
     def active_cells(self) -> dict:
         """{(stock, date, bar): (buy, sell)} over minutes with any activity."""
@@ -379,19 +387,14 @@ def _day_counts(blk, day_scope: bool) -> np.ndarray:
 
 
 def direction_ratios(
-    panel: PolarityPanel, stock_id: str, dates=None, period: str = "all"
+    stock_id: str, pol: np.ndarray, period: str = "all"
 ) -> DirectionRatios | None:
-    """Positive/negative/zero minute shares over non-missing cells.
+    """Positive/negative/zero minute shares over the finite values of ``pol``,
+    the stock's polarity over the period.
 
     Returns None when the stock has no non-missing cell in the period.
     """
-    i = panel.stock_index(stock_id)
-    if dates is None:
-        rows = panel.polarity[i]
-    else:
-        cols = [panel.date_index(d) for d in dates]
-        rows = panel.polarity[i, cols]
-    vals = rows[np.isfinite(rows)]
+    vals = pol[np.isfinite(pol)]
     n = len(vals)
     if n == 0:
         return None
@@ -403,7 +406,8 @@ def direction_ratios(
 
 def market_polarity(panel: PolarityPanel, date: dt.date, bar: int) -> float:
     """Equal-weighted mean polarity over stocks active at (date, bar); NaN if none."""
-    col = panel.polarity[:, panel.date_index(date), bar - 1]
+    j = panel.date_index(date)
+    col = derive_polarity(panel.buy[:, j, bar - 1], panel.sell[:, j, bar - 1])
     finite = col[np.isfinite(col)]
     if len(finite) == 0:
         return math.nan
@@ -412,11 +416,16 @@ def market_polarity(panel: PolarityPanel, date: dt.date, bar: int) -> float:
 
 def market_polarity_series(panel: PolarityPanel) -> np.ndarray:
     """Market polarity for every (date, bar); shape (n_dates, 237), NaN if no stock."""
-    with np.errstate(invalid="ignore"):
-        counts = np.isfinite(panel.polarity).sum(axis=0)
-        sums = np.nansum(panel.polarity, axis=0)
-        out = np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
-    return out
+    counts = np.zeros((len(panel.dates), BARS_PER_DAY), dtype=np.int64)
+    sums = np.zeros(counts.shape)
+    # stock by stock, as np.nansum over the stock axis adds them
+    for i in range(len(panel.stocks)):
+        pol = panel.stock_polarity(i)
+        finite = np.isfinite(pol)
+        counts += finite
+        pol[~finite] = 0.0
+        sums += pol
+    return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
 
 
 def daily_polarity_at_index_min(panel: PolarityPanel, index_returns, date: dt.date) -> float:

@@ -90,7 +90,7 @@ def _check_planted(scenario_id, truth, panel, files, failures) -> None:
         want = _expected_runs([int(s) for s in planted[finite] if s != 0])
         if got != want:
             failures.append(f"[{scenario_id}] {stock} {date}: runs {got} != planted {want}")
-        ratios = direction_ratios(panel, stock, dates=[date])
+        ratios = direction_ratios(stock, row)
         vals = planted[finite]
         if len(vals):
             want_ratios = (

@@ -18,6 +18,7 @@ from polab.marketdata.parse import _parse_row, iter_transactions
 from polab.panel import (
     PolarityPanel,
     daily_polarity_at_index_min,
+    derive_polarity,
     direction_ratios,
     market_polarity,
     market_polarity_series,
@@ -116,7 +117,7 @@ FEED_TIMES = (
 
 def _write_text_per_cell(panel, path, delimiter, include_empty):
     """The writer ``write_text`` replaced, one format call per cell: the reference."""
-    pol = panel.polarity
+    pol = derive_polarity(panel.buy, panel.sell)
     with open(path, "w", newline="") as fh:
         fh.write(delimiter.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
         fh.write("\n")
@@ -189,7 +190,7 @@ class TestPolarityFunction:
 class TestPanelConstruction:
     def test_missing_iff_no_activity(self, small_panel):
         total = small_panel.buy + small_panel.sell
-        pol = small_panel.polarity
+        pol = derive_polarity(small_panel.buy, small_panel.sell)
         assert np.all(np.isnan(pol) == (total == 0))
 
     def test_cell_accessor(self, small_panel):
@@ -365,13 +366,13 @@ class TestDirectionRatios:
 
     def test_counts_over_nonmissing_cells(self):
         panel = self.make_panel([0.2, -0.1, 0, 0.5])
-        r = direction_ratios(panel, "000001")
+        r = direction_ratios("000001", panel.stock_polarity(0))
         assert (r.pos_ratio, r.neg_ratio, r.zero_ratio) == (0.5, 0.25, 0.25)
         assert r.n == 4
 
     def test_all_positive(self):
         panel = self.make_panel([0.1, 0.4, 0.9])
-        r = direction_ratios(panel, "000001")
+        r = direction_ratios("000001", panel.stock_polarity(0))
         assert (r.pos_ratio, r.neg_ratio, r.zero_ratio) == (1.0, 0.0, 0.0)
 
     def test_ratios_sum_to_one(self):
@@ -381,12 +382,12 @@ class TestDirectionRatios:
             for _ in range(237)
         ]
         panel = self.make_panel(values)
-        r = direction_ratios(panel, "000001")
+        r = direction_ratios("000001", panel.stock_polarity(0))
         assert abs(r.pos_ratio + r.neg_ratio + r.zero_ratio - 1.0) < 1e-12
 
     def test_no_cells_returns_none(self):
         panel = self.make_panel([None] * 237)
-        assert direction_ratios(panel, "000001") is None
+        assert direction_ratios("000001", panel.stock_polarity(0)) is None
 
     def test_synthetic_regime_concentration(self):
         # P(pos)=0.6, P(neg)=0.3, P(zero)=0.1 over 1e5 draws recovers the mix
@@ -401,7 +402,7 @@ class TestDirectionRatios:
         shaped.reshape(-1)[:n] = buy
         shaped_sell.reshape(-1)[:n] = sell
         panel = PolarityPanel(["000001"], days, shaped, shaped_sell)
-        r = direction_ratios(panel, "000001")
+        r = direction_ratios("000001", panel.stock_polarity(0))
         assert abs(r.pos_ratio - 0.6) < 0.01
         assert abs(r.neg_ratio - 0.3) < 0.01
         assert abs(r.zero_ratio - 0.1) < 0.01
@@ -451,7 +452,7 @@ class TestMarketPolarity:
         assert np.isfinite(series).all()
         assert np.all(np.abs(series - 0.08) <= 0.03)
         for bar in (1, 118, 237):
-            col = panel.polarity[:, 0, bar - 1]
+            col = derive_polarity(panel.buy[:, 0, bar - 1], panel.sell[:, 0, bar - 1])
             by_hand = float(np.mean(col[np.isfinite(col)]))
             assert market_polarity(panel, D, bar) == by_hand
 
@@ -510,6 +511,137 @@ class TestDailyPolarityAtIndexMin:
             expected = series[j, bar - 1]
             got = daily_polarity_at_index_min(small_panel, idx, date)
             assert (math.isnan(expected) and math.isnan(got)) or got == pytest.approx(expected)
+
+
+# -- polarity derived a stock at a time, against the whole-panel formulas -------
+
+
+def whole_polarity(panel):
+    """Polarity derived over the whole panel at once, as the panel once kept
+    it: the reference for every per-stock derivation."""
+    total = panel.buy.astype(np.float64)
+    total += panel.sell
+    p = panel.buy.astype(np.float64)
+    p -= panel.sell
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p /= total
+    p[total == 0] = np.nan
+    return p
+
+
+def whole_market_series(pol):
+    """``market_polarity_series`` as one reduction over the stock axis."""
+    with np.errstate(invalid="ignore"):
+        counts = np.isfinite(pol).sum(axis=0)
+        sums = np.nansum(pol, axis=0)
+        return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
+
+
+def whole_market_polarity(pol, j, bar):
+    col = pol[:, j, bar - 1]
+    finite = col[np.isfinite(col)]
+    return math.nan if len(finite) == 0 else float(finite.mean())
+
+
+def count_panel(buy, sell):
+    stocks = [f"S{i:03d}" for i in range(buy.shape[0])]
+    dates = [D + dt.timedelta(days=j) for j in range(buy.shape[1])]
+    return PolarityPanel(stocks, dates, buy.astype(np.int32), sell.astype(np.int32))
+
+
+#: counts whose int32 sum would wrap
+NEAR_MAX = (2**31 - 3, 2**31 - 2, 2**31 - 1)
+
+
+@st.composite
+def count_panels(draw):
+    """Panels with no-trade minutes, one-sided minutes and counts near
+    2**31 - 1, from one stock and one date up."""
+    shape = (draw(st.integers(1, 20)), draw(st.integers(1, 3)), BARS_PER_DAY)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 12, (2, *shape))
+    big = rng.random(counts.shape) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    counts[big] = rng.choice(NEAR_MAX, int(big.sum()))
+    counts[rng.random(counts.shape) < 0.2] = 0  # one side idle
+    counts[:, rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.95, 1.0]))] = 0
+    return count_panel(*counts)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+EDGE_PANELS = (
+    count_panel(np.full((1, 1, BARS_PER_DAY), 2**31 - 1), np.full((1, 1, BARS_PER_DAY), 2**31 - 1)),
+    count_panel(np.zeros((2, 1, BARS_PER_DAY)), np.zeros((2, 1, BARS_PER_DAY))),
+    count_panel(np.full((3, 2, BARS_PER_DAY), 2**31 - 1), np.ones((3, 2, BARS_PER_DAY))),
+)
+
+
+@settings(deadline=None)
+@given(panel=count_panels())
+@example(panel=EDGE_PANELS[0])
+@example(panel=EDGE_PANELS[1])
+@example(panel=EDGE_PANELS[2])
+def test_per_stock_derivation_matches_the_whole_panel_bit_for_bit(panel):
+    from polab.cli import _finite_polarity
+
+    pol = whole_polarity(panel)
+    n_stocks, n_dates = len(panel.stocks), len(panel.dates)
+    assert _bits([panel.stock_polarity(i) for i in range(n_stocks)]) == _bits(pol)
+    rows = [row for _, _, row in panel.iter_stock_days()]
+    assert _bits(rows) == _bits(pol.reshape(-1, BARS_PER_DAY))
+    assert _bits(panel.row(panel.stocks[-1], panel.dates[-1])) == _bits(pol[-1, -1])
+    assert _bits(market_polarity_series(panel)) == _bits(whole_market_series(pol))
+    for j, date in enumerate(panel.dates):
+        for bar in (1, 2, 118, 236, 237):
+            want = whole_market_polarity(pol, j, bar)
+            assert _bits(market_polarity(panel, date, bar)) == _bits(want)
+    # the moments' arrays: every date, each single date and the last ones
+    scopes = [slice(None), list(range(n_dates))] + [[j] for j in range(n_dates)] + [[]]
+    scopes.append(list(range(1, n_dates)))
+    for cols in scopes:
+        vals = pol[:, cols, :]
+        assert _bits(_finite_polarity(panel, cols)) == _bits(vals[np.isfinite(vals)])
+    for i, stock in enumerate(panel.stocks):
+        vals = pol[i][np.isfinite(pol[i])]
+        got = direction_ratios(stock, panel.stock_polarity(i))
+        if len(vals) == 0:
+            assert got is None
+        else:
+            want = ((vals > 0).sum() / len(vals), (vals < 0).sum() / len(vals))
+            assert (got.pos_ratio, got.neg_ratio, got.n) == (*want, len(vals))
+
+
+def test_readers_hold_a_stock_slab_not_a_panel():
+    import tracemalloc
+
+    rng = np.random.default_rng(2015)
+    shape = (300, 3, BARS_PER_DAY)
+    panel = count_panel(rng.poisson(0.4, shape), rng.poisson(0.4, shape))
+    budget = panel.buy.nbytes // 10  # the whole panel's polarity is 2x buy.nbytes
+
+    def ratios_pass():
+        for i, stock in enumerate(panel.stocks):
+            direction_ratios(stock, panel.stock_polarity(i))
+
+    passes = {
+        "iter_stock_days": lambda: sum(1 for _ in panel.iter_stock_days()),
+        "market_polarity_series": lambda: market_polarity_series(panel),
+        "direction_ratios": ratios_pass,
+    }
+    tracemalloc.start()
+    try:
+        for name, run in passes.items():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < budget, f"{name} allocated {peak} B at peak, budget {budget} B"
+    finally:
+        tracemalloc.stop()
+    held = [v for v in vars(panel).values() if isinstance(v, np.ndarray) and v.dtype == np.float64]
+    assert held == []
 
 
 def _reencode_ids(arrays, ids):

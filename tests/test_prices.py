@@ -110,6 +110,18 @@ class TestIntradayLoader:
         assert out["000001"][D][0] == 10.5
         assert np.isnan(out["000001"][D][1])
 
+    def test_whitespace_price_means_no_trade(self, tmp_path):
+        # the columnar reader refuses the blank field; the row loop strips it
+        path = write(
+            tmp_path,
+            "intra.csv",
+            ["date,id,bar_or_time,last_price", "2015-05-04,A,1,10.5", "2015-05-04,A,2,  "],
+        )
+        assert prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS) is None
+        out = load_intraday_prices(path)
+        assert out["A"][D][0] == 10.5
+        assert np.isnan(out["A"][D][1])
+
     def test_duplicate_minute_rejected(self, tmp_path):
         path = write(
             tmp_path,

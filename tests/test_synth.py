@@ -9,7 +9,7 @@ import pytest
 from polab.cli import main
 from polab.errors import ConfigError
 from polab.marketdata.schema import FIELDS, ColumnSchema
-from polab.panel import PolarityPanel
+from polab.panel import PolarityPanel, derive_polarity
 from polab.synth import RegimeSpec, brute_force_recount, generate, generate_causal_days
 
 D1 = dt.date(2015, 5, 4)
@@ -116,7 +116,7 @@ class TestPoissonRegimeMoments:
         dates = [dt.date(2015, 5, 4) + dt.timedelta(days=i) for i in range(9)]
         files, truth = generate(regime, n_stocks=50, dates=dates, seed=31, out_dir=tmp_path)
         panel = PolarityPanel.from_transactions(files.transactions)
-        pol = panel.polarity
+        pol = derive_polarity(panel.buy, panel.sell)
         vals = pol[np.isfinite(pol)]
         assert len(vals) > 100_000
         assert abs(vals.mean() - 0.08) <= 0.005
