@@ -161,8 +161,14 @@ def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
             keys[rows] = np.asarray(day_of, np.int64)[row_pair] << 8 | bar
             prices[rows] = price
             n_rows = rows.stop
-    ordered = np.sort(keys[:n_rows])
-    if (ordered[1:] == ordered[:-1]).any():  # a duplicate minute or day
+    # a repeated minute (a day, at end of day, where a day's key is its own)
+    # leaves fewer distinct keys than rows
+    distinct = len(days)
+    if intraday:
+        seen = np.zeros(len(days) << 8, bool)
+        seen[keys[:n_rows]] = True
+        distinct = np.count_nonzero(seen)
+    if distinct != n_rows:
         return None
     return list(days), keys[:n_rows], prices[:n_rows]
 

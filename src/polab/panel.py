@@ -5,8 +5,10 @@ the trades inside one bar: the minimal trading decision unit the feed can
 resolve without trader identities. Polarity is the normalized difference
 (buy - sell) / (buy + sell), so a minute with no trades has no polarity
 (missing), while balanced non-zero activity gives exactly zero. The panel
-holds the counts alone: each reader derives polarity from them where it
-reads it, one stock (or one column) at a time, with ``derive_polarity``.
+holds the counts alone, in the narrowest unsigned type that holds its
+largest count (uint8, uint16 or uint32): each reader derives polarity from
+them where it reads it, one stock (or one column) at a time, with
+``derive_polarity``, which widens them to float64 first.
 
 By default a serial trading in several minutes counts once in each
 (``serial_scope="bar"``). The alternative ``"day"`` scope counts each
@@ -53,8 +55,9 @@ _BAR_BITS = 8
 _SELL = 1 << _BAR_BITS
 
 #: bumped whenever the arrays a memo holds, or how a panel is built, change;
-#: 2 since the cache's version 2, so no memo of a version-1 cache is loaded
-_MEMO_VERSION = 2
+#: 2 since the cache's version 2, so no memo of a version-1 cache is loaded;
+#: 3 since a panel holds its counts in ``_count_dtype`` of the largest
+_MEMO_VERSION = 3
 
 #: grid cells per slice of stocks that ``write_text`` formats at once
 _WRITE_CELLS = 1 << 12
@@ -68,10 +71,16 @@ def polarity(buy: int, sell: int) -> float | None:
     return (buy - sell) / total
 
 
+def _count_dtype(largest: int) -> np.dtype:
+    """The type a panel holds its counts in: the narrowest unsigned type
+    that holds ``largest``, its largest count (uint8 for an empty panel)."""
+    return np.min_scalar_type(largest)
+
+
 def derive_polarity(buy: np.ndarray, sell: np.ndarray) -> np.ndarray:
     """``polarity`` over count arrays: float64, NaN where both counts are 0."""
-    # in float64, where counts and their sum are exact: an int32 buy + sell
-    # can wrap past 2**31 - 1
+    # in float64, where counts and their sum are exact: a narrow buy + sell
+    # wraps past the type's largest value
     total = buy.astype(np.float64)
     total += sell
     p = buy.astype(np.float64)
@@ -97,11 +106,13 @@ class DirectionRatios:
 class PolarityPanel:
     """Dense (stock, date, bar) man-times counts.
 
-    ``buy`` and ``sell`` are int32 arrays of shape (n_stocks, n_dates, 237),
-    and they are all the panel holds. Polarity is derived where it is read,
-    a stock at a time (``stock_polarity``), so no reader holds a float copy
-    of the whole panel. Read-only once built; queries are safe to run
-    concurrently.
+    ``buy`` and ``sell`` are arrays of shape (n_stocks, n_dates, 237), and
+    they are all the panel holds. A built panel holds them in the narrowest
+    unsigned type that holds its largest count (``_count_dtype``), so every
+    reader widens them before it adds or divides. Polarity is derived where
+    it is read, a stock at a time (``stock_polarity``), so no reader holds a
+    float copy of the whole panel. Read-only once built; queries are safe to
+    run concurrently.
     """
 
     def __init__(self, stocks, dates, buy, sell):
@@ -283,12 +294,15 @@ class PolarityPanel:
 def _grid(counts: dict) -> PolarityPanel:
     """The panel whose (stock, date) ``key`` holds ``counts[key]``, its buy
     and sell rows of the day's bars: the axes are sorted, then each day
-    scattered into place."""
+    scattered into place, in ``_count_dtype`` of the largest count."""
     stocks = sorted({stock for stock, _ in counts})
     dates = sorted({date for _, date in counts})
     sidx = {s: i for i, s in enumerate(stocks)}
     didx = {d: j for j, d in enumerate(dates)}
-    grid = np.zeros((2, len(stocks), len(dates), BARS_PER_DAY), dtype=np.int32)
+    # from the largest count, not the largest block: a liquid stock-day can
+    # pass 65,535 rows while no minute's count does
+    largest = max((int(day.max()) for day in counts.values()), default=0)
+    grid = np.zeros((2, len(stocks), len(dates), BARS_PER_DAY), _count_dtype(largest))
     for (stock, date), day in counts.items():
         grid[:, sidx[stock], didx[date]] = day
     return PolarityPanel(stocks, dates, *grid)
@@ -357,8 +371,11 @@ def _panel_from_memo(buy, sell, stock_bytes, stock_ends, dates) -> PolarityPanel
         if any(a >= b for a, b in zip(axis, axis[1:])):
             raise ValueError("memo axis is not strictly increasing")
     shape = (len(stocks), len(days), BARS_PER_DAY)
-    if any(c.dtype != np.int32 or c.shape != shape for c in (buy, sell)):
-        raise ValueError("memo counts have the wrong dtype or shape")
+    if buy.shape != shape or sell.shape != shape:
+        raise ValueError("memo counts have the wrong shape")
+    largest = max(int(buy.max(initial=0)), int(sell.max(initial=0)))
+    if not buy.dtype == sell.dtype == _count_dtype(largest):
+        raise ValueError("memo counts are not in the type from_cache builds for them")
     return PolarityPanel(stocks, days, buy, sell)
 
 

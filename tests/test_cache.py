@@ -155,11 +155,17 @@ def raw_cache(path, blocks) -> None:
     recorded(path, raw)
 
 
+def _built_dtype(panel: PolarityPanel) -> np.dtype:
+    """The narrowest unsigned type that holds the panel's largest count:
+    the type a build holds its counts in."""
+    return np.min_scalar_type(max(int(panel.buy.max(initial=0)), int(panel.sell.max(initial=0))))
+
+
 def _same_panel(a: PolarityPanel, b: PolarityPanel) -> bool:
     return (
         a.stocks == b.stocks
         and a.dates == b.dates
-        and a.buy.dtype == b.buy.dtype == b.sell.dtype == np.int32
+        and a.buy.dtype == a.sell.dtype == b.buy.dtype == b.sell.dtype == _built_dtype(b)
         and np.array_equal(a.buy, b.buy)
         and np.array_equal(a.sell, b.sell)
     )

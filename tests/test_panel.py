@@ -657,6 +657,16 @@ def _swap_first_ids(arrays):
     _reencode_ids(arrays, [ids[1], ids[0]] + ids[2:])
 
 
+def _built_dtype(panel) -> np.dtype:
+    """The count type a build gives ``panel``'s counts: the narrowest
+    unsigned type that holds the largest."""
+    return np.min_scalar_type(max(int(panel.buy.max(initial=0)), int(panel.sell.max(initial=0))))
+
+
+def _wider(counts):
+    return counts.astype(f"u{2 * counts.itemsize}")
+
+
 #: edits that make a memo unusable: the panel must be rebuilt from the cache
 MEMO_DAMAGE = {
     "other cache": lambda a: a.update(key=a["key"] + np.array([0, 1, 0])),
@@ -664,6 +674,11 @@ MEMO_DAMAGE = {
     "other format": lambda a: a.update(key=a["key"] + np.array([1, 0, 0])),
     "other scope": lambda a: a.update(scope=np.array("day")),
     "int64 counts": lambda a: a.update(buy=a["buy"].astype(np.int64)),
+    "version 2": lambda a: a.update(
+        key=a["key"] - np.array([1, 0, 0]),
+        buy=a["buy"].astype(np.int32), sell=a["sell"].astype(np.int32),
+    ),
+    "wider sell": lambda a: a.update(sell=_wider(a["sell"])),
     "short sell": lambda a: a.update(sell=a["sell"][:, :1]),
     "flat buy": lambda a: a.update(buy=a["buy"].reshape(-1)),
     "unsorted ids": _swap_first_ids,
@@ -697,7 +712,7 @@ class TestPanelMemo:
         return (
             a.stocks == b.stocks and a.dates == b.dates
             and np.array_equal(a.buy, b.buy) and np.array_equal(a.sell, b.sell)
-            and a.buy.dtype == a.sell.dtype == np.int32
+            and a.buy.dtype == a.sell.dtype == b.buy.dtype == b.sell.dtype == _built_dtype(b)
         )
 
     def test_built_once_then_loaded(self, cached):
@@ -793,3 +808,99 @@ class TestPanelMemo:
         monkeypatch.setattr(PolarityPanel, "from_cache", build_then_replace)
         assert self.same(PolarityPanel.from_cache_memo(path), reference)
         assert not panel_memo_path(path, "bar").exists()
+
+
+def _cache_of_counts(path, buys: int, sells: int = 1, rows_per_bar: int | None = None):
+    """A one-block cache of ``max(buys, sells)`` rows with ``buys`` buy
+    serials and ``sells`` sell serials, all in the first minute; with
+    ``rows_per_bar``, that many rows to a minute instead."""
+    n = max(buys, sells)
+    bar = np.ones(n, np.uint8)
+    if rows_per_bar is not None:
+        bar = (np.arange(n) // rows_per_bar % BARS_PER_DAY + 1).astype(np.uint8)
+    block = cache_mod.CacheBlock(
+        "000001", D, bar,
+        buy_serial=np.arange(n, dtype=np.uint32) % buys + 1,
+        sell_serial=np.arange(n, dtype=np.uint32) % sells + 1,
+    )
+    with cache_mod.CacheWriter(path) as w:
+        w.append(block)
+    return path
+
+
+class TestCountType:
+    """A built panel holds its counts in the narrowest unsigned type that
+    holds the largest; every reader widens them first."""
+
+    @pytest.mark.parametrize("largest, dtype", [
+        (1, np.uint8), (255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.uint32),
+    ])
+    def test_type_follows_the_largest_count(self, tmp_path, largest, dtype):
+        path = _cache_of_counts(tmp_path / "c.plab", largest)
+        panel = PolarityPanel.from_cache(path)
+        assert panel.buy.dtype == panel.sell.dtype == dtype
+        assert panel.cell("000001", D, 1)[:2] == (largest, 1)
+        (first, built), (second, rebuilt) = TestPanelMemo.load(path), TestPanelMemo.load(path)
+        assert built and not rebuilt
+        assert TestPanelMemo.same(first, panel) and TestPanelMemo.same(second, panel)
+
+    def test_type_follows_the_largest_count_not_the_block_rows(self, tmp_path):
+        # 70,000 rows in one block, at most 296 of them in any minute
+        path = _cache_of_counts(tmp_path / "c.plab", 70_000, 70_000, rows_per_bar=296)
+        panel = PolarityPanel.from_cache(path)
+        assert panel.buy.dtype == panel.sell.dtype == np.uint16
+        assert int(panel.buy.max()) == int(panel.sell.max()) == 296
+
+    def test_empty_panel_holds_bytes(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("stock_id,date,bar,buy,sell,polarity\n")
+        panel = PolarityPanel.read_text(path)
+        assert panel.buy.shape == (0, 0, BARS_PER_DAY)
+        assert panel.buy.dtype == panel.sell.dtype == np.uint8
+
+    def test_read_text_of_the_largest_count_holds_uint32(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "stock_id,date,bar,buy,sell,polarity\n"
+            f"A,2015-05-04,7,{2**31 - 1},1,1\nA,2015-05-05,8,3,0,1\n"
+        )
+        panel = PolarityPanel.read_text(path)
+        assert panel.buy.dtype == panel.sell.dtype == np.uint32
+        assert panel.cell("A", D, 7)[:2] == (2**31 - 1, 1)
+
+    @pytest.mark.parametrize("wider", [_wider, lambda c: c.astype(np.int32)], ids=["wider", "int32"])
+    @pytest.mark.parametrize("largest", [255, 256, 65_536])
+    def test_memo_in_another_type_is_rebuilt(self, tmp_path, largest, wider):
+        path = _cache_of_counts(tmp_path / "c.plab", largest)
+        reference, _ = TestPanelMemo.load(path)
+        memo = panel_memo_path(path, "bar")
+        with np.load(memo) as z:
+            arrays = dict(z)
+        arrays.update(buy=wider(arrays["buy"]), sell=wider(arrays["sell"]))
+        with open(memo, "wb") as fh:
+            np.savez(fh, **arrays)
+        panel, built = TestPanelMemo.load(path)
+        assert built and TestPanelMemo.same(panel, reference)
+        with np.load(memo) as z:
+            assert z["buy"].dtype == z["sell"].dtype == reference.buy.dtype
+
+    def test_narrow_counts_that_sum_past_their_type_read_as_wide_ones(self, tmp_path):
+        # 200 + 100 and 255 + 255 overflow a uint8 sum; 0 + 0 has no polarity
+        shape = (2, 1, BARS_PER_DAY)
+        buy = np.resize(np.array([200, 100, 255, 0, 1, 7], np.uint8), shape)
+        sell = np.resize(np.array([100, 200, 255, 0, 0, 7], np.uint8), shape)
+        wide = count_panel(buy, sell)
+        narrow = PolarityPanel(wide.stocks, wide.dates, buy, sell)
+        assert narrow.buy.dtype == np.uint8 and wide.buy.dtype == np.int32
+        assert _bits(derive_polarity(narrow.buy, narrow.sell)) == _bits(
+            derive_polarity(wide.buy, wide.sell)
+        )
+        assert narrow.cell("S000", D, 1) == (200, 100, 1 / 3)
+        assert narrow.active_cells() == wide.active_cells()
+        for include_empty in (False, True):
+            narrow.write_text(tmp_path / "narrow.csv", include_empty=include_empty)
+            wide.write_text(tmp_path / "wide.csv", include_empty=include_empty)
+            text = (tmp_path / "narrow.csv").read_bytes()
+            assert text == (tmp_path / "wide.csv").read_bytes()
+        assert b"S000,2015-05-04,1,200,100,0.333333333333\n" in text
+        assert b"S000,2015-05-04,3,255,255,0\n" in text
