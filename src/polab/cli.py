@@ -35,7 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, read_config
+from .config import RunConfig, check_type, read_config
 from .errors import ConfigError, DataError, FitRefusedError, PolabError
 from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
@@ -266,7 +266,7 @@ def _cmd_flips(cfg: RunConfig, args) -> int:
     day_rows = []
     by_date: dict = {}
     for stock, date, row in panel.iter_stock_days():
-        fs = flips.build_flip_series(stock, date, row)
+        fs = flips.build_flip_series(row)
         if fs.effective_length == 0:
             continue
         stats = flips.flip_stats(fs)
@@ -319,18 +319,20 @@ def _cmd_flips(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _run_length_samples(panel: PolarityPanel):
-    from . import flips
-
-    for stock, date, row in panel.iter_stock_days():
-        fs = flips.build_flip_series(stock, date, row)
-        yield from flips.run_lengths(fs)
+#: run signs as tables name them; -1 sorts before +1 as "negative" before
+#: "positive" does
+_SIGN_NAMES = {1: "positive", -1: "negative"}
 
 
 def _cmd_runlengths(cfg: RunConfig, args) -> int:
+    from . import flips
+
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    rows = [(s.stock_id, s.trade_date, s.sign, s.length) for s in _run_length_samples(panel)]
+    rows = []
+    for i, stock in enumerate(panel.stocks):
+        for j, sign, length in flips.run_lengths(panel.stock_polarity(i)).tolist():
+            rows.append((stock, panel.dates[j], _SIGN_NAMES[sign], length))
     write_table(
         out / "run_lengths.csv",
         "run-lengths",
@@ -347,16 +349,17 @@ def _cmd_runlengths(cfg: RunConfig, args) -> int:
 
 
 def _cmd_fit(cfg: RunConfig, args) -> int:
-    from . import tailfit
+    from . import flips, tailfit
 
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
     samples: dict = {}
-    for s in _run_length_samples(panel):
-        samples.setdefault((s.trade_date, s.sign), []).append(s.length)
+    for i in range(len(panel.stocks)):
+        for j, sign, length in flips.run_lengths(panel.stock_polarity(i)).tolist():
+            samples.setdefault((j, sign), []).append(length)
     rows = []
-    for (date, sign) in sorted(samples):
-        lengths = samples[(date, sign)]
+    for (j, sign), lengths in sorted(samples.items()):
+        date, sign = panel.dates[j], _SIGN_NAMES[sign]
         fit_fields = [None] * 5
         reason = None
         tail_lengths = lengths
@@ -659,39 +662,58 @@ def _cmd_emotion(cfg: RunConfig, args) -> int:
     return 0
 
 
+#: the keys of the ``synth`` config and their JSON types
+_SYNTH_KEYS = {
+    "n_stocks": int, "n_days": int, "start_date": str, "regimes": list, "index_id": str,
+    "start_price": float, "index_start": float, "return_scale": float, "n_offgrid_rows": int,
+}
+
+
+def _regime(raw):
+    """One ``synth`` regime; its lists become tuples and its dates dates."""
+    import datetime as dt
+
+    from .synth import RegimeSpec
+
+    check_type("a synth regime", raw, dict)
+    r = dict(raw)
+    try:
+        for key in ("bars", "dates", "polarity_pattern", "fixed_counts"):
+            check_type(f"regime {key}", r.get(key), list, nullable=True)
+            if r.get(key) is not None:
+                r[key] = tuple(r[key])
+        if r.get("dates") is not None:
+            r["dates"] = tuple(dt.date.fromisoformat(d) for d in r["dates"])
+        return RegimeSpec(**r)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad regime spec {raw}: {exc}") from exc
+
+
 def _cmd_synth(cfg: RunConfig, args) -> int:
     import datetime as dt
 
-    from .synth import RegimeSpec, generate, weekdays
+    from .synth import generate, weekdays
 
-    out = _out_dir(cfg)
-    spec = dict(cfg.synth)
+    spec = cfg.synth
     if not spec:
         raise ConfigError("config key 'synth' must describe the scenario to generate")
-
+    unknown = set(spec) - set(_SYNTH_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown synth keys: {sorted(unknown)}")
+    if "regimes" not in spec:
+        raise ConfigError("synth config is missing 'regimes'")
+    for key, value in spec.items():
+        check_type(f"synth {key}", value, _SYNTH_KEYS[key])
+    n_stocks, n_days = spec.get("n_stocks", 10), spec.get("n_days", 2)
     try:
-        n_stocks = int(spec.pop("n_stocks", 10))
-        n_days = int(spec.pop("n_days", 2))
-        start = dt.date.fromisoformat(spec.pop("start_date", "2015-05-04"))
-        regime_specs = spec.pop("regimes")
-    except KeyError as exc:
-        raise ConfigError(f"synth config is missing {exc}") from exc
-    regimes = []
-    for r in regime_specs:
-        r = dict(r)
-        if "bars" in r and r["bars"] is not None:
-            r["bars"] = tuple(r["bars"])
-        if "polarity_pattern" in r and r["polarity_pattern"] is not None:
-            r["polarity_pattern"] = tuple(r["polarity_pattern"])
-        try:
-            regimes.append(RegimeSpec(**r))
-        except TypeError as exc:
-            raise ConfigError(f"bad regime spec {r}: {exc}") from exc
+        start = dt.date.fromisoformat(spec.get("start_date", "2015-05-04"))
+    except ValueError as exc:
+        raise ConfigError(f"synth start_date must be an ISO date: {exc}") from exc
+    regimes = [_regime(r) for r in spec["regimes"]]
     extra = {
-        k: spec[k]
-        for k in ("index_id", "start_price", "index_start", "return_scale", "n_offgrid_rows")
-        if k in spec
+        k: v for k, v in spec.items() if k not in ("n_stocks", "n_days", "start_date", "regimes")
     }
+    out = _out_dir(cfg)
     dates = weekdays(start, n_days)
     files, truth = generate(regimes, n_stocks, dates, cfg.seed, out, **extra)
     truth.panel().write_text(out / "truth_panel.csv")

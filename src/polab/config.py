@@ -37,6 +37,16 @@ def read_config(path) -> dict:
     return raw
 
 
+def check_type(name: str, value, kind: type, *, nullable: bool = False) -> None:
+    """Raise ConfigError unless the JSON ``value`` is a ``kind`` (or null,
+    when ``nullable``). An int is also a float; a bool is neither."""
+    if value is None and nullable:
+        return
+    kinds = {float: (int, float), list: (list, tuple)}.get(kind, kind)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{name} must be {kind.__name__}{' or null' * nullable}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Periods:
     """Splits the sample into pre-crash / crash / post-crash date ranges."""
@@ -117,8 +127,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= {lo}, got {getattr(self, name)}")
         if not 0 <= self.malformed_threshold <= 1:
             raise ConfigError(f"malformed_threshold must be in [0, 1]: {self.malformed_threshold}")
-        if self.pseudo_count <= 0:
-            raise ConfigError(f"pseudo_count must be positive: {self.pseudo_count}")
+        if not 0 < self.pseudo_count < float("inf"):
+            raise ConfigError(f"pseudo_count must be positive and finite: {self.pseudo_count}")
 
     @property
     def periods(self) -> Periods:
@@ -130,18 +140,26 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(raw) - set(known)
+        known = {f.name for f in dataclasses.fields(cls)}
+        unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        defaults = cls()
         kwargs = {}
         for key, value in raw.items():
-            if key in ("pre_crash_end", "crash_end"):
+            default = getattr(defaults, key)
+            if isinstance(default, dt.date):
                 try:
                     value = dt.date.fromisoformat(value)
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key} must be an ISO date: {value!r}") from exc
+            else:
+                # a key takes its default's JSON type; the path keys default to null
+                kind = {type(None): str, tuple: list}.get(type(default), type(default))
+                check_type(key, value, kind, nullable=default is None)
             if key == "columns":
+                for name in value:
+                    check_type("a columns entry", name, str)
                 value = tuple(value)
             kwargs[key] = value
         try:

@@ -6,13 +6,13 @@ depth and run lengths all share one index set. Flip counts are standardized
 by the day's count of non-missing values before zero removal, which keeps
 stocks of different liquidity comparable.
 
-Everything here is a pure function of a single stock-day; days never leak
-into each other.
+A polarity row is one stock-day; a slab stacks one stock's rows, one per
+date. Every statistic here lives inside one row: days never leak into each
+other, even where adjacent rows' edge runs share a sign.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,38 +26,24 @@ class FlipSeries:
     removal; it is the flip-count denominator.
     """
 
-    stock_id: str
-    trade_date: dt.date
     values: np.ndarray
     effective_length: int
 
 
 @dataclass(frozen=True)
 class DailyFlipSummary:
-    stock_id: str
-    trade_date: dt.date
     flip_count: int
     standardized_flips: float
     depth: float
     averaged_depth: float | None
 
 
-@dataclass(frozen=True)
-class RunLengthSample:
-    """A maximal same-sign run bounded on both sides by the opposite sign."""
-
-    stock_id: str
-    trade_date: dt.date
-    sign: str  # "positive" | "negative"
-    length: int
-
-
-def build_flip_series(stock_id: str, trade_date: dt.date, polarity_row) -> FlipSeries:
+def build_flip_series(polarity_row) -> FlipSeries:
     """Drop missing and zero minutes from one stock-day, keeping order."""
     row = np.asarray(polarity_row, dtype=np.float64)
     finite = row[np.isfinite(row)]
     values = finite[finite != 0.0]
-    return FlipSeries(stock_id, trade_date, values, int(len(finite)))
+    return FlipSeries(values, int(len(finite)))
 
 
 def flip_stats(fs: FlipSeries) -> DailyFlipSummary:
@@ -78,31 +64,28 @@ def flip_stats(fs: FlipSeries) -> DailyFlipSummary:
         depth = float(np.abs(np.diff(v))[flip_mask].sum())
     standardized = flips / fs.effective_length if fs.effective_length else 0.0
     averaged = depth / flips if flips else None
-    return DailyFlipSummary(fs.stock_id, fs.trade_date, flips, standardized, depth, averaged)
+    return DailyFlipSummary(flips, standardized, depth, averaged)
 
 
-def run_lengths(fs: FlipSeries) -> list[RunLengthSample]:
-    """Completed same-sign runs, one sample per interior run.
+def run_lengths(pol) -> np.ndarray:
+    """Completed same-sign runs of polarity rows, as (row, sign, length).
 
-    Runs touching the start or end of the day are censored (their true
+    ``pol`` is one row or a slab of rows. The result is an (n_runs, 3)
+    int64 array in row, then minute order; sign is +1 or -1. A run starts
+    wherever the row or the sign of the zero-removed sequence changes.
+    Runs touching the start or end of their row are censored (their true
     length is unknown) and emit nothing. Lengths count sequence positions
     of the zero-removed series.
     """
-    v = fs.values
-    if len(v) == 0:
-        return []
-    signs = np.sign(v).astype(np.int8)
-    change = np.nonzero(signs[1:] != signs[:-1])[0] + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [len(v)]))
-    samples = []
-    for s, e in zip(starts[1:-1], ends[1:-1]):
-        samples.append(
-            RunLengthSample(
-                fs.stock_id,
-                fs.trade_date,
-                "positive" if signs[s] > 0 else "negative",
-                int(e - s),
-            )
-        )
-    return samples
+    pol = np.atleast_2d(np.asarray(pol, dtype=np.float64))
+    row, minute = np.nonzero(np.isfinite(pol) & (pol != 0.0))
+    sign = np.sign(pol[row, minute]).astype(np.int64)
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (sign[1:] != sign[:-1])
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=len(row))
+    run_row = row[starts]
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = run_row[1:] != run_row[:-1]
+    interior = ~(first | np.append(first[1:], True))
+    return np.column_stack((run_row, sign[starts], lengths))[interior].astype(np.int64)

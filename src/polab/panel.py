@@ -231,15 +231,11 @@ class PolarityPanel:
 
     # -- export ------------------------------------------------------------
 
-    def write_text(self, path, delimiter: str = ",", include_empty: bool = False) -> None:
-        """Cells as (stock, date, bar, buy, sell, polarity|NA).
-
-        By default only minutes with activity are written; ``include_empty``
-        adds the no-trade minutes with polarity NA, one row per grid cell.
-        """
-        d = delimiter
-        days = [f"{stock}{d}{date.isoformat()}{d}" for stock in self.stocks for date in self.dates]
-        bars = [f"{k + 1}{d}" for k in range(BARS_PER_DAY)]
+    def write_text(self, path) -> None:
+        """Minutes with activity as comma-separated (stock, date, bar, buy,
+        sell, polarity); a no-trade minute has no row."""
+        days = [f"{stock},{date.isoformat()}," for stock in self.stocks for date in self.dates]
+        bars = [f"{k + 1}," for k in range(BARS_PER_DAY)]
         # what follows a cell's bar depends only on its (buy, sell) pair, so
         # each distinct pair is formatted once
         tails = {}
@@ -248,30 +244,29 @@ class PolarityPanel:
         # bounds the per-cell strings held at once
         step = max(1, _WRITE_CELLS // max(1, n_dates * BARS_PER_DAY))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(d.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
-            fh.write("\n")
+            fh.write("stock_id,date,bar,buy,sell,polarity\n")
             for lo in range(0, len(self.stocks), step):
                 buy, sell = self.buy[lo : lo + step], self.sell[lo : lo + step]
-                cells = np.ones(buy.shape, bool) if include_empty else (buy != 0) | (sell != 0)
-                i, j, k = np.nonzero(cells)
+                i, j, k = np.nonzero((buy != 0) | (sell != 0))
                 pairs = (buy[i, j, k].astype(np.int64) << 32 | sell[i, j, k]).tolist()
                 for pair in set(pairs).difference(tails):
                     b, s = pair >> 32, pair & 0xFFFFFFFF
                     p = polarity(b, s)
-                    tails[pair] = f"{b}{d}{s}{d}{'NA' if p is None else format(p, '.12g')}\n"
+                    tails[pair] = f"{b},{s},{'NA' if p is None else format(p, '.12g')}\n"
                 rows = zip(((i + lo) * n_dates + j).tolist(), k.tolist(), pairs)
                 fh.write("".join([f"{days[day]}{bars[bar]}{tails[pair]}" for day, bar, pair in rows]))
 
     @classmethod
-    def read_text(cls, path, delimiter: str = ",") -> "PolarityPanel":
-        """The panel a ``write_text`` export holds. A short or unparsable row,
-        a bar off the grid, a count outside 0..2**31 - 1 or a repeated cell
-        raises DataError naming the file and the line."""
+    def read_text(cls, path) -> "PolarityPanel":
+        """The panel a ``write_text`` export holds; a row of zero counts
+        reads as a minute without activity. A short or unparsable row, a bar
+        off the grid, a count outside 0..2**31 - 1 or a repeated cell raises
+        DataError naming the file and the line."""
         import csv
 
         days = {}
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             if next(reader, [])[:5] != ["stock_id", "date", "bar", "buy", "sell"]:
                 raise DataError(f"not a panel export: {path}")
             for row in filter(None, reader):

@@ -85,8 +85,7 @@ def _check_planted(scenario_id, truth, panel, files, failures) -> None:
         ).any():
             failures.append(f"[{scenario_id}] {stock} {date}: polarity signs differ from plant")
             continue
-        fs = flips.build_flip_series(stock, date, row)
-        got = [(1 if r.sign == "positive" else -1, r.length) for r in flips.run_lengths(fs)]
+        got = [(sign, length) for _, sign, length in flips.run_lengths(row).tolist()]
         want = _expected_runs([int(s) for s in planted[finite] if s != 0])
         if got != want:
             failures.append(f"[{scenario_id}] {stock} {date}: runs {got} != planted {want}")

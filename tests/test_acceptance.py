@@ -51,13 +51,14 @@ def test_oracle_equivalence_100_scenarios():
 
 @criterion(2, "worked five-minute flip example")
 def test_worked_example_exact():
-    fs = flips.build_flip_series("S", dt.date(2015, 5, 8), [0.2, -0.3, -0.4, -0.2, 0.3])
-    stats = flips.flip_stats(fs)
+    row = [0.2, -0.3, -0.4, -0.2, 0.3]
+    stats = flips.flip_stats(flips.build_flip_series(row))
     assert stats.flip_count == 2
     assert stats.standardized_flips == 0.4
     assert stats.depth == 1.0
-    runs = flips.run_lengths(fs)
-    assert [(r.sign, r.length) for r in runs] == [("negative", 3)]
+    runs = flips.run_lengths(row)
+    sign_names = {1: "positive", -1: "negative"}
+    assert [(sign_names[s], n) for _, s, n in runs.tolist()] == [("negative", 3)]
 
 
 @criterion(3, "discrete power-law recovery at n=1e5")

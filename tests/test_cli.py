@@ -258,6 +258,10 @@ class TestPipeline:
         assert "config=" in meta["_banner"]
 
 
+#: a Poisson regime for the synth configs below
+FLOW = {"name": "flow", "buy_rate": 1.0, "sell_rate": 1.0}
+
+
 class TestErrorMapping:
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -333,6 +337,50 @@ class TestErrorMapping:
         assert main(["polarity", "--config", str(cfg), "--set", "oops"]) == 2
 
     @pytest.mark.parametrize(
+        "command,overrides,synth",
+        [
+            ("polarity", ["columns=5"], None),
+            ("fit", ['tail_only_burstiness="no"'], None),
+            ("kl", ["pseudo_count=NaN"], None),
+            ("synth", [], {"n_stock": 3, "regimes": [FLOW]}),
+            ("synth", [], {"start_date": 20150504, "regimes": [FLOW]}),
+            ("synth", [], {"start_date": "2015-13-01", "regimes": [FLOW]}),
+            ("synth", [], {"regimes": FLOW}),
+            ("synth", [], {"regimes": [{**FLOW, "bars": 5}]}),
+            ("synth", [], {"regimes": [{**FLOW, "dates": ["2015-13-01"]}]}),
+        ],
+        ids=[
+            "columns-number", "bool-as-string", "pseudo-count-nan", "misspelt-synth-key",
+            "start-date-number", "start-date-month-13", "regimes-object", "regime-bars-number",
+            "regime-date-month-13",
+        ],
+    )
+    def test_bad_config_value_is_a_config_error_before_any_file(
+        self, workdir, tmp_path, capsys, command, overrides, synth
+    ):
+        # the analyses run on the module's market, whose cache they could read
+        raw = json.loads(workdir[2].read_text()) if synth is None else {"synth": synth}
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**raw, "out_dir": str(out)}))
+        args = [command, "--config", str(cfg)]
+        for item in overrides:
+            args += ["--set", item]
+        assert main(args) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synth_regime_dates_are_iso_dates(self, tmp_path):
+        out = tmp_path / "out"
+        synth = {"n_days": 2, "start_date": "2015-05-04",
+                 "regimes": [{**FLOW, "dates": ["2015-05-05"]}]}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out_dir": str(out), "synth": synth}))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        dates = {line.split(",")[1] for line in (out / "truth_panel.csv").read_text().splitlines()[1:]}
+        assert dates == {"2015-05-05"}
+
+    @pytest.mark.parametrize(
         "command,key,text",
         [
             ("ratios", "capitalization", "id,capitalization\n000001,1e9\n000002,abc\n"),
@@ -403,6 +451,29 @@ def test_cli_imports_without_scipy():
     loaded = _loaded_modules(code)
     assert "polab.cli" in loaded
     assert [m for m in loaded if m in unused or m.split(".")[0] == "scipy"] == []
+
+
+#: the benchmark's child process, whose traced mode wraps polab functions by name
+BENCH_CHILD = Path(__file__).resolve().parents[1] / "paperbench" / "child.py"
+
+
+def test_traced_bench_child_counts_every_run(workdir, tmp_path):
+    # a wrapper the commands no longer call would count 0 here, not fail
+    root, out, cfg = workdir
+    counts = {}
+    for command in ("runlengths", "fit"):
+        trace = tmp_path / f"{command}.json"
+        subprocess.run(
+            [sys.executable, str(BENCH_CHILD), tmp_path / "hwm", trace,
+             command, "--config", cfg, "--out", tmp_path],
+            env=_blas_env(), capture_output=True, check=True,
+        )
+        counts[command] = json.loads(trace.read_text())["counts"]["flips.run_samples"]
+    _, _, runs = read_table(tmp_path / "run_lengths.csv")
+    _, cols, fits = read_table(tmp_path / "tail_fits.csv")
+    assert len(runs) > 100
+    assert counts == {"runlengths": len(runs), "fit": len(runs)}
+    assert sum(int(r[cols.index("n_total")]) for r in fits) == len(runs)
 
 
 def test_fit_run_loads_no_scipy(workdir, tmp_path):

@@ -1,16 +1,41 @@
-import datetime as dt
+"""Flip statistics, and run lengths against their per-stock-day reference.
+
+``reference_run_lengths`` is ``flips.run_lengths`` as it was before it took
+whole slabs: one zero-removed stock-day at a time, one sample per interior
+run. It is kept here as a test oracle only, like the per-row generator in
+``test_synth_reference``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polab.flips import build_flip_series, flip_stats, run_lengths
 
-D = dt.date(2015, 5, 8)
 NA = np.nan
 
 
-def series(values, stock="000001", date=D):
-    return build_flip_series(stock, date, np.asarray(values, dtype=float))
+def series(values):
+    return build_flip_series(np.asarray(values, dtype=float))
+
+
+def reference_run_lengths(fs) -> list:
+    """(sign, length) of each interior same-sign run of one stock-day."""
+    v = fs.values
+    if len(v) == 0:
+        return []
+    signs = np.sign(v).astype(np.int8)
+    change = np.nonzero(signs[1:] != signs[:-1])[0] + 1
+    starts = np.concatenate(([0], change))
+    ends = np.concatenate((change, [len(v)]))
+    return [(int(signs[s]), int(e - s)) for s, e in zip(starts[1:-1], ends[1:-1])]
+
+
+def runs(values) -> list:
+    """(sign, length) of each run ``run_lengths`` finds in one row."""
+    return [(sign, length) for _, sign, length in run_lengths(values).tolist()]
 
 
 class TestBuildFlipSeries:
@@ -91,54 +116,81 @@ class TestFlipStats:
 
 class TestRunLengths:
     def test_worked_example_negative_run_of_three(self):
-        samples = run_lengths(series([0.2, -0.3, -0.4, -0.2, 0.3]))
-        assert len(samples) == 1
-        assert samples[0].sign == "negative"
-        assert samples[0].length == 3
+        assert runs([0.2, -0.3, -0.4, -0.2, 0.3]) == [(-1, 3)]
 
     def test_unbounded_day_emits_nothing(self):
-        assert run_lengths(series([0.1, 0.2, 0.3])) == []
+        out = run_lengths([0.1, 0.2, 0.3])
+        assert out.shape == (0, 3) and out.dtype == np.int64
 
     def test_boundary_runs_censored(self):
-        samples = run_lengths(series([0.1, 0.1, -0.2, 0.3, 0.3, 0.3, -0.4]))
-        assert [(s.sign, s.length) for s in samples] == [
-            ("negative", 1),
-            ("positive", 3),
-        ]
+        assert runs([0.1, 0.1, -0.2, 0.3, 0.3, 0.3, -0.4]) == [(-1, 1), (1, 3)]
 
     def test_alternating_sequence_interior_runs(self):
         m = 7
         values = [0.5 if i % 2 == 0 else -0.5 for i in range(2 * m + 1)]
-        samples = run_lengths(series(values))
-        assert len(samples) == 2 * m - 1
-        assert all(s.length == 1 for s in samples)
+        out = runs(values)
+        assert len(out) == 2 * m - 1
+        assert all(length == 1 for _, length in out)
 
     def test_duality_swaps_sign_labels(self):
         v = [0.2, -0.3, -0.4, 0.1, 0.1, -0.6, 0.9]
-        a = run_lengths(series(v))
-        b = run_lengths(series([-x for x in v]))
-        flip = {"positive": "negative", "negative": "positive"}
-        assert [(flip[s.sign], s.length) for s in a] == [(s.sign, s.length) for s in b]
+        a = runs(v)
+        b = runs([-x for x in v])
+        assert [(-sign, length) for sign, length in a] == b
 
     def test_zeros_do_not_split_runs(self):
-        samples = run_lengths(series([0.5, -0.1, 0.0, -0.2, 0.7]))
-        assert [(s.sign, s.length) for s in samples] == [("negative", 2)]
+        assert runs([0.5, -0.1, 0.0, -0.2, 0.7]) == [(-1, 2)]
 
     def test_day_permutation_independence(self):
         # statistics live strictly inside days: day order cannot matter
-        days = {
-            dt.date(2015, 5, 4): [0.2, -0.3, -0.4, -0.2, 0.3],
-            dt.date(2015, 5, 5): [0.5, -0.5, 0.5],
-            dt.date(2015, 5, 6): [-0.1, 0.2, 0.2, -0.8],
-        }
-        fwd = [
-            (s.sign, s.length)
-            for d in sorted(days)
-            for s in run_lengths(series(days[d], date=d))
+        days = [
+            [0.2, -0.3, -0.4, -0.2, 0.3, NA],
+            [0.5, -0.5, 0.5, NA, NA, NA],
+            [-0.1, 0.2, 0.2, -0.8, NA, NA],
         ]
-        rev = [
-            (s.sign, s.length)
-            for d in sorted(days, reverse=True)
-            for s in run_lengths(series(days[d], date=d))
-        ]
-        assert sorted(fwd) == sorted(rev)
+        fwd = run_lengths(days)
+        rev = run_lengths(days[::-1])
+        assert fwd[:, 0].tolist() == [0, 1, 2]
+        assert sorted(fwd[:, 1:].tolist()) == sorted(rev[:, 1:].tolist())
+
+    def test_edge_runs_of_adjacent_days_do_not_merge(self):
+        # day 0 ends negative and day 1 starts negative: two censored runs
+        out = run_lengths([[0.1, -0.2, 0.3, -0.4], [-0.5, 0.6, -0.7, NA]])
+        assert out.tolist() == [[0, -1, 1], [0, 1, 1], [1, 1, 1]]
+
+
+def _polarity_values():
+    """Minute values with NaN, zero and both signs well represented."""
+    return st.one_of(
+        st.just(NA),
+        st.just(0.0),
+        st.sampled_from([-1.0, -0.5, 0.25, 1.0]),
+        st.floats(-1.0, 1.0, allow_nan=False),
+    )
+
+
+@st.composite
+def _slabs(draw):
+    """One stock's polarity rows: 0 to 6 days of 1 to 12 minutes, some rows
+    one-signed, and adjacent rows that may share their edge signs."""
+    n_rows = draw(st.integers(0, 6))
+    n_minutes = draw(st.integers(1, 12))
+    slab = draw(hnp.arrays(np.float64, (n_rows, n_minutes), elements=_polarity_values()))
+    for r in range(n_rows):
+        if draw(st.booleans()):
+            slab[r] = np.abs(slab[r]) * draw(st.sampled_from([1.0, -1.0]))
+    return slab
+
+
+@given(_slabs())
+def test_slab_runs_match_the_per_stock_day_reference(slab):
+    got = run_lengths(slab)
+    assert got.dtype == np.int64 and got.shape == (len(got), 3)
+    want = [
+        (r, sign, length)
+        for r, row in enumerate(slab)
+        for sign, length in reference_run_lengths(series(row))
+    ]
+    assert [tuple(x) for x in got.tolist()] == want
+    for r, row in enumerate(slab):
+        assert runs(row) == reference_run_lengths(series(row))

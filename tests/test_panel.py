@@ -115,22 +115,17 @@ FEED_TIMES = (
 )
 
 
-def _write_text_per_cell(panel, path, delimiter, include_empty):
+def _write_text_per_cell(panel, path):
     """The writer ``write_text`` replaced, one format call per cell: the reference."""
     pol = derive_polarity(panel.buy, panel.sell)
     with open(path, "w", newline="") as fh:
-        fh.write(delimiter.join(("stock_id", "date", "bar", "buy", "sell", "polarity")))
-        fh.write("\n")
+        fh.write("stock_id,date,bar,buy,sell,polarity\n")
         for i, stock in enumerate(panel.stocks):
             for j, date in enumerate(panel.dates):
-                if include_empty:
-                    bars = range(BARS_PER_DAY)
-                else:
-                    bars = np.nonzero((panel.buy[i, j] != 0) | (panel.sell[i, j] != 0))[0]
-                for k in bars:
+                for k in np.nonzero((panel.buy[i, j] != 0) | (panel.sell[i, j] != 0))[0]:
                     p = pol[i, j, k]
                     fh.write(
-                        delimiter.join(
+                        ",".join(
                             (
                                 stock,
                                 date.isoformat(),
@@ -232,12 +227,20 @@ class TestPanelConstruction:
         assert loaded.equals(small_panel)
 
     def test_text_export_with_explicit_missing_cells(self, small_panel, tmp_path):
+        # an export that also lists the no-trade minutes, as "0,0,NA" rows
         path = tmp_path / "panel_full.csv"
-        small_panel.write_text(path, include_empty=True)
-        lines = path.read_text().splitlines()
-        n_cells = len(small_panel.stocks) * len(small_panel.dates) * 237
-        assert len(lines) == n_cells + 1
-        assert any(line.endswith(",0,0,NA") for line in lines[1:])
+        small_panel.write_text(path)
+        active = {tuple(line.split(",")[:3]) for line in path.read_text().splitlines()[1:]}
+        empty = [
+            f"{stock},{date.isoformat()},{bar},0,0,NA\n"
+            for stock in small_panel.stocks
+            for date in small_panel.dates
+            for bar in range(1, BARS_PER_DAY + 1)
+            if (stock, date.isoformat(), str(bar)) not in active
+        ]
+        assert empty
+        with open(path, "a") as fh:
+            fh.writelines(empty)
         assert PolarityPanel.read_text(path).equals(small_panel)
 
     @pytest.mark.parametrize("line", [
@@ -268,24 +271,22 @@ class TestPanelConstruction:
             ),
             max_size=60,
         ),
-        delimiter=st.sampled_from([",", ";", "\t"]),
-        include_empty=st.booleans(),
         slice_cells=st.sampled_from([1, BARS_PER_DAY, 500, 1 << 12]),
     )
     # (1, 0) beside (0, 2**k): pairs a narrower (buy, sell) key would merge
     @example(
         n_stocks=1, n_dates=1,
         cells=[(0, 0, 0, 1, 0)] + [(0, 0, k, 0, 1 << k) for k in range(1, 31)],
-        delimiter=",", include_empty=False, slice_cells=1 << 12,
+        slice_cells=1 << 12,
     )
     # buy + sell beyond 2**31 - 1, which an int32 sum wraps negative
     @example(
         n_stocks=1, n_dates=1,
         cells=[(0, 0, 0, 1 << 30, 1 << 30), (0, 0, 1, 1 << 30, (1 << 30) - 1)],
-        delimiter=",", include_empty=False, slice_cells=1 << 12,
+        slice_cells=1 << 12,
     )
     def test_text_export_matches_per_cell_writer(
-        self, tmp_path_factory, n_stocks, n_dates, cells, delimiter, include_empty, slice_cells
+        self, tmp_path_factory, n_stocks, n_dates, cells, slice_cells
     ):
         shape = (n_stocks, n_dates, BARS_PER_DAY)
         buy, sell = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
@@ -295,9 +296,9 @@ class TestPanelConstruction:
         stocks = [f"{600000 + i}" for i in range(n_stocks)]
         panel = PolarityPanel(stocks, [D + dt.timedelta(days=j) for j in range(n_dates)], buy, sell)
         root = tmp_path_factory.mktemp("panel_text")
-        _write_text_per_cell(panel, root / "ref.csv", delimiter, include_empty)
+        _write_text_per_cell(panel, root / "ref.csv")
         with mock.patch("polab.panel._WRITE_CELLS", slice_cells):
-            panel.write_text(root / "new.csv", delimiter, include_empty)
+            panel.write_text(root / "new.csv")
         assert (root / "new.csv").read_bytes() == (root / "ref.csv").read_bytes()
 
     def test_day_scope_stable_across_block_splits_and_threads(self, small_scenario, tmp_path):
@@ -897,10 +898,9 @@ class TestCountType:
         )
         assert narrow.cell("S000", D, 1) == (200, 100, 1 / 3)
         assert narrow.active_cells() == wide.active_cells()
-        for include_empty in (False, True):
-            narrow.write_text(tmp_path / "narrow.csv", include_empty=include_empty)
-            wide.write_text(tmp_path / "wide.csv", include_empty=include_empty)
-            text = (tmp_path / "narrow.csv").read_bytes()
-            assert text == (tmp_path / "wide.csv").read_bytes()
+        narrow.write_text(tmp_path / "narrow.csv")
+        wide.write_text(tmp_path / "wide.csv")
+        text = (tmp_path / "narrow.csv").read_bytes()
+        assert text == (tmp_path / "wide.csv").read_bytes()
         assert b"S000,2015-05-04,1,200,100,0.333333333333\n" in text
         assert b"S000,2015-05-04,3,255,255,0\n" in text
