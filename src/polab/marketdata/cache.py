@@ -67,6 +67,7 @@ _DTYPES = [(name, np.dtype(dtype)) for name, dtype in _COLUMNS]
 _ROW_BYTES = sum(dtype.itemsize for _, dtype in _DTYPES)
 #: where each column starts in a block's column bytes, in bytes a row
 _COL_STARTS = np.cumsum([0] + [dtype.itemsize for _, dtype in _DTYPES[:-1]]).tolist()
+_COL_BOUNDS = list(zip(_COL_STARTS, _COL_STARTS[1:] + [_ROW_BYTES]))
 
 
 @dataclass
@@ -95,12 +96,15 @@ def date_to_int(d: dt.date) -> int:
     return d.year * 10_000 + d.month * 100 + d.day
 
 
+def _block_head(stock_id: str, date_int: int, n: int) -> bytes:
+    sid = stock_id.encode("utf-8")
+    return _BLOCK_HEAD.pack(len(sid)) + sid + _BLOCK_META.pack(date_int, n)
+
+
 def _block_bytes(stock_id: str, date_int: int, cols) -> bytes:
     """A block as the file holds it: its head, then each column's bytes."""
-    sid = stock_id.encode("utf-8")
     cols = [np.ascontiguousarray(c, dtype=dtype) for c, (_, dtype) in zip(cols, _DTYPES)]
-    head = _BLOCK_HEAD.pack(len(sid)) + sid + _BLOCK_META.pack(date_int, len(cols[0]))
-    return b"".join((head, *cols))
+    return b"".join((_block_head(stock_id, date_int, len(cols[0])), *cols))
 
 
 def _columns(raw: bytes, n: int) -> list[np.ndarray]:
@@ -128,11 +132,18 @@ def _remove_panel_memos(path: Path) -> None:
 
 
 def _stream_crc32(fh) -> tuple[int, int]:
-    """CRC-32 and length of the bytes from ``fh``'s position to its end."""
+    """CRC-32 and length of the bytes from ``fh``'s position to its end.
+
+    The bytes pass through one reused 256 KiB buffer, which the heap that
+    ingest has freed can hold: a fresh 1 MiB piece per read is mapped anew
+    and sets ingest's peak memory.
+    """
     crc = size = 0
-    for piece in iter(lambda: fh.read(1 << 20), b""):
-        crc = zlib.crc32(piece, crc)
-        size += len(piece)
+    piece = bytearray(1 << 18)
+    view = memoryview(piece)
+    while n := fh.readinto(piece):
+        crc = zlib.crc32(view[:n], crc)
+        size += n
     return crc, size
 
 
@@ -219,18 +230,22 @@ class CacheWriter:
         if len(bounds) - 1 == len(keys):
             return self._tmp, len(keys)
         stocks = list(self._stock_codes)
-        src, self._fh = self._fh, open(self._merged, "w+b")
+        self._fh.close()  # read back unbuffered: one read per appended block
+        src, self._fh = open(self._tmp, "rb", buffering=0), open(self._merged, "w+b")
         with src:
             self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
             # a stable sort leaves each key's first block at the head of its run
             for g in np.argsort(order[bounds[:-1]]):
-                members, parts = order[bounds[g] : bounds[g + 1]].tolist(), []
-                for m in members:
+                members = order[bounds[g] : bounds[g + 1]].tolist()
+                rows, raws = [self._rows[m] for m in members], []
+                for m, n in zip(members, rows):
                     src.seek(self._offsets[m])
-                    parts.append(_columns(src.read(_ROW_BYTES * self._rows[m]), self._rows[m]))
+                    raws.append(memoryview(src.read(_ROW_BYTES * n)))
                 key = int(keys[members[0]])
-                cols = (np.concatenate(col) for col in zip(*parts))
-                self._fh.write(_block_bytes(stocks[key >> 32], key & 0xFFFFFFFF, cols))
+                head = _block_head(stocks[key >> 32], key & 0xFFFFFFFF, sum(rows))
+                # each column is its bytes in every member, in append order
+                cols = (raw[a * n : b * n] for a, b in _COL_BOUNDS for raw, n in zip(raws, rows))
+                self._fh.write(b"".join((head, *cols)))
         self._tmp.unlink()
         return self._merged, len(bounds) - 1
 
@@ -385,27 +400,56 @@ class _Pending:
 
     def flush(self, writer: CacheWriter) -> None:
         """Append one block per key, keys in order of their first buffered
-        row and each key's rows in file order."""
+        row and each key's rows in file order.
+
+        A counting scatter puts the rows in key order, one column at a time:
+        each chunk's key ids become its rows' places, and each column's
+        parts go as they are placed, so the scratch is about an int32 a row.
+        """
         if not self.rows:
             return
-        key = np.concatenate(self.key_parts)
-        order = np.argsort(key, kind="stable")
-        ends = np.cumsum(np.bincount(key, minlength=len(self.keys)))
-        starts = np.concatenate(([0], ends[:-1]))
+        n_keys = len(self.keys)
+        sizes = sum(np.bincount(part, minlength=n_keys) for part in self.key_parts)
+        starts = np.cumsum(sizes) - sizes
+        next_place = starts.copy()  # where each key's next row goes
+        first_row = np.full(n_keys, self.rows)  # each key's first buffered row
+        # ids of 8 or 16 bits sort stably by radix, ten times the speed of 32
+        sort_dtype = np.min_scalar_type(n_keys)
+        places, offset = self.key_parts, 0
+        for k, part in enumerate(places):
+            count = np.bincount(part, minlength=n_keys)
+            order = np.argsort(part.astype(sort_dtype), kind="stable")
+            run_start = np.cumsum(count) - count  # each key's run in ``order``
+            new = (count > 0) & (first_row == self.rows)
+            first_row[new] = offset + order[run_start[new]]
+            # a row's place: its key's next place plus its rank in its run
+            place = np.empty(len(part), np.int32)
+            place[order] = np.arange(len(part)) + (next_place - run_start)[part[order]]
+            next_place += count
+            places[k], offset = place, offset + len(part)
         cols = []
-        for name, _ in _COLUMNS:  # one column at a time, to bound the copies
-            cols.append(np.concatenate(self.parts.pop(name))[order])
-        keys, lo, hi = list(self.keys), starts.tolist(), ends.tolist()
-        # a key's first buffered row heads its run in the stable order
-        for g in np.argsort(order[starts]).tolist():
-            rows = slice(lo[g], hi[g])
-            writer.append(CacheBlock(*keys[g], *(c[rows] for c in cols)))
+        for name, dtype in _COLUMNS:
+            col, parts = np.empty(self.rows, dtype), self.parts.pop(name)[::-1]
+            for place in places:
+                col[place] = parts.pop()
+            cols.append(col)
+        keys, lo, hi = list(self.keys), starts.tolist(), next_place.tolist()
+        for g in np.argsort(first_row).tolist():
+            writer.append(CacheBlock(*keys[g], *(c[lo[g] : hi[g]] for c in cols)))
+
+
+#: Bytes a buffered row takes in ``_Pending``: its cache columns and its key id
+_PENDING_ROW_BYTES = _ROW_BYTES + 4
+#: Bytes of rows ``write_cache`` buffers before a flush, about 80k rows. A
+#: flush appends a block per key it holds, and the writer merges the blocks
+#: of a key at close, so a smaller buffer leaves more blocks to merge.
+_FLUSH_BYTES = 1 << 20
 
 
 def write_cache(
     path,
     chunks: Iterable[TransactionChunk],
-    flush_rows: int = 1 << 20,
+    flush_rows: int = _FLUSH_BYTES // _PENDING_ROW_BYTES,
     feed=None,
     report: ParseReport | None = None,
 ) -> int:
@@ -431,6 +475,7 @@ def write_cache(
         pending = _Pending()
         for chunk in chunks:
             pending.add(chunk)
+            del chunk  # not held while the parser reads the next block
             if pending.rows >= flush_rows:
                 pending.flush(writer)
                 pending = _Pending()

@@ -244,8 +244,8 @@ class _Columns:
 
     def __init__(self, n: int):
         self.status = np.zeros(n, np.int8)
-        self.stock_idx = np.zeros(n, np.intp)
-        self.date_idx = np.zeros(n, np.intp)
+        self.stock_idx = np.zeros(n, np.int32)
+        self.date_idx = np.zeros(n, np.int32)
         self.bar = np.zeros(n, np.int16)
         self.buy_serial = np.zeros(n, np.int64)
         self.sell_serial = np.zeros(n, np.int64)
@@ -275,50 +275,68 @@ class _Columns:
         )
 
 
-def split_fields(raw: bytes, delim: str, ncols: int):
-    """Field byte ranges of LF-separated lines free of quotes, NUL and CR.
-
-    Returns (buf, nonblank, regular, start, end): the bytes as a uint8
-    array, ended by an LF and with ``_PAD`` zero bytes on each side; per-line
-    masks of the non-blank lines and of those with exactly ``ncols`` fields;
-    and the offsets in ``buf`` of the start and end of the fields of the
-    regular lines as (ncols, n) arrays, row i holding field i of each line
-    in order.
-    """
+def padded(raw: bytes) -> np.ndarray:
+    """``raw`` as the uint8 array ``split_fields`` reads: ended by an LF and
+    with ``_PAD`` zero bytes on each side."""
     size = len(raw) + (not raw.endswith(b"\n"))
     buf = np.zeros(size + 2 * _PAD, np.uint8)
-    body = buf[_PAD : _PAD + size]
-    body[: len(raw)] = np.frombuffer(raw, np.uint8)
-    body[-1] = 10
-    seps = np.flatnonzero((body == ord(delim)) | (body == 10)) + _PAD
+    buf[_PAD : _PAD + len(raw)] = np.frombuffer(raw, np.uint8)
+    buf[_PAD + size - 1] = 10
+    return buf
+
+
+def split_fields(buf: np.ndarray, delim: str, ncols: int):
+    """Field byte ranges of the lines in ``buf``, which ``padded`` made of
+    LF-separated lines free of quotes, NUL and CR.
+
+    Returns (nonblank, regular, start, end): per-line masks of the non-blank
+    lines and of those with exactly ``ncols`` fields, and the offsets in
+    ``buf`` of the start and end of the fields of the regular lines as
+    (ncols, n) int32 arrays, row i holding field i of each line in order.
+    """
+    body = buf[_PAD:-_PAD]
+    is_sep = body == ord(delim)
+    is_sep |= body == 10
+    seps = np.flatnonzero(is_sep)
+    del is_sep
+    seps = seps.astype(np.int32)  # a block bounds every offset
+    seps += _PAD
     nl = np.flatnonzero(buf[seps] == 10)  # the separator that ends each line
     line_end = seps[nl]
-    line_start = np.concatenate(([_PAD], line_end[:-1] + 1))
+    line_start = np.empty_like(line_end)
+    line_start[0] = _PAD
+    np.add(line_end[:-1], 1, out=line_start[1:])
     n_fields = np.diff(nl, prepend=-1)
     nonblank = line_end > line_start
     regular = nonblank & (n_fields == ncols)
-    end = np.ascontiguousarray(seps[np.repeat(regular, n_fields)].reshape(-1, ncols).T)
+    seps = seps[np.repeat(regular, n_fields)]
+    end = np.ascontiguousarray(seps.reshape(-1, ncols).T)
+    del seps
     start = np.empty_like(end)
     start[0] = line_start[regular]
-    start[1:] = end[:-1] + 1
-    return buf, nonblank, regular, start, end
+    np.add(end[:-1], 1, out=start[1:])
+    return nonblank, regular, start, end
 
 
-def _fast_chunk(raw: bytes, delim: str, idx: tuple):
+def _fast_chunk(buf: np.ndarray, delim: str, idx: tuple):
     """Outcomes of a block of UTF-8, LF-separated lines free of quotes, NUL
-    and CR.
+    and CR, as ``padded`` gives it.
 
     Returns (_Columns over its non-blank rows, line offset of each row,
-    number of lines).
+    number of lines). The fields are read before the columns are made, and
+    each field's digit rows go once it is read, so little is held at once.
     """
     ncols, i_date, i_stock, i_time, i_price, i_vol, i_buy, i_sell = idx
-    buf, nonblank, regular, start, end = split_fields(raw, delim, ncols)
-
+    nonblank, regular, start, end = split_fields(buf, delim, ncols)
     rows_line = np.flatnonzero(nonblank)
-    cols = _Columns(len(rows_line))
-    cols.status[~regular[rows_line]] = _FIELD_COUNT
     reg = np.flatnonzero(regular[rows_line])
+    stocks: dict[str, int] = {}
+    dates: dict[dt.date, int] = {}
     if len(reg):
+        stock_raw, stock_code = _factorize(buf, start[i_stock], end[i_stock])
+        stock_of = [stocks.setdefault(s.decode("utf-8"), len(stocks)) for s in stock_raw]
+        stock_idx = np.asarray(stock_of, np.int32)[stock_code]
+        del stock_code
         ymd, ok = _yyyymmdd(buf, start[i_date], end[i_date])
         ymd_uniq, date_code = np.unique(np.where(ok, ymd, 0), return_inverse=True)
         date_of = []
@@ -328,37 +346,41 @@ def _fast_chunk(raw: bytes, delim: str, idx: tuple):
             except ValueError:
                 date_of.append(-1)
             else:
-                date_of.append(cols.dates.setdefault(d, len(cols.dates)))
-        date_idx = np.asarray(date_of, np.intp)[date_code]
+                date_of.append(dates.setdefault(d, len(dates)))
+        date_idx = np.asarray(date_of, np.int32)[date_code]
         fallback = ~ok | (date_idx < 0)
-        stock_raw, stock_code = _factorize(buf, start[i_stock], end[i_stock])
-        stock_of = [cols.stocks.setdefault(s.decode("utf-8"), len(cols.stocks)) for s in stock_raw]
-        stock_idx = np.asarray(stock_of, np.intp)[stock_code]
+        del ymd, date_code
 
         time_ms, ok = _times(buf, start[i_time], end[i_time])
         fallback |= ~ok
+        status = np.zeros(len(reg), np.int8)
+        status[(time_ms < 0) | (time_ms >= _MS_PER_DAY)] = _BAD_TIME
+        bar = assign_bars(time_ms)
+        del time_ms
         # price and volume decide the outcome, but only whether they are positive
-        d, ok = _decimals(buf, start[i_price], end[i_price])
-        fallback |= ~ok
-        positive = _positive(d)
-        d, ok = _digits(buf, start[i_vol], end[i_vol])
-        fallback |= ~ok
-        positive &= _positive(d)
+        positive = np.ones(len(reg), bool)
+        for i, read in ((i_price, _decimals), (i_vol, _digits)):
+            d, ok = read(buf, start[i], end[i])
+            fallback |= ~ok
+            positive &= _positive(d)
+            del d
         serials = []
         for i in (i_buy, i_sell):
             d, ok = _digits(buf, start[i], end[i])
-            serials.append(_join_digits(d, range(len(d))))
             fallback |= ~ok
+            serials.append(_join_digits(d, range(len(d))))
+            del d
         buy_serial, sell_serial = serials
+        status[~positive | (buy_serial <= 0) | (sell_serial <= 0)] = _NONPOSITIVE
 
-        status = np.zeros(len(reg), np.int8)
-        nonpositive = ~positive | (buy_serial <= 0) | (sell_serial <= 0)
-        status[(time_ms < 0) | (time_ms >= _MS_PER_DAY)] = _BAD_TIME
-        status[nonpositive] = _NONPOSITIVE
+    cols = _Columns(len(rows_line))
+    cols.stocks, cols.dates = stocks, dates
+    cols.status[~regular[rows_line]] = _FIELD_COUNT
+    if len(reg):
         cols.status[reg] = status
         cols.stock_idx[reg] = stock_idx
         cols.date_idx[reg] = date_idx
-        cols.bar[reg] = assign_bars(time_ms)
+        cols.bar[reg] = bar
         cols.buy_serial[reg] = buy_serial
         cols.sell_serial[reg] = sell_serial
 
@@ -444,8 +466,7 @@ class _Feed:
         """The next whole lines; b"" at the end of the file."""
         if self._pos == len(self._buf) and not self._fill():
             return b""
-        out = self._buf[self._pos :]
-        self._pos = len(self._buf)
+        out, self._buf, self._pos = self._buf[self._pos :], b"", 0
         return out
 
     def lines(self):
@@ -453,9 +474,9 @@ class _Feed:
         reader with ``newline=""`` splits them; bytes that are not UTF-8
         decode to surrogates."""
         while self._pos < len(self._buf) or self._fill():
-            line = _LINE.match(self._buf, self._pos)
-            self._pos = line.end()
-            yield line.group().decode("utf-8", "surrogateescape")
+            start, self._pos = self._pos, _LINE.match(self._buf, self._pos).end()
+            # no match object is held across the yield: it would keep the buffer
+            yield self._buf[start : self._pos].decode("utf-8", "surrogateescape")
 
 
 def _plain(raw: bytes) -> bytes | None:
@@ -544,14 +565,19 @@ def iter_transactions(
 
         while raw := feed.block():
             plain = _plain(raw) if delim.isascii() else None
-            if plain is not None:
-                cols, offsets, consumed = _fast_chunk(plain, delim, idx)
-            else:
+            if plain is None:
                 cols, offsets, consumed = _csv_chunk(_text_lines(raw), feed.lines(), delim, idx)
+            else:
+                buf = padded(plain)
+                del raw, plain  # the fast path reads the padded copy
+                cols, offsets, consumed = _fast_chunk(buf, delim, idx)
+                del buf
             chunk, abort = _settle(cols, lineno + 1 + offsets, report, malformed_threshold, path)
             lineno += consumed
+            del cols, offsets  # of a block, only its chunk is kept
             if len(chunk):
                 yield chunk
+            del chunk  # nor that, while the next block is read
             if abort:
                 raise DataError(abort)
 

@@ -37,7 +37,7 @@ from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY, assign_bar, assign_bars
 from .parse import (
     _Feed, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_date,
-    _parse_time_ms, _plain, _times, is_utf8, split_fields,
+    _parse_time_ms, _plain, _times, is_utf8, padded, split_fields,
 )
 
 EOD_COLUMNS = ("date", "id", "close")
@@ -133,7 +133,8 @@ def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
             plain = _plain(raw)
             if plain is None:
                 return None
-            buf, nonblank, regular, start, end = split_fields(plain, delimiter, len(columns))
+            buf = padded(plain)
+            nonblank, regular, start, end = split_fields(buf, delimiter, len(columns))
             if not np.array_equal(nonblank, regular):
                 return None
             if intraday:
@@ -157,20 +158,24 @@ def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
             ]
             rows = slice(n_rows, n_rows + len(price))
             if rows.stop > len(keys):
-                keys, prices = np.resize(keys, 2 * rows.stop), np.resize(prices, 2 * rows.stop)
+                keys.resize(2 * rows.stop, refcheck=False)
+                prices.resize(2 * rows.stop, refcheck=False)
             keys[rows] = np.asarray(day_of, np.int64)[row_pair] << 8 | bar
             prices[rows] = price
             n_rows = rows.stop
+    # the room beyond the rows goes back to the allocator, in place
+    keys.resize(n_rows, refcheck=False)
+    prices.resize(n_rows, refcheck=False)
     # a repeated minute (a day, at end of day, where a day's key is its own)
     # leaves fewer distinct keys than rows
     distinct = len(days)
     if intraday:
         seen = np.zeros(len(days) << 8, bool)
-        seen[keys[:n_rows]] = True
+        seen[keys] = True
         distinct = np.count_nonzero(seen)
     if distinct != n_rows:
         return None
-    return list(days), keys[:n_rows], prices[:n_rows]
+    return list(days), keys, prices
 
 
 # -- row loop ---------------------------------------------------------------------
@@ -288,7 +293,12 @@ def load_intraday_prices(
         key = (np.cumsum(wanted) - 1)[key[keep] >> 8] << 8 | key[keep] & 255
         price, days = price[keep], [day for day, w in zip(days, wanted.tolist()) if w]
     grid = np.full((len(days), BARS_PER_DAY), np.nan)
-    grid[key >> 8, (key & 255) - 1] = price
+    flat = grid.ravel()
+    # day << 8 | bar is the flat grid's day * 237 + bar - 1; a slice of rows at
+    # a time, so no temporary is as long as the file
+    for lo in range(0, len(key), 1 << 13):
+        k = key[lo : lo + (1 << 13)]
+        flat[k - (k >> 8) * (256 - BARS_PER_DAY) - 1] = price[lo : lo + (1 << 13)]
     return _by_id(days, grid)
 
 

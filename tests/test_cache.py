@@ -1,7 +1,11 @@
 import datetime as dt
+import functools
+import inspect
+import json
 import os
 import re
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -19,7 +23,7 @@ from polab.marketdata.cache import (
 )
 from polab.marketdata import parse
 from polab.marketdata.parse import iter_transactions
-from polab.marketdata.schema import ParseReport
+from polab.marketdata.schema import ParseReport, TransactionChunk
 from polab.panel import PolarityPanel
 
 
@@ -448,3 +452,71 @@ class TestDamage:
                 w.append(block())
                 w.append(block(n=2))
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def dense_flow(tmp_path_factory):
+    """The dense flow on 80 stocks over 2 days, about 490k rows, and its
+    first quarter as a feed of its own. Each day's keys span three default
+    flushes."""
+    import polab.synth as synth
+
+    root = tmp_path_factory.mktemp("dense")
+    regime = synth.RegimeSpec("dense", buy_rate=11.0, sell_rate=11.0)
+    files, _ = synth.generate(regime, 80, [dt.date(2015, 5, 4), dt.date(2015, 5, 5)], 77, root)
+    lines = files.transactions.read_bytes().splitlines(keepends=True)
+    quarter = root / "quarter.csv"
+    quarter.write_bytes(b"".join(lines[: 1 + (len(lines) - 1) // 4]))
+    return quarter, files.transactions
+
+
+class TestBoundedMemory:
+    def test_ingest_peak_does_not_grow_with_the_feed(self, dense_flow, tmp_path):
+        flush_rows = inspect.signature(write_cache).parameters["flush_rows"].default
+        peaks, rows = [], []
+        for feed in dense_flow:
+            tracemalloc.start()
+            try:
+                rows.append(write_cache(tmp_path / "c.plab", iter_transactions(feed)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+        assert rows[1] > 5 * flush_rows and rows[0] > flush_rows  # the flushes the peaks span
+
+    def test_flush_orders_more_keys_than_16_bits_number(self, tmp_path):
+        # each of 2**16 + 3 stocks trades twice, in two shuffled passes
+        n = (1 << 16) + 3
+        perm = np.random.default_rng(5).permutation(n).astype(np.int32)
+        stock_idx = np.concatenate((perm, perm))
+        serial = np.arange(1, 2 * n + 1)
+        chunk = TransactionChunk([f"{i:06d}" for i in range(n)], [dt.date(2015, 5, 4)], stock_idx,
+                                 np.zeros(2 * n, np.int32), serial, serial, np.ones(2 * n, np.int16))
+        write_cache(tmp_path / "c.plab", [chunk])
+        blocks = list(iter_blocks(tmp_path / "c.plab"))
+        assert [int(b.stock_id) for b in blocks] == perm.tolist()
+        assert all(b.buy_serial.tolist() == [k + 1, k + n + 1] for k, b in enumerate(blocks))
+
+    def test_default_flush_merges_to_the_single_flush_bytes(self, dense_flow, tmp_path):
+        from polab.cli import main
+
+        _, feed = dense_flow
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"transactions": str(feed), "out_dir": str(tmp_path / "out")}))
+        cache = tmp_path / "out" / "cache.plab"
+        outputs = (cache, checksum_path(cache), tmp_path / "out" / "ingest_report.csv")
+        flushed = []
+        flush = cache_mod._Pending.flush
+
+        def counted(pending, writer):
+            flushed.append(pending.rows)
+            return flush(pending, writer)
+
+        with mock.patch.object(cache_mod._Pending, "flush", counted):
+            assert main(["ingest", "--config", str(cfg)]) == 0
+        assert len([n for n in flushed if n]) >= 6
+        got = [p.read_bytes() for p in outputs]
+        single = functools.partial(write_cache, flush_rows=1 << 30)
+        with mock.patch.object(cache_mod, "write_cache", single):
+            assert main(["ingest", "--config", str(cfg)]) == 0
+        assert [p.read_bytes() for p in outputs] == got

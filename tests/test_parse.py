@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from polab.errors import ConfigError, DataError, InputError
 from polab.marketdata.parse import (
     _REASONS, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_row,
-    _positive, _times, iter_transactions, split_fields,
+    _positive, _times, iter_transactions, padded, split_fields,
 )
 from polab.marketdata.schema import DEFAULT_SCHEMA, ColumnSchema, ParseReport
 
@@ -235,7 +235,8 @@ class TestRoundTrip:
 def offsets(lines, ncols=1, trailing_newline=True):
     """(buf, start, end) of ``split_fields`` over ``lines``; every line must be regular."""
     raw = "\n".join(lines).encode() + (b"\n" if trailing_newline else b"")
-    buf, _, regular, start, end = split_fields(raw, ",", ncols)
+    buf = padded(raw)
+    _, regular, start, end = split_fields(buf, ",", ncols)
     assert regular.all()
     return buf, start, end
 

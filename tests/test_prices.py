@@ -490,6 +490,15 @@ def test_rows_beyond_the_room_made_for_them_still_load(tmp_path, small_blocks, m
     assert out is not None and _same_triple(out, rows)
 
 
+def test_columnar_reader_holds_only_its_rows(tmp_path, small_blocks):
+    # the arrays it returns are the rows alone, not views into a larger reserve
+    path = write(tmp_path, "intra.csv", intraday_rows(["A", "B"]))
+    out = prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS)
+    rows = prices._rows(path, ",", True, prices.INTRADAY_COLUMNS)
+    assert out is not None and _same_triple(out, rows)
+    assert all(a.base is None for a in out[1:])
+
+
 # -- side files -------------------------------------------------------------------
 
 RJF = ["date,rjf", "2015-05-04,1.5"]
