@@ -37,6 +37,7 @@ import struct
 import zlib
 from array import array
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -65,9 +66,8 @@ _COLUMNS = (
 )
 _DTYPES = [(name, np.dtype(dtype)) for name, dtype in _COLUMNS]
 _ROW_BYTES = sum(dtype.itemsize for _, dtype in _DTYPES)
-#: where each column starts in a block's column bytes, in bytes a row
-_COL_STARTS = np.cumsum([0] + [dtype.itemsize for _, dtype in _DTYPES[:-1]]).tolist()
-_COL_BOUNDS = list(zip(_COL_STARTS, _COL_STARTS[1:] + [_ROW_BYTES]))
+#: where each column starts and ends in a block's column bytes, in bytes a row
+_COL_BOUNDS = list(pairwise(np.cumsum([0] + [dtype.itemsize for _, dtype in _DTYPES]).tolist()))
 
 
 @dataclass
@@ -109,7 +109,7 @@ def _block_bytes(stock_id: str, date_int: int, cols) -> bytes:
 
 def _columns(raw: bytes, n: int) -> list[np.ndarray]:
     """The columns of a block's ``n`` rows, read from its column bytes."""
-    return [np.frombuffer(raw, dtype, n, k * n) for (_, dtype), k in zip(_DTYPES, _COL_STARTS)]
+    return [np.frombuffer(raw, dtype, n, a * n) for (_, dtype), (a, _) in zip(_DTYPES, _COL_BOUNDS)]
 
 
 def checksum_path(path) -> Path:
@@ -134,8 +134,8 @@ def _remove_panel_memos(path: Path) -> None:
 def _stream_crc32(fh) -> tuple[int, int]:
     """CRC-32 and length of the bytes from ``fh``'s position to its end.
 
-    The bytes pass through one reused 256 KiB buffer, which the heap that
-    ingest has freed can hold: a fresh 1 MiB piece per read is mapped anew
+    The bytes pass through one reused 256 KiB buffer. A fresh 1 MiB piece
+    per read is mapped anew, after ingest has freed its rows into the heap,
     and sets ingest's peak memory.
     """
     crc = size = 0
