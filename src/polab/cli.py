@@ -602,6 +602,8 @@ def _cmd_impact(cfg: RunConfig, args) -> int:
         if len(ps) == 0:
             continue
         groups = coupling.price_impact_groups(ps, rs)
+        # the next scope's copies are made after this one's are given back
+        del ps, rs
         for group in coupling.GROUPS:
             s = groups[group]
             if s is None:

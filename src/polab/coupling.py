@@ -64,7 +64,8 @@ def price_impact_groups(polarity, log_return) -> dict:
     if p.shape != r.shape:
         raise DataError(f"polarity and return lengths differ: {p.shape} vs {r.shape}")
     keep = np.isfinite(p) & np.isfinite(r)
-    p, r = p[keep], r[keep]
+    if not keep.all():
+        p, r = p[keep], r[keep]
     return {
         "negative": five_number_summary(r[p < 0]),
         "zero": five_number_summary(r[p == 0]),

@@ -14,20 +14,38 @@ truth always equals the distinct serials present in the emitted rows.
 Minutes that no regime covers, or whose regime has zero rates and
 nothing planted, are quiet.
 
-The bytes stay stable because the draws keep one order and one set of
-arguments. Each day:
+The bytes stay stable because the draws keep one order and take the same
+bits. Each day:
 
 1. For each stock in turn: when any of the day's scheduled bars has a
    positive rate, one ``poisson`` vector over all of them per side, buy
    first. Then, bar by bar, each planted or two-sided minute: the
    run-length start sign and power-law lengths when a run regime needs
-   them; then for a minute that trades, the quote ``uniform``, the two
-   ``geometric`` fill draws when ``mean_fills > 1``, per side (buyers
-   first) the ``integers`` for a deficit and a ``shuffle``, then the trade
-   ``uniform``.
+   them; then for a minute that trades, the quote ``random``, one
+   ``geometric`` fill vector over buyers then sellers when
+   ``mean_fills > 1``, per side (buyers first) the ``integers`` for a
+   deficit and a ``shuffle``, then the trade ``random``.
 2. For each trading minute in the same order: one ``standard_normal``
    for the price step, then the volume ``integers``.
 3. The index path: one ``standard_normal`` vector, then the minimum bar.
+
+Several calls take a cheaper form that draws the same bits as the
+straightforward one; ``tests/test_synth_streams.py`` checks each against
+the installed numpy:
+
+- ``lo + 60000.0 * random(n)`` is ``uniform(lo, lo + 60000.0, n)``: a
+  quote or trade time in the bar starting at ``lo`` ms;
+- one ``geometric(p, nb + ns)`` split in two is the two per-side calls;
+- ``integers(0, 1, n)`` draws nothing, so a lone participant takes its
+  side's whole deficit with no call;
+- a ``shuffle`` of at most one slot draws nothing, so none is made;
+- k scalar ``integers(lo, hi)`` calls are one ``integers(lo, hi, k)``
+  call. Up to three draws are made so: numpy spends most of a sized call
+  on ``np.prod(size)``.
+
+Draws are not batched across minutes. The price steps' normals and the
+volumes' bounded integers interleave, and numpy keeps half of a 64-bit
+draw for the next 32-bit one, so a batch would change the stream.
 
 How the rows are then assembled and written draws nothing, so it may
 change freely as long as it emits the same text.
@@ -43,6 +61,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -202,46 +221,66 @@ def _time_text(ms: np.ndarray) -> list:
     ]
 
 
+def _ints(rng, low, high, k):
+    """``rng.integers(low, high, k)`` as a list, with the same draws.
+
+    Up to three draws are made as scalar calls: numpy spends most of a sized
+    call on ``np.prod(size)``, about the cost of three scalar ones.
+    """
+    if k > 3:
+        return rng.integers(low, high, k).tolist()
+    return [rng.integers(low, high) for _ in range(k)]
+
+
 def _side_slots(rng, base, count, fills, total, n_trades):
-    """One side of a minute: the register of each trade's participant, shuffled.
+    """One side of a minute: the register of each trade's participant,
+    shuffled, as a list.
 
     Participant ``base + k`` fills ``fills[k]`` times (once when ``fills`` is
     None); the side's deficit against ``n_trades`` goes to drawn participants.
+    A lone participant takes the whole deficit without a call, and a single
+    slot is not shuffled: neither would draw.
     """
-    side = np.arange(base, base + count)
+    if count == 1:
+        side = [base] * n_trades
+        if n_trades > 1:
+            # every slot holds the one register, so the shuffle is for its draws
+            rng.shuffle(np.array(side))
+        return side
     deficit = n_trades - total
     if deficit > 0:
-        extra = np.bincount(rng.integers(0, count, deficit), minlength=count)
-        fills = extra + 1 if fills is None else fills + extra
+        fills = [1] * count if fills is None else fills
+        for k in _ints(rng, 0, count, deficit):
+            fills[k] += 1
+    side = np.arange(base, base + count)
     if fills is not None:
         side = side.repeat(fills)
     rng.shuffle(side)
-    return side
+    return side.tolist()
 
 
-def _minute_trades(rng, nb, ns, mean_fills, lo, base):
-    """Draw one trading minute: (quote times, buyer registers, seller
-    registers, sorted trade times). Registers count from ``base``."""
-    hi = lo + 60_000.0
-    quotes = rng.uniform(lo, hi, nb + ns)
+def _minute_trades(rng, nb, ns, mean_fills, base):
+    """Draw one trading minute: (quote draws, buyer registers, seller
+    registers, sorted trade draws), each a list.
+
+    Registers count from ``base``. A draw ``u`` in [0, 1) stands for the
+    time ``lo + 60000.0 * u`` in the bar starting at ``lo`` ms, which is
+    what ``uniform(lo, lo + 60000.0)`` gives; that time never falls as
+    ``u`` grows, so the sorted draws give the sorted times.
+    """
+    quotes = rng.random(nb + ns).tolist()
     if mean_fills > 1.0:
-        fb = rng.geometric(1.0 / mean_fills, nb)
-        fs = rng.geometric(1.0 / mean_fills, ns)
-        total_b, total_s = sum(fb.tolist()), sum(fs.tolist())
+        fills = rng.geometric(1.0 / mean_fills, nb + ns).tolist()
+        fb, fs = fills[:nb], fills[nb:]
+        total_b, total_s = sum(fb), sum(fs)
     else:
         fb = fs = None
         total_b, total_s = nb, ns
     n_trades = max(total_b, total_s)
     buyers = _side_slots(rng, base, nb, fb, total_b, n_trades)
     sellers = _side_slots(rng, base + nb, ns, fs, total_s, n_trades)
-    times = rng.uniform(lo, hi, n_trades)
-    times.sort()
+    times = sorted(rng.random(n_trades).tolist())
     return quotes, buyers, sellers, times
-
-
-def _cat(pieces):
-    """Concatenate int64 pieces; none give an empty array."""
-    return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
 
 def _write_rows(fh, schema, iso, stocks, rank, px_text, *, stock_of, price_of, ms, buy, sell, vol):
@@ -339,7 +378,7 @@ def generate(
             bars = (scheduled + 1).tolist()
             regime_of = coverage[d][scheduled].tolist()
             specs = [regimes[ri] for ri in regime_of]
-            bar_lo = [float(bar_start_ms(b)) for b in bars]
+            bar_lo = np.array([float(bar_start_ms(b)) for b in bars])
             buy_rates = np.array([s.buy_rate for s in specs], dtype=np.float64)
             sell_rates = np.array([s.sell_rate for s in specs], dtype=np.float64)
             any_poisson = bool((buy_rates + sell_rates > 0).any())
@@ -351,8 +390,10 @@ def generate(
                 or s.fixed_counts is not None
             ]
 
-            # the day's trading minutes, in (stock, bar) order, and their draws
-            quote_pieces, buyer_pieces, seller_pieces, time_pieces = [], [], [], []
+            # the day's trading minutes, in (stock, bar) order, and their draws;
+            # draws and registers go into flat arrays, 8 bytes each
+            quote_u, time_u, vols = array("d"), array("d"), array("q")
+            buyers_of, sellers_of, rows_of = array("q"), array("q"), []
             trade_stock, trade_pos, trade_nb, trade_ns = [], [], [], []
             n_participants = 0
             for i in range(n_stocks):
@@ -410,33 +451,35 @@ def generate(
                     if nb == 0:
                         continue
                     quotes, buyers, sellers, times = _minute_trades(
-                        rng, nb, ns, spec.mean_fills, bar_lo[p], n_participants
+                        rng, nb, ns, spec.mean_fills, n_participants
                     )
                     n_participants += nb + ns
-                    quote_pieces.append(quotes)
-                    buyer_pieces.append(buyers)
-                    seller_pieces.append(sellers)
-                    time_pieces.append(times)
+                    quote_u.fromlist(quotes)
+                    time_u.fromlist(times)
+                    buyers_of.fromlist(buyers)
+                    sellers_of.fromlist(sellers)
+                    rows_of.append(len(times))
                     trade_stock.append(i)
                     trade_pos.append(p)
                     trade_nb.append(nb)
                     trade_ns.append(ns)
 
-            # serials follow the day's quote sequence across stocks and sides
-            serial_of = np.empty(n_participants, dtype=np.int64)
-            if n_participants:
-                serial_of[np.argsort(np.concatenate(quote_pieces), kind="stable")] = (
-                    np.arange(1, n_participants + 1)
-                )
-            del quote_pieces
-
-            # stock prices move bar by bar, optionally coupled to polarity
-            z, vol_pieces = [], []
-            for times in time_pieces:
-                z.append(rng.standard_normal())
-                vol_pieces.append(rng.integers(100, 10_000, len(times)))
+            # serials follow the day's quote sequence across stocks and sides;
+            # a draw u in a bar starting at lo is the time lo + 60000.0 * u
             nb_a = np.array(trade_nb, dtype=np.int64)
             ns_a = np.array(trade_ns, dtype=np.int64)
+            pos_a = np.array(trade_pos, dtype=np.int64)
+            lo_a = bar_lo[pos_a]
+            quotes = np.repeat(lo_a, nb_a + ns_a) + 60_000.0 * np.frombuffer(quote_u)
+            serial_of = np.empty(n_participants, dtype=np.int64)
+            serial_of[np.argsort(quotes, kind="stable")] = np.arange(1, n_participants + 1)
+            del quote_u, quotes
+
+            # stock prices move bar by bar, optionally coupled to polarity
+            z = []
+            for n_trades in rows_of:
+                z.append(rng.standard_normal())
+                vols.fromlist(_ints(rng, 100, 10_000, n_trades))
             coupling = np.array([specs[p].coupling for p in trade_pos], dtype=np.float64)
             growth = np.exp(return_scale * (coupling * ((nb_a - ns_a) / (nb_a + ns_a)) + z))
             px_text = []
@@ -445,14 +488,16 @@ def generate(
                 px_text.append(f"{prices[i]:.4f}")
                 intra_rows.append(f"{iso},{stocks[i]},{bars[p]},{px_text[-1]}")
             stock_a = np.array(trade_stock, dtype=np.int64)
-            bar_a = scheduled[np.array(trade_pos, dtype=np.int64)]
+            bar_a = scheduled[pos_a]
             buy_truth[stock_a, j, bar_a] = nb_a
             sell_truth[stock_a, j, bar_a] = ns_a
 
             # the day's rows as columns, each trade's rows in turn, then the
             # off-grid rows at the first stock's closing price
             px_text.append(f"{prices[0]:.4f}")
-            rows_of = [len(t) for t in time_pieces] + [n_offgrid_rows]
+            ms = (np.repeat(lo_a, rows_of) + 60_000.0 * np.frombuffer(time_u)).astype(np.int64)
+            del time_u
+            rows_of.append(n_offgrid_rows)
             off = np.ones(n_offgrid_rows, dtype=np.int64)
             _write_rows(
                 tx_fh,
@@ -463,12 +508,12 @@ def generate(
                 px_text,
                 stock_of=np.repeat(np.append(stock_a, 0), rows_of),
                 price_of=np.repeat(np.arange(len(rows_of)), rows_of),
-                ms=np.concatenate(time_pieces + [offgrid_ms]).astype(np.int64),
-                buy=np.concatenate([serial_of[_cat(buyer_pieces)], off]),
-                sell=np.concatenate([serial_of[_cat(seller_pieces)], off]),
-                vol=np.concatenate([_cat(vol_pieces), 100 * off]),
+                ms=np.concatenate([ms, offgrid_ms]),
+                buy=np.concatenate([serial_of[np.frombuffer(buyers_of, dtype=np.int64)], off]),
+                sell=np.concatenate([serial_of[np.frombuffer(sellers_of, dtype=np.int64)], off]),
+                vol=np.concatenate([np.frombuffer(vols, dtype=np.int64), 100 * off]),
             )
-            del time_pieces, buyer_pieces, seller_pieces, vol_pieces
+            del ms, buyers_of, sellers_of, vols
 
             # index path with a planted, strictly unique minimum minute
             pct = return_scale * np.cumsum(rng.standard_normal(BARS_PER_DAY))

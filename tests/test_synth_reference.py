@@ -306,27 +306,39 @@ def assert_same_as_reference(out_dir, regimes, n_stocks, dates, seed, **kw):
         np.testing.assert_array_equal(got.sign_pattern[key], pattern)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(
+    max_examples=max(60, settings.default.max_examples),
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 @given(scenario=scenarios())
 def test_generate_equals_the_per_row_reference(tmp_path, scenario):
     assert_same_as_reference(tmp_path, **scenario)
 
 
 @pytest.mark.parametrize(
-    "regimes",
+    "regimes, n_stocks",
     [
         # ~180 trades a minute put several pairs of one stock's rows on the
         # same millisecond; they keep the order the reference appended them in
-        [RegimeSpec("crowd", fixed_counts=(60, 60), mean_fills=3.0, bars=tuple(range(1, 31)))],
+        ([RegimeSpec("crowd", fixed_counts=(60, 60), mean_fills=3.0, bars=tuple(range(1, 31)))], 2),
         # Poisson minutes before and after planted ones: a stock's draws
         # follow bar order across regimes
-        [
-            RegimeSpec("flow", buy_rate=2.0, sell_rate=2.0, bars=tuple(range(1, 20))),
-            RegimeSpec("runs", run_length_alpha=2.0, bars=tuple(range(20, 40))),
-            RegimeSpec("fills", buy_rate=1.0, sell_rate=3.0, mean_fills=1.5, bars=tuple(range(40, 60))),
-        ],
+        (
+            [
+                RegimeSpec("flow", buy_rate=2.0, sell_rate=2.0, bars=tuple(range(1, 20))),
+                RegimeSpec("runs", run_length_alpha=2.0, bars=tuple(range(20, 40))),
+                RegimeSpec("fills", buy_rate=1.0, sell_rate=3.0, mean_fills=1.5, bars=tuple(range(40, 60))),
+            ],
+            2,
+        ),
+        # paper_wide's thin flow: mostly one participant a side, so lone
+        # participants take whole deficits and many minutes trade once
+        ([RegimeSpec("thin", buy_rate=0.3, sell_rate=0.3, mean_fills=1.3, coupling=1.0)], 30),
+        # paper_dense's flow: long deficits, drawn by sized integers calls
+        ([RegimeSpec("dense", buy_rate=11.0, sell_rate=11.0)], 2),
     ],
-    ids=["same-millisecond", "poisson-around-planted"],
+    ids=["same-millisecond", "poisson-around-planted", "paper-wide-thin", "paper-dense"],
 )
-def test_fixed_scenarios_equal_the_reference(tmp_path, regimes):
-    assert_same_as_reference(tmp_path, regimes, 2, DATES[:2], 11)
+def test_fixed_scenarios_equal_the_reference(tmp_path, regimes, n_stocks):
+    assert_same_as_reference(tmp_path, regimes, n_stocks, DATES[:2], 11)
