@@ -10,11 +10,21 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-import hashlib
 import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputError
+
+# The interpreter's builtin SHA-256, as the stdlib's random takes its
+# SHA-512: hashlib would load OpenSSL's libcrypto, about 3.7 MB of every
+# process, for a 12-character digest. The digest is the same either way.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # an interpreter built without them
 
 
 def read_config(path) -> dict:
@@ -201,4 +211,4 @@ class RunConfig:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()[:12]
+        return sha256(self.to_canonical_json().encode()).hexdigest()[:12]

@@ -39,7 +39,9 @@ class FiveNumberSummary:
 
 def five_number_summary(values) -> FiveNumberSummary | None:
     v = np.asarray(values, dtype=np.float64)
-    v = v[np.isfinite(v)]
+    finite = np.isfinite(v)
+    if not finite.all():
+        v = v[finite]
     if len(v) == 0:
         return None
     q1, med, q3 = np.percentile(v, [25.0, 50.0, 75.0])

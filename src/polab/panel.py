@@ -256,35 +256,6 @@ class PolarityPanel:
                 rows = zip(((i + lo) * n_dates + j).tolist(), k.tolist(), pairs)
                 fh.write("".join([f"{days[day]}{bars[bar]}{tails[pair]}" for day, bar, pair in rows]))
 
-    @classmethod
-    def read_text(cls, path) -> "PolarityPanel":
-        """The panel a ``write_text`` export holds; a row of zero counts
-        reads as a minute without activity. A short or unparsable row, a bar
-        off the grid, a count outside 0..2**31 - 1 or a repeated cell raises
-        DataError naming the file and the line."""
-        import csv
-
-        days = {}
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, [])[:5] != ["stock_id", "date", "bar", "buy", "sell"]:
-                raise DataError(f"not a panel export: {path}")
-            for row in filter(None, reader):
-                where = f"{path} line {reader.line_num}: {row!r}"
-                try:
-                    day, (bar, b, s) = dt.date.fromisoformat(row[1]), map(int, row[2:5])
-                except (IndexError, ValueError):
-                    raise DataError(f"unreadable panel row in {where}") from None
-                if not (1 <= bar <= BARS_PER_DAY and 0 <= b < 2**31 and 0 <= s < 2**31):
-                    raise DataError(f"bar or count out of range in {where}")
-                if (row[0], day) not in days:  # -1 marks a cell no row has given yet
-                    days[(row[0], day)] = np.full((2, BARS_PER_DAY), -1, np.int32)
-                counts = days[(row[0], day)]
-                if counts[0, bar - 1] >= 0:
-                    raise DataError(f"repeated cell in {where}")
-                counts[:, bar - 1] = b, s
-        return _grid({key: np.maximum(counts, 0) for key, counts in days.items()})
-
 
 def _grid(counts: dict) -> PolarityPanel:
     """The panel whose (stock, date) ``key`` holds ``counts[key]``, its buy

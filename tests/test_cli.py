@@ -19,6 +19,8 @@ from polab.marketdata.cache import checksum_path, panel_memo_path
 from polab.panel import PolarityPanel
 from polab.tables import read_table
 
+from panel_text import read_text
+
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
@@ -524,6 +526,25 @@ def test_analyses_load_no_scipy(workdir, tmp_path):
     assert (tmp_path / "granger_days.csv").exists() and (tmp_path / "corr_kl.csv").exists()
 
 
+def test_ratios_run_loads_no_openssl_scipy_or_generator(workdir, tmp_path):
+    # what an analysis process does not use it does not load: OpenSSL's
+    # libcrypto alone is about 3.7 MB of a process that needs one digest
+    from importlib.util import find_spec
+
+    root, out, cfg = workdir
+    code = (
+        "import sys\nfrom polab.cli import main\n"
+        "assert main(['ratios', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0"
+    )
+    loaded = set(_loaded_modules(code, cfg, tmp_path))
+    assert "polab.cli" in loaded and (tmp_path / "direction_ratios.csv").exists()
+    unused = ("polab.synth", "polab.verify")
+    assert [m for m in loaded if m in unused or m.split(".")[0] == "scipy"] == []
+    if not (find_spec("_sha2") or find_spec("_sha256")):
+        pytest.skip("this interpreter has no builtin SHA-256, so the config hash loads hashlib's")
+    assert "_hashlib" not in loaded
+
+
 def test_synth_with_planted_run_lengths_loads_no_scipy(tmp_path):
     # the power-law sampler takes its Hurwitz zeta from tailfit's port
     out = tmp_path / "out"
@@ -714,7 +735,7 @@ class TestFeedFingerprint:
     def test_unchanged_feed_runs(self, tmp_path):
         cfg, tx, cache_path, out = _ingest_market(tmp_path)
         assert main(["polarity", "--config", str(cfg)]) == 0
-        assert PolarityPanel.read_text(out / "panel.csv").equals(
+        assert read_text(out / "panel.csv").equals(
             PolarityPanel.from_transactions(tx)
         )
 
@@ -728,7 +749,7 @@ class TestFeedFingerprint:
         else:
             tx.unlink()
         assert main(["polarity", "--config", str(cfg)]) == 0
-        assert PolarityPanel.read_text(out / "panel.csv").equals(want)
+        assert read_text(out / "panel.csv").equals(want)
 
 
 class TestOldCacheVersion:

@@ -36,6 +36,13 @@ class TestFiveNumberSummary:
     def test_empty_is_none(self):
         assert five_number_summary([]) is None
 
+    def test_non_finite_values_are_left_out(self):
+        values = np.array([5.0, np.nan, 1.0, np.inf, 3.0, -np.inf, 2.0, 4.0])
+        kept = values.copy()
+        assert five_number_summary(values) == five_number_summary([1.0, 2.0, 3.0, 4.0, 5.0])
+        np.testing.assert_array_equal(values, kept)
+        assert five_number_summary([np.nan, np.inf]) is None
+
 
 class TestPriceImpactGroups:
     def test_all_zero_returns_collapse(self):

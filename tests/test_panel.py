@@ -27,6 +27,8 @@ from polab.panel import (
 from polab.returns import build_return_series
 from polab.synth import brute_force_recount
 
+from panel_text import read_text
+
 D = dt.date(2015, 5, 4)
 
 
@@ -223,7 +225,7 @@ class TestPanelConstruction:
     def test_text_export_roundtrip(self, small_panel, tmp_path):
         path = tmp_path / "panel.csv"
         small_panel.write_text(path)
-        loaded = PolarityPanel.read_text(path)
+        loaded = read_text(path)
         assert loaded.equals(small_panel)
 
     def test_text_export_with_explicit_missing_cells(self, small_panel, tmp_path):
@@ -241,7 +243,7 @@ class TestPanelConstruction:
         assert empty
         with open(path, "a") as fh:
             fh.writelines(empty)
-        assert PolarityPanel.read_text(path).equals(small_panel)
+        assert read_text(path).equals(small_panel)
 
     @pytest.mark.parametrize("line", [
         "A,2015-05-04,0,3,1,0.5",  # bar 0 would index the last bar
@@ -257,7 +259,7 @@ class TestPanelConstruction:
         path = tmp_path / "panel.csv"
         path.write_text(f"stock_id,date,bar,buy,sell,polarity\nA,2015-05-04,7,3,1,0.5\n{line}\n")
         with pytest.raises(DataError, match=f"{path} line 3"):
-            PolarityPanel.read_text(path)
+            read_text(path)
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -855,7 +857,7 @@ class TestCountType:
     def test_empty_panel_holds_bytes(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("stock_id,date,bar,buy,sell,polarity\n")
-        panel = PolarityPanel.read_text(path)
+        panel = read_text(path)
         assert panel.buy.shape == (0, 0, BARS_PER_DAY)
         assert panel.buy.dtype == panel.sell.dtype == np.uint8
 
@@ -865,7 +867,7 @@ class TestCountType:
             "stock_id,date,bar,buy,sell,polarity\n"
             f"A,2015-05-04,7,{2**31 - 1},1,1\nA,2015-05-05,8,3,0,1\n"
         )
-        panel = PolarityPanel.read_text(path)
+        panel = read_text(path)
         assert panel.buy.dtype == panel.sell.dtype == np.uint32
         assert panel.cell("A", D, 7)[:2] == (2**31 - 1, 1)
 
