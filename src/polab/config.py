@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, InputError
 
 # The interpreter's builtin SHA-256, as the stdlib's random takes its
-# SHA-512: hashlib would load OpenSSL's libcrypto, about 3.7 MB of every
+# SHA-512: hashlib would load OpenSSL's libcrypto, about 3.6 MB of every
 # process, for a 12-character digest. The digest is the same either way.
 try:
     from _sha2 import sha256  # Python 3.12 and later

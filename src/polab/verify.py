@@ -11,6 +11,7 @@ from the emitted files.
 from __future__ import annotations
 
 import datetime as dt
+import hashlib
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import flips
-from .config import sha256
 from .marketdata.prices import load_eod_prices, load_intraday_prices
 from .panel import PolarityPanel, direction_ratios
 from .returns import build_return_series
@@ -134,7 +134,7 @@ def run_oracle_suite(
             regime, n_stocks, dates, scen_seed = _random_scenario(rng, max_stocks, max_days)
             files, truth = generate(regime, n_stocks, dates, scen_seed, tmp)
             if s == 0:
-                first_digest = sha256(files.transactions.read_bytes()).hexdigest()
+                first_digest = hashlib.sha256(files.transactions.read_bytes()).hexdigest()
                 first_params = (regime, n_stocks, dates, scen_seed)
 
             brute = brute_force_recount(files.transactions)
@@ -152,7 +152,7 @@ def run_oracle_suite(
         # same seed, same bytes
         regime, n_stocks, dates, scen_seed = first_params
         files, _ = generate(regime, n_stocks, dates, scen_seed, tmp)
-        digest = sha256(files.transactions.read_bytes()).hexdigest()
+        digest = hashlib.sha256(files.transactions.read_bytes()).hexdigest()
         if digest != first_digest:
             report.failures.append("regeneration with the same seed changed the emitted bytes")
 

@@ -528,7 +528,7 @@ def test_analyses_load_no_scipy(workdir, tmp_path):
 
 def test_ratios_run_loads_no_openssl_scipy_or_generator(workdir, tmp_path):
     # what an analysis process does not use it does not load: OpenSSL's
-    # libcrypto alone is about 3.7 MB of a process that needs one digest
+    # libcrypto alone is about 3.6 MB of a process that needs one digest
     from importlib.util import find_spec
 
     root, out, cfg = workdir
@@ -735,9 +735,7 @@ class TestFeedFingerprint:
     def test_unchanged_feed_runs(self, tmp_path):
         cfg, tx, cache_path, out = _ingest_market(tmp_path)
         assert main(["polarity", "--config", str(cfg)]) == 0
-        assert read_text(out / "panel.csv").equals(
-            PolarityPanel.from_transactions(tx)
-        )
+        assert read_text(out / "panel.csv").equals(PolarityPanel.from_transactions(tx))
 
     @pytest.mark.parametrize("feed", ("unnamed", "deleted"))
     def test_no_feed_to_compare_runs(self, tmp_path, feed):
