@@ -92,20 +92,6 @@ def _index_returns(cfg: RunConfig):
     return build_return_series(cfg.index_id, eod[cfg.index_id], intraday[cfg.index_id])
 
 
-def _index_min_days(panel: PolarityPanel, index_series) -> list:
-    """(date, bar, market polarity) for each panel date on which the index
-    has a finite change vs prior close; ``bar`` is the minute of the day's
-    lowest change, the earliest on ties."""
-    rows = []
-    for date in panel.dates:
-        pct = index_series.intraday_pct_vs_prev_close.get(date)
-        if pct is None or not np.isfinite(pct).any():
-            continue
-        bar = int(np.nanargmin(pct)) + 1
-        rows.append((date, bar, daily_polarity_at_index_min(panel, index_series, date)))
-    return rows
-
-
 def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> dict:
     """{(stock, date): ndarray(237) of log-returns} for stocks in the panel.
 
@@ -399,17 +385,12 @@ def _cmd_market(cfg: RunConfig, args) -> int:
     panel = _load_panel(cfg)
     index_series = _index_returns(cfg)
     mp = market_polarity_series(panel)
-    rows = []
-    mp_flat = []
-    idx_flat = []
+    pct = np.full(mp.shape, np.nan)
     for j, date in enumerate(panel.dates):
-        pct = index_series.intraday_pct_vs_prev_close.get(date)
-        for k in range(mp.shape[1]):
-            ival = float(pct[k]) if pct is not None else None
-            rows.append((date, k + 1, mp[j, k], ival))
-            if pct is not None:
-                mp_flat.append(mp[j, k])
-                idx_flat.append(pct[k])
+        day = index_series.intraday_pct_vs_prev_close.get(date)
+        if day is not None:
+            pct[j] = day
+    rows = [(panel.dates[j], k + 1, mp[j, k], pct[j, k]) for j, k in np.ndindex(mp.shape)]
     write_table(
         out / "market_minutes.csv",
         "market-minutes",
@@ -419,8 +400,8 @@ def _cmd_market(cfg: RunConfig, args) -> int:
         meta={"market_polarity": "mean polarity over stocks active in the minute"},
     )
 
-    r = coupling.market_correlation(np.array(mp_flat), np.array(idx_flat))
-    n_pairs = int(np.sum(np.isfinite(mp_flat) & np.isfinite(idx_flat)))
+    r = coupling.market_correlation(mp, pct)
+    n_pairs = int(np.sum(np.isfinite(mp) & np.isfinite(pct)))
     write_table(
         out / "market_summary.csv",
         "market-summary",
@@ -434,7 +415,7 @@ def _cmd_market(cfg: RunConfig, args) -> int:
         out / "daily_polarity_at_index_min.csv",
         "daily-polarity-at-index-min",
         ("date", "bar", "market_polarity"),
-        _index_min_days(panel, index_series),
+        daily_polarity_at_index_min(mp, panel.dates, index_series),
         config_hash=cfg.config_hash(),
         meta={"bar": "minute of the day's lowest index change vs prior close, earliest on ties"},
     )
@@ -640,18 +621,10 @@ def _cmd_emotion(cfg: RunConfig, args) -> int:
     panel = _load_panel(cfg)
     index_series = _index_returns(cfg)
     rjf = load_emotion(cfg.emotion)
-    daily = {
-        date: value
-        for date, _, value in _index_min_days(panel, index_series)
-        if np.isfinite(value)
-    }
-    corr = coupling.emotion_correlation(daily, rjf, cfg.periods)
-    periods = cfg.periods
-    joined = sorted(set(daily) & set(rjf))
-    counts = {"overall": len(joined)}
-    for name in periods.names():
-        counts[name] = sum(1 for d in joined if periods.label(d) == name)
-    rows = [(name, corr[name], counts[name]) for name in ("overall",) + periods.names()]
+    mp = market_polarity_series(panel)
+    days = daily_polarity_at_index_min(mp, panel.dates, index_series)
+    corr = coupling.emotion_correlation({d: v for d, _, v in days}, rjf, cfg.periods)
+    rows = [(name, *corr[name]) for name in ("overall",) + cfg.periods.names()]
     write_table(
         out / "emotion_correlation.csv",
         "emotion-correlation",
@@ -736,6 +709,8 @@ def _cmd_synth(cfg: RunConfig, args) -> int:
 def _cmd_verify(cfg: RunConfig, args) -> int:
     from .verify import run_oracle_suite
 
+    if args.scenarios < 1:
+        raise ConfigError(f"--scenarios must be >= 1, got {args.scenarios}")
     out = _out_dir(cfg)
     report = run_oracle_suite(n_scenarios=args.scenarios, seed=cfg.seed)
     write_table(

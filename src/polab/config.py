@@ -132,9 +132,12 @@ class RunConfig:
             ("max_lag", 1),
             ("min_granger_minutes", 10),
             ("threads", 1),
+            ("seed", 0),
         ):
             if getattr(self, name) < lo:
                 raise ConfigError(f"{name} must be >= {lo}, got {getattr(self, name)}")
+        if len(self.delimiter) != 1:
+            raise ConfigError(f"delimiter must be one character, got {self.delimiter!r}")
         if not 0 <= self.malformed_threshold <= 1:
             raise ConfigError(f"malformed_threshold must be in [0, 1]: {self.malformed_threshold}")
         if not 0 < self.pseudo_count < float("inf"):

@@ -345,9 +345,9 @@ def granger_pass_rates(
 def emotion_correlation(daily_polarity: dict, rjf: dict, periods=None) -> dict:
     """Pearson r between daily polarity and the joy-to-fear ratio.
 
-    Joins on dates present in both series; returns {'overall': r} plus one
-    entry per period label when ``periods`` (a config Periods) is given.
-    A period with fewer than 3 joined days maps to None.
+    Joins on dates present in both series with finite values; returns
+    {'overall': (r, n_days)}, plus one entry per period label when ``periods``
+    (a config Periods) is given. r is None for fewer than 3 joined days.
     """
     joined = sorted(set(daily_polarity) & set(rjf))
     pol = np.array([daily_polarity[d] for d in joined])
@@ -356,17 +356,18 @@ def emotion_correlation(daily_polarity: dict, rjf: dict, periods=None) -> dict:
     pol, emo = pol[keep], emo[keep]
     joined = [d for d, k in zip(joined, keep) if k]
 
-    def corr_or_none(mask) -> float | None:
-        if mask.sum() < 3:
-            return None
+    def corr_and_days(mask) -> tuple:
+        n_days = int(mask.sum())
+        if n_days < 3:
+            return None, n_days
         try:
-            return pearson(pol[mask], emo[mask])
+            return pearson(pol[mask], emo[mask]), n_days
         except NumericError:
-            return None
+            return None, n_days
 
-    out = {"overall": corr_or_none(np.ones(len(joined), dtype=bool))}
+    out = {"overall": corr_and_days(np.ones(len(joined), dtype=bool))}
     if periods is not None:
         labels = np.array([periods.label(d) for d in joined])
         for name in periods.names():
-            out[name] = corr_or_none(labels == name)
+            out[name] = corr_and_days(labels == name)
     return out

@@ -322,7 +322,7 @@ def load_emotion(path) -> dict:
     rows = _side_rows(path, "emotion", ("date", "rjf"), dt.date.fromisoformat)
     for where, row, date, value in rows:
         if value <= 0:
-            raise DataError(f"rjf must be positive: {row}")
+            raise DataError(f"{where}: rjf must be positive, got {row}")
         if not math.isfinite(value):
             raise DataError(f"{where}: rjf must be finite, got {row}")
         out[date] = value

@@ -33,7 +33,6 @@ still match the memo's key. A cache without that record is refused.
 from __future__ import annotations
 
 import datetime as dt
-import math
 import os
 import sys
 import tempfile
@@ -42,7 +41,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DataError
 from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
 from .marketdata.parse import int_to_date, iter_transactions
@@ -387,16 +385,6 @@ def direction_ratios(
     return DirectionRatios(stock_id, period, pos / n, neg / n, zero / n, n)
 
 
-def market_polarity(panel: PolarityPanel, date: dt.date, bar: int) -> float:
-    """Equal-weighted mean polarity over stocks active at (date, bar); NaN if none."""
-    j = panel.date_index(date)
-    col = derive_polarity(panel.buy[:, j, bar - 1], panel.sell[:, j, bar - 1])
-    finite = col[np.isfinite(col)]
-    if len(finite) == 0:
-        return math.nan
-    return float(finite.mean())
-
-
 def market_polarity_series(panel: PolarityPanel) -> np.ndarray:
     """Market polarity for every (date, bar); shape (n_dates, 237), NaN if no stock."""
     counts = np.zeros((len(panel.dates), BARS_PER_DAY), dtype=np.int64)
@@ -411,15 +399,19 @@ def market_polarity_series(panel: PolarityPanel) -> np.ndarray:
     return np.divide(sums, counts, out=np.full(counts.shape, np.nan), where=counts > 0)
 
 
-def daily_polarity_at_index_min(panel: PolarityPanel, index_returns, date: dt.date) -> float:
-    """Market polarity at the minute the index return hits its daily minimum.
+def daily_polarity_at_index_min(mp: np.ndarray, dates, index_returns) -> list:
+    """(date, bar, market polarity) for each of ``dates`` on which the index
+    has a finite change vs prior close, read from ``mp``, the
+    ``market_polarity_series`` of the panel whose dates those are.
 
-    The index return is the intraday percentage change versus the prior
-    close; ties resolve to the earliest bar. Raises DataError when the index
-    series has no values for the date.
+    ``bar`` is the minute of the day's lowest index change, the earliest on
+    ties; a date with no finite change is left out.
     """
-    series = index_returns.intraday_pct_vs_prev_close.get(date)
-    if series is None or not np.isfinite(series).any():
-        raise DataError(f"index return series missing for {date}")
-    bar = int(np.nanargmin(series)) + 1
-    return market_polarity(panel, date, bar)
+    rows = []
+    for j, date in enumerate(dates):
+        pct = index_returns.intraday_pct_vs_prev_close.get(date)
+        if pct is None or not np.isfinite(pct).any():
+            continue
+        bar = int(np.nanargmin(pct)) + 1
+        rows.append((date, bar, mp[j, bar - 1]))
+    return rows

@@ -263,6 +263,20 @@ class TestPipeline:
 #: a Poisson regime for the synth configs below
 FLOW = {"name": "flow", "buy_rate": 1.0, "sell_rate": 1.0}
 
+ANALYSES = (
+    "polarity", "ratios", "flips", "runlengths", "fit",
+    "market", "kl", "granger", "impact", "emotion",
+)
+
+#: (command, arguments) for each bad value, on every command that reads its
+#: key; the analyses read ``delimiter`` when they ingest their missing cache
+BAD_READ_VALUES = [
+    *((command, ["--set", f"delimiter={value}"])
+      for command in ("ingest", *ANALYSES) for value in ('";;"', '"::"', '""')),
+    *((command, ["--set", "seed=-1"]) for command in ("synth", "verify")),
+    *(("verify", ["--scenarios", count]) for count in ("0", "-1")),
+]
+
 
 class TestErrorMapping:
     def test_unknown_config_key_is_config_error(self, tmp_path, capsys):
@@ -369,6 +383,23 @@ class TestErrorMapping:
         for item in overrides:
             args += ["--set", item]
         assert main(args) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,args", BAD_READ_VALUES, ids=[" ".join([c, *a]) for c, a in BAD_READ_VALUES]
+    )
+    def test_bad_value_of_a_key_the_command_reads_is_a_config_error(
+        self, workdir, tmp_path, capsys, command, args
+    ):
+        # the analyses get the module's feed and prices but no cache
+        raw = {**json.loads(workdir[2].read_text()), "cache": str(tmp_path / "cache.plab")}
+        if command in ("synth", "verify"):
+            raw = {"synth": {"n_stocks": 2, "n_days": 1, "regimes": [FLOW]}}
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**raw, "out_dir": str(out)}))
+        assert main([command, "--config", str(cfg), *args]) == 2
         assert "error category=config" in capsys.readouterr().err
         assert not out.exists()
 
@@ -503,12 +534,6 @@ def test_granger_run_loads_no_scipy(workdir, tmp_path):
     assert _last_line(code, _blas_env(), cfg, tmp_path) == "0 []"
     meta, cols, rows = read_table(tmp_path / "granger_days.csv")
     assert rows
-
-
-ANALYSES = (
-    "polarity", "ratios", "flips", "runlengths", "fit",
-    "market", "kl", "granger", "impact", "emotion",
-)
 
 
 def test_analyses_load_no_scipy(workdir, tmp_path):
@@ -1228,6 +1253,44 @@ def test_granger_vs_prev_minute(workdir, tmp_path):
     assert rows and rows == want
     tables = [{p.name: p.read_bytes() for p in d.iterdir()} for d in (flag, override)]
     assert tables[0] == tables[1]
+
+
+#: (buy, sell) man-times of eight stocks whose polarities numpy's pairwise
+#: mean sums to exactly 0.0, and a stock-by-stock sum does not
+EIGHT_STOCK_MINUTE = [(1, 2), (1, 3), (2, 2), (2, 2), (2, 1), (1, 2), (2, 1), (3, 1)]
+
+
+def test_index_minimum_reads_the_market_minutes_series(tmp_path):
+    # bar 3 holds the eight-stock minute and the index's daily low; one
+    # stock trades the other bars, so the minute correlation is defined
+    minutes = {1: [(2, 1)], 2: [(1, 3)], 3: EIGHT_STOCK_MINUTE, 4: [(3, 1)], 5: [(1, 2)]}
+    lines = ["trade_date,stock_id,time,price,volume,buy_serial,sell_serial"]
+    for bar, stocks in minutes.items():
+        for i, (buy, sell) in enumerate(stocks):
+            for k in range(max(buy, sell)):
+                b, s = 100 * bar + min(k, buy - 1), 100 * bar + 50 + min(k, sell - 1)
+                lines.append(f"2015-05-05,S{i},09:{29 + bar}:30.000,10.0,100,{b},{s}")
+    (tmp_path / "tx.csv").write_text("\n".join(lines) + "\n")
+    (tmp_path / "eod.csv").write_text(
+        "date,id,close\n2015-05-04,SZSC,100.0\n2015-05-05,SZSC,99.8\n"
+    )
+    prices = (100.0, 99.5, 98.0, 99.0, 99.8)
+    (tmp_path / "intraday.csv").write_text(
+        "date,id,bar_or_time,last_price\n"
+        + "".join(f"2015-05-05,SZSC,{bar},{p}\n" for bar, p in enumerate(prices, 1))
+    )
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "transactions": str(tmp_path / "tx.csv"),
+        "eod_prices": str(tmp_path / "eod.csv"),
+        "intraday_prices": str(tmp_path / "intraday.csv"),
+        "out_dir": str(out),
+    }))
+    assert main(["market", "--config", str(cfg)]) == 0
+    _, _, minute_rows = read_table(out / "market_minutes.csv")
+    _, _, index_min_rows = read_table(out / "daily_polarity_at_index_min.csv")
+    assert index_min_rows == [minute_rows[2][:3]] == [["2015-05-05", "3", "6.93889390391e-18"]]
 
 
 def test_tables_are_utf8_in_an_ascii_locale(tmp_path):

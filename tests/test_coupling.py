@@ -242,8 +242,8 @@ class TestEmotionCorrelation:
         pol = rng.uniform(-0.5, 0.5, 64)
         daily = self.make_daily(pol)
         rjf = {d: float(np.exp(-p)) for d, p in daily.items()}
-        out = emotion_correlation(daily, rjf)
-        assert out["overall"] < -0.9
+        r, n_days = emotion_correlation(daily, rjf)["overall"]
+        assert r < -0.9 and n_days == 64
 
     def test_planted_linear_relation_at_n60(self):
         rng = np.random.default_rng(10)
@@ -253,8 +253,8 @@ class TestEmotionCorrelation:
         emo = rho * pol + np.sqrt(1 - rho**2) * noise
         daily = self.make_daily(pol)
         rjf = {d: float(v) + 10.0 for d, v in zip(sorted(daily), emo)}
-        out = emotion_correlation(daily, rjf)
-        assert -0.6 <= out["overall"] <= -0.2
+        r, n_days = emotion_correlation(daily, rjf)["overall"]
+        assert -0.6 <= r <= -0.2 and n_days == 60
 
     def test_period_split_and_small_period_missing(self):
         periods = Periods(dt.date(2015, 6, 12), dt.date(2015, 7, 7))
@@ -267,12 +267,21 @@ class TestEmotionCorrelation:
         daily[dt.date(2015, 6, 15)] = 0.1  # a lone crash-period day
         rjf = {day: float(np.exp(-v)) for day, v in daily.items()}
         out = emotion_correlation(daily, rjf, periods)
-        assert out["pre-crash"] < 0
-        assert out["crash"] is None  # fewer than 3 joined days
-        assert out["post-crash"] is None
+        assert out["pre-crash"][0] < 0 and out["pre-crash"][1] == 40
+        assert out["crash"] == (None, 1)  # fewer than 3 joined days
+        assert out["post-crash"] == (None, 0)
+        assert out["overall"][1] == 41
 
     def test_join_ignores_unmatched_dates(self):
         daily = self.make_daily([0.1, 0.2, 0.3, 0.4])
         rjf = {list(daily)[0]: 1.0}  # single overlapping day
-        out = emotion_correlation(daily, rjf)
-        assert out["overall"] is None
+        assert emotion_correlation(daily, rjf) == {"overall": (None, 1)}
+
+    def test_non_finite_polarity_is_left_out_of_the_join(self):
+        daily = self.make_daily([0.1, float("nan"), 0.3, 0.4, 0.2])
+        rjf = {d: 1.0 + v for d, v in zip(daily, (0.5, 0.1, 0.4, 0.2, 0.3))}
+        r, n_days = emotion_correlation(daily, rjf)["overall"]
+        assert n_days == 4
+        kept = [d for d, v in daily.items() if np.isfinite(v)]
+        want = np.corrcoef([daily[d] for d in kept], [rjf[d] for d in kept])[0, 1]
+        assert r == pytest.approx(want)

@@ -20,7 +20,6 @@ from polab.panel import (
     daily_polarity_at_index_min,
     derive_polarity,
     direction_ratios,
-    market_polarity,
     market_polarity_series,
     polarity,
 )
@@ -423,26 +422,37 @@ class TestMarketPolarity:
             buy[i, 0, 0], sell[i, 0, 0] = b, s
         return PolarityPanel(["A", "B"], [D], buy, sell)
 
+    def first_minute(self, p1, p2):
+        return market_polarity_series(self.make_two_stock_panel(p1, p2))[0, 0]
+
     def test_symmetric_stocks_average_to_zero(self):
-        panel = self.make_two_stock_panel(0.4, -0.4)
-        assert market_polarity(panel, D, 1) == pytest.approx(0.0)
+        assert self.first_minute(0.4, -0.4) == pytest.approx(0.0)
 
     def test_missing_stock_excluded_from_mean(self):
-        panel = self.make_two_stock_panel(0.4, None)
-        assert market_polarity(panel, D, 1) == pytest.approx(0.4)
+        assert self.first_minute(0.4, None) == pytest.approx(0.4)
 
     def test_no_stocks_gives_nan(self):
-        panel = self.make_two_stock_panel(None, None)
-        assert math.isnan(market_polarity(panel, D, 1))
+        assert math.isnan(self.first_minute(None, None))
 
     def test_identical_polarity_is_identity(self):
-        panel = self.make_two_stock_panel(0.25, 0.25)
-        assert market_polarity(panel, D, 1) == pytest.approx(0.25)
+        assert self.first_minute(0.25, 0.25) == pytest.approx(0.25)
+
+    def test_stocks_are_added_in_order_not_pairwise(self):
+        # numpy's pairwise mean of these eight polarities is exactly 0.0;
+        # added stock by stock they leave a rounding residue
+        pairs = [(1, 2), (1, 3), (2, 2), (2, 2), (2, 1), (1, 2), (2, 1), (3, 1)]
+        counts = np.zeros((2, 8, 1, BARS_PER_DAY))
+        counts[:, :, 0, 0] = np.transpose(pairs)
+        panel = count_panel(*counts)
+        pol = whole_polarity(panel)
+        assert np.mean(pol[:, 0, 0]) == 0.0
+        assert market_polarity_series(panel)[0, 0] == 6.938893903907228e-18
+        assert whole_market_polarity(pol, 0, 1) == 6.938893903907228e-18
 
     def test_500_stock_panel_concentrates_per_bar(self):
         # per-stock polarity averages 0.08 under steered Poisson counts, so
         # the 500-stock mean stays inside 0.08 +/- 0.03 in every minute; the
-        # brute-force mean recomputation must agree exactly
+        # stock-by-stock mean recomputation must agree exactly
         rng = np.random.default_rng(2015)
         shape = (500, 1, 237)
         buy = rng.poisson(10.8, shape).astype(np.int32)
@@ -454,52 +464,56 @@ class TestMarketPolarity:
         series = market_polarity_series(panel)
         assert np.isfinite(series).all()
         assert np.all(np.abs(series - 0.08) <= 0.03)
+        pol = whole_polarity(panel)
         for bar in (1, 118, 237):
-            col = derive_polarity(panel.buy[:, 0, bar - 1], panel.sell[:, 0, bar - 1])
-            by_hand = float(np.mean(col[np.isfinite(col)]))
-            assert market_polarity(panel, D, bar) == by_hand
+            assert series[0, bar - 1] == whole_market_polarity(pol, 0, bar)
 
     def test_series_matches_scalar(self, small_panel):
         series = market_polarity_series(small_panel)
-        for j, date in enumerate(small_panel.dates):
+        pol = whole_polarity(small_panel)
+        for j in range(len(small_panel.dates)):
             for bar in (1, 50, 237):
-                expected = market_polarity(small_panel, date, bar)
-                got = series[j, bar - 1]
-                assert (math.isnan(expected) and math.isnan(got)) or got == pytest.approx(expected)
+                assert _bits(series[j, bar - 1]) == _bits(whole_market_polarity(pol, j, bar))
 
 
 class TestDailyPolarityAtIndexMin:
-    def build_index(self, pct_by_bar):
-        intraday = {D: np.full(237, np.nan)}
+    def build_index(self, pct_by_bar, dates=(D,)):
+        intraday = {d: np.full(237, np.nan) for d in dates}
         base = 100.0
         for bar, pct in pct_by_bar.items():
             intraday[D][bar - 1] = base * (1 + pct)
         eod = {D - dt.timedelta(days=1): base, D: base}
         return build_return_series("IDX", eod, intraday)
 
-    def panel_with_bar_polarities(self, by_bar):
-        buy = np.zeros((1, 1, 237), dtype=np.int32)
+    def panel_with_bar_polarities(self, by_bar, n_dates=1):
+        buy = np.zeros((1, n_dates, 237), dtype=np.int32)
         sell = np.zeros_like(buy)
         for bar, p in by_bar.items():
             buy[0, 0, bar - 1] = round(20 * (1 + p))
             sell[0, 0, bar - 1] = round(20 * (1 - p))
-        return PolarityPanel(["A"], [D], buy, sell)
+        return count_panel(buy, sell)
+
+    def index_min_rows(self, panel, idx):
+        return daily_polarity_at_index_min(market_polarity_series(panel), panel.dates, idx)
 
     def test_picks_argmin_bar(self):
         idx = self.build_index({1: -0.01, 2: -0.03, 3: 0.0})
         panel = self.panel_with_bar_polarities({1: 0.1, 2: 0.2, 3: 0.0})
-        assert daily_polarity_at_index_min(panel, idx, D) == pytest.approx(0.2)
+        [(date, bar, value)] = self.index_min_rows(panel, idx)
+        assert (date, bar) == (D, 2) and value == pytest.approx(0.2)
 
     def test_tie_breaks_to_earliest_bar(self):
         idx = self.build_index({1: -0.02, 2: -0.02, 3: -0.02})
         panel = self.panel_with_bar_polarities({1: 0.5, 2: -0.5, 3: 0.1})
-        assert daily_polarity_at_index_min(panel, idx, D) == pytest.approx(0.5)
+        [(date, bar, value)] = self.index_min_rows(panel, idx)
+        assert (date, bar) == (D, 1) and value == pytest.approx(0.5)
 
-    def test_missing_index_day_raises(self):
-        idx = self.build_index({1: -0.01})
-        panel = self.panel_with_bar_polarities({1: 0.1})
-        with pytest.raises(DataError, match="missing"):
-            daily_polarity_at_index_min(panel, idx, dt.date(2015, 5, 5))
+    def test_missing_index_day_is_skipped(self):
+        # the second panel date has no index prices, then only unpriced minutes
+        panel = self.panel_with_bar_polarities({1: 0.1}, n_dates=2)
+        for dates in ((D,), (D, D + dt.timedelta(days=1))):
+            idx = self.build_index({1: -0.01}, dates)
+            assert [(d, bar) for d, bar, _ in self.index_min_rows(panel, idx)] == [(D, 1)]
 
     def test_planted_minimum_recovered(self, small_scenario, small_panel):
         from polab.marketdata.prices import load_eod_prices, load_intraday_prices
@@ -509,11 +523,11 @@ class TestDailyPolarityAtIndexMin:
         intraday = load_intraday_prices(files.intraday_prices)
         idx = build_return_series(files.index_id, eod[files.index_id], intraday[files.index_id])
         series = market_polarity_series(small_panel)
-        for j, date in enumerate(small_panel.dates):
-            bar = truth.index_min_bar[date]
-            expected = series[j, bar - 1]
-            got = daily_polarity_at_index_min(small_panel, idx, date)
-            assert (math.isnan(expected) and math.isnan(got)) or got == pytest.approx(expected)
+        rows = self.index_min_rows(small_panel, idx)
+        assert [d for d, _, _ in rows] == small_panel.dates
+        for j, (date, bar, value) in enumerate(rows):
+            assert bar == truth.index_min_bar[date]
+            assert _bits(value) == _bits(series[j, bar - 1])
 
 
 # -- polarity derived a stock at a time, against the whole-panel formulas -------
@@ -541,9 +555,13 @@ def whole_market_series(pol):
 
 
 def whole_market_polarity(pol, j, bar):
-    col = pol[:, j, bar - 1]
-    finite = col[np.isfinite(col)]
-    return math.nan if len(finite) == 0 else float(finite.mean())
+    """One minute of ``market_polarity_series``, its stocks added in order."""
+    total, n = 0.0, 0
+    for p in pol[:, j, bar - 1]:
+        if np.isfinite(p):
+            total += p
+            n += 1
+    return total / n if n else math.nan
 
 
 def count_panel(buy, sell):
@@ -595,11 +613,11 @@ def test_per_stock_derivation_matches_the_whole_panel_bit_for_bit(panel):
     rows = [row for _, _, row in panel.iter_stock_days()]
     assert _bits(rows) == _bits(pol.reshape(-1, BARS_PER_DAY))
     assert _bits(panel.row(panel.stocks[-1], panel.dates[-1])) == _bits(pol[-1, -1])
-    assert _bits(market_polarity_series(panel)) == _bits(whole_market_series(pol))
-    for j, date in enumerate(panel.dates):
+    series = market_polarity_series(panel)
+    assert _bits(series) == _bits(whole_market_series(pol))
+    for j in range(n_dates):
         for bar in (1, 2, 118, 236, 237):
-            want = whole_market_polarity(pol, j, bar)
-            assert _bits(market_polarity(panel, date, bar)) == _bits(want)
+            assert _bits(series[j, bar - 1]) == _bits(whole_market_polarity(pol, j, bar))
     # the moments' arrays: every date, each single date and the last ones
     scopes = [slice(None), list(range(n_dates))] + [[j] for j in range(n_dates)] + [[]]
     scopes.append(list(range(1, n_dates)))

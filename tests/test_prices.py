@@ -516,7 +516,7 @@ NOT_CAPS = "{path} line 3: capitalization must be finite and not negative, got "
             RJF + ["2015-05-05,1.6,7"],
             "{path} line 3: expected 'date,rjf', got ['2015-05-05', '1.6', '7']",
         ),
-        (RJF + ["2015-05-05,-inf"], "rjf must be positive: ['2015-05-05', '-inf']"),
+        (RJF + ["2015-05-05,-inf"], "{path} line 3: rjf must be positive, got ['2015-05-05', '-inf']"),
     ],
 )
 def test_emotion_errors(tmp_path, body, message):
