@@ -24,10 +24,10 @@ import sys
 from pathlib import Path
 
 # Numpy loads an OpenBLAS that starts a pool of worker threads at import,
-# about 70 ms of every polab process on 2 cores (scipy, which only the
-# synthetic generator imports, bundles another). polab's only BLAS
-# calls are tiny (coupling's lstsq on at most about 232 x 11, a 2 x 2 det,
-# cov and corrcoef on 237 points), so processes started through this module
+# about 70 ms of every polab process on 2 cores (scipy bundles another, but
+# no polab module imports scipy). polab's only BLAS calls are tiny
+# (coupling's lstsq on at most about 232 x 11, a 2 x 2 det, cov and
+# corrcoef on 237 points), so processes started through this module
 # run OpenBLAS on one thread unless the caller chose otherwise. OpenBLAS reads
 # the variable when it loads, so this must precede the first numpy import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -142,10 +142,9 @@ class RunConfig:
             raise ConfigError(f"malformed_threshold must be in [0, 1]: {self.malformed_threshold}")
         if not 0 < self.pseudo_count < float("inf"):
             raise ConfigError(f"pseudo_count must be positive and finite: {self.pseudo_count}")
-
-    @property
-    def periods(self) -> Periods:
-        return Periods(self.pre_crash_end, self.crash_end)
+        # built here, so boundaries out of order fail before any file is
+        # written; an attribute, not a field, so no key and not hashed
+        self.periods = Periods(self.pre_crash_end, self.crash_end)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

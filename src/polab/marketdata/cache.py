@@ -1,23 +1,33 @@
 """Compact binary cache of parsed transactions, for fast re-analysis.
 
-Layout (all little-endian), version 2:
+Layout (all little-endian), version 3:
 
     header:  magic "PLAB1" | u16 version | u8 reserved | u64 n_blocks
     block:   u16 stock-id length | stock-id utf8 | u32 date yyyymmdd | u32 n_rows
-             u8 bar[n] | u32 buy_serial[n] | u32 sell_serial[n]
+             | u8 widths | u8 bar[n] | uB buy_label[n] | uS sell_label[n]
 
-A row keeps only what the panel counts: its bar and the serials of its two
-orders, 9 B. The parser still reads and validates each row's time, price
-and volume, which decide whether a row is malformed or off-grid, but no
-analysis reads them back, so the cache does not keep them. A cache of
-another version is refused: re-run ``polab ingest`` to rebuild it.
+A row keeps only what the panel counts: its bar and, on each side, the
+order it fills. A man-times count needs an order's identity only within its
+(stock, day), so a block holds each order as a label: the rank of its
+serial among the block's distinct serials on that side, 0 for the smallest.
+Within a (stock, day, side) labels and serials are one to one and in the
+same order, so both serial scopes count the same cells from the labels as
+from the serials. Each side's labels are held in the narrowest of u8, u16
+and u32 that holds the block's largest label on that side; ``widths``
+holds their sizes in bytes, B << 4 | S, so a row takes 3 to 9 B. A block
+read back carries the labels in its ``buy_serial`` and ``sell_serial``.
+The parser still reads and validates each row's time, price and volume,
+which decide whether a row is malformed or off-grid, but no analysis reads
+them back, so the cache does not keep them. A cache of another version is
+refused: re-run ``polab ingest`` to rebuild it.
 
 Each block holds all the rows of one (stock, trading day), in feed order,
 and no key has a second block. Ingest buffers rows in bounded-memory
-flushes, so it may append a key's rows as several blocks; the writer then
-merges them when it closes, and the file is byte for byte the one a single
-flush would write. A reader refuses a key it has already seen. Off-grid rows
-are kept with bar 0 so row counts reconcile against the source file.
+flushes and appends each flush's rows of a key as one fragment of raw u32
+serials; the writer merges and labels each key's fragments when it closes,
+so the file is byte for byte the one a single flush would write. A reader
+refuses a key it has already seen. Off-grid rows are kept with bar 0 so row
+counts reconcile against the source file.
 
 The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
 it. The record is part of the cache: readers refuse a cache without one,
@@ -49,29 +59,41 @@ from .parse import int_to_date
 from .schema import ParseReport, TransactionChunk
 
 MAGIC = b"PLAB1"
-VERSION = 2
+VERSION = 3
 
 _HEADER = struct.Struct("<5sHBQ")
 _BLOCK_HEAD = struct.Struct("<H")
-_BLOCK_META = struct.Struct("<II")
+#: a block's date (yyyymmdd), row count and label widths (buy << 4 | sell)
+_BLOCK_META = struct.Struct("<IIB")
+#: the widths a side's labels may have, in bytes
+_WIDTHS = (1, 2, 4)
 
 _U32_MAX = 2**32 - 1
 #: integer columns whose values the cache's u32 may not hold
 _U32_CHECKED = ("buy_serial", "sell_serial")
 
+#: the columns of a fragment, as ``CacheWriter.append`` writes them
 _COLUMNS = (
     ("bar", "<u1"),
     ("buy_serial", "<u4"),
     ("sell_serial", "<u4"),
 )
-_DTYPES = [(name, np.dtype(dtype)) for name, dtype in _COLUMNS]
-_ROW_BYTES = sum(dtype.itemsize for _, dtype in _DTYPES)
-#: where each column starts and ends in a block's column bytes, in bytes a row
-_COL_BOUNDS = list(pairwise(np.cumsum([0] + [dtype.itemsize for _, dtype in _DTYPES]).tolist()))
+#: bytes a row of a fragment takes
+_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+
+#: rows the writer labels at once, as whole keys; a larger key goes alone.
+#: Labelling takes about 25 B of scratch a row, which fits in the heap that
+#: the last flush freed, so it does not raise ingest's peak memory.
+_LABEL_ROWS = 1 << 13
+#: fragments read back by one ``preadv`` at most, three buffers each
+_RUN_FRAGMENTS = 256
 
 
 @dataclass
 class CacheBlock:
+    """One (stock, day)'s rows. Appended, ``buy_serial`` and ``sell_serial``
+    hold the orders' serials; read back, their block-local labels."""
+
     stock_id: str
     trade_date: dt.date
     bar: np.ndarray
@@ -96,20 +118,45 @@ def date_to_int(d: dt.date) -> int:
     return d.year * 10_000 + d.month * 100 + d.day
 
 
-def _block_head(stock_id: str, date_int: int, n: int) -> bytes:
+def _block_bytes(stock_id: str, date_int: int, bar, buy, sell) -> bytes:
+    """A block as the file holds it: its head, its bars, then its buy and
+    its sell labels, each side in the unsigned type of its width."""
     sid = stock_id.encode("utf-8")
-    return _BLOCK_HEAD.pack(len(sid)) + sid + _BLOCK_META.pack(date_int, n)
+    meta = _BLOCK_META.pack(date_int, len(bar), buy.itemsize << 4 | sell.itemsize)
+    return b"".join((_BLOCK_HEAD.pack(len(sid)), sid, meta, bar, buy, sell))
 
 
-def _block_bytes(stock_id: str, date_int: int, cols) -> bytes:
-    """A block as the file holds it: its head, then each column's bytes."""
-    cols = [np.ascontiguousarray(c, dtype=dtype) for c, (_, dtype) in zip(cols, _DTYPES)]
-    return b"".join((_block_head(stock_id, date_int, len(cols[0])), *cols))
+def _labels(serials: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, list]:
+    """Each row's label on one side of a batch of whole keys, as uint32, and
+    each key's label width: the bytes of the narrowest of u8, u16 and u32
+    that holds its largest label.
 
-
-def _columns(raw: bytes, n: int) -> list[np.ndarray]:
-    """The columns of a block's ``n`` rows, read from its column bytes."""
-    return [np.frombuffer(raw, dtype, n, a * n) for (_, dtype), (a, _) in zip(_DTYPES, _COL_BOUNDS)]
+    ``serials`` holds the keys' rows one key after another, ``sizes`` each
+    key's row count. A row's label is the rank of its serial among its key's
+    distinct serials: one argsort of (key, serial) and a running count of the
+    distinct values, about 25 B of scratch a row.
+    """
+    n = len(serials)
+    keyed = np.repeat(np.arange(len(sizes), dtype=np.uint64) << np.uint64(32), sizes)
+    keyed |= serials
+    # stable is timsort here, quick on serials that mostly rise through a day
+    order = np.argsort(keyed, kind="stable")
+    keyed = keyed[order]
+    new = np.empty(n, bool)
+    new[:1] = True
+    np.not_equal(keyed[1:], keyed[:-1], out=new[1:])
+    del keyed
+    rank = np.cumsum(new, dtype=np.uint32)
+    del new
+    # each key's first row in ``order`` holds its smallest serial, label 0
+    filled = sizes > 0
+    first, filled_sizes = (np.cumsum(sizes) - sizes)[filled], sizes[filled]
+    rank -= np.repeat(rank[first], filled_sizes)
+    labels = np.empty(n, np.uint32)
+    labels[order] = rank
+    top = np.zeros(len(sizes), np.uint32)
+    top[filled] = rank[first + filled_sizes - 1]
+    return labels, np.where(top > 0xFFFF, 4, np.where(top > 0xFF, 2, 1)).tolist()
 
 
 def checksum_path(path) -> Path:
@@ -134,9 +181,8 @@ def _remove_panel_memos(path: Path) -> None:
 def _stream_crc32(fh) -> tuple[int, int]:
     """CRC-32 and length of the bytes from ``fh``'s position to its end.
 
-    The bytes pass through one reused 256 KiB buffer. A fresh 1 MiB piece
-    per read is mapped anew, after ingest has freed its rows into the heap,
-    and sets ingest's peak memory.
+    The bytes pass through one reused 256 KiB buffer, so the pass adds
+    little to the memory of the analysis that runs it.
     """
     crc = size = 0
     piece = bytearray(1 << 18)
@@ -176,89 +222,138 @@ def read_checksum(path) -> tuple[int, int, FeedStamp | None]:
 
 
 class CacheWriter:
-    """Appends per-(stock, day) blocks to a temporary file beside ``path``.
+    """Appends per-(stock, day) fragments of raw serials to a temporary
+    file beside ``path``.
 
-    Leaving the ``with`` block normally gives each key one block, patches
-    the block count into the header, moves the file onto ``path`` and
-    records its checksum, with ``feed`` if it has been set.
-    Leaving it by an exception deletes the temporary files, any older cache
-    at ``path`` and its checksum, so a failed build leaves no cache behind.
+    Leaving the ``with`` block normally writes the cache to a second
+    temporary file, a labelled block per key, moves it onto ``path`` and
+    records its checksum, with ``feed`` if it has been set. Leaving it by
+    an exception deletes the temporary files, any older cache at ``path``
+    and its checksum, so a failed build leaves no cache behind.
     """
 
     def __init__(self, path):
         self._path = Path(path)
         self._tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
-        self._merged = self._tmp.with_suffix(".merge.tmp")
+        self._fragments = self._tmp.with_suffix(".fragments.tmp")
+        self._out = None
         try:
-            self._fh = open(self._tmp, "w+b")
+            self._fh = open(self._fragments, "w+b")
         except OSError as exc:
             raise InputError(f"cannot create cache file {path}: {exc}") from exc
-        self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
-        # per block appended: its key (stock code << 32 | yyyymmdd), the
-        # offset of its column bytes and its row count
+        # per fragment appended: its key (stock code << 32 | yyyymmdd) and
+        # its row count; fragments lie one after another in the file, each
+        # its bar, buy and sell columns
         self._stock_codes: dict[str, int] = {}
-        self._keys, self._offsets, self._rows = array("q"), array("q"), array("q")
+        self._keys, self._rows = array("q"), array("q")
         self.n_rows = 0
         self.feed: FeedStamp | None = None
 
     def append(self, block: CacheBlock) -> None:
-        """Write one block; a serial column not already u32 is checked
+        """Write one fragment; a serial column not already u32 is checked
         against the u32 range first."""
         n = block.n_rows
         for name in _U32_CHECKED:
             col = getattr(block, name)
             if n and col.dtype != np.uint32 and int(np.max(col)) > _U32_MAX:
                 raise DataError(f"{name} overflows the cache's u32 column")
-        date_int = date_to_int(block.trade_date)
-        raw = _block_bytes(block.stock_id, date_int, (getattr(block, name) for name, _ in _DTYPES))
         code = self._stock_codes.setdefault(block.stock_id, len(self._stock_codes))
-        self._keys.append(code << 32 | date_int)
-        self._offsets.append(self._fh.tell() + len(raw) - _ROW_BYTES * n)
+        self._keys.append(code << 32 | date_to_int(block.trade_date))
         self._rows.append(n)
-        self._fh.write(raw)
+        for name, dtype in _COLUMNS:
+            self._fh.write(np.ascontiguousarray(getattr(block, name), dtype))
         self.n_rows += n
 
-    def _one_block_per_key(self) -> tuple[Path, int]:
-        """The temporary file that holds the cache with one block per key, and
-        its block count. If a key was appended more than once, the blocks are
-        copied into a second temporary file: keys in order of first
-        appearance, each key's rows in append order, as a single flush writes
-        them. One key's rows are held at a time."""
+    def _write_blocks(self) -> tuple[int, int]:
+        """Write the cache to its temporary file, a block per key: keys in
+        order of first append, each key's fragments merged in append order
+        and labelled. Returns the file's CRC-32 and size.
+
+        Keys go in batches of about ``_LABEL_ROWS`` rows. A batch's
+        fragments are read back into its columns, one call for each run of
+        fragments that lie one after another, as the keys of a single flush
+        do; then each side is labelled at once."""
+        self._fh.flush()
         keys = np.frombuffer(self._keys, dtype=np.int64)
+        rows = np.frombuffer(self._rows, dtype=np.int64)
+        starts = np.cumsum(rows)  # each fragment's first row in the file
+        starts -= rows
+        # each key's fragments in append order, and the keys in order of
+        # first append: a stable sort leaves a key's first fragment at the
+        # head of its run
         order = np.argsort(keys, kind="stable")
-        bounds = np.append(np.flatnonzero(np.diff(keys[order], prepend=-1)), len(keys))
-        if len(bounds) - 1 == len(keys):
-            return self._tmp, len(keys)
+        ordered = keys[order]
+        new = np.empty(len(keys), bool)
+        new[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+        del ordered
+        bounds = np.append(np.flatnonzero(new), len(keys))
+        del new
+        by_first = np.argsort(order[bounds[:-1]])
+        n_keys = len(by_first)
+        # each key's value and row count, keys in order of first append
+        key_values = keys[order[bounds[:-1]]][by_first]
+        key_rows = np.add.reduceat(rows[order], bounds[:-1])[by_first]
+        batch = (np.cumsum(key_rows) - key_rows) // _LABEL_ROWS
+        key_bounds = np.append(np.flatnonzero(np.diff(batch, prepend=-1)), n_keys).tolist()
         stocks = list(self._stock_codes)
-        self._fh.close()  # read back unbuffered: one read per appended block
-        src, self._fh = open(self._tmp, "rb", buffering=0), open(self._merged, "w+b")
-        with src:
-            self._fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
-            # a stable sort leaves each key's first block at the head of its run
-            for g in np.argsort(order[bounds[:-1]]):
-                members = order[bounds[g] : bounds[g + 1]].tolist()
-                rows, raws = [self._rows[m] for m in members], []
-                for m, n in zip(members, rows):
-                    src.seek(self._offsets[m])
-                    raws.append(memoryview(src.read(_ROW_BYTES * n)))
-                key = int(keys[members[0]])
-                head = _block_head(stocks[key >> 32], key & 0xFFFFFFFF, sum(rows))
-                # each column is its bytes in every member, in append order
-                cols = (raw[a * n : b * n] for a, b in _COL_BOUNDS for raw, n in zip(raws, rows))
-                self._fh.write(b"".join((head, *cols)))
-        self._tmp.unlink()
-        return self._merged, len(bounds) - 1
+
+        self._out = open(self._tmp, "wb")
+        header = _HEADER.pack(MAGIC, VERSION, 0, n_keys)
+        self._out.write(header)
+        crc, size = zlib.crc32(header), len(header)
+        for ka, kb in pairwise(key_bounds):
+            fb = np.concatenate([order[bounds[g] : bounds[g + 1]] for g in by_first[ka:kb].tolist()])
+            sizes = key_rows[ka:kb]
+            cols = [np.empty(sizes.sum(), dtype) for _, dtype in _COLUMNS]
+            self._read_fragments(fb, rows, starts, cols)
+            bar, buy, sell = cols
+            del cols
+            buy, buy_widths = _labels(buy, sizes)
+            sell, sell_widths = _labels(sell, sizes)
+            # each side in each width its keys take
+            buys = {w: buy.astype(f"<u{w}") for w in set(buy_widths)}
+            sells = {w: sell.astype(f"<u{w}") for w in set(sell_widths)}
+            del buy, sell
+            parts, lo = [], 0
+            for key, n, wb, ws in zip(key_values[ka:kb].tolist(), sizes.tolist(), buy_widths, sell_widths):
+                hi = lo + n
+                parts.append(_block_bytes(stocks[key >> 32], key & 0xFFFFFFFF, bar[lo:hi],
+                                          buys[wb][lo:hi], sells[ws][lo:hi]))
+                lo = hi
+            raw = b"".join(parts)
+            del parts, buys, sells
+            self._out.write(raw)
+            crc, size = zlib.crc32(raw, crc), size + len(raw)
+        self._out.close()
+        return crc, size
+
+    def _read_fragments(self, frags: np.ndarray, rows: np.ndarray, starts: np.ndarray, cols) -> None:
+        """Fill ``cols`` (bar, buy, sell) with the rows of fragments
+        ``frags``, one after another. ``rows`` and ``starts`` give every
+        fragment's row count and first row in the file. Each fragment's
+        columns are read into place by ``preadv``, one call for each run of
+        fragments that lie one after another, as a single flush's keys do."""
+        bar, buy, sell = map(memoryview, cols)
+        runs, pos, last = [], 0, -2  # per run: its offset in the file, buffers and bytes
+        for m, n, start in zip(frags.tolist(), rows[frags].tolist(), starts[frags].tolist()):
+            if m != last + 1 or len(runs[-1][1]) == 3 * _RUN_FRAGMENTS:
+                runs.append([_ROW_BYTES * start, [], 0])
+            run = runs[-1]
+            run[1] += (bar[pos : pos + n], buy[pos : pos + n], sell[pos : pos + n])
+            run[2] += _ROW_BYTES * n
+            pos, last = pos + n, m
+        fd = self._fh.fileno()
+        for at, bufs, size in runs:
+            if os.preadv(fd, bufs, at) != size:
+                raise OSError(f"short read from {self._fragments}")
 
     def close(self) -> None:
         try:
-            tmp, n_blocks = self._one_block_per_key()
-            fh = self._fh
-            fh.seek(0)
-            fh.write(_HEADER.pack(MAGIC, VERSION, 0, n_blocks))
-            fh.seek(0)
-            crc, size = _stream_crc32(fh)
-            fh.close()
-            os.replace(tmp, self._path)
+            crc, size = self._write_blocks()
+            self._fh.close()
+            self._fragments.unlink()
+            os.replace(self._tmp, self._path)
             checksum_path(self._path).write_text(_checksum_text(crc, size, self.feed))
             _remove_panel_memos(self._path)
         except BaseException:
@@ -266,8 +361,10 @@ class CacheWriter:
             raise
 
     def abort(self) -> None:
-        self._fh.close()
-        for path in (self._tmp, self._merged, self._path, checksum_path(self._path)):
+        for fh in (self._fh, self._out):
+            if fh is not None:
+                fh.close()
+        for path in (self._fragments, self._tmp, self._path, checksum_path(self._path)):
             path.unlink(missing_ok=True)
         _remove_panel_memos(self._path)
 
@@ -305,12 +402,13 @@ def verified_crc32(path) -> tuple[int, int]:
 
 
 def iter_blocks(path) -> Iterator[CacheBlock]:
-    """Yield cache blocks in file order, one per (stock, day).
+    """Yield cache blocks in file order, one per (stock, day), each side's
+    orders as labels.
 
     Validates magic and version, every length against the bytes the file
-    holds, each block's date, stock id and bar range, that no (stock, day)
-    has a second block, and the file's size and CRC-32 against its record.
-    The CRC is compared after the last block, so a caller that
+    holds, each block's date, stock id, label width and bar range, that no
+    (stock, day) has a second block, and the file's size and CRC-32 against
+    its record. The CRC is compared after the last block, so a caller that
     drains the iterator has checked the file before it uses any result.
     Every violation raises DataError.
     """
@@ -352,19 +450,24 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
                 stock_id = head[:sid_len].decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError(f"stock id is not UTF-8 in {path} at byte {pos}") from None
-            date_int, n = _BLOCK_META.unpack_from(head, sid_len)
+            date_int, n, widths = _BLOCK_META.unpack_from(head, sid_len)
             try:
                 trade_date = int_to_date(date_int)
             except ValueError:
                 raise DataError(f"bad date {date_int} in {path} at byte {pos}") from None
+            wb, ws = widths >> 4, widths & 0xF
+            if wb not in _WIDTHS or ws not in _WIDTHS:
+                raise DataError(f"bad label widths 0x{widths:02x} in {path} at byte {pos}")
             if (stock_id, date_int) in seen:
                 raise DataError(f"second block for ({stock_id!r}, {trade_date}) in {path} at byte "
                                 f"{pos}, as an older polab wrote; re-run `polab ingest` to rebuild it")
             seen.add((stock_id, date_int))
-            cols = _columns(take(_ROW_BYTES * n, "block"), n)
-            if n and cols[0].max() > BARS_PER_DAY:
+            raw = take((1 + wb + ws) * n, "block")
+            bar = np.frombuffer(raw, np.uint8, n)
+            if n and bar.max() > BARS_PER_DAY:
                 raise DataError(f"bar index out of range in {path} before byte {pos}")
-            yield CacheBlock(stock_id, trade_date, *cols)
+            yield CacheBlock(stock_id, trade_date, bar, np.frombuffer(raw, f"<u{wb}", n, n),
+                             np.frombuffer(raw, f"<u{ws}", n, n + wb * n))
         if pos != size:
             raise DataError(f"{path} has {size - pos} bytes after its last block")
         if crc != recorded_crc:
@@ -372,8 +475,8 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
 
 
 class _Pending:
-    """Rows buffered for the next flush, compact: each column in its cache
-    dtype plus an int32 id of its (stock, day) key, 13 B a row."""
+    """Rows buffered for the next flush, compact: each column in its
+    fragment dtype plus an int32 id of its (stock, day) key, 13 B a row."""
 
     def __init__(self):
         self.keys: dict[tuple[str, dt.date], int] = {}
@@ -399,8 +502,8 @@ class _Pending:
         self.rows += len(local)
 
     def flush(self, writer: CacheWriter) -> None:
-        """Append one block per key, keys in order of their first buffered
-        row and each key's rows in file order.
+        """Append one fragment per key, keys in order of their first
+        buffered row and each key's rows in file order.
 
         A counting scatter puts the rows in key order, one column at a time:
         each chunk's key ids become its rows' places, and each column's
@@ -438,11 +541,11 @@ class _Pending:
             writer.append(CacheBlock(*keys[g], *(c[lo[g] : hi[g]] for c in cols)))
 
 
-#: Bytes a buffered row takes in ``_Pending``: its cache columns and its key id
+#: Bytes a buffered row takes in ``_Pending``: its fragment columns and its key id
 _PENDING_ROW_BYTES = _ROW_BYTES + 4
 #: Bytes of rows ``write_cache`` buffers before a flush, about 80k rows. A
-#: flush appends a block per key it holds, and the writer merges the blocks
-#: of a key at close, so a smaller buffer leaves more blocks to merge.
+#: flush appends a fragment per key it holds, and the writer merges the
+#: fragments of a key at close, so a smaller buffer leaves more to merge.
 _FLUSH_BYTES = 1 << 20
 
 
@@ -456,10 +559,10 @@ def write_cache(
     """Write a stream of parsed chunks as a cache, with bounded memory.
 
     Chunks are buffered compactly (``_Pending``) and flushed once
-    ``flush_rows`` rows are buffered, each key's rows as one block. The
-    writer merges the blocks of a key that spans flushes, so the file does
-    not depend on ``flush_rows``. A chunk whose serial overflows the cache's
-    u32 columns raises DataError as it arrives.
+    ``flush_rows`` rows are buffered, each key's rows as one fragment of raw
+    serials. The writer merges and labels each key's fragments at close, so
+    the file does not depend on ``flush_rows``. A chunk whose serial
+    overflows the fragments' u32 columns raises DataError as it arrives.
 
     ``feed``, the file the chunks are parsed from, is stamped before the
     first chunk is read and recorded in the checksum file with the

@@ -36,6 +36,9 @@ the installed numpy:
 - ``lo + 60000.0 * random(n)`` is ``uniform(lo, lo + 60000.0, n)``: a
   quote or trade time in the bar starting at ``lo`` ms;
 - one ``geometric(p, nb + ns)`` split in two is the two per-side calls;
+- ``poisson(rate, n)`` is ``poisson`` over n equal rates, so a day whose
+  scheduled bars share one rate per side draws with the scalar call, which
+  skips numpy's checks of a rate array;
 - ``integers(0, 1, n)`` draws nothing, so a lone participant takes its
   side's whole deficit with no call;
 - a ``shuffle`` of at most one slot draws nothing, so none is made;
@@ -306,6 +309,14 @@ def _write_rows(fh, schema, iso, stocks, rank, px_text, *, stock_of, price_of, m
         fh.write("\n".join(map(schema.delimiter.join, zip(*cols))) + "\n")
 
 
+def _poisson_args(rates: np.ndarray) -> tuple:
+    """``Generator.poisson``'s arguments for one draw per rate: the one rate
+    and the count when all are equal, which draws the same, else the rates."""
+    if len(rates) and (rates == rates[0]).all():
+        return float(rates[0]), len(rates)
+    return (rates,)
+
+
 def generate(
     regimes,
     n_stocks: int,
@@ -382,6 +393,7 @@ def generate(
             buy_rates = np.array([s.buy_rate for s in specs], dtype=np.float64)
             sell_rates = np.array([s.sell_rate for s in specs], dtype=np.float64)
             any_poisson = bool((buy_rates + sell_rates > 0).any())
+            buy_args, sell_args = _poisson_args(buy_rates), _poisson_args(sell_rates)
             planted = [
                 p
                 for p, s in enumerate(specs)
@@ -400,8 +412,8 @@ def generate(
                 visit = planted
                 if any_poisson:
                     # one vector draw per side and stock-day
-                    nb_draw = rng.poisson(buy_rates)
-                    ns_draw = rng.poisson(sell_rates)
+                    nb_draw = rng.poisson(*buy_args)
+                    ns_draw = rng.poisson(*sell_args)
                     nb_of, ns_of = nb_draw.tolist(), ns_draw.tolist()
                     # one-sided interest never trades
                     trading = np.flatnonzero((nb_draw > 0) & (ns_draw > 0)).tolist()

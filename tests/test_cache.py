@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polab import panel as panel_mod
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import (
@@ -41,6 +42,30 @@ def block(stock="000001", date=dt.date(2015, 5, 4), n=5, seed=0):
     )
 
 
+def labelled(serials) -> np.ndarray:
+    """One side of a block as the cache holds it: each row's serial as its
+    rank among the block's distinct serials on that side, in the narrowest
+    unsigned type that holds the largest rank."""
+    distinct, labels = np.unique(np.asarray(serials, dtype=np.uint32), return_inverse=True)
+    return labels.reshape(-1).astype(np.min_scalar_type(max(len(distinct) - 1, 0)))
+
+
+def as_read(b: CacheBlock) -> CacheBlock:
+    """``b`` as ``iter_blocks`` yields it back: bars as u8, orders as labels."""
+    return CacheBlock(b.stock_id, b.trade_date, np.asarray(b.bar, dtype=np.uint8),
+                      labelled(b.buy_serial), labelled(b.sell_serial))
+
+
+def same_block(got: CacheBlock, want: CacheBlock) -> bool:
+    """The same key, and each column the same type and bytes."""
+    cols = ("bar", "buy_serial", "sell_serial")
+    return (got.stock_id, got.trade_date) == (want.stock_id, want.trade_date) and all(
+        getattr(got, c).dtype == getattr(want, c).dtype
+        and getattr(got, c).tobytes() == getattr(want, c).tobytes()
+        for c in cols
+    )
+
+
 class TestRoundTrip:
     def test_blocks_survive_write_read(self, tmp_path):
         path = tmp_path / "c.plab"
@@ -51,10 +76,30 @@ class TestRoundTrip:
         loaded = list(iter_blocks(path))
         assert len(loaded) == 4
         for orig, got in zip(blocks, loaded):
-            assert got.stock_id == orig.stock_id
-            assert got.trade_date == orig.trade_date
-            for col in ("bar", "buy_serial", "sell_serial"):
-                np.testing.assert_array_equal(getattr(got, col), getattr(orig, col))
+            assert same_block(got, as_read(orig))
+
+    @pytest.mark.parametrize("distinct,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                                (65_536, np.uint16), (65_537, np.uint32)])
+    def test_each_side_takes_the_narrowest_width(self, tmp_path, distinct, dtype):
+        # the largest label is one less than the distinct serials; the sell
+        # side has 3, each trading in many minutes, and stays a byte
+        rng = np.random.default_rng(distinct)
+        serials = rng.permutation(np.arange(distinct, dtype=np.uint32) * 7919 + 2**31)
+        n = len(serials)
+        bars = (1 + np.arange(n) % 237).astype(np.uint8)
+        b = CacheBlock("000001", dt.date(2015, 5, 4), bars, serials,
+                       np.uint32(2**32 - 3) + np.arange(n, dtype=np.uint32) % 3)
+        with CacheWriter(tmp_path / "c.plab") as w:
+            w.append(b)
+        (got,) = iter_blocks(tmp_path / "c.plab")
+        assert got.buy_serial.dtype == dtype and got.sell_serial.dtype == np.uint8
+        assert same_block(got, as_read(b))
+        for day_scope in (False, True):
+            assert np.array_equal(panel_mod._day_counts(got, day_scope),
+                                  panel_mod._day_counts(b, day_scope))
+        widths = (tmp_path / "c.plab").read_bytes()[32]
+        assert widths == np.dtype(dtype).itemsize << 4 | 1
+        assert (tmp_path / "c.plab").stat().st_size == 33 + n * (1 + np.dtype(dtype).itemsize + 1)
 
     def test_magic_bytes_lead_the_file(self, tmp_path):
         path = tmp_path / "c.plab"
@@ -153,9 +198,9 @@ def recorded(path, raw: bytes) -> None:
 def raw_cache(path, blocks) -> None:
     """Write ``blocks`` as they are, repeats included, with a checksum file."""
     raw = cache_mod._HEADER.pack(MAGIC, cache_mod.VERSION, 0, len(blocks))
-    for b in blocks:
-        cols = (b.bar, b.buy_serial, b.sell_serial)
-        raw += cache_mod._block_bytes(b.stock_id, cache_mod.date_to_int(b.trade_date), cols)
+    for b in map(as_read, blocks):
+        raw += cache_mod._block_bytes(b.stock_id, cache_mod.date_to_int(b.trade_date),
+                                      b.bar, b.buy_serial, b.sell_serial)
     recorded(path, raw)
 
 
@@ -189,8 +234,11 @@ class TestRoundTripProperty:
                 (b.stock_id, b.trade_date) for b in want
             ]
             for orig, back in zip(want, got):
-                for col in ("bar", "buy_serial", "sell_serial"):
-                    assert getattr(back, col).tobytes() == getattr(orig, col).tobytes()
+                assert same_block(back, as_read(orig))
+                # labels count the same cells as the serials they stand for
+                for day_scope in (False, True):
+                    assert np.array_equal(panel_mod._day_counts(back, day_scope),
+                                          panel_mod._day_counts(orig, day_scope))
 
             for scope in ("bar", "day"):
                 built = PolarityPanel.from_cache(path, serial_scope=scope)
@@ -287,9 +335,7 @@ class TestValidation:
         assert len(appended) > len(blocks)  # keys span several flushes
         assert len(blocks) == len({(b.stock_id, b.trade_date) for b in blocks})
         for want, got in zip(merged(appended), blocks, strict=True):
-            assert (got.stock_id, got.trade_date) == (want.stock_id, want.trade_date)
-            for col in ("bar", "buy_serial", "sell_serial"):
-                assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+            assert same_block(got, as_read(want))
 
     def test_repeated_key_is_refused(self, tmp_path):
         # only a cache from a writer that split keys across blocks has one
@@ -340,15 +386,18 @@ def _edited(raw: bytes, offset: int, value: bytes) -> bytes:
 
 
 # one block of 5 rows: header 0-15, stock-id length 16, stock id 18-23, date 24,
-# row count 28, bar 32-36, buy serials 37-56, sell serials 57-76
+# row count 28, label widths 32, bar 33-37, buy labels 38-42, sell labels 43-47
 STRUCTURE_DAMAGE = [
     (lambda raw: raw[:17], "truncated block header"),
     (lambda raw: _edited(raw, 8, (2).to_bytes(8, "little")), "truncated block header"),
     (lambda raw: _edited(raw, 18, b"\xff"), "not UTF-8"),
     (lambda raw: _edited(raw, 24, (20151399).to_bytes(4, "little")), "bad date"),
     (lambda raw: _edited(raw, 28, (2**32 - 1).to_bytes(4, "little")), "truncated block"),
-    (lambda raw: _edited(raw, 32, b"\xf0"), "bar index out of range"),
+    (lambda raw: _edited(raw, 33, b"\xf0"), "bar index out of range"),
     (lambda raw: raw + b"xx", "bytes after its last block"),
+    (lambda raw: _edited(raw, 32, b"\x13"), r"bad label widths 0x13 .* at byte 33"),
+    (lambda raw: _edited(raw, 32, b"\x01"), "bad label widths 0x01"),
+    (lambda raw: _edited(raw, 32, b"\x12"), "truncated block"),
 ]
 
 
@@ -371,9 +420,9 @@ class TestDamage:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda raw: _edited(raw, 60, b"\x01"), "does not match its checksum"),
+            (lambda raw: _edited(raw, 45, b"\x09"), "does not match its checksum"),
             (lambda raw: raw[:-1], "its checksum file says"),
-            (lambda raw: _edited(raw, 32, b"\xf0"), "bar index out of range"),
+            (lambda raw: _edited(raw, 33, b"\xf0"), "bar index out of range"),
         ],
     )
     def test_checksum_catches_damage_to_values(self, raw, tmp_path, edit, message):
@@ -408,7 +457,7 @@ class TestDamage:
         path = tmp_path / "c.plab"
         assert verified_crc32(path) == (int(checksum_path(path).read_text().split()[0], 16), len(raw))
         for edit, message in (
-            (lambda raw: _edited(raw, 60, b"\x01"), "does not match its checksum"),
+            (lambda raw: _edited(raw, 45, b"\x09"), "does not match its checksum"),
             (lambda raw: raw[:-1], "its checksum file says"),
         ):
             path.write_bytes(edit(raw))
@@ -485,17 +534,22 @@ class TestBoundedMemory:
         assert rows[1] > 5 * flush_rows and rows[0] > flush_rows  # the flushes the peaks span
 
     def test_flush_orders_more_keys_than_16_bits_number(self, tmp_path):
-        # each of 2**16 + 3 stocks trades twice, in two shuffled passes
+        # each of 2**16 + 3 stocks trades twice, in two shuffled passes; a
+        # stock's bars name it (mod 118) and its pass
         n = (1 << 16) + 3
         perm = np.random.default_rng(5).permutation(n).astype(np.int32)
         stock_idx = np.concatenate((perm, perm))
         serial = np.arange(1, 2 * n + 1)
+        bar = np.concatenate((1 + perm % 118, 119 + perm % 118)).astype(np.int16)
         chunk = TransactionChunk([f"{i:06d}" for i in range(n)], [dt.date(2015, 5, 4)], stock_idx,
-                                 np.zeros(2 * n, np.int32), serial, serial, np.ones(2 * n, np.int16))
+                                 np.zeros(2 * n, np.int32), serial, serial[::-1], bar)
         write_cache(tmp_path / "c.plab", [chunk])
         blocks = list(iter_blocks(tmp_path / "c.plab"))
         assert [int(b.stock_id) for b in blocks] == perm.tolist()
-        assert all(b.buy_serial.tolist() == [k + 1, k + n + 1] for k, b in enumerate(blocks))
+        for b in blocks:
+            k = int(b.stock_id)
+            assert b.bar.tolist() == [1 + k % 118, 119 + k % 118]
+            assert (b.buy_serial.tolist(), b.sell_serial.tolist()) == ([0, 1], [1, 0])
 
     def test_default_flush_merges_to_the_single_flush_bytes(self, dense_flow, tmp_path):
         from polab.cli import main

@@ -403,6 +403,22 @@ class TestErrorMapping:
         assert "error category=config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ("ingest", *ANALYSES))
+    def test_periods_out_of_order_are_a_config_error_before_any_file(
+        self, workdir, tmp_path, capsys, command
+    ):
+        # a feed and no cache: an analysis used to ingest it and write its
+        # tables before it read the periods
+        raw = {**json.loads(workdir[2].read_text()), "cache": str(tmp_path / "cache.plab"),
+               "out_dir": str(tmp_path / "out")}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        assert main([command, "--config", str(cfg), "--set", "pre_crash_end=2015-08-01"]) == 2
+        err = capsys.readouterr().err
+        assert "error category=config" in err
+        assert "pre_crash_end 2015-08-01 must precede crash_end 2015-07-07" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
     def test_synth_regime_dates_are_iso_dates(self, tmp_path):
         out = tmp_path / "out"
         synth = {"n_days": 2, "start_date": "2015-05-04",
@@ -507,6 +523,27 @@ def test_traced_bench_child_counts_every_run(workdir, tmp_path):
     assert len(runs) > 100
     assert counts == {"runlengths": len(runs), "fit": len(runs)}
     assert sum(int(r[cols.index("n_total")]) for r in fits) == len(runs)
+
+    # ingest into a cache of its own, then an analysis that builds its panel
+    own = tmp_path / "own"
+    own_cfg = tmp_path / "own.json"
+    own_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()),
+                                   "cache": str(own / "cache.plab"), "out_dir": str(own)}))
+    traced = {}
+    for command in ("ingest", "polarity"):
+        trace = tmp_path / f"{command}.json"
+        subprocess.run(
+            [sys.executable, str(BENCH_CHILD), tmp_path / "hwm", trace, command, "--config", own_cfg],
+            env=_blas_env(), capture_output=True, check=True,
+        )
+        traced[command] = json.loads(trace.read_text())["counts"]
+    n_blocks = sum(1 for _ in cache_mod.iter_blocks(own / "cache.plab"))
+    with open(json.loads(own_cfg.read_text())["transactions"], "rb") as fh:
+        feed_rows = sum(1 for _ in fh) - 1
+    assert n_blocks == 120  # 30 stocks x 4 days
+    assert traced["ingest"]["parse.rows"] == feed_rows
+    assert traced["ingest"]["cache.blocks_written"] >= n_blocks
+    assert traced["polarity"]["cache.blocks_read"] == n_blocks
 
 
 def test_fit_run_loads_no_scipy(workdir, tmp_path):
@@ -718,17 +755,19 @@ def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
     return cfg, files.transactions, cache_path, out
 
 
-def test_cache_holds_nine_bytes_a_row(tmp_path):
-    # header, then per block its stock id, date and row count, then 9 B a row
-    # (u8 bar, u32 buy and sell serials): a column added later fails here
+def test_cache_holds_three_bytes_a_row_of_a_thin_day(tmp_path):
+    # header, then per block its stock id, date, row count and label widths,
+    # then a u8 bar and a u8 label a side a row, as no block here has more
+    # than 256 orders a side: a column added later fails here
     cfg, _, cache_path, out = _ingest_market(tmp_path, n_stocks=4, n_days=3, n_offgrid_rows=2)
     _, _, rows = read_table(out / "ingest_report.csv")
     report = dict(rows)
     assert int(report["rows_off_grid"]) == 6
-    blocks = [(b.stock_id, b.n_rows) for b in cache_mod.iter_blocks(cache_path)]
+    blocks = list(cache_mod.iter_blocks(cache_path))
     assert len(blocks) == 12  # one block per (stock, day): the feed is under a flush
-    heads = sum(2 + len(stock.encode("utf-8")) + 8 for stock, _ in blocks)
-    assert cache_path.stat().st_size == 16 + heads + 9 * int(report["rows_cached"])
+    assert {(b.buy_serial.dtype.str, b.sell_serial.dtype.str) for b in blocks} == {("|u1", "|u1")}
+    heads = sum(2 + len(b.stock_id.encode("utf-8")) + 9 for b in blocks)
+    assert cache_path.stat().st_size == 16 + heads + 3 * int(report["rows_cached"])
 
 
 class TestFeedFingerprint:
@@ -803,12 +842,32 @@ class TestOldCacheVersion:
         assert not (out / "panel.csv").exists()
         assert (memo.read_bytes() if memo.exists() else None) == memo_before
 
+    def test_version_2_cache_is_refused(self, tmp_path, capsys):
+        # as the previous format wrote it: u32 serials, no label widths
+        cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
+        sid = b"000001"
+        block = (len(sid).to_bytes(2, "little") + sid + (20150504).to_bytes(4, "little")
+                 + (2).to_bytes(4, "little") + bytes([1, 2]) + np.array([7, 9, 8, 8], "<u4").tobytes())
+        raw = cache_mod.MAGIC + (2).to_bytes(2, "little") + bytes(1) + (1).to_bytes(8, "little") + block
+        cache_path.write_bytes(raw)
+        checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "category=data" in err and "unsupported cache version 2" in err
+        assert "re-run `polab ingest`" in err
+        assert not (out / "panel.csv").exists()
+        assert not panel_memo_path(cache_path, "bar").exists()
+
 
 class TestSplitKeyCache:
     def test_cache_with_a_repeated_key_is_refused(self, tmp_path, capsys):
         # as an older polab wrote it when a (stock, day) spanned two flushes
         cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
-        block = cache_mod._block_bytes("000001", 20150504, ([1, 2], [1, 2], [1, 2]))
+        cols = (np.array([1, 2], np.uint8), np.array([0, 1], np.uint8), np.array([1, 0], np.uint8))
+        block = cache_mod._block_bytes("000001", 20150504, *cols)
         raw = cache_mod._HEADER.pack(cache_mod.MAGIC, cache_mod.VERSION, 0, 2) + block + block
         cache_path.write_bytes(raw)
         checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")

@@ -98,3 +98,14 @@ def test_k_scalar_integers_calls_are_one_sized_call(seed, primed, low, high):
         c, d = pair(seed, primed)
         assert _ints(c, low, high, k) == d.integers(low, high, k).tolist()
         assert c.bit_generator.state == d.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("primed", [False, True])
+# numpy draws by multiplication below rate 10 and by transformed rejection from it
+@pytest.mark.parametrize("rate", [0.0, 0.3, 1.5, 9.99, 10.0, 11.0])
+def test_poisson_with_one_rate_is_the_call_with_equal_rates(seed, primed, rate):
+    for n in (0, 1, 5, BARS_PER_DAY):
+        a, b = pair(seed, primed)
+        same_bits(a.poisson(np.full(n, rate)), b.poisson(rate, n))
+        assert a.bit_generator.state == b.bit_generator.state
