@@ -41,7 +41,8 @@ from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
 from .marketdata.parse import iter_transactions
 from .marketdata.prices import (
-    load_capitalization, load_emotion, load_eod_prices, load_intraday_prices,
+    fill_day, load_capitalization, load_emotion, load_eod_prices, load_intraday_prices,
+    load_intraday_rows,
 )
 from .marketdata.schema import ColumnSchema, ParseReport
 from .panel import (
@@ -50,7 +51,7 @@ from .panel import (
     direction_ratios,
     market_polarity_series,
 )
-from .returns import build_return_series, intraday_log_returns
+from .returns import build_return_series, log_returns_in_place
 from .tables import write_table
 
 # coupling, flips, tailfit, synth and verify are imported by the commands
@@ -92,21 +93,23 @@ def _index_returns(cfg: RunConfig):
     return build_return_series(cfg.index_id, eod[cfg.index_id], intraday[cfg.index_id])
 
 
-def _stock_log_returns(cfg: RunConfig, panel: PolarityPanel, intraday: dict) -> dict:
-    """{(stock, date): ndarray(237) of log-returns} for stocks in the panel.
-
-    Takes ownership of ``intraday``'s arrays: every date of a panel stock is
-    checked, and each panel date's last prices are overwritten with their
-    log-returns, so no second copy of the minute prices is held.
-    """
-    out = {}
-    for stock in panel.stocks:
-        per_day = intraday.get(stock)
-        if not per_day:
-            continue
-        for date, logs in intraday_log_returns(stock, per_day, panel.dates).items():
-            out[(stock, date)] = logs
-    return out
+def _stock_day_returns(panel: PolarityPanel, intraday):
+    """(stock, date, polarity row, log-returns or None) of each panel
+    stock-day, in ``panel.iter_stock_days()`` order, from the rows
+    ``load_intraday_rows`` returned; None where no minute of the day is
+    priced. Each stock's log-returns are made in one (dates, 237) slab."""
+    day_of = {day: k for k, day in enumerate(intraday[0])}
+    n_dates = len(panel.dates)
+    for n, (stock, date, row) in enumerate(panel.iter_stock_days()):
+        j = n % n_dates
+        if j == 0:  # the stock's first date
+            found = [day_of.get((stock, d)) for d in panel.dates]
+            logs = np.full((n_dates, BARS_PER_DAY), np.nan)
+            for day, k in zip(logs, found):
+                if k is not None:
+                    fill_day(intraday, k, day)
+            log_returns_in_place(logs)
+        yield stock, date, row, None if found[j] is None else logs[j]
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -423,32 +426,24 @@ def _cmd_market(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _corr_dists(cfg: RunConfig, panel: PolarityPanel, intraday: dict):
-    from . import coupling
-
-    log_returns = _stock_log_returns(cfg, panel, intraday)
-    # stock by stock, so each date's coefficients come in stock order
-    coeffs = {date: [] for date in panel.dates}
-    for stock, date, row in panel.iter_stock_days():
-        logs = log_returns.get((stock, date))
-        if logs is None:
-            continue
-        r = coupling.stock_day_correlation(row, logs, min_bars=cfg.min_corr_bars)
-        if r is not None:
-            coeffs[date].append(r)
-    return [
-        coupling.build_corr_dist(date, c, bins=cfg.bins, pseudo_count=cfg.pseudo_count)
-        for date, c in coeffs.items()
-    ]
-
-
 def _cmd_kl(cfg: RunConfig, args) -> int:
     from . import coupling
 
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    intraday = load_intraday_prices(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
-    dists = _corr_dists(cfg, panel, intraday)
+    intraday = load_intraday_rows(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
+    # stock by stock, so each date's coefficients come in stock order
+    coeffs = {date: [] for date in panel.dates}
+    for stock, date, row, logs in _stock_day_returns(panel, intraday):
+        if logs is None:
+            continue
+        r = coupling.stock_day_correlation(row, logs, min_bars=cfg.min_corr_bars)
+        if r is not None:
+            coeffs[date].append(r)
+    dists = [
+        coupling.build_corr_dist(date, c, bins=cfg.bins, pseudo_count=cfg.pseudo_count)
+        for date, c in coeffs.items()
+    ]
 
     hist_rows = []
     for dist in dists:
@@ -554,20 +549,19 @@ def _cmd_impact(cfg: RunConfig, args) -> int:
 
     out = _out_dir(cfg)
     panel = _load_panel(cfg)
-    intraday = load_intraday_prices(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
-    log_returns = _stock_log_returns(cfg, panel, intraday)
     periods = cfg.periods
 
     scopes = ("all",) + periods.names()
     label = {date: scopes.index(periods.label(date)) for date in panel.dates}
+    intraday = load_intraday_rows(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
     # each kept pair once, in stock, date and minute order, tagged with its
-    # period; pairs fill the arrays from the front, so pages past the last
+    # period. A pair needs a priced minute, so there are at most as many as
+    # price rows; pairs fill the arrays from the front, so pages past the last
     # pair are never touched
-    size = len(log_returns) * BARS_PER_DAY
+    size = len(intraday[2])
     pol, ret, tag = np.empty(size), np.empty(size), np.empty(size, dtype=np.uint8)
     n = 0
-    for stock, date, row in panel.iter_stock_days():
-        logs = log_returns.get((stock, date))
+    for stock, date, row, logs in _stock_day_returns(panel, intraday):
         if logs is None:
             continue
         keep = np.isfinite(row) & np.isfinite(logs)
@@ -575,6 +569,7 @@ def _cmd_impact(cfg: RunConfig, args) -> int:
         pol[n:end], ret[n:end], tag[n:end] = row[keep], logs[keep], label[date]
         n = end
     pol, ret, tag = pol[:n], ret[:n], tag[:n]
+    del intraday  # before the scopes copy their pairs
 
     rows = []
     for k, scope in enumerate(scopes):

@@ -18,7 +18,9 @@ row), or two rows share a minute (a day, at end of day), the whole file is
 read again by the row loop, so every DataError it raises is the row loop's.
 One row loop serves both formats. Both readers return one shape,
 ``(days, key, price)``: the file's (id, date) pairs, and each priced row's
-``day << 8 | bar`` and price. Each loader shapes that triple once.
+``day << 8 | bar`` and price. ``load_intraday_rows`` returns it in key
+order, with where each (id, date) starts; the two dict loaders shape it
+into {id: {date: ...}}.
 A price must be positive and finite. A side file's value must be finite,
 and each id or date may appear once.
 """
@@ -261,21 +263,44 @@ def _read(path, delimiter: str, has_header: bool, columns: tuple):
     )
 
 
-def _by_id(days: list, values) -> dict:
-    """{id: {date: value}} of the (id, date) pairs ``days`` and their values."""
-    out: dict = {}
-    for (name, date), value in zip(days, values):
-        out.setdefault(name, {})[date] = value
-    return out
-
-
 def load_eod_prices(path, delimiter: str = ",", has_header: bool = True) -> dict:
     """Return {id: {date: close}}. Duplicate (id, date), or a close that is
     not positive and finite, is an error."""
     days, key, price = _read(path, delimiter, has_header, EOD_COLUMNS)
     close = np.empty(len(days))
     close[key >> 8] = price
-    return _by_id(days, close.tolist())
+    out: dict = {}
+    for (name, date), value in zip(days, close.tolist()):
+        out.setdefault(name, {})[date] = value
+    return out
+
+
+def load_intraday_rows(path, delimiter: str = ",", has_header: bool = True):
+    """Every priced row of an intraday file, validated, grouped by day.
+
+    Returns ``(days, start, key, price)``: the file's (id, date) pairs in
+    order of first appearance, each row's ``day << 8 | bar`` and last price
+    in key order (day, then bar), and ``start``, one more than ``days`` long,
+    where day ``k``'s rows are ``start[k]:start[k + 1]``. The rows are
+    reordered only when the file is not already in that order, as a file
+    written a stock-day at a time with ascending bars is.
+    """
+    days, key, price = _read(path, delimiter, has_header, INTRADAY_COLUMNS)
+    if not (key[1:] > key[:-1]).all():
+        order = np.argsort(key)
+        key = key[order]
+        price = price[order]
+    # a day's rows are its keys from day << 8 on: bars start at 1
+    return days, np.searchsorted(key, np.arange(len(days) + 1) << 8), key, price
+
+
+def fill_day(rows, k: int, out: np.ndarray) -> np.ndarray:
+    """Write day ``k``'s last prices from ``rows``, what ``load_intraday_rows``
+    returned, into ``out``, one day of 237 bars, each at its bar; returns ``out``."""
+    _, start, key, price = rows
+    day = slice(start[k], start[k + 1])
+    out[(key[day] & 255) - 1] = price[day]
+    return out
 
 
 def load_intraday_prices(
@@ -286,20 +311,12 @@ def load_intraday_prices(
     Every row is validated; with ``ids`` (a collection of ids) only their
     day arrays are built and returned.
     """
-    days, key, price = _read(path, delimiter, has_header, INTRADAY_COLUMNS)
-    if ids is not None:  # keep the wanted days' rows, with the days numbered afresh
-        wanted = np.array([name in ids for name, _ in days], bool)
-        keep = wanted[key >> 8]
-        key = (np.cumsum(wanted) - 1)[key[keep] >> 8] << 8 | key[keep] & 255
-        price, days = price[keep], [day for day, w in zip(days, wanted.tolist()) if w]
-    grid = np.full((len(days), BARS_PER_DAY), np.nan)
-    flat = grid.ravel()
-    # day << 8 | bar is the flat grid's day * 237 + bar - 1; a slice of rows at
-    # a time, so no temporary is as long as the file
-    for lo in range(0, len(key), 1 << 13):
-        k = key[lo : lo + (1 << 13)]
-        flat[k - (k >> 8) * (256 - BARS_PER_DAY) - 1] = price[lo : lo + (1 << 13)]
-    return _by_id(days, grid)
+    rows = load_intraday_rows(path, delimiter, has_header)
+    out: dict = {}
+    for k, (name, date) in enumerate(rows[0]):
+        if ids is None or name in ids:
+            out.setdefault(name, {})[date] = fill_day(rows, k, np.full(BARS_PER_DAY, np.nan))
+    return out
 
 
 def load_capitalization(path) -> dict:

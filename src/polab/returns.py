@@ -36,15 +36,32 @@ class ReturnSeries:
     intraday_pct_vs_prev_close: dict = field(default_factory=dict)
 
 
-def intraday_log_returns(series_id: str, intraday: dict, dates=None) -> dict:
-    """One-minute log-returns computed in place: {date: ndarray(237)}.
+def log_returns_in_place(prices: np.ndarray) -> np.ndarray:
+    """Overwrite last prices (NaN where untraded), one day of 237 bars
+    along the last axis, with their one-minute log-returns; returns
+    ``prices``. Bar 1 and every bar next to an untraded minute are NaN."""
+    with np.errstate(invalid="ignore"):
+        np.log(prices, out=prices)
+    # numpy buffers the overlapping operands, so each bar sees the
+    # previous bar's log price, not its log-return
+    np.subtract(prices[..., 1:], prices[..., :-1], out=prices[..., 1:])
+    prices[..., 0] = np.nan
+    return prices
 
-    ``intraday`` maps date -> ndarray(237) of last prices with NaN for
-    untraded minutes. Every day is checked (shape, and a non-positive price
-    is a hard error naming the record); then the arrays of ``dates`` (every
-    day when None) are overwritten with their log-returns and returned. Bar 1
-    and every bar next to an untraded minute are NaN.
+
+def build_return_series(series_id: str, eod: dict, intraday: dict | None = None) -> ReturnSeries:
+    """Assemble a ReturnSeries from close prices and optional intraday lasts.
+
+    ``eod`` maps date -> close; ``intraday`` maps date -> ndarray(237) of
+    last prices with NaN for untraded minutes. A non-positive price, or an
+    intraday day of another shape, is a hard error naming the record.
     """
+    for d, close in eod.items():
+        if not close > 0:
+            raise DataError(f"non-positive close for {series_id} on {d}: {close}")
+    intraday = {
+        d: np.asarray(arr, dtype=np.float64) for d, arr in (intraday or {}).items()
+    }
     for d, arr in intraday.items():
         if arr.shape != (BARS_PER_DAY,):
             raise DataError(
@@ -56,37 +73,7 @@ def intraday_log_returns(series_id: str, intraday: dict, dates=None) -> dict:
             raise DataError(
                 f"non-positive last price for {series_id} on {d} bar {bad[0] + 1}"
             )
-    out = {}
-    for d in intraday if dates is None else dates:
-        arr = intraday.get(d)
-        if arr is None:
-            continue
-        with np.errstate(invalid="ignore"):
-            np.log(arr, out=arr)
-        # numpy buffers the overlapping operands, so each bar sees the
-        # previous bar's log price, not its log-return
-        np.subtract(arr[1:], arr[:-1], out=arr[1:])
-        arr[0] = np.nan
-        out[d] = arr
-    return out
-
-
-def build_return_series(series_id: str, eod: dict, intraday: dict | None = None) -> ReturnSeries:
-    """Assemble a ReturnSeries from close prices and optional intraday lasts.
-
-    ``eod`` maps date -> close; ``intraday`` maps date -> ndarray(237) of
-    last prices with NaN for untraded minutes. A non-positive price is a
-    hard error naming the record.
-    """
-    for d, close in eod.items():
-        if not close > 0:
-            raise DataError(f"non-positive close for {series_id} on {d}: {close}")
-    intraday = {
-        d: np.asarray(arr, dtype=np.float64) for d, arr in (intraday or {}).items()
-    }
-    intraday_log = intraday_log_returns(
-        series_id, {d: arr.copy() for d, arr in intraday.items()}
-    )
+    intraday_log = {d: log_returns_in_place(arr.copy()) for d, arr in intraday.items()}
 
     eod_dates = sorted(eod)
     all_dates = sorted(set(eod) | set(intraday))

@@ -453,8 +453,9 @@ class TestErrorMapping:
 #: names the commands call through polab.cli's module attributes, so that
 #: they can be wrapped from outside (the benchmark's traced mode does)
 CLI_ATTRIBUTES = (
-    "iter_transactions", "load_eod_prices", "load_intraday_prices", "build_return_series",
-    "write_table", "direction_ratios", "market_polarity_series", "daily_polarity_at_index_min",
+    "iter_transactions", "load_eod_prices", "load_intraday_prices", "load_intraday_rows",
+    "build_return_series", "write_table", "direction_ratios", "market_polarity_series",
+    "daily_polarity_at_index_min",
 )
 
 
@@ -629,25 +630,108 @@ def test_synth_with_planted_run_lengths_loads_no_scipy(tmp_path):
     assert (out / "transactions.csv").stat().st_size > 0
 
 
+def _return_series_logs(panel, intraday_path) -> dict:
+    """{(stock, date): log-returns} of each panel stock-day that the
+    intraday file prices, through ``build_return_series``."""
+    from polab.marketdata.prices import load_intraday_prices
+    from polab.returns import build_return_series
+
+    want = {}
+    for stock, per_day in load_intraday_prices(intraday_path).items():
+        series = build_return_series(stock, {}, per_day)
+        for date in panel.dates:
+            if stock in panel.stocks and date in series.intraday_log:
+                want[(stock, date)] = series.intraday_log[date]
+    return want
+
+
+def _stock_day_logs(panel, intraday_path) -> dict:
+    """{(stock, date): log-returns or None} of every panel stock-day, as
+    ``kl`` and ``impact`` walk them, each row checked against the panel's."""
+    from polab import cli
+    from polab.marketdata.prices import load_intraday_rows
+
+    got = {}
+    walk = cli._stock_day_returns(panel, load_intraday_rows(intraday_path))
+    for stock, date, row, logs in walk:
+        assert row.tobytes() == panel.row(stock, date).tobytes()
+        got[(stock, date)] = None if logs is None else logs.copy()
+    return got
+
+
+#: the tables of the commands that pair polarity with stock log-returns
+PRICE_TABLES = ("corr_hists.csv", "corr_kl.csv", "price_impact.csv")
+
+
 class TestStockLogReturns:
     def test_bitwise_equal_to_the_return_series(self, workdir):
         from polab import cli
         from polab.config import RunConfig
-        from polab.marketdata.prices import load_intraday_prices
-        from polab.returns import build_return_series
 
         root, out, cfg = workdir
         rc = RunConfig.from_json(cfg)
         panel = cli._load_panel(rc)
-        want = {}
-        for stock, per_day in load_intraday_prices(rc.intraday_prices).items():
-            series = build_return_series(stock, {}, per_day)
-            for date in panel.dates:
-                if stock in panel.stocks and date in series.intraday_log:
-                    want[(stock, date)] = series.intraday_log[date]
-        got = cli._stock_log_returns(rc, panel, load_intraday_prices(rc.intraday_prices))
-        assert len(got) == len(panel.stocks) * len(panel.dates)
-        assert got.keys() == want.keys()
+        want = _return_series_logs(panel, rc.intraday_prices)
+        got = _stock_day_logs(panel, rc.intraday_prices)
+        assert list(got) == [(s, d) for s in panel.stocks for d in panel.dates]
+        assert len(want) == len(got)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+
+    @pytest.mark.parametrize("variant", ["shuffled", "quoted"])
+    def test_price_row_order_and_reader_leave_the_tables(self, workdir, tmp_path, variant):
+        # a file in another row order is put in key order; a quoted field
+        # sends the file through the row loop; the tables keep their bytes
+        from polab.marketdata import prices
+
+        root, out, cfg = workdir
+        ordered = (out / "intraday.csv").read_text()
+        header, *lines = ordered.splitlines()
+        if variant == "shuffled":
+            lines = [lines[k] for k in np.random.default_rng(29).permutation(len(lines))]
+        else:
+            date, stock, rest = lines[0].split(",", 2)
+            lines[0] = f'{date},"{stock}",{rest}'
+        path = tmp_path / "intraday.csv"
+        tables = []
+        for text in (ordered, "\n".join([header, *lines]) + "\n"):
+            path.write_text(text)
+            args = ("--out", str(tmp_path / "out"), "--set", f"intraday_prices={path}")
+            assert run(cfg, "kl", *args) == 0 and run(cfg, "impact", *args) == 0
+            tables.append([(tmp_path / "out" / t).read_bytes() for t in PRICE_TABLES])
+        assert tables[1] == tables[0]
+        key = prices._read(path, ",", True, prices.INTRADAY_COLUMNS)[1]
+        assert bool((np.diff(key) > 0).all()) == (variant == "quoted")
+        assert (prices._columnar(path, ",", True, prices.INTRADAY_COLUMNS) is None) == (
+            variant == "quoted"
+        )
+
+    def test_unpriced_stock_and_stock_day_are_skipped(self, workdir, tmp_path):
+        # a panel stock with no price row, and a panel stock-day with none,
+        # yield no log-returns, and every other stock-day keeps its bits
+        from polab import cli
+        from polab.config import RunConfig
+
+        root, out, cfg = workdir
+        rc = RunConfig.from_json(cfg)
+        panel = cli._load_panel(rc)
+        gone_stock, (day_stock, day) = panel.stocks[3], (panel.stocks[5], panel.dates[1])
+        header, *lines = (out / "intraday.csv").read_text().splitlines()
+        fields = [line.split(",")[:2] for line in lines]
+        assert [day.isoformat(), day_stock] in fields
+        assert {d for d, stock in fields if stock == gone_stock} == {
+            d.isoformat() for d in panel.dates
+        }
+        kept = [
+            line for line, (d, stock) in zip(lines, fields)
+            if stock != gone_stock and [d, stock] != [day.isoformat(), day_stock]
+        ]
+        thin = tmp_path / "intraday.csv"
+        thin.write_text("\n".join([header, *kept]) + "\n")
+        want = _return_series_logs(panel, thin)
+        got = _stock_day_logs(panel, thin)
+        skipped = [k for k, logs in got.items() if logs is None]
+        assert skipped == [(gone_stock, d) for d in panel.dates] + [(day_stock, day)]
+        assert sorted(want) == sorted(k for k in got if k not in skipped)
         assert all(got[k].tobytes() == want[k].tobytes() for k in want)
 
     def test_bad_price_outside_the_panel_is_a_data_error(self, workdir, tmp_path, capsys):
@@ -661,6 +745,38 @@ class TestStockLogReturns:
         assert run(cfg, "kl", *args) == 4
         err = capsys.readouterr().err
         assert f"non-positive last price for {stock} on 2015-06-16 bar 5" in err
+
+
+def test_kl_and_impact_hold_no_dense_price_grid(tmp_path):
+    # on a thin market a float64 (stock-days, 237) grid of last prices would
+    # outweigh all that kl and impact need: the uint8 panel, the priced rows
+    # and one stock's slab of log-returns
+    import datetime as dt
+    import tracemalloc
+
+    from polab.marketdata.grid import BARS_PER_DAY
+    from polab.synth import RegimeSpec, generate, weekdays
+
+    n_stocks, dates = 800, weekdays(dt.date(2015, 6, 11), 3)
+    thin = RegimeSpec("thin", buy_rate=0.1, sell_rate=0.1, mean_fills=1.3, coupling=1.0)
+    generate([thin], n_stocks, dates, 7, tmp_path)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "out_dir": str(tmp_path / "out"),
+        "transactions": str(tmp_path / "transactions.csv"),
+        "cache": str(tmp_path / "cache.plab"),
+        "intraday_prices": str(tmp_path / "intraday.csv"),
+    }))
+    assert run(cfg, "polarity") == 0  # the cache and its panel memo
+    grid = n_stocks * len(dates) * BARS_PER_DAY * 8
+    for command in ("kl", "impact"):
+        tracemalloc.start()
+        try:
+            assert run(cfg, command) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grid, (command, peak, grid)
 
 
 THREAD_COUNT = "\nimport os; print(len(os.listdir('/proc/self/task')))"

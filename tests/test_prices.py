@@ -264,6 +264,20 @@ def test_columnar_intraday_equals_row_loop(tmp_path_factory, spec, ids, block_by
     assert _shapes(out, rows)
     only = load_intraday_prices(path, has_header=has_header, ids=ids)
     assert _same_days(only, {k: v for k, v in out.items() if k in ids})
+    assert _in_key_order(prices.load_intraday_rows(path, has_header=has_header), out)
+
+
+def _in_key_order(loaded, out: dict) -> bool:
+    """``loaded``, the result of ``load_intraday_rows``, holds the rows of
+    ``out``, the dict loader's result, in key order, and ``start`` bounds
+    each day's rows."""
+    days, start, key, price = loaded
+    bounds = [0] + [int(np.count_nonzero(key >> 8 < k + 1)) for k in range(len(days))]
+    return (
+        (np.diff(key) > 0).all()
+        and start.tolist() == bounds
+        and _shapes(out, (days, key, price))
+    )
 
 
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
@@ -480,6 +494,22 @@ def test_quote_in_the_last_block_sends_the_file_to_the_row_loop(tmp_path, small_
     assert len(before) > 2 and b'"' not in b"".join(before) and last.endswith(b'"C",1,2.5\n')
     out = load_intraday_prices(path)
     assert list(out) == ["A", "B", "C"] and out["C"][D][0] == 2.5
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_intraday_rows_come_in_key_order(tmp_path, small_blocks, shuffle):
+    # a file written a stock-day at a time is handed back as read; any other
+    # order is put in key order
+    lines = intraday_rows(["B", "A", "C"])
+    if shuffle:
+        head, *body = lines
+        lines = [head] + [body[k] for k in np.random.default_rng(5).permutation(len(body))]
+    path = write(tmp_path, "intra.csv", lines)
+    read = prices._read(path, ",", True, prices.INTRADAY_COLUMNS)
+    with mock.patch.object(prices, "_read", return_value=read):
+        loaded = prices.load_intraday_rows(path)
+    assert (loaded[2] is read[1]) != shuffle
+    assert _in_key_order(loaded, load_intraday_prices(path))
 
 
 def test_rows_beyond_the_room_made_for_them_still_load(tmp_path, small_blocks, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from polab.errors import DataError
 from polab.marketdata.grid import BARS_PER_DAY
-from polab.returns import build_return_series, intraday_log_returns
+from polab.returns import build_return_series, log_returns_in_place
 
 D1 = dt.date(2015, 5, 4)
 D2 = dt.date(2015, 5, 5)
@@ -91,23 +91,17 @@ class TestIntradayLogInPlace:
         want = np.full_like(g, np.nan)
         lp = np.log(g)
         want[:, 1:] = lp[:, 1:] - lp[:, :-1]
-        days = {dt.date(2015, 1, 1) + dt.timedelta(days=k): row for k, row in enumerate(g)}
-        got = intraday_log_returns("S", days)
-        assert all(got[d] is days[d] for d in days)
+        assert all(log_returns_in_place(row) is row for row in g)
         assert g.tobytes() == want.tobytes()
 
-    def test_only_the_given_dates_are_overwritten(self):
-        days = {D1: intraday({1: 10.0, 2: 10.5}), D2: intraday({1: 10.0, 2: 11.0})}
-        got = intraday_log_returns("S", days, [D2, D3])
-        assert list(got) == [D2]
-        assert days[D1][1] == 10.5
-        assert days[D2][1] == pytest.approx(math.log(1.1))
-
-    def test_every_day_is_checked_before_any_is_overwritten(self):
-        days = {D1: intraday({1: 10.0, 2: 10.5}), D2: intraday({3: -1.0})}
-        with pytest.raises(DataError, match=f"S on {D2} bar 3"):
-            intraday_log_returns("S", days, [D1])
-        assert days[D1][1] == 10.5
+    def test_a_block_of_days_gives_each_day_its_bits(self):
+        # kl and impact take a stock's days as one (dates, 237) block; the
+        # index series takes them a day at a time
+        g = self.grid(64, seed=3)
+        days = g.copy()
+        for day in days:
+            log_returns_in_place(day)
+        assert log_returns_in_place(g).tobytes() == days.tobytes()
 
     def test_series_leaves_its_inputs_alone(self):
         arr = intraday({1: 10.0, 2: 10.5})
