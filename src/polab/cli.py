@@ -116,7 +116,7 @@ def _stock_day_returns(panel: PolarityPanel, intraday):
 
 
 def _cmd_ingest(cfg: RunConfig, args) -> int:
-    """Parse the feed into the cache, its checksum file and ingest_report.csv."""
+    """Parse the feed into the cache and ingest_report.csv."""
     out = _out_dir(cfg)
     cache_path = _cache_path(cfg)
     report = ParseReport()

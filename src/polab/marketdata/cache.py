@@ -1,10 +1,12 @@
 """Compact binary cache of parsed transactions, for fast re-analysis.
 
-Layout (all little-endian), version 3:
+Layout (all little-endian), version 4:
 
     header:  magic "PLAB1" | u16 version | u8 reserved | u64 n_blocks
     block:   u16 stock-id length | stock-id utf8 | u32 date yyyymmdd | u32 n_rows
              | u8 widths | u8 bar[n] | uB buy_label[n] | uS sell_label[n]
+    trailer: u64 feed size | i64 feed mtime (ns) | u64 feed rows | u32 crc32
+             | magic "PLAB1"
 
 A row keeps only what the panel counts: its bar and, on each side, the
 order it fills. A man-times count needs an order's identity only within its
@@ -18,8 +20,7 @@ holds their sizes in bytes, B << 4 | S, so a row takes 3 to 9 B. A block
 read back carries the labels in its ``buy_serial`` and ``sell_serial``.
 The parser still reads and validates each row's time, price and volume,
 which decide whether a row is malformed or off-grid, but no analysis reads
-them back, so the cache does not keep them. A cache of another version is
-refused: re-run ``polab ingest`` to rebuild it.
+them back, so the cache does not keep them.
 
 Each block holds all the rows of one (stock, trading day), in feed order,
 and no key has a second block. Ingest buffers rows in bounded-memory
@@ -29,11 +30,12 @@ so the file is byte for byte the one a single flush would write. A reader
 refuses a key it has already seen. Off-grid rows are kept with bar 0 so row
 counts reconcile against the source file.
 
-The writer records the file's CRC-32 and size in ``<cache>.crc32`` beside
-it. The record is part of the cache: readers refuse a cache without one,
-or one that does not match it. When ingest names the feed, the record also
-holds the feed's size, mtime (ns) and row count, and ``check_feed``
-refuses a cache whose feed has changed since.
+The trailer's CRC-32 covers every byte before it, the feed stamp included.
+Readers check the header's magic and version, then the trailer's magic,
+and refuse a cache of another version (re-run ``polab ingest``) or one
+that does not match its CRC. The stamp holds the feed that ingest named,
+if any (else 0xff bytes), for ``check_feed``. The writer finishes the
+whole file under a temporary name and publishes it by one rename.
 Analyses may keep a built panel beside the cache as
 ``<cache>.panel-<scope>.npz`` (see ``polab.panel``); the writer deletes
 those whenever it replaces or deletes the cache.
@@ -49,7 +51,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -59,12 +61,19 @@ from .parse import int_to_date
 from .schema import ParseReport, TransactionChunk
 
 MAGIC = b"PLAB1"
-VERSION = 3
+VERSION = 4
 
 _HEADER = struct.Struct("<5sHBQ")
 _BLOCK_HEAD = struct.Struct("<H")
 #: a block's date (yyyymmdd), row count and label widths (buy << 4 | sell)
 _BLOCK_META = struct.Struct("<IIB")
+#: the trailer's feed stamp: the feed's size, mtime (ns) and row count
+_STAMP = struct.Struct("<QqQ")
+#: the trailer's end: the CRC-32 of every byte before it, and the magic
+_SEAL = struct.Struct("<I5s")
+_TRAILER_BYTES = _STAMP.size + _SEAL.size
+#: the stamp of a cache whose ingest named no feed, every byte 0xff
+_NO_FEED = _STAMP.unpack(b"\xff" * _STAMP.size)
 #: the widths a side's labels may have, in bytes
 _WIDTHS = (1, 2, 4)
 
@@ -72,21 +81,13 @@ _U32_MAX = 2**32 - 1
 #: integer columns whose values the cache's u32 may not hold
 _U32_CHECKED = ("buy_serial", "sell_serial")
 
-#: the columns of a fragment, as ``CacheWriter.append`` writes them
-_COLUMNS = (
-    ("bar", "<u1"),
-    ("buy_serial", "<u4"),
-    ("sell_serial", "<u4"),
-)
-#: bytes a row of a fragment takes
-_ROW_BYTES = sum(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+#: a row of a fragment, packed, as ``CacheWriter.append`` writes it
+_ROW = np.dtype([("bar", "u1"), ("buy_serial", "<u4"), ("sell_serial", "<u4")])
 
 #: rows the writer labels at once, as whole keys; a larger key goes alone.
 #: Labelling takes about 25 B of scratch a row, which fits in the heap that
 #: the last flush freed, so it does not raise ingest's peak memory.
 _LABEL_ROWS = 1 << 13
-#: fragments read back by one ``preadv`` at most, three buffers each
-_RUN_FRAGMENTS = 256
 
 
 @dataclass
@@ -105,9 +106,8 @@ class CacheBlock:
         return len(self.bar)
 
 
-@dataclass(frozen=True)
-class FeedStamp:
-    """The feed a cache was built from, as its checksum file records it."""
+class FeedStamp(NamedTuple):
+    """The feed a cache was built from, as its trailer records it."""
 
     size: int
     mtime_ns: int
@@ -159,12 +159,6 @@ def _labels(serials: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, list]:
     return labels, np.where(top > 0xFFFF, 4, np.where(top > 0xFF, 2, 1)).tolist()
 
 
-def checksum_path(path) -> Path:
-    """The file beside a cache that records its CRC-32 and size."""
-    path = Path(path)
-    return path.with_name(path.name + ".crc32")
-
-
 def panel_memo_path(path, serial_scope: str) -> Path:
     """The file beside a cache that keeps the panel built from it."""
     path = Path(path)
@@ -178,47 +172,50 @@ def _remove_panel_memos(path: Path) -> None:
             memo.unlink(missing_ok=True)
 
 
-def _stream_crc32(fh) -> tuple[int, int]:
-    """CRC-32 and length of the bytes from ``fh``'s position to its end.
-
-    The bytes pass through one reused 256 KiB buffer, so the pass adds
-    little to the memory of the analysis that runs it.
-    """
-    crc = size = 0
-    piece = bytearray(1 << 18)
-    view = memoryview(piece)
-    while n := fh.readinto(piece):
-        crc = zlib.crc32(view[:n], crc)
-        size += n
-    return crc, size
-
-
-def _checksum_text(crc: int, size: int, feed: FeedStamp | None) -> str:
-    text = f"{crc:08x} {size}\n"
-    if feed is not None:
-        text += f"feed {feed.size} {feed.mtime_ns} {feed.rows_total}\n"
-    return text
-
-
-def read_checksum(path) -> tuple[int, int, FeedStamp | None]:
-    """The cache's recorded CRC-32, size and feed; DataError without a record."""
+def _open(path):
     try:
-        text = checksum_path(path).read_text()
-    except FileNotFoundError:
-        raise DataError(
-            f"cache {path} has no checksum record {checksum_path(path)}; "
-            f"re-run `polab ingest` to rebuild it"
-        ) from None
+        return open(path, "rb")
     except OSError as exc:
-        raise InputError(f"cannot read cache checksum {checksum_path(path)}: {exc}") from exc
-    try:
-        crc, size, *feed = text.split()
-        if feed and feed[0] != "feed":
-            raise ValueError
-        stamp = FeedStamp(*map(int, feed[1:])) if feed else None
-        return int(crc, 16), int(size), stamp
-    except (ValueError, TypeError):
-        raise DataError(f"unreadable cache checksum {checksum_path(path)}") from None
+        raise InputError(f"cannot read cache file {path}: {exc}") from exc
+
+
+def _record(fh, path) -> tuple[int, int, int, FeedStamp | None]:
+    """The cache's block count, recorded CRC-32, size and feed, read from
+    its header and trailer without moving ``fh``.
+
+    The header's magic and version are checked before the trailer, so a
+    cache of another version is refused as one, whatever its end holds.
+    """
+    fd = fh.fileno()
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, _HEADER.size, 0)
+    if len(head) < _HEADER.size:
+        raise DataError(f"{path} is not a polab cache: truncated header")
+    magic, version, _, n_blocks = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise DataError(f"{path} is not a polab cache: bad magic {magic!r}")
+    if version != VERSION:
+        raise DataError(
+            f"unsupported cache version {version} in {path} (this polab reads "
+            f"version {VERSION}); re-run `polab ingest` to rebuild it"
+        )
+    if size < _HEADER.size + _TRAILER_BYTES:
+        raise DataError(f"truncated trailer in {path}; re-run `polab ingest` to rebuild it")
+    tail = os.pread(fd, _TRAILER_BYTES, size - _TRAILER_BYTES)
+    crc, end = _SEAL.unpack_from(tail, _STAMP.size)
+    if end != MAGIC:
+        raise DataError(f"bad trailer magic {end!r} in {path}: the cache is truncated or "
+                        f"damaged; re-run `polab ingest` to rebuild it")
+    stamp = _STAMP.unpack_from(tail)
+    return n_blocks, crc, size, None if stamp == _NO_FEED else FeedStamp(*stamp)
+
+
+def read_trailer(path) -> tuple[int, int, FeedStamp | None]:
+    """The cache's recorded CRC-32, its size and its feed (None when its
+    ingest named none). A cache of another version, or without a trailer,
+    raises DataError."""
+    with _open(path) as fh:
+        return _record(fh, path)[1:]
 
 
 class CacheWriter:
@@ -226,10 +223,10 @@ class CacheWriter:
     file beside ``path``.
 
     Leaving the ``with`` block normally writes the cache to a second
-    temporary file, a labelled block per key, moves it onto ``path`` and
-    records its checksum, with ``feed`` if it has been set. Leaving it by
-    an exception deletes the temporary files, any older cache at ``path``
-    and its checksum, so a failed build leaves no cache behind.
+    temporary file, a labelled block per key and then the trailer, with
+    ``feed`` if it has been set, and moves it onto ``path``. Leaving it by
+    an exception deletes the temporary files and any older cache at
+    ``path``, so a failed build leaves no cache behind.
     """
 
     def __init__(self, path):
@@ -243,7 +240,7 @@ class CacheWriter:
             raise InputError(f"cannot create cache file {path}: {exc}") from exc
         # per fragment appended: its key (stock code << 32 | yyyymmdd) and
         # its row count; fragments lie one after another in the file, each
-        # its bar, buy and sell columns
+        # its rows as packed ``_ROW``s
         self._stock_codes: dict[str, int] = {}
         self._keys, self._rows = array("q"), array("q")
         self.n_rows = 0
@@ -260,19 +257,21 @@ class CacheWriter:
         code = self._stock_codes.setdefault(block.stock_id, len(self._stock_codes))
         self._keys.append(code << 32 | date_to_int(block.trade_date))
         self._rows.append(n)
-        for name, dtype in _COLUMNS:
-            self._fh.write(np.ascontiguousarray(getattr(block, name), dtype))
+        rows = np.empty(n, _ROW)
+        for name in _ROW.names:
+            rows[name] = getattr(block, name)
+        self._fh.write(rows)
         self.n_rows += n
 
-    def _write_blocks(self) -> tuple[int, int]:
+    def _write_blocks(self) -> None:
         """Write the cache to its temporary file, a block per key: keys in
         order of first append, each key's fragments merged in append order
-        and labelled. Returns the file's CRC-32 and size.
+        and labelled; then the trailer.
 
         Keys go in batches of about ``_LABEL_ROWS`` rows. A batch's
-        fragments are read back into its columns, one call for each run of
-        fragments that lie one after another, as the keys of a single flush
-        do; then each side is labelled at once."""
+        fragments are read back into one array of rows, one call for each
+        run of fragments that lie one after another, as the keys of a
+        single flush do; then each side is labelled at once."""
         self._fh.flush()
         keys = np.frombuffer(self._keys, dtype=np.int64)
         rows = np.frombuffer(self._rows, dtype=np.int64)
@@ -301,16 +300,16 @@ class CacheWriter:
         self._out = open(self._tmp, "wb")
         header = _HEADER.pack(MAGIC, VERSION, 0, n_keys)
         self._out.write(header)
-        crc, size = zlib.crc32(header), len(header)
+        crc = zlib.crc32(header)
         for ka, kb in pairwise(key_bounds):
             fb = np.concatenate([order[bounds[g] : bounds[g + 1]] for g in by_first[ka:kb].tolist()])
             sizes = key_rows[ka:kb]
-            cols = [np.empty(sizes.sum(), dtype) for _, dtype in _COLUMNS]
-            self._read_fragments(fb, rows, starts, cols)
-            bar, buy, sell = cols
-            del cols
-            buy, buy_widths = _labels(buy, sizes)
-            sell, sell_widths = _labels(sell, sizes)
+            batch = np.empty(sizes.sum(), _ROW)
+            self._read_fragments(fb, rows, starts, batch)
+            bar = np.ascontiguousarray(batch["bar"])
+            buy, buy_widths = _labels(batch["buy_serial"], sizes)
+            sell, sell_widths = _labels(batch["sell_serial"], sizes)
+            del batch
             # each side in each width its keys take
             buys = {w: buy.astype(f"<u{w}") for w in set(buy_widths)}
             sells = {w: sell.astype(f"<u{w}") for w in set(sell_widths)}
@@ -324,37 +323,31 @@ class CacheWriter:
             raw = b"".join(parts)
             del parts, buys, sells
             self._out.write(raw)
-            crc, size = zlib.crc32(raw, crc), size + len(raw)
+            crc = zlib.crc32(raw, crc)
+        stamp = _STAMP.pack(*(self.feed or _NO_FEED))
+        self._out.write(stamp + _SEAL.pack(zlib.crc32(stamp, crc), MAGIC))
         self._out.close()
-        return crc, size
 
-    def _read_fragments(self, frags: np.ndarray, rows: np.ndarray, starts: np.ndarray, cols) -> None:
-        """Fill ``cols`` (bar, buy, sell) with the rows of fragments
-        ``frags``, one after another. ``rows`` and ``starts`` give every
-        fragment's row count and first row in the file. Each fragment's
-        columns are read into place by ``preadv``, one call for each run of
-        fragments that lie one after another, as a single flush's keys do."""
-        bar, buy, sell = map(memoryview, cols)
-        runs, pos, last = [], 0, -2  # per run: its offset in the file, buffers and bytes
-        for m, n, start in zip(frags.tolist(), rows[frags].tolist(), starts[frags].tolist()):
-            if m != last + 1 or len(runs[-1][1]) == 3 * _RUN_FRAGMENTS:
-                runs.append([_ROW_BYTES * start, [], 0])
-            run = runs[-1]
-            run[1] += (bar[pos : pos + n], buy[pos : pos + n], sell[pos : pos + n])
-            run[2] += _ROW_BYTES * n
-            pos, last = pos + n, m
-        fd = self._fh.fileno()
-        for at, bufs, size in runs:
-            if os.preadv(fd, bufs, at) != size:
+    def _read_fragments(self, frags: np.ndarray, rows: np.ndarray, starts: np.ndarray, out) -> None:
+        """Fill ``out`` with the rows of fragments ``frags``, one after
+        another. ``rows`` and ``starts`` give every fragment's row count and
+        first row in the file. Each run of fragments that lie one after
+        another, as a single flush's keys do, is read into place by one
+        ``preadv``."""
+        first = np.flatnonzero(np.diff(frags, prepend=-2) != 1)  # each run's first fragment
+        ends = np.cumsum(np.add.reduceat(rows[frags], first)) * _ROW.itemsize
+        buf, fd, lo = memoryview(out.view(np.uint8)), self._fh.fileno(), 0
+        for at, hi in zip((starts[frags[first]] * _ROW.itemsize).tolist(), ends.tolist()):
+            if os.preadv(fd, [buf[lo:hi]], at) != hi - lo:
                 raise OSError(f"short read from {self._fragments}")
+            lo = hi
 
     def close(self) -> None:
         try:
-            crc, size = self._write_blocks()
+            self._write_blocks()
             self._fh.close()
             self._fragments.unlink()
             os.replace(self._tmp, self._path)
-            checksum_path(self._path).write_text(_checksum_text(crc, size, self.feed))
             _remove_panel_memos(self._path)
         except BaseException:
             self.abort()
@@ -364,7 +357,7 @@ class CacheWriter:
         for fh in (self._fh, self._out):
             if fh is not None:
                 fh.close()
-        for path in (self._fragments, self._tmp, self._path, checksum_path(self._path)):
+        for path in (self._fragments, self._tmp, self._path):
             path.unlink(missing_ok=True)
         _remove_panel_memos(self._path)
 
@@ -378,25 +371,23 @@ class CacheWriter:
             self.abort()
 
 
-def _size_mismatch(path, size: int, recorded: int) -> DataError:
-    return DataError(f"cache {path} holds {size} bytes, its checksum file says {recorded}")
-
-
 def verified_crc32(path) -> tuple[int, int]:
-    """The cache's CRC-32 and size, streamed from the file.
+    """The cache's CRC-32 and size, once the CRC of its bytes matches its
+    trailer's. The bytes pass through one reused 256 KiB buffer, so the
+    pass adds little to the memory of the analysis that runs it.
 
-    A cache that does not match its record raises the DataError that
+    A cache that does not match its trailer raises the DataError that
     ``iter_blocks`` raises for it.
     """
-    try:
-        with open(path, "rb") as fh:
-            crc, size = _stream_crc32(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read cache file {path}: {exc}") from exc
-    recorded_crc, recorded_size, _ = read_checksum(path)
-    if recorded_size != size:
-        raise _size_mismatch(path, size, recorded_size)
-    if recorded_crc != crc:
+    with _open(path) as fh:
+        _, crc, size, _ = _record(fh, path)
+        streamed, left, view = 0, size - _SEAL.size, memoryview(bytearray(1 << 18))
+        try:
+            while left > 0 and (got := fh.readinto(view[: min(left, len(view))])):
+                streamed, left = zlib.crc32(view[:got], streamed), left - got
+        except OSError as exc:
+            raise InputError(f"cannot read cache file {path}: {exc}") from exc
+    if streamed != crc:
         raise DataError(f"cache {path} does not match its checksum")
     return crc, size
 
@@ -405,43 +396,28 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
     """Yield cache blocks in file order, one per (stock, day), each side's
     orders as labels.
 
-    Validates magic and version, every length against the bytes the file
-    holds, each block's date, stock id, label width and bar range, that no
-    (stock, day) has a second block, and the file's size and CRC-32 against
-    its record. The CRC is compared after the last block, so a caller that
-    drains the iterator has checked the file before it uses any result.
-    Every violation raises DataError.
+    Validates magic and version, the trailer's magic, every length against
+    the bytes the file holds, each block's date, stock id, label width and
+    bar range, that no (stock, day) has a second block, and the CRC-32 of
+    the file against its trailer's. The CRC is compared after the last
+    block, so a caller that drains the iterator has checked the file before
+    it uses any result. Every violation raises DataError.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise InputError(f"cannot read cache file {path}: {exc}") from exc
-    with fh:
-        size = os.fstat(fh.fileno()).st_size
-        recorded_crc, recorded_size, _ = read_checksum(path)
-        if recorded_size != size:
-            raise _size_mismatch(path, size, recorded_size)
+    with _open(path) as fh:
+        n_blocks, recorded_crc, size, _ = _record(fh, path)
+        end = size - _TRAILER_BYTES  # where the blocks end
         pos = crc = 0
 
         def take(n: int, what: str) -> bytes:
             nonlocal pos, crc
-            if n > size - pos:
+            if n > end - pos:
                 raise DataError(f"truncated {what} in {path} at byte {pos}")
             raw = fh.read(n)
             pos += n
             crc = zlib.crc32(raw, crc)
             return raw
 
-        if size < _HEADER.size:
-            raise DataError(f"{path} is not a polab cache: truncated header")
-        magic, version, _, n_blocks = _HEADER.unpack(take(_HEADER.size, "header"))
-        if magic != MAGIC:
-            raise DataError(f"{path} is not a polab cache: bad magic {magic!r}")
-        if version != VERSION:
-            raise DataError(
-                f"unsupported cache version {version} in {path} (this polab reads "
-                f"version {VERSION}); re-run `polab ingest` to rebuild it"
-            )
+        take(_HEADER.size, "header")  # checked by _record; read again for the CRC
         seen = set()
         for _ in range(n_blocks):
             (sid_len,) = _BLOCK_HEAD.unpack(take(_BLOCK_HEAD.size, "block header"))
@@ -468,9 +444,9 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
                 raise DataError(f"bar index out of range in {path} before byte {pos}")
             yield CacheBlock(stock_id, trade_date, bar, np.frombuffer(raw, f"<u{wb}", n, n),
                              np.frombuffer(raw, f"<u{ws}", n, n + wb * n))
-        if pos != size:
-            raise DataError(f"{path} has {size - pos} bytes after its last block")
-        if crc != recorded_crc:
+        if pos != end:
+            raise DataError(f"{path} has {end - pos} bytes after its last block")
+        if zlib.crc32(fh.read(_STAMP.size), crc) != recorded_crc:
             raise DataError(f"cache {path} does not match its checksum")
 
 
@@ -481,7 +457,7 @@ class _Pending:
     def __init__(self):
         self.keys: dict[tuple[str, dt.date], int] = {}
         self.key_parts: list[np.ndarray] = []
-        self.parts: dict[str, list[np.ndarray]] = {name: [] for name, _ in _COLUMNS}
+        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in _ROW.names}
         self.rows = 0
 
     def add(self, chunk: TransactionChunk) -> None:
@@ -497,8 +473,8 @@ class _Pending:
             stock, day = divmod(k, n_dates)
             key_of[k] = self.keys.setdefault((chunk.stocks[stock], chunk.dates[day]), len(self.keys))
         self.key_parts.append(key_of[local])
-        for name, dtype in _COLUMNS:
-            self.parts[name].append(getattr(chunk, name).astype(dtype))
+        for name in _ROW.names:
+            self.parts[name].append(getattr(chunk, name).astype(_ROW[name]))
         self.rows += len(local)
 
     def flush(self, writer: CacheWriter) -> None:
@@ -531,8 +507,8 @@ class _Pending:
             next_place += count
             places[k], offset = place, offset + len(part)
         cols = []
-        for name, dtype in _COLUMNS:
-            col, parts = np.empty(self.rows, dtype), self.parts.pop(name)[::-1]
+        for name in _ROW.names:
+            col, parts = np.empty(self.rows, _ROW[name]), self.parts.pop(name)[::-1]
             for place in places:
                 col[place] = parts.pop()
             cols.append(col)
@@ -542,7 +518,7 @@ class _Pending:
 
 
 #: Bytes a buffered row takes in ``_Pending``: its fragment columns and its key id
-_PENDING_ROW_BYTES = _ROW_BYTES + 4
+_PENDING_ROW_BYTES = _ROW.itemsize + 4
 #: Bytes of rows ``write_cache`` buffers before a flush, about 80k rows. A
 #: flush appends a fragment per key it holds, and the writer merges the
 #: fragments of a key at close, so a smaller buffer leaves more to merge.
@@ -565,7 +541,7 @@ def write_cache(
     overflows the fragments' u32 columns raises DataError as it arrives.
 
     ``feed``, the file the chunks are parsed from, is stamped before the
-    first chunk is read and recorded in the checksum file with the
+    first chunk is read and recorded in the cache's trailer with the
     ``report.total_rows`` the parse counted, for ``check_feed``. Returns the
     number of rows written.
     """
@@ -592,11 +568,11 @@ def check_feed(path, feed) -> None:
     """Refuse the cache at ``path`` if ``feed`` changed since it was ingested.
 
     Raises DataError when ``feed``'s size or mtime differs from what the
-    cache's record holds, or when there is no record. Passes when the
-    record names no feed or ``feed`` no longer exists: then there is
-    nothing to compare.
+    cache's trailer holds, or when the cache has no trailer or another
+    version. Passes when the trailer names no feed or ``feed`` no longer
+    exists: then there is nothing to compare.
     """
-    _, _, stamp = read_checksum(path)
+    _, _, stamp = read_trailer(path)
     if stamp is None:
         return
     try:

@@ -26,8 +26,8 @@ known, and one block.
 Building the panel from a cache costs far more than any analysis of it, so
 ``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
 an uncompressed ``<cache>.panel-<scope>.npz`` and loads it from there while
-the CRC-32 and size that the cache's checksum file records, and the scope,
-still match the memo's key. A cache without that record is refused.
+the CRC-32 that the cache's trailer records, the cache's size and the
+scope still match the memo's key. A cache without a trailer is refused.
 """
 
 from __future__ import annotations
@@ -205,20 +205,21 @@ class PolarityPanel:
     def from_cache_memo(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
         """``from_cache``, built once per cache and kept beside it.
 
-        A memo is keyed by the CRC-32 and size that the cache's checksum
-        file records. It is used only when its key matches and its arrays
-        are well formed; a hit still checks the cache against that record,
-        so a damaged cache raises DataError whether or not a memo exists.
+        A memo is keyed by the CRC-32 that the cache's trailer records and
+        the cache's size. It is used only when its key matches and its
+        arrays are well formed; a hit still checks the cache against its
+        trailer, so a damaged cache raises DataError whether or not a memo
+        exists.
         On a miss the panel is built, which checks the cache in the same
         read, and the memo rewritten. Failing to write the memo leaves the
         result unchanged.
         """
         before = _file_identity(path)
-        crc, size, _ = cache_mod.read_checksum(path)
+        crc, size, _ = cache_mod.read_trailer(path)
         key = np.array([_MEMO_VERSION, crc, size], dtype=np.int64)
         memo = cache_mod.panel_memo_path(path, serial_scope)
         panel = _load_memo(memo, key, serial_scope)
-        # a cache replaced since its record was read fails the comparison
+        # a cache replaced since its trailer was read fails the comparison
         if panel is not None and cache_mod.verified_crc32(path) == (crc, size):
             return panel
         panel = cls.from_cache(path, serial_scope=serial_scope)

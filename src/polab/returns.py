@@ -28,8 +28,6 @@ LIMIT_BAND_HIGH = 0.1005
 
 @dataclass
 class ReturnSeries:
-    series_id: str
-    dates: list
     daily_pct: dict = field(default_factory=dict)
     at_limit: frozenset = frozenset()
     intraday_log: dict = field(default_factory=dict)
@@ -76,7 +74,6 @@ def build_return_series(series_id: str, eod: dict, intraday: dict | None = None)
     intraday_log = {d: log_returns_in_place(arr.copy()) for d, arr in intraday.items()}
 
     eod_dates = sorted(eod)
-    all_dates = sorted(set(eod) | set(intraday))
 
     daily_pct: dict[dt.date, float] = {}
     at_limit = set()
@@ -107,8 +104,6 @@ def build_return_series(series_id: str, eod: dict, intraday: dict | None = None)
         intraday_pct[d] = arr / base - 1.0 if not math.isnan(base) else np.full(BARS_PER_DAY, np.nan)
 
     return ReturnSeries(
-        series_id=series_id,
-        dates=all_dates,
         daily_pct=daily_pct,
         at_limit=frozenset(at_limit),
         intraday_log=intraday_log,

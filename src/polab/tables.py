@@ -25,14 +25,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def write_table(path, name, columns, rows, *, config_hash, meta=None, delimiter=","):
+def write_table(path, name, columns, rows, *, config_hash, meta=None):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# polab table={name} config={config_hash}\n")
         for key, value in (meta or {}).items():
             fh.write(f"# {key}: {value}\n")
-        fh.write(delimiter.join(columns) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(delimiter.join(fmt(v) for v in row) + "\n")
+            fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
 def read_table(path, delimiter=","):

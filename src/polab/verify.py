@@ -103,7 +103,7 @@ def _check_planted(scenario_id, truth, panel, files, failures) -> None:
                     f"[{scenario_id}] {stock} {date}: ratios {got_ratios} != {want_ratios}"
                 )
 
-    intraday = load_intraday_prices(files.intraday_prices)
+    intraday = load_intraday_prices(files.intraday_prices, ids=(files.index_id,))
     eod = load_eod_prices(files.eod_prices)
     idx_returns = build_return_series(
         files.index_id, eod[files.index_id], intraday[files.index_id]

@@ -19,13 +19,15 @@ from polab import panel as panel_mod
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import (
-    MAGIC, CacheBlock, CacheWriter, checksum_path, iter_blocks, panel_memo_path,
+    MAGIC, CacheBlock, CacheWriter, FeedStamp, iter_blocks, panel_memo_path, read_trailer,
     verified_crc32, write_cache,
 )
 from polab.marketdata import parse
 from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import ParseReport, TransactionChunk
 from polab.panel import PolarityPanel
+
+from cache_bytes import SEAL, STAMP, TRAILER, sealed
 
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
@@ -99,7 +101,8 @@ class TestRoundTrip:
                                   panel_mod._day_counts(b, day_scope))
         widths = (tmp_path / "c.plab").read_bytes()[32]
         assert widths == np.dtype(dtype).itemsize << 4 | 1
-        assert (tmp_path / "c.plab").stat().st_size == 33 + n * (1 + np.dtype(dtype).itemsize + 1)
+        size = 33 + n * (1 + np.dtype(dtype).itemsize + 1) + TRAILER
+        assert (tmp_path / "c.plab").stat().st_size == size
 
     def test_magic_bytes_lead_the_file(self, tmp_path):
         path = tmp_path / "c.plab"
@@ -188,20 +191,13 @@ def merged(blocks) -> list:
     ]
 
 
-def recorded(path, raw: bytes) -> None:
-    """Write ``raw`` at ``path`` with a checksum file that matches it, so a
-    reader gets past the record to the structure."""
-    path.write_bytes(raw)
-    checksum_path(path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
-
-
 def raw_cache(path, blocks) -> None:
-    """Write ``blocks`` as they are, repeats included, with a checksum file."""
+    """Write ``blocks`` as they are, repeats included, with a trailer."""
     raw = cache_mod._HEADER.pack(MAGIC, cache_mod.VERSION, 0, len(blocks))
     for b in map(as_read, blocks):
         raw += cache_mod._block_bytes(b.stock_id, cache_mod.date_to_int(b.trade_date),
                                       b.bar, b.buy_serial, b.sell_serial)
-    recorded(path, raw)
+    path.write_bytes(sealed(raw))
 
 
 def _built_dtype(panel: PolarityPanel) -> np.dtype:
@@ -270,7 +266,7 @@ class TestRoundTripProperty:
                 with mock.patch.object(parse, "_BLOCK_BYTES", 1):  # a chunk a row
                     chunks = list(iter_transactions(feed, report=report))
                 write_cache(path, iter(chunks), flush_rows, feed, report)
-                files.add((path.read_bytes(), checksum_path(path).read_bytes()))
+                files.add(path.read_bytes())
             assert len(files) == 1
 
 
@@ -349,8 +345,8 @@ class TestValidation:
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.plab"
-        recorded(path, b"NOTPL" + b"\x00" * 32)
-        with pytest.raises(DataError, match="bad magic"):
+        path.write_bytes(sealed(b"NOTPL" + b"\x00" * 32))
+        with pytest.raises(DataError, match="not a polab cache: bad magic"):
             list(iter_blocks(path))
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -358,8 +354,8 @@ class TestValidation:
         with CacheWriter(path) as w:
             w.append(block(n=100))
         clipped = tmp_path / "clipped.plab"
-        recorded(clipped, path.read_bytes()[:-50])
-        with pytest.raises(DataError, match="truncated"):
+        clipped.write_bytes(sealed(path.read_bytes()[:-TRAILER][:-50]))
+        with pytest.raises(DataError, match="truncated block in"):
             list(iter_blocks(clipped))
 
     def test_wrong_version_rejected(self, tmp_path):
@@ -401,6 +397,19 @@ STRUCTURE_DAMAGE = [
 ]
 
 
+# damage that only the trailer catches, then damage that the structure does
+TRAILER_DAMAGE = [
+    (lambda raw: _edited(raw, 45, b"\x09"), "does not match its checksum"),
+    (lambda raw: _edited(raw, len(raw) - SEAL, bytes([raw[-SEAL] ^ 1])), "does not match its checksum"),
+    (lambda raw: _edited(raw, len(raw) - TRAILER + 3, b"\x01"), "does not match its checksum"),
+    (lambda raw: raw[:-1], r"bad trailer magic b'.+PLAB'"),
+    (lambda raw: _edited(raw, len(raw) - 1, b"2"), "bad trailer magic b'PLAB2'"),
+    (lambda raw: raw[:16 + TRAILER - 1], "truncated trailer"),
+    (lambda raw: raw + b"xx", "bad trailer magic"),
+    (lambda raw: _edited(raw, 33, b"\xf0"), "bar index out of range"),
+]
+
+
 class TestDamage:
     @pytest.fixture
     def raw(self, tmp_path):
@@ -412,39 +421,57 @@ class TestDamage:
 
     @pytest.mark.parametrize("edit,message", STRUCTURE_DAMAGE)
     def test_structure_damage_is_a_data_error(self, raw, tmp_path, edit, message):
-        path = tmp_path / "damaged.plab"  # its record matches: the structure is checked
-        recorded(path, edit(raw))
+        path = tmp_path / "damaged.plab"  # its trailer matches: the structure is checked
+        path.write_bytes(sealed(edit(raw[:-TRAILER])))
         with pytest.raises(DataError, match=message):
             list(iter_blocks(path))
 
-    @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (lambda raw: _edited(raw, 45, b"\x09"), "does not match its checksum"),
-            (lambda raw: raw[:-1], "its checksum file says"),
-            (lambda raw: _edited(raw, 33, b"\xf0"), "bar index out of range"),
-        ],
-    )
+    @pytest.mark.parametrize("edit,message", TRAILER_DAMAGE)
     def test_checksum_catches_damage_to_values(self, raw, tmp_path, edit, message):
         path = tmp_path / "c.plab"
         path.write_bytes(edit(raw))
         with pytest.raises(DataError, match=message):
             list(iter_blocks(path))
 
-    def test_cache_without_checksum_file_is_refused(self, raw, tmp_path):
-        # as a writer killed between moving the cache into place and
-        # recording its checksum leaves it: every reader refuses it
+    @pytest.mark.parametrize("cut", (TRAILER, 1))
+    def test_cache_without_its_trailer_is_refused(self, tmp_path, cut):
+        # every reader refuses a cache cut short, the trailer wholly or in part
         path = tmp_path / "c.plab"
-        checksum_path(path).unlink()
-        message = rf"cache {re.escape(str(path))} has no checksum record .*re-run `polab ingest`"
+        with CacheWriter(path) as w:
+            w.append(block(n=100))
+        path.write_bytes(path.read_bytes()[:-cut])
+        message = rf"bad trailer magic .* in {re.escape(str(path))}: .*re-run `polab ingest`"
         for read in (lambda: list(iter_blocks(path)), lambda: verified_crc32(path),
+                     lambda: read_trailer(path),
                      lambda: cache_mod.check_feed(path, tmp_path / "feed.csv")):
             with pytest.raises(DataError, match=message):
                 read()
 
-    def test_writer_leaves_only_cache_and_checksum(self, raw, tmp_path):
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.plab", "c.plab.crc32"]
-        assert checksum_path(tmp_path / "c.plab").read_text().split()[1] == str(len(raw))
+    def test_writer_leaves_only_the_cache(self, raw, tmp_path):
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.plab"]
+        # no feed was named: the stamp is every byte 0xff and none is read back
+        assert raw[-TRAILER:-TRAILER + STAMP] == b"\xff" * STAMP
+        assert read_trailer(tmp_path / "c.plab") == (zlib.crc32(raw[:-SEAL]), len(raw), None)
+
+    def test_writer_records_the_feed_in_the_trailer(self, tmp_path):
+        feed = tmp_path / "tx.csv"
+        feed.write_text(HEADER + "\n2015-05-04,000001,09:31:00.000,10.0,100,1,2\n")
+        path = tmp_path / "c.plab"
+        report = ParseReport()
+        write_cache(path, iter_transactions(feed, report=report), feed=feed, report=report)
+        st = feed.stat()
+        assert read_trailer(path)[2] == FeedStamp(st.st_size, st.st_mtime_ns, 1)
+        cache_mod.check_feed(path, feed)
+        os.utime(feed, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        with pytest.raises(DataError, match="size or mtime has changed"):
+            cache_mod.check_feed(path, feed)
+        # the stamp is under the CRC: a stamp edited to match fails it
+        raw = bytearray(path.read_bytes())
+        raw[-TRAILER + 8 : -TRAILER + 16] = (st.st_mtime_ns + 1).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        cache_mod.check_feed(path, feed)
+        with pytest.raises(DataError, match="does not match its checksum"):
+            list(iter_blocks(path))
 
     def test_failed_write_removes_older_cache(self, raw, tmp_path):
         with pytest.raises(RuntimeError):
@@ -455,11 +482,8 @@ class TestDamage:
 
     def test_verified_crc32_raises_what_the_reader_raises(self, raw, tmp_path):
         path = tmp_path / "c.plab"
-        assert verified_crc32(path) == (int(checksum_path(path).read_text().split()[0], 16), len(raw))
-        for edit, message in (
-            (lambda raw: _edited(raw, 45, b"\x09"), "does not match its checksum"),
-            (lambda raw: raw[:-1], "its checksum file says"),
-        ):
+        assert verified_crc32(path) == (zlib.crc32(raw[:-SEAL]), len(raw))
+        for edit, message in TRAILER_DAMAGE[:-1]:
             path.write_bytes(edit(raw))
             with pytest.raises(DataError, match=message):
                 verified_crc32(path)
@@ -558,7 +582,7 @@ class TestBoundedMemory:
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"transactions": str(feed), "out_dir": str(tmp_path / "out")}))
         cache = tmp_path / "out" / "cache.plab"
-        outputs = (cache, checksum_path(cache), tmp_path / "out" / "ingest_report.csv")
+        outputs = (cache, tmp_path / "out" / "ingest_report.csv")
         flushed = []
         flush = cache_mod._Pending.flush
 

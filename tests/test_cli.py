@@ -14,11 +14,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polab.cli import main
+from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
-from polab.marketdata.cache import checksum_path, panel_memo_path
+from polab.marketdata.cache import FeedStamp, panel_memo_path, read_trailer
 from polab.panel import PolarityPanel
 from polab.tables import read_table
 
+from cache_bytes import SEAL, TRAILER, sealed
 from panel_text import read_text
 
 
@@ -835,7 +837,7 @@ class TestFailedIngest:
             {"transactions": str(tx), "cache": str(cache_path), "out_dir": str(tmp_path / "out")}
         ))
         assert main(["ingest", "--config", str(cfg)]) == 0
-        assert cache_path.exists() and checksum_path(cache_path).exists()
+        assert cache_path.exists()
 
         corrupt = [line if i % 100 else "2015-05-04,000001,garbage" for i, line in enumerate(good)]
         tx.write_text("\n".join([header] + corrupt) + "\n")
@@ -844,6 +846,46 @@ class TestFailedIngest:
         assert "malformed share" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out", "tx.csv"]
         assert main(["polarity", "--config", str(cfg)]) != 0
+
+
+#: ``polab`` with the cache's move patched: the process dies right after the
+#: move (argv[1] "after") or in its place ("before"), as a kill would end it
+_KILLED_INGEST = """
+import os, sys
+from polab import cli
+from polab.marketdata import cache
+replace = cache.os.replace
+
+def killed(src, dst):
+    if sys.argv[1] == "after":
+        replace(src, dst)
+    os._exit(137)
+
+cache.os.replace = killed
+cli.main(sys.argv[2:])
+"""
+
+
+class TestKilledIngest:
+    """An ingest killed at any point leaves a cache that the next command
+    uses as it is, or the cache that was there before it."""
+
+    @pytest.mark.parametrize("moment", ("after", "before"))
+    def test_next_command_runs_on_what_the_kill_left(self, tmp_path, moment):
+        cfg, _, cache_path, out = _ingest_market(tmp_path)
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        want, old_cache = (out / "panel.csv").read_bytes(), cache_path.read_bytes()
+        shutil.rmtree(out)
+        if moment == "after":  # no cache, nor anything kept beside one
+            for path in tmp_path.glob(f"{cache_path.name}*"):
+                path.unlink()
+        code = subprocess.run([sys.executable, "-c", _KILLED_INGEST, moment, "ingest", "--config",
+                               str(cfg)], env=_blas_env(), capture_output=True).returncode
+        assert code == 137
+        assert cache_path.read_bytes() == old_cache
+        assert not (out / "ingest_report.csv").exists()
+        assert main(["polarity", "--config", str(cfg)]) == 0
+        assert (out / "panel.csv").read_bytes() == want
 
 
 def _market_files(root, n_stocks=3, n_days=2, seed=17, **extra):
@@ -874,7 +916,7 @@ def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
 def test_cache_holds_three_bytes_a_row_of_a_thin_day(tmp_path):
     # header, then per block its stock id, date, row count and label widths,
     # then a u8 bar and a u8 label a side a row, as no block here has more
-    # than 256 orders a side: a column added later fails here
+    # than 256 orders a side, then the trailer: a column added later fails here
     cfg, _, cache_path, out = _ingest_market(tmp_path, n_stocks=4, n_days=3, n_offgrid_rows=2)
     _, _, rows = read_table(out / "ingest_report.csv")
     report = dict(rows)
@@ -883,18 +925,18 @@ def test_cache_holds_three_bytes_a_row_of_a_thin_day(tmp_path):
     assert len(blocks) == 12  # one block per (stock, day): the feed is under a flush
     assert {(b.buy_serial.dtype.str, b.sell_serial.dtype.str) for b in blocks} == {("|u1", "|u1")}
     heads = sum(2 + len(b.stock_id.encode("utf-8")) + 9 for b in blocks)
-    assert cache_path.stat().st_size == 16 + heads + 3 * int(report["rows_cached"])
+    assert cache_path.stat().st_size == 16 + heads + 3 * int(report["rows_cached"]) + TRAILER
 
 
 class TestFeedFingerprint:
     """A cache records the feed it was built from and refuses a changed one."""
 
-    def test_checksum_file_records_the_feed(self, tmp_path):
+    def test_trailer_records_the_feed(self, tmp_path):
         _, tx, cache_path, out = _ingest_market(tmp_path)
         _, _, rows = read_table(out / "ingest_report.csv")
         st = tx.stat()
-        lines = checksum_path(cache_path).read_text().splitlines()
-        assert lines[1] == f"feed {st.st_size} {st.st_mtime_ns} {dict(rows)['rows_total']}"
+        rows_total = int(dict(rows)["rows_total"])
+        assert read_trailer(cache_path)[2] == FeedStamp(st.st_size, st.st_mtime_ns, rows_total)
 
     @pytest.mark.parametrize("change", ("rewrite", "touch"))
     def test_changed_feed_is_refused(self, tmp_path, capsys, change):
@@ -941,7 +983,6 @@ class TestOldCacheVersion:
         cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
         raw = cache_mod.MAGIC + (1).to_bytes(2, "little") + bytes(9)  # a version-1 header
         cache_path.write_bytes(raw)
-        checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
         memo = panel_memo_path(cache_path, "bar")
         if old_memo:  # as the previous format's polab kept it, keyed to this cache
             counts = np.zeros((1, 1, 237), np.int32)
@@ -966,7 +1007,6 @@ class TestOldCacheVersion:
                  + (2).to_bytes(4, "little") + bytes([1, 2]) + np.array([7, 9, 8, 8], "<u4").tobytes())
         raw = cache_mod.MAGIC + (2).to_bytes(2, "little") + bytes(1) + (1).to_bytes(8, "little") + block
         cache_path.write_bytes(raw)
-        checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
         capsys.readouterr()
@@ -977,6 +1017,28 @@ class TestOldCacheVersion:
         assert not (out / "panel.csv").exists()
         assert not panel_memo_path(cache_path, "bar").exists()
 
+    def test_version_3_cache_is_refused_by_every_reader(self, tmp_path, capsys):
+        # as the previous format wrote it: this format's header and blocks,
+        # no trailer, its record in a file beside it, which is not read
+        cfg, _, cache_path, out = _ingest_market(tmp_path)
+        raw = bytearray(cache_path.read_bytes()[:-TRAILER])
+        raw[5] = 3
+        cache_path.write_bytes(bytes(raw))
+        (tmp_path / "cache.plab.crc32").write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+        message = "unsupported cache version 3"
+        with pytest.raises(DataError, match=message):
+            list(cache_mod.iter_blocks(cache_path))
+        for config in (json.loads(cfg.read_text()), {"cache": str(cache_path), "out_dir": str(out)}):
+            # with the feed named check_feed reads the cache first; without, the memo path
+            cfg.write_text(json.dumps(config))
+            capsys.readouterr()
+            assert main(["polarity", "--config", str(cfg)]) == 4
+            err = capsys.readouterr().err
+            assert f"category=data: {message} in {cache_path}" in err and "re-run `polab ingest`" in err
+            assert not (out / "panel.csv").exists()
+        assert not panel_memo_path(cache_path, "bar").exists()
+        assert (tmp_path / "cache.plab.crc32").exists()
+
 
 class TestSplitKeyCache:
     def test_cache_with_a_repeated_key_is_refused(self, tmp_path, capsys):
@@ -985,8 +1047,7 @@ class TestSplitKeyCache:
         cols = (np.array([1, 2], np.uint8), np.array([0, 1], np.uint8), np.array([1, 0], np.uint8))
         block = cache_mod._block_bytes("000001", 20150504, *cols)
         raw = cache_mod._HEADER.pack(cache_mod.MAGIC, cache_mod.VERSION, 0, 2) + block + block
-        cache_path.write_bytes(raw)
-        checksum_path(cache_path).write_text(f"{zlib.crc32(raw):08x} {len(raw)}\n")
+        cache_path.write_bytes(sealed(raw))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
         capsys.readouterr()
@@ -1029,7 +1090,7 @@ class TestNotUtf8:
         code, err, cache = self._ingest(tmp_path, [self.HEADER, self.ROW, bad, self.ROW])
         assert code == 4 and "Traceback" not in err
         assert "malformed share" in err and "first_lines=[(3, 'unparsable')]" in err
-        assert not cache.exists() and not checksum_path(cache).exists()
+        assert not cache.exists()
 
     def test_feed_row_counts_toward_the_abort_share(self, tmp_path):
         bad = self.ROW.replace(b"000001", b"0000\xff1")
@@ -1045,7 +1106,7 @@ class TestNotUtf8:
         code, err, cache = self._ingest(tmp_path, [header, self.ROW])
         assert code == 4 and "Traceback" not in err
         assert "category=data" in err and "not UTF-8" in err
-        assert not cache.exists() and not checksum_path(cache).exists()
+        assert not cache.exists()
 
     @pytest.mark.parametrize(
         "command,key", [("kl", "intraday_prices"), ("ratios", "capitalization"), ("emotion", "emotion")]
@@ -1084,7 +1145,6 @@ def _ingested_market(root, seed):
     return SimpleNamespace(
         transactions=tx,
         raw=cache_path.read_bytes(),
-        checksum=checksum_path(cache_path).read_text(),
         memo=panel_memo_path(cache_path, "bar").read_bytes(),
         panel=(out / "panel.csv").read_bytes(),
     )
@@ -1102,7 +1162,7 @@ def two_markets(tmp_path_factory):
 def cached_market(two_markets):
     """A small ingested market and the panel.csv its cache gives."""
     a = two_markets[0]
-    return a.raw, a.checksum, a.panel
+    return a.raw, a.panel
 
 
 @st.composite
@@ -1112,12 +1172,9 @@ def damage(draw, size):
     return ("flip", draw(st.integers(0, size - 1)), draw(st.integers(1, 255)))
 
 
-def _polarity_on(tmp_path, raw: bytes, checksum: str | None, memo: bytes | None = None):
+def _polarity_on(tmp_path, raw: bytes, memo: bytes | None = None):
     cache_path = tmp_path / "cache.plab"
     cache_path.write_bytes(raw)
-    checksum_path(cache_path).unlink(missing_ok=True)
-    if checksum is not None:
-        checksum_path(cache_path).write_text(checksum)
     panel_memo_path(cache_path, "bar").unlink(missing_ok=True)
     if memo is not None:
         panel_memo_path(cache_path, "bar").write_bytes(memo)
@@ -1147,21 +1204,23 @@ class TestCorruptCache:
     @FUZZ
     @given(data=st.data())
     def test_damaged_cache_is_refused_or_harmless(self, cached_market, tmp_path, capsys, data):
-        raw, checksum, panel = cached_market
+        raw, panel = cached_market
         damaged = _damaged(raw, data.draw(damage(len(raw))))
-        code, panel_path = _polarity_on(tmp_path, damaged, checksum)
+        code, panel_path = _polarity_on(tmp_path, damaged)
         assert code == 4 or (code == 0 and panel_path.read_bytes() == panel)
 
     @FUZZ
     @given(data=st.data())
-    def test_damage_without_checksum_is_never_a_traceback(
+    def test_damage_without_trailer_is_never_a_traceback(
         self, cached_market, tmp_path, capsys, data
     ):
-        # without its checksum file no cache is read, damaged or not
-        raw, _, _ = cached_market
-        code, panel_path = _polarity_on(tmp_path, _damaged(raw, data.draw(damage(len(raw)))), None)
+        # without its trailer no cache is read, damaged or not
+        raw, _ = cached_market
+        body = raw[:-TRAILER]
+        capsys.readouterr()
+        code, panel_path = _polarity_on(tmp_path, _damaged(body, data.draw(damage(len(body)))))
         assert code == 4 and not panel_path.exists()
-        assert "no checksum record" in capsys.readouterr().err
+        assert "category=data" in capsys.readouterr().err
 
 
 def _memo_panel(cache_path):
@@ -1177,7 +1236,7 @@ class TestPanelMemo:
         a = two_markets[0]
         damaged = _damaged(a.memo, data.draw(damage(len(a.memo))))
         cache_path = tmp_path / "cache.plab"
-        code, panel_path = _polarity_on(tmp_path, a.raw, a.checksum, damaged)
+        code, panel_path = _polarity_on(tmp_path, a.raw, damaged)
         assert code == 0 and panel_path.read_bytes() == a.panel
         # the memo left behind is usable: rewritten, unless the damage was harmless
         assert _memo_panel(cache_path).equals(PolarityPanel.from_cache(cache_path))
@@ -1189,17 +1248,18 @@ class TestPanelMemo:
     ):
         a = two_markets[0]
         damaged = _damaged(a.raw, data.draw(damage(len(a.raw))))
-        code, _ = _polarity_on(tmp_path, damaged, a.checksum, a.memo)
+        code, _ = _polarity_on(tmp_path, damaged, a.memo)
         assert code == 4
         assert "category=data" in capsys.readouterr().err
 
     def test_cache_is_read_once_on_a_miss_and_on_a_hit(self, two_markets, tmp_path, monkeypatch):
-        # a miss is keyed by the checksum file's record and builds through
-        # iter_blocks, which checks the cache against it in the same read
+        # a miss is keyed by the trailer's record and builds through
+        # iter_blocks, which checks the cache against it in the same read;
+        # the CRC covers every byte before it
         a = two_markets[0]
         cache_path = tmp_path / "cache.plab"
         cache_path.write_bytes(a.raw)
-        checksum_path(cache_path).write_text(a.checksum)
+        covered = len(a.raw) - SEAL
         fed = []
 
         def crc32(data, value=0):
@@ -1208,22 +1268,22 @@ class TestPanelMemo:
 
         monkeypatch.setattr(cache_mod, "zlib", SimpleNamespace(crc32=crc32))
         built = PolarityPanel.from_cache_memo(cache_path)
-        assert sum(fed) == len(a.raw)
+        assert sum(fed) == covered
         assert panel_memo_path(cache_path, "bar").exists()
         fed.clear()
         assert _memo_panel(cache_path).equals(built)
-        assert sum(fed) == len(a.raw)
+        assert sum(fed) == covered
 
     def test_memo_of_another_cache_is_never_used(self, two_markets, tmp_path):
         a, b = two_markets
-        code, panel_path = _polarity_on(tmp_path, a.raw, a.checksum, b.memo)
+        code, panel_path = _polarity_on(tmp_path, a.raw, b.memo)
         assert code == 0 and panel_path.read_bytes() == a.panel
-        code, panel_path = _polarity_on(tmp_path, b.raw, b.checksum, a.memo)
+        code, panel_path = _polarity_on(tmp_path, b.raw, a.memo)
         assert code == 0 and panel_path.read_bytes() == b.panel
 
     def test_reingest_drops_the_memo(self, two_markets, tmp_path):
         a, b = two_markets
-        code, panel_path = _polarity_on(tmp_path, a.raw, a.checksum, a.memo)
+        code, panel_path = _polarity_on(tmp_path, a.raw, a.memo)
         assert code == 0 and panel_path.read_bytes() == a.panel
         cache_path = tmp_path / "cache.plab"
         cfg = tmp_path / "ingest.json"
@@ -1333,7 +1393,7 @@ class TestOneCachePath:
                 assert main([step, "--config", str(cfg)]) == 0
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         name = "c.plab" if cache_key else "cache.plab"
-        assert {name, f"{name}.crc32", "ingest_report.csv"} <= set(outputs[1])
+        assert {name, "ingest_report.csv"} <= set(outputs[1])
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("cache_key", (False, True))
@@ -1357,7 +1417,7 @@ class TestOneCachePath:
             assert not written & {"c.plab", "cache.plab", "ingest_report.csv"}
         else:
             assert "ingest: " in printed and str(alt / "cache.plab") in printed
-            assert {"cache.plab", "cache.plab.crc32", "ingest_report.csv"} <= written
+            assert {"cache.plab", "ingest_report.csv"} <= written
 
     @pytest.mark.parametrize("cache_key", (False, True))
     def test_no_cache_and_no_feed_is_a_config_error(self, tmp_path, capsys, cache_key):
@@ -1373,7 +1433,7 @@ class TestOneCachePath:
         assert not cache_path.exists() and not list((tmp_path / "out").glob("*.csv"))
 
     @pytest.mark.parametrize("state", ("intact", "memo", "bar flipped"))
-    def test_cache_without_checksum_file_is_refused(self, tmp_path, capsys, state):
+    def test_cache_without_its_trailer_is_refused(self, tmp_path, capsys, state):
         cfg, tx, cache_path, out = _ingest_market(tmp_path)
         if state == "memo":
             assert main(["polarity", "--config", str(cfg)]) == 0
@@ -1382,13 +1442,13 @@ class TestOneCachePath:
             raw = bytearray(cache_path.read_bytes())
             raw[32] ^= 1
             cache_path.write_bytes(bytes(raw))
-        checksum_path(cache_path).unlink()
+        cache_path.write_bytes(cache_path.read_bytes()[:-TRAILER])
         for config in (json.loads(cfg.read_text()), {"cache": str(cache_path), "out_dir": str(out)}):
             cfg.write_text(json.dumps(config))
             capsys.readouterr()
             assert main(["polarity", "--config", str(cfg)]) == 4
             err = capsys.readouterr().err
-            assert f"category=data: cache {cache_path} has no checksum record" in err
+            assert "category=data: bad trailer magic" in err and f"in {cache_path}:" in err
             assert "re-run `polab ingest`" in err
             assert not (out / "panel.csv").exists()
 

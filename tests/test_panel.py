@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
-from polab.marketdata.cache import checksum_path, panel_memo_path, write_cache
+from polab.marketdata.cache import panel_memo_path, write_cache
 from polab.marketdata.grid import BARS_PER_DAY, assign_bar
 from polab.marketdata.parse import _parse_row, iter_transactions
 from polab.panel import (
@@ -26,6 +26,7 @@ from polab.panel import (
 from polab.returns import build_return_series
 from polab.synth import brute_force_recount
 
+from cache_bytes import TRAILER
 from panel_text import read_text
 
 D = dt.date(2015, 5, 4)
@@ -743,7 +744,7 @@ class TestPanelMemo:
         panel, built = self.load(path)
         assert not built and self.same(panel, reference)
         names = sorted(p.name for p in path.parent.iterdir())
-        assert names == ["c.plab", "c.plab.crc32", "c.plab.panel-bar.npz"]
+        assert names == ["c.plab", "c.plab.panel-bar.npz"]
 
     def test_scopes_keep_separate_memos(self, tmp_path):
         # buy serial 5 trades in bars 1 and 2: the scopes count it differently
@@ -791,15 +792,15 @@ class TestPanelMemo:
             PolarityPanel.from_cache_memo(path)
 
     @pytest.mark.parametrize("memo", (False, True))
-    def test_cache_without_checksum_file_is_refused(self, cached, memo):
-        # the record is part of the cache: without it neither a memo nor a
-        # build is trusted, and no memo is written
+    def test_cache_without_its_trailer_is_refused(self, cached, memo):
+        # the trailer is the cache's record of itself: without it neither a
+        # memo nor a build is trusted, and no memo is written
         path, _ = cached
         if memo:
             self.load(path)
         memo_before = panel_memo_path(path, "bar").read_bytes() if memo else None
-        checksum_path(path).unlink()
-        with pytest.raises(DataError, match=r"no checksum record .*re-run `polab ingest`"):
+        path.write_bytes(path.read_bytes()[:-TRAILER])
+        with pytest.raises(DataError, match=r"bad trailer magic .*re-run `polab ingest`"):
             PolarityPanel.from_cache_memo(path)
         memo_path = panel_memo_path(path, "bar")
         assert (memo_path.read_bytes() if memo_path.exists() else None) == memo_before
@@ -813,7 +814,7 @@ class TestPanelMemo:
         monkeypatch.setattr(os, "replace", full_disk)
         panel, built = self.load(path)
         assert built and self.same(panel, reference)
-        assert sorted(p.name for p in path.parent.iterdir()) == ["c.plab", "c.plab.crc32"]
+        assert sorted(p.name for p in path.parent.iterdir()) == ["c.plab"]
 
     def test_cache_replaced_during_the_build_is_not_memoised(self, cached, monkeypatch):
         path, reference = cached

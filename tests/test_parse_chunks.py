@@ -91,7 +91,7 @@ def reference_cache(path, records, flush_rows):
     def flush(writer):
         for (stock, day), rows in buffers.items():
             cols = list(zip(*rows))
-            arrays = (np.asarray(c, dtype=dtype) for c, (_, dtype) in zip(cols, cache._COLUMNS))
+            arrays = (np.asarray(c, dtype=cache._ROW[name]) for c, name in zip(cols, cache._ROW.names))
             writer.append(cache.CacheBlock(stock, day, *arrays))
         buffers.clear()
 
