@@ -147,10 +147,6 @@ class RunConfig:
         self.periods = Periods(self.pre_crash_end, self.crash_end)
 
     @classmethod
-    def from_json(cls, path) -> "RunConfig":
-        return cls.from_dict(read_config(path))
-
-    @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(raw) - known

@@ -193,9 +193,6 @@ class GrangerSummary:
     results: list = field(default_factory=list)
     skipped: list = field(default_factory=list)
 
-    def passing(self, direction: str) -> int:
-        return sum(1 for r in self.results if r.direction == direction and r.reject_at_5pct)
-
 
 def _lag_matrix(a: np.ndarray, lag: int) -> np.ndarray:
     T = len(a)
@@ -333,9 +330,8 @@ def granger_pass_rates(
         summary.n_tested += 1
         summary.results.extend(results)
     for direction in DIRECTIONS:
-        summary.pass_rate[direction] = (
-            summary.passing(direction) / summary.n_tested if summary.n_tested else float("nan")
-        )
+        passing = sum(1 for r in summary.results if r.direction == direction and r.reject_at_5pct)
+        summary.pass_rate[direction] = passing / summary.n_tested if summary.n_tested else float("nan")
     return summary
 
 

@@ -23,12 +23,14 @@ which decide whether a row is malformed or off-grid, but no analysis reads
 them back, so the cache does not keep them.
 
 Each block holds all the rows of one (stock, trading day), in feed order,
-and no key has a second block. Ingest buffers rows in bounded-memory
-flushes and appends each flush's rows of a key as one fragment of raw u32
-serials; the writer merges and labels each key's fragments when it closes,
-so the file is byte for byte the one a single flush would write. A reader
-refuses a key it has already seen. Off-grid rows are kept with bar 0 so row
-counts reconcile against the source file.
+and no key has a second block. The writer takes the parser's chunks and
+buffers their rows in bounded memory. Each flush writes a key's buffered
+rows as one fragment of raw u32 serials, and all of its fragments in one
+write to a temporary file that has no name. The writer merges and labels
+each key's fragments when it closes, so the file is byte for byte the one
+a single flush would write. A reader refuses a key it has already seen.
+Off-grid rows are kept with bar 0 so row counts reconcile against the
+source file.
 
 The trailer's CRC-32 covers every byte before it, the feed stamp included.
 Readers check the header's magic and version, then the trailer's magic,
@@ -46,6 +48,7 @@ from __future__ import annotations
 import datetime as dt
 import os
 import struct
+import tempfile
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -81,8 +84,16 @@ _U32_MAX = 2**32 - 1
 #: integer columns whose values the cache's u32 may not hold
 _U32_CHECKED = ("buy_serial", "sell_serial")
 
-#: a row of a fragment, packed, as ``CacheWriter.append`` writes it
+#: a row of a fragment, packed, as ``CacheWriter`` writes it
 _ROW = np.dtype([("bar", "u1"), ("buy_serial", "<u4"), ("sell_serial", "<u4")])
+#: a ``_ROW`` as plain bytes, which numpy gathers and scatters about five
+#: times as fast as the record
+_PACKED = np.dtype((np.void, _ROW.itemsize))
+
+#: Rows ``write_cache`` buffers before a flush, about 0.7 MiB of packed
+#: rows. A flush writes a fragment per key it holds, and the writer merges
+#: the fragments of a key at close, so a smaller buffer leaves more to merge.
+_FLUSH_ROWS = 80_659
 
 #: rows the writer labels at once, as whole keys; a larger key goes alone.
 #: Labelling takes about 25 B of scratch a row, which fits in the heap that
@@ -92,8 +103,8 @@ _LABEL_ROWS = 1 << 13
 
 @dataclass
 class CacheBlock:
-    """One (stock, day)'s rows. Appended, ``buy_serial`` and ``sell_serial``
-    hold the orders' serials; read back, their block-local labels."""
+    """One (stock, day)'s rows as ``iter_blocks`` reads them back:
+    ``buy_serial`` and ``sell_serial`` hold the orders' block-local labels."""
 
     stock_id: str
     trade_date: dt.date
@@ -219,54 +230,118 @@ def read_trailer(path) -> tuple[int, int, FeedStamp | None]:
 
 
 class CacheWriter:
-    """Appends per-(stock, day) fragments of raw serials to a temporary
-    file beside ``path``.
+    """Writes the rows of parse chunks as a cache at ``path``.
 
-    Leaving the ``with`` block normally writes the cache to a second
-    temporary file, a labelled block per key and then the trailer, with
-    ``feed`` if it has been set, and moves it onto ``path``. Leaving it by
-    an exception deletes the temporary files and any older cache at
-    ``path``, so a failed build leaves no cache behind.
+    ``append`` buffers each chunk's rows, and every ``flush_rows`` rows the
+    writer flushes them to a nameless temporary file beside ``path``: each
+    key's rows as one fragment, keys in order of their first buffered row,
+    in one write. Leaving the ``with`` block normally flushes the rest and
+    writes the cache to a second temporary file, a labelled block per key
+    and then the trailer, with ``feed`` if it has been set, and moves it
+    onto ``path``. Leaving it by an exception deletes the temporary files
+    and any older cache at ``path``, so a failed build leaves no cache
+    behind.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, flush_rows: int = _FLUSH_ROWS):
         self._path = Path(path)
         self._tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
-        self._fragments = self._tmp.with_suffix(".fragments.tmp")
         self._out = None
         try:
-            self._fh = open(self._fragments, "w+b")
+            self._fh = tempfile.TemporaryFile(dir=self._path.parent)
         except OSError as exc:
             raise InputError(f"cannot create cache file {path}: {exc}") from exc
-        # per fragment appended: its key (stock code << 32 | yyyymmdd) and
+        self._flush_rows = flush_rows
+        # per fragment flushed: its key (stock code << 32 | yyyymmdd) and
         # its row count; fragments lie one after another in the file, each
         # its rows as packed ``_ROW``s
         self._stock_codes: dict[str, int] = {}
         self._keys, self._rows = array("q"), array("q")
+        # the buffer: an id per key, in order of its first buffered row, with
+        # its key as above; and per chunk its packed rows sorted by key id,
+        # with the id and row count of each key's run
+        self._ids: dict[tuple[str, dt.date], int] = {}
+        self._id_keys = array("q")
+        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._buffered = 0
         self.n_rows = 0
         self.feed: FeedStamp | None = None
 
-    def append(self, block: CacheBlock) -> None:
-        """Write one fragment; a serial column not already u32 is checked
-        against the u32 range first."""
-        n = block.n_rows
+    def append(self, chunk: TransactionChunk) -> None:
+        """Buffer ``chunk``'s rows, and flush once ``flush_rows`` are
+        buffered. A serial beyond the cache's u32, or a stock id longer
+        than its u16 length, raises DataError."""
+        n, n_dates = len(chunk), len(chunk.dates)
+        if not n:
+            return
         for name in _U32_CHECKED:
-            col = getattr(block, name)
-            if n and col.dtype != np.uint32 and int(np.max(col)) > _U32_MAX:
+            if int(getattr(chunk, name).max()) > _U32_MAX:
                 raise DataError(f"{name} overflows the cache's u32 column")
-        code = self._stock_codes.setdefault(block.stock_id, len(self._stock_codes))
-        self._keys.append(code << 32 | date_to_int(block.trade_date))
-        self._rows.append(n)
+        n_local = len(chunk.stocks) * n_dates
+        local = chunk.stock_idx * n_dates + chunk.date_idx
+        # keys of 8 or 16 bits sort stably by radix, ten times the speed of 32
+        order = np.argsort(local.astype(np.min_scalar_type(n_local)), kind="stable")
+        count = np.bincount(local, minlength=n_local)
+        keys = np.flatnonzero(count)  # the chunk's keys, as its ``local`` values
+        counts = count[keys]
+        first = order[np.cumsum(counts) - counts]  # each key's first row
+        ids = np.empty(len(keys), np.int32)
+        for i in np.argsort(first).tolist():  # new keys take ids in feed order
+            stock, day = divmod(int(keys[i]), n_dates)
+            ids[i] = self._id(chunk.stocks[stock], chunk.dates[day])
         rows = np.empty(n, _ROW)
         for name in _ROW.names:
-            rows[name] = getattr(block, name)
-        self._fh.write(rows)
+            rows[name] = getattr(chunk, name)
+        self._parts.append((ids, counts, rows.view(_PACKED)[order]))
+        self._buffered += n
         self.n_rows += n
+        if self._buffered >= self._flush_rows:
+            self._flush()
+
+    def _id(self, stock: str, day: dt.date) -> int:
+        """The buffer's id of the key (stock, day), given the next one if it
+        has none."""
+        i = self._ids.get((stock, day))
+        if i is None:
+            code = self._stock_codes.get(stock)
+            if code is None:
+                if len(stock.encode("utf-8")) > 0xFFFF:
+                    raise DataError(f"stock id {stock[:20]!r}... is longer than the cache's "
+                                    f"65,535 UTF-8 bytes")
+                code = self._stock_codes[stock] = len(self._stock_codes)
+            i = self._ids[stock, day] = len(self._ids)
+            self._id_keys.append(code << 32 | date_to_int(day))
+        return i
+
+    def _flush(self) -> None:
+        """Write the buffer as one fragment per key, keys in order of their
+        first buffered row and each key's rows in feed order.
+
+        A counting scatter merges the chunks' runs into key order: a run's
+        rows go to its key's next place. Each chunk's rows go once they are
+        placed, so the scratch is about the buffer and a place a row of one
+        chunk.
+        """
+        sizes = np.zeros(len(self._ids), np.int64)
+        for ids, counts, _ in self._parts:
+            sizes[ids] += counts
+        next_place = np.cumsum(sizes) - sizes
+        out = np.empty(self._buffered, _PACKED)
+        parts, self._parts = self._parts[::-1], []
+        while parts:
+            ids, counts, rows = parts.pop()
+            runs = np.repeat(next_place[ids] - (np.cumsum(counts) - counts), counts)
+            out[runs + np.arange(len(rows))] = rows
+            next_place[ids] += counts
+        self._fh.write(out)
+        self._keys.extend(self._id_keys)
+        self._rows.frombytes(sizes.tobytes())
+        self._ids, self._id_keys, self._buffered = {}, array("q"), 0
 
     def _write_blocks(self) -> None:
         """Write the cache to its temporary file, a block per key: keys in
-        order of first append, each key's fragments merged in append order
-        and labelled; then the trailer.
+        order of their first fragment, each key's fragments merged in file
+        order and labelled; then the trailer.
 
         Keys go in batches of about ``_LABEL_ROWS`` rows. A batch's
         fragments are read back into one array of rows, one call for each
@@ -277,9 +352,9 @@ class CacheWriter:
         rows = np.frombuffer(self._rows, dtype=np.int64)
         starts = np.cumsum(rows)  # each fragment's first row in the file
         starts -= rows
-        # each key's fragments in append order, and the keys in order of
-        # first append: a stable sort leaves a key's first fragment at the
-        # head of its run
+        # each key's fragments in file order, and the keys in order of
+        # their first fragment: a stable sort leaves a key's first fragment
+        # at the head of its run
         order = np.argsort(keys, kind="stable")
         ordered = keys[order]
         new = np.empty(len(keys), bool)
@@ -290,7 +365,7 @@ class CacheWriter:
         del new
         by_first = np.argsort(order[bounds[:-1]])
         n_keys = len(by_first)
-        # each key's value and row count, keys in order of first append
+        # each key's value and row count, keys in order of their first fragment
         key_values = keys[order[bounds[:-1]]][by_first]
         key_rows = np.add.reduceat(rows[order], bounds[:-1])[by_first]
         batch = (np.cumsum(key_rows) - key_rows) // _LABEL_ROWS
@@ -339,14 +414,15 @@ class CacheWriter:
         buf, fd, lo = memoryview(out.view(np.uint8)), self._fh.fileno(), 0
         for at, hi in zip((starts[frags[first]] * _ROW.itemsize).tolist(), ends.tolist()):
             if os.preadv(fd, [buf[lo:hi]], at) != hi - lo:
-                raise OSError(f"short read from {self._fragments}")
+                raise OSError(f"short read from the fragments of {self._path}")
             lo = hi
 
     def close(self) -> None:
         try:
+            if self._buffered:
+                self._flush()
             self._write_blocks()
             self._fh.close()
-            self._fragments.unlink()
             os.replace(self._tmp, self._path)
             _remove_panel_memos(self._path)
         except BaseException:
@@ -357,7 +433,7 @@ class CacheWriter:
         for fh in (self._fh, self._out):
             if fh is not None:
                 fh.close()
-        for path in (self._fragments, self._tmp, self._path):
+        for path in (self._tmp, self._path):
             path.unlink(missing_ok=True)
         _remove_panel_memos(self._path)
 
@@ -450,95 +526,21 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
             raise DataError(f"cache {path} does not match its checksum")
 
 
-class _Pending:
-    """Rows buffered for the next flush, compact: each column in its
-    fragment dtype plus an int32 id of its (stock, day) key, 13 B a row."""
-
-    def __init__(self):
-        self.keys: dict[tuple[str, dt.date], int] = {}
-        self.key_parts: list[np.ndarray] = []
-        self.parts: dict[str, list[np.ndarray]] = {name: [] for name in _ROW.names}
-        self.rows = 0
-
-    def add(self, chunk: TransactionChunk) -> None:
-        """Buffer ``chunk``; a serial beyond the cache's u32 raises DataError."""
-        for name in _U32_CHECKED:
-            col = getattr(chunk, name)
-            if len(col) and int(col.max()) > _U32_MAX:
-                raise DataError(f"{name} overflows the cache's u32 column")
-        n_dates = len(chunk.dates)
-        local = chunk.stock_idx * n_dates + chunk.date_idx
-        key_of = np.zeros(len(chunk.stocks) * n_dates, np.int32)
-        for k in np.flatnonzero(np.bincount(local, minlength=len(key_of))).tolist():
-            stock, day = divmod(k, n_dates)
-            key_of[k] = self.keys.setdefault((chunk.stocks[stock], chunk.dates[day]), len(self.keys))
-        self.key_parts.append(key_of[local])
-        for name in _ROW.names:
-            self.parts[name].append(getattr(chunk, name).astype(_ROW[name]))
-        self.rows += len(local)
-
-    def flush(self, writer: CacheWriter) -> None:
-        """Append one fragment per key, keys in order of their first
-        buffered row and each key's rows in file order.
-
-        A counting scatter puts the rows in key order, one column at a time:
-        each chunk's key ids become its rows' places, and each column's
-        parts go as they are placed, so the scratch is about an int32 a row.
-        """
-        if not self.rows:
-            return
-        n_keys = len(self.keys)
-        sizes = sum(np.bincount(part, minlength=n_keys) for part in self.key_parts)
-        starts = np.cumsum(sizes) - sizes
-        next_place = starts.copy()  # where each key's next row goes
-        first_row = np.full(n_keys, self.rows)  # each key's first buffered row
-        # ids of 8 or 16 bits sort stably by radix, ten times the speed of 32
-        sort_dtype = np.min_scalar_type(n_keys)
-        places, offset = self.key_parts, 0
-        for k, part in enumerate(places):
-            count = np.bincount(part, minlength=n_keys)
-            order = np.argsort(part.astype(sort_dtype), kind="stable")
-            run_start = np.cumsum(count) - count  # each key's run in ``order``
-            new = (count > 0) & (first_row == self.rows)
-            first_row[new] = offset + order[run_start[new]]
-            # a row's place: its key's next place plus its rank in its run
-            place = np.empty(len(part), np.int32)
-            place[order] = np.arange(len(part)) + (next_place - run_start)[part[order]]
-            next_place += count
-            places[k], offset = place, offset + len(part)
-        cols = []
-        for name in _ROW.names:
-            col, parts = np.empty(self.rows, _ROW[name]), self.parts.pop(name)[::-1]
-            for place in places:
-                col[place] = parts.pop()
-            cols.append(col)
-        keys, lo, hi = list(self.keys), starts.tolist(), next_place.tolist()
-        for g in np.argsort(first_row).tolist():
-            writer.append(CacheBlock(*keys[g], *(c[lo[g] : hi[g]] for c in cols)))
-
-
-#: Bytes a buffered row takes in ``_Pending``: its fragment columns and its key id
-_PENDING_ROW_BYTES = _ROW.itemsize + 4
-#: Bytes of rows ``write_cache`` buffers before a flush, about 80k rows. A
-#: flush appends a fragment per key it holds, and the writer merges the
-#: fragments of a key at close, so a smaller buffer leaves more to merge.
-_FLUSH_BYTES = 1 << 20
-
-
 def write_cache(
     path,
     chunks: Iterable[TransactionChunk],
-    flush_rows: int = _FLUSH_BYTES // _PENDING_ROW_BYTES,
+    flush_rows: int = _FLUSH_ROWS,
     feed=None,
     report: ParseReport | None = None,
 ) -> int:
     """Write a stream of parsed chunks as a cache, with bounded memory.
 
-    Chunks are buffered compactly (``_Pending``) and flushed once
-    ``flush_rows`` rows are buffered, each key's rows as one fragment of raw
-    serials. The writer merges and labels each key's fragments at close, so
-    the file does not depend on ``flush_rows``. A chunk whose serial
-    overflows the fragments' u32 columns raises DataError as it arrives.
+    The writer buffers the chunks' rows and flushes them every
+    ``flush_rows`` rows, each key's rows as one fragment of raw serials. It
+    merges and labels each key's fragments at close, so the file does not
+    depend on ``flush_rows``. A chunk whose serial overflows the fragments'
+    u32 columns, or whose stock id is longer than 65,535 UTF-8 bytes,
+    raises DataError as it arrives.
 
     ``feed``, the file the chunks are parsed from, is stamped before the
     first chunk is read and recorded in the cache's trailer with the
@@ -550,15 +552,10 @@ def write_cache(
             st = os.stat(feed)
         except OSError as exc:
             raise InputError(f"cannot read {feed}: {exc}") from exc
-    with CacheWriter(path) as writer:
-        pending = _Pending()
+    with CacheWriter(path, flush_rows) as writer:
         for chunk in chunks:
-            pending.add(chunk)
+            writer.append(chunk)
             del chunk  # not held while the parser reads the next block
-            if pending.rows >= flush_rows:
-                pending.flush(writer)
-                pending = _Pending()
-        pending.flush(writer)
         if feed is not None:
             writer.feed = FeedStamp(st.st_size, st.st_mtime_ns, report.total_rows)
         return writer.n_rows

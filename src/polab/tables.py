@@ -34,25 +34,3 @@ def write_table(path, name, columns, rows, *, config_hash, meta=None):
         for row in rows:
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
-
-def read_table(path, delimiter=","):
-    """(meta, columns, rows-as-strings); the inverse of write_table."""
-    meta = {}
-    columns = None
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    k, v = body.split(":", 1)
-                    meta[k.strip()] = v.strip()
-                else:
-                    meta["_banner"] = body
-                continue
-            if columns is None:
-                columns = line.split(delimiter)
-            elif line:
-                rows.append(line.split(delimiter))
-    return meta, columns or [], rows

@@ -153,7 +153,7 @@ def test_full_dataset_reproduction():
     import json
 
     from polab.cli import main
-    from polab.tables import read_table
+    from table_text import read_table
 
     out = os.path.join(root, "polab-out")
     cfg_path = os.path.join(root, "polab-config.json")

@@ -1,3 +1,4 @@
+import copy
 import datetime as dt
 import functools
 import inspect
@@ -27,7 +28,7 @@ from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import ParseReport, TransactionChunk
 from polab.panel import PolarityPanel
 
-from cache_bytes import SEAL, STAMP, TRAILER, sealed
+from cache_bytes import SEAL, STAMP, TRAILER, chunk_of, sealed
 
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
@@ -74,7 +75,7 @@ class TestRoundTrip:
         blocks = [block(stock=f"00000{i}", seed=i, n=3 + i) for i in range(4)]
         with CacheWriter(path) as w:
             for b in blocks:
-                w.append(b)
+                w.append(chunk_of(b))
         loaded = list(iter_blocks(path))
         assert len(loaded) == 4
         for orig, got in zip(blocks, loaded):
@@ -92,7 +93,7 @@ class TestRoundTrip:
         b = CacheBlock("000001", dt.date(2015, 5, 4), bars, serials,
                        np.uint32(2**32 - 3) + np.arange(n, dtype=np.uint32) % 3)
         with CacheWriter(tmp_path / "c.plab") as w:
-            w.append(b)
+            w.append(chunk_of(b))
         (got,) = iter_blocks(tmp_path / "c.plab")
         assert got.buy_serial.dtype == dtype and got.sell_serial.dtype == np.uint8
         assert same_block(got, as_read(b))
@@ -107,7 +108,7 @@ class TestRoundTrip:
     def test_magic_bytes_lead_the_file(self, tmp_path):
         path = tmp_path / "c.plab"
         with CacheWriter(path) as w:
-            w.append(block())
+            w.append(chunk_of(block()))
         assert path.read_bytes()[:5] == MAGIC
 
     def test_from_stream_matches_direct_panel(self, small_scenario, tmp_path):
@@ -122,19 +123,19 @@ class TestRoundTrip:
     def test_small_flush_splits_keys_but_counts_agree(self, small_scenario, tmp_path, monkeypatch):
         files, _ = small_scenario
         monkeypatch.setattr(parse, "_BLOCK_BYTES", 256)  # chunks of a few rows
-        appended = []
-        append = CacheWriter.append
+        flushed = []  # the keys of each flush, in the order it writes them
+        flush = CacheWriter._flush
 
-        def counted(writer, blk):
-            appended.append((blk.stock_id, blk.trade_date))
-            return append(writer, blk)
+        def counted(writer):
+            flushed.extend(writer._ids)
+            return flush(writer)
 
         path, whole = tmp_path / "c.plab", tmp_path / "whole.plab"
-        with mock.patch.object(CacheWriter, "append", counted):
+        with mock.patch.object(CacheWriter, "_flush", counted):
             write_cache(path, iter_transactions(files.transactions), flush_rows=64)
-        assert len(appended) > len(set(appended))  # keys really did split across flushes
+        assert len(flushed) > len(set(flushed))  # keys really did split across flushes
         keys = [(b.stock_id, b.trade_date) for b in iter_blocks(path)]
-        assert keys == list(dict.fromkeys(appended))  # the writer merged them
+        assert keys == list(dict.fromkeys(flushed))  # the writer merged them
         write_cache(whole, iter_transactions(files.transactions))
         assert path.read_bytes() == whole.read_bytes()
         direct = PolarityPanel.from_transactions(files.transactions)
@@ -179,16 +180,27 @@ def cache_blocks(draw):
 
 
 def merged(blocks) -> list:
-    """One block per key: keys in order of first appearance, each key's rows
-    in append order."""
+    """One block per key: keys in order of their first row, each key's rows
+    in append order. A key without rows has no block."""
     keys = {}
-    for b in blocks:
+    for b in filter(lambda b: b.n_rows, blocks):
         keys.setdefault((b.stock_id, b.trade_date), []).append(b)
     cols = ("bar", "buy_serial", "sell_serial")
     return [
         CacheBlock(*key, *(np.concatenate([getattr(b, c) for b in parts]) for c in cols))
         for key, parts in keys.items()
     ]
+
+
+def blocks_of(chunk) -> list:
+    """``chunk``'s rows as a block per key, keys in order of their first row."""
+    keys = dict.fromkeys(zip(chunk.stock_idx.tolist(), chunk.date_idx.tolist()))
+    out = []
+    for s, d in keys:
+        rows = (chunk.stock_idx == s) & (chunk.date_idx == d)
+        out.append(CacheBlock(chunk.stocks[s], chunk.dates[d], chunk.bar[rows],
+                              chunk.buy_serial[rows], chunk.sell_serial[rows]))
+    return out
 
 
 def raw_cache(path, blocks) -> None:
@@ -220,11 +232,17 @@ class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(blocks=cache_blocks())
     def test_writer_reader_and_panel_memo_round_trip(self, blocks):
+        # a block a chunk; a flush a chunk leaves every merge to the close,
+        # the default flush holds every chunk and merges them in its buffer
         with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "c.plab"
-            with CacheWriter(path) as w:
-                for b in blocks:
-                    w.append(b)
+            caches = []
+            for flush_rows in (1, cache_mod._FLUSH_ROWS):
+                path = Path(tmp) / f"c{flush_rows}.plab"
+                with CacheWriter(path, flush_rows) as w:
+                    for b in blocks:
+                        w.append(chunk_of(b))
+                caches.append(path.read_bytes())
+            assert caches[0] == caches[1]
             got, want = list(iter_blocks(path)), merged(blocks)
             assert [(b.stock_id, b.trade_date) for b in got] == [
                 (b.stock_id, b.trade_date) for b in want
@@ -291,7 +309,7 @@ class TestValidation:
         tx.write_text("\n".join([HEADER] + lines) + "\n")
         cache = tmp_path / "c.plab"
         with CacheWriter(cache) as w:  # an older cache at the path goes too
-            w.append(block())
+            w.append(chunk_of(block()))
         with pytest.raises(DataError, match=f"^{column} overflows the cache's u32 column$"):
             write_cache(cache, iter_transactions(tx), flush_rows=8)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["tx.csv"]
@@ -313,25 +331,37 @@ class TestValidation:
         panel = PolarityPanel.from_cache(tmp_path / "c.plab")
         assert panel.active_cells() == synth.brute_force_recount(tx).cells
 
-    def test_write_cache_appends_once_per_block(self, small_scenario, tmp_path, monkeypatch):
+    def test_write_cache_appends_once_per_chunk(self, small_scenario, tmp_path, monkeypatch):
         files, _ = small_scenario
         monkeypatch.setattr(parse, "_BLOCK_BYTES", 2048)
         path = tmp_path / "c.plab"
-        appended = []
-        append = CacheWriter.append
+        appended, flushes = [], []
+        append, flush = CacheWriter.append, CacheWriter._flush
 
-        def counted(writer, blk):
-            appended.append(CacheBlock(blk.stock_id, blk.trade_date, blk.bar.copy(),
-                                       blk.buy_serial.copy(), blk.sell_serial.copy()))
-            return append(writer, blk)
+        def counted(writer, chunk):
+            appended.append(copy.deepcopy(chunk))
+            return append(writer, chunk)
 
-        with mock.patch.object(CacheWriter, "append", counted):
+        def flushed(writer):
+            # a flush writes its rows at once and indexes each key it holds once
+            rows, keys = writer._buffered, len(writer._ids)
+            at, indexed = writer._fh.tell(), len(writer._keys)
+            flush(writer)
+            assert writer._fh.tell() == at + rows * cache_mod._ROW.itemsize
+            assert len(writer._keys) == indexed + keys
+            flushes.append((rows, keys))
+
+        with mock.patch.object(CacheWriter, "append", counted), \
+                mock.patch.object(CacheWriter, "_flush", flushed):
             write_cache(path, iter_transactions(files.transactions), flush_rows=512)
+        assert len(appended) == len(list(iter_transactions(files.transactions)))
+        assert sum(rows for rows, _ in flushes) == sum(map(len, appended))
         blocks = list(iter_blocks(path))
-        assert len(appended) > len(blocks)  # keys span several flushes
+        assert sum(keys for _, keys in flushes) > len(blocks)  # keys span several flushes
         assert len(blocks) == len({(b.stock_id, b.trade_date) for b in blocks})
-        for want, got in zip(merged(appended), blocks, strict=True):
-            assert same_block(got, as_read(want))
+        want = merged([b for chunk in appended for b in blocks_of(chunk)])
+        for w, got in zip(want, blocks, strict=True):
+            assert same_block(got, as_read(w))
 
     def test_repeated_key_is_refused(self, tmp_path):
         # only a cache from a writer that split keys across blocks has one
@@ -352,7 +382,7 @@ class TestValidation:
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "c.plab"
         with CacheWriter(path) as w:
-            w.append(block(n=100))
+            w.append(chunk_of(block(n=100)))
         clipped = tmp_path / "clipped.plab"
         clipped.write_bytes(sealed(path.read_bytes()[:-TRAILER][:-50]))
         with pytest.raises(DataError, match="truncated block in"):
@@ -361,7 +391,7 @@ class TestValidation:
     def test_wrong_version_rejected(self, tmp_path):
         path = tmp_path / "c.plab"
         with CacheWriter(path) as w:
-            w.append(block())
+            w.append(chunk_of(block()))
         raw = bytearray(path.read_bytes())
         raw[5] = 99  # version lives right after the magic
         path.write_bytes(bytes(raw))
@@ -374,7 +404,7 @@ class TestValidation:
         b.buy_serial[0] = 2**33
         with CacheWriter(tmp_path / "c.plab") as w:
             with pytest.raises(DataError, match="overflows"):
-                w.append(b)
+                w.append(chunk_of(b))
 
 
 def _edited(raw: bytes, offset: int, value: bytes) -> bytes:
@@ -416,7 +446,7 @@ class TestDamage:
         b = block(n=5)
         b.bar = np.full(5, 7, dtype="<u1")
         with CacheWriter(tmp_path / "c.plab") as w:
-            w.append(b)
+            w.append(chunk_of(b))
         return (tmp_path / "c.plab").read_bytes()
 
     @pytest.mark.parametrize("edit,message", STRUCTURE_DAMAGE)
@@ -438,7 +468,7 @@ class TestDamage:
         # every reader refuses a cache cut short, the trailer wholly or in part
         path = tmp_path / "c.plab"
         with CacheWriter(path) as w:
-            w.append(block(n=100))
+            w.append(chunk_of(block(n=100)))
         path.write_bytes(path.read_bytes()[:-cut])
         message = rf"bad trailer magic .* in {re.escape(str(path))}: .*re-run `polab ingest`"
         for read in (lambda: list(iter_blocks(path)), lambda: verified_crc32(path),
@@ -476,7 +506,7 @@ class TestDamage:
     def test_failed_write_removes_older_cache(self, raw, tmp_path):
         with pytest.raises(RuntimeError):
             with CacheWriter(tmp_path / "c.plab") as w:
-                w.append(block())
+                w.append(chunk_of(block()))
                 raise RuntimeError("feed broke")
         assert list(tmp_path.iterdir()) == []
 
@@ -497,7 +527,7 @@ class TestDamage:
         for memo in memos + [other]:
             memo.write_bytes(b"stale")
         with CacheWriter(path) as w:
-            w.append(block())
+            w.append(chunk_of(block()))
         assert not any(m.exists() for m in memos) and other.exists()
         memos[0].write_bytes(b"stale")
         with pytest.raises(RuntimeError):
@@ -512,7 +542,7 @@ class TestDamage:
         monkeypatch.setattr(os, "replace", full_disk)
         with pytest.raises(OSError, match="No space"):
             with CacheWriter(tmp_path / "c.plab") as w:
-                w.append(block())
+                w.append(chunk_of(block()))
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_merge_removes_both_temporaries_and_older_cache(self, raw, tmp_path, monkeypatch):
@@ -521,9 +551,9 @@ class TestDamage:
 
         monkeypatch.setattr(os, "replace", full_disk)
         with pytest.raises(OSError, match="No space"):
-            with CacheWriter(tmp_path / "c.plab") as w:
-                w.append(block())
-                w.append(block(n=2))
+            with CacheWriter(tmp_path / "c.plab", flush_rows=1) as w:  # two fragments of a key
+                w.append(chunk_of(block()))
+                w.append(chunk_of(block(n=2)))
         assert list(tmp_path.iterdir()) == []
 
 
@@ -584,13 +614,13 @@ class TestBoundedMemory:
         cache = tmp_path / "out" / "cache.plab"
         outputs = (cache, tmp_path / "out" / "ingest_report.csv")
         flushed = []
-        flush = cache_mod._Pending.flush
+        flush = CacheWriter._flush
 
-        def counted(pending, writer):
-            flushed.append(pending.rows)
-            return flush(pending, writer)
+        def counted(writer):
+            flushed.append(writer._buffered)
+            return flush(writer)
 
-        with mock.patch.object(cache_mod._Pending, "flush", counted):
+        with mock.patch.object(CacheWriter, "_flush", counted):
             assert main(["ingest", "--config", str(cfg)]) == 0
         assert len([n for n in flushed if n]) >= 6
         got = [p.read_bytes() for p in outputs]

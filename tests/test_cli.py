@@ -17,11 +17,12 @@ from polab.cli import main
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import FeedStamp, panel_memo_path, read_trailer
+from polab.marketdata.parse import iter_transactions
 from polab.panel import PolarityPanel
-from polab.tables import read_table
 
 from cache_bytes import SEAL, TRAILER, sealed
 from panel_text import read_text
+from table_text import read_table
 
 
 @pytest.fixture(scope="module")
@@ -541,11 +542,13 @@ def test_traced_bench_child_counts_every_run(workdir, tmp_path):
         )
         traced[command] = json.loads(trace.read_text())["counts"]
     n_blocks = sum(1 for _ in cache_mod.iter_blocks(own / "cache.plab"))
-    with open(json.loads(own_cfg.read_text())["transactions"], "rb") as fh:
+    feed = json.loads(own_cfg.read_text())["transactions"]
+    with open(feed, "rb") as fh:
         feed_rows = sum(1 for _ in fh) - 1
     assert n_blocks == 120  # 30 stocks x 4 days
     assert traced["ingest"]["parse.rows"] == feed_rows
-    assert traced["ingest"]["cache.blocks_written"] >= n_blocks
+    # the wrapped ``CacheWriter.append`` takes each parse chunk once
+    assert traced["ingest"]["cache.blocks_written"] == len(list(iter_transactions(feed)))
     assert traced["polarity"]["cache.blocks_read"] == n_blocks
 
 
@@ -668,10 +671,10 @@ PRICE_TABLES = ("corr_hists.csv", "corr_kl.csv", "price_impact.csv")
 class TestStockLogReturns:
     def test_bitwise_equal_to_the_return_series(self, workdir):
         from polab import cli
-        from polab.config import RunConfig
+        from polab.config import RunConfig, read_config
 
         root, out, cfg = workdir
-        rc = RunConfig.from_json(cfg)
+        rc = RunConfig.from_dict(read_config(cfg))
         panel = cli._load_panel(rc)
         want = _return_series_logs(panel, rc.intraday_prices)
         got = _stock_day_logs(panel, rc.intraday_prices)
@@ -711,10 +714,10 @@ class TestStockLogReturns:
         # a panel stock with no price row, and a panel stock-day with none,
         # yield no log-returns, and every other stock-day keeps its bits
         from polab import cli
-        from polab.config import RunConfig
+        from polab.config import RunConfig, read_config
 
         root, out, cfg = workdir
-        rc = RunConfig.from_json(cfg)
+        rc = RunConfig.from_dict(read_config(cfg))
         panel = cli._load_panel(rc)
         gone_stock, (day_stock, day) = panel.stocks[3], (panel.stocks[5], panel.dates[1])
         header, *lines = (out / "intraday.csv").read_text().splitlines()
@@ -851,16 +854,29 @@ class TestFailedIngest:
 #: ``polab`` with the cache's move patched: the process dies right after the
 #: move (argv[1] "after") or in its place ("before"), as a kill would end it
 _KILLED_INGEST = """
-import os, sys
+import functools, os, sys
 from polab import cli
-from polab.marketdata import cache
-replace = cache.os.replace
+from polab.marketdata import cache, parse
+replace, append, write_cache = cache.os.replace, cache.CacheWriter.append, cache.write_cache
+appended = []
 
 def killed(src, dst):
     if sys.argv[1] == "after":
         replace(src, dst)
     os._exit(137)
 
+def killed_appending(writer, chunk):
+    # at the third chunk, once the fragments file holds a flush or more
+    append(writer, chunk)
+    appended.append(chunk)
+    if len(appended) == 3:
+        writer._fh.flush()
+        os._exit(137 if os.fstat(writer._fh.fileno()).st_size else 1)
+
+if sys.argv[1] == "appending":  # chunks of a few rows, a flush of a few chunks
+    parse._BLOCK_BYTES = 512
+    cache.write_cache = functools.partial(write_cache, flush_rows=16)
+    cache.CacheWriter.append = killed_appending
 cache.os.replace = killed
 cli.main(sys.argv[2:])
 """
@@ -870,7 +886,7 @@ class TestKilledIngest:
     """An ingest killed at any point leaves a cache that the next command
     uses as it is, or the cache that was there before it."""
 
-    @pytest.mark.parametrize("moment", ("after", "before"))
+    @pytest.mark.parametrize("moment", ("after", "before", "appending"))
     def test_next_command_runs_on_what_the_kill_left(self, tmp_path, moment):
         cfg, _, cache_path, out = _ingest_market(tmp_path)
         assert main(["polarity", "--config", str(cfg)]) == 0
@@ -879,10 +895,14 @@ class TestKilledIngest:
         if moment == "after":  # no cache, nor anything kept beside one
             for path in tmp_path.glob(f"{cache_path.name}*"):
                 path.unlink()
+        before = sorted(p.name for p in tmp_path.iterdir())
         code = subprocess.run([sys.executable, "-c", _KILLED_INGEST, moment, "ingest", "--config",
                                str(cfg)], env=_blas_env(), capture_output=True).returncode
         assert code == 137
         assert cache_path.read_bytes() == old_cache
+        if moment == "appending":  # the fragments had no name to leave behind
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + [out.name])
+            assert not any(out.iterdir())
         assert not (out / "ingest_report.csv").exists()
         assert main(["polarity", "--config", str(cfg)]) == 0
         assert (out / "panel.csv").read_bytes() == want
@@ -926,6 +946,27 @@ def test_cache_holds_three_bytes_a_row_of_a_thin_day(tmp_path):
     assert {(b.buy_serial.dtype.str, b.sell_serial.dtype.str) for b in blocks} == {("|u1", "|u1")}
     heads = sum(2 + len(b.stock_id.encode("utf-8")) + 9 for b in blocks)
     assert cache_path.stat().st_size == 16 + heads + 3 * int(report["rows_cached"]) + TRAILER
+
+
+@pytest.mark.parametrize("id_bytes, code", ((65_535, 0), (65_536, 4)))
+def test_stock_id_longer_than_the_cache_holds_is_refused(tmp_path, capsys, id_bytes, code):
+    # a block holds its stock id's length as u16; "é" is two UTF-8 bytes
+    long_id = "é" + "1" * (id_bytes - 2)
+    tx = tmp_path / "tx.csv"
+    tx.write_text("trade_date,stock_id,time,price,volume,buy_serial,sell_serial\n"
+                  + "".join(f"2015-05-04,{stock},09:31:00.000,10.0,100,{k},2\n"
+                            for k, stock in enumerate(("000001", long_id, "000002", long_id), 1)),
+                  encoding="utf-8")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"transactions": str(tx), "out_dir": str(tmp_path / "out")}))
+    assert main(["ingest", "--config", str(cfg)]) == code
+    cache_path = tmp_path / "out" / "cache.plab"
+    if code:
+        assert "longer than the cache's 65,535 UTF-8 bytes" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
+    else:
+        blocks = list(cache_mod.iter_blocks(cache_path))
+        assert [(b.stock_id, b.n_rows) for b in blocks] == [("000001", 1), (long_id, 2), ("000002", 1)]
 
 
 class TestFeedFingerprint:
@@ -1455,7 +1496,7 @@ class TestOneCachePath:
 
 def test_granger_vs_prev_minute(workdir, tmp_path):
     from polab import coupling
-    from polab.config import RunConfig
+    from polab.config import RunConfig, read_config
     from polab.marketdata.prices import load_eod_prices, load_intraday_prices
     from polab.panel import market_polarity_series
     from polab.returns import build_return_series
@@ -1468,7 +1509,7 @@ def test_granger_vs_prev_minute(workdir, tmp_path):
     meta, _, rows = read_table(flag / "granger_days.csv")
     assert meta["return_mode"] == "vs-prev-minute"
 
-    rc = RunConfig.from_json(cfg)
+    rc = RunConfig.from_dict(read_config(cfg))
     panel = PolarityPanel.from_cache(rc.cache)
     index = build_return_series(
         rc.index_id,

@@ -26,7 +26,7 @@ from polab.panel import (
 from polab.returns import build_return_series
 from polab.synth import brute_force_recount
 
-from cache_bytes import TRAILER
+from cache_bytes import TRAILER, chunk_of
 from panel_text import read_text
 
 D = dt.date(2015, 5, 4)
@@ -68,12 +68,12 @@ def panel_of(records, tmp_path, serial_scope="bar") -> PolarityPanel:
     for r in records:
         keys.setdefault((r.stock_id, r.trade_date), []).append(r)
     path = tmp_path / "records.plab"
+    cols = ("bar", "buy_serial", "sell_serial")
     with cache_mod.CacheWriter(path) as w:
-        for (stock, date), rows in keys.items():
-            cols = ("bar", "buy_serial", "sell_serial")
-            w.append(cache_mod.CacheBlock(
-                stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols)
-            ))
+        w.append(chunk_of(*(
+            cache_mod.CacheBlock(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
+            for (stock, date), rows in keys.items()
+        )))
     return PolarityPanel.from_cache(path, serial_scope=serial_scope)
 
 
@@ -752,7 +752,7 @@ class TestPanelMemo:
         cols = dict(bar=[1, 2], buy_serial=[5, 5], sell_serial=[6, 7])
         block = cache_mod.CacheBlock("000001", D, **{k: np.array(v) for k, v in cols.items()})
         with cache_mod.CacheWriter(path) as w:
-            w.append(block)
+            w.append(chunk_of(block))
         for first in (True, False):
             for scope, want in (("bar", [1, 1]), ("day", [1, 0])):
                 panel, built = self.load(path, serial_scope=scope)
@@ -824,7 +824,7 @@ class TestPanelMemo:
             panel = build(cache_path, **kwargs)
             first = next(cache_mod.iter_blocks(cache_path))
             with cache_mod.CacheWriter(cache_path) as w:
-                w.append(first)
+                w.append(chunk_of(first))
             return panel
 
         monkeypatch.setattr(PolarityPanel, "from_cache", build_then_replace)
@@ -846,7 +846,7 @@ def _cache_of_counts(path, buys: int, sells: int = 1, rows_per_bar: int | None =
         sell_serial=np.arange(n, dtype=np.uint32) % sells + 1,
     )
     with cache_mod.CacheWriter(path) as w:
-        w.append(block)
+        w.append(chunk_of(block))
     return path
 
 

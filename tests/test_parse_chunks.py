@@ -25,6 +25,8 @@ from polab.marketdata import cache, parse
 from polab.marketdata.grid import assign_bar, assign_bars
 from polab.marketdata.schema import ParseReport, TransactionChunk
 
+from cache_bytes import chunk_of
+
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
 BLOCK_SIZES = (1, 7, 256, 2048, 1 << 14, parse._BLOCK_BYTES)
 IDX = (7, 0, 1, 2, 3, 4, 5, 6)
@@ -85,17 +87,18 @@ def chunked_parse(path, malformed_threshold):
 
 
 def reference_cache(path, records, flush_rows):
-    """A cache written with per-row buffering, flushed every ``flush_rows`` rows."""
+    """A cache written with per-row buffering, flushed every ``flush_rows``
+    rows as one chunk of its keys' rows, each key's rows together."""
     buffers = {}
 
     def flush(writer):
-        for (stock, day), rows in buffers.items():
-            cols = list(zip(*rows))
-            arrays = (np.asarray(c, dtype=cache._ROW[name]) for c, name in zip(cols, cache._ROW.names))
-            writer.append(cache.CacheBlock(stock, day, *arrays))
+        writer.append(chunk_of(*(
+            cache.CacheBlock(stock, day, *map(np.asarray, zip(*rows)))
+            for (stock, day), rows in buffers.items()
+        )))
         buffers.clear()
 
-    with cache.CacheWriter(path) as writer:
+    with cache.CacheWriter(path, flush_rows) as writer:
         for k, (day, stock, *cells) in enumerate(records, 1):
             buffers.setdefault((stock, day), []).append(cells)
             if k % flush_rows == 0:
