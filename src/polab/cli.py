@@ -6,11 +6,17 @@ into the output directory. Artifacts carry the config hash and the method
 decisions that produced them; re-running with unchanged inputs reproduces
 them byte for byte.
 
-Each command's inputs are checked before any file is read: a required key
-that is not configured is a config error, a configured file that does not
-exist an io error. Every analysis reads its panel from one cache, at
-``cache`` or else ``<out_dir>/cache.plab``, where ``ingest`` writes it; an
-analysis whose cache is missing first runs that same ingest.
+Every subcommand runs through ``_run``. Inputs: ``_COMMANDS`` names a
+command's inputs, ``_INPUTS`` each input's loader and the config keys it
+requires or reads when set. The keys are checked before any file is read
+(a required key not set is a config error, a set file that does not exist
+an io error), then the inputs load. Every analysis reads its panel from one
+cache, at ``cache`` or else ``<out_dir>/cache.plab``, where ``ingest``
+writes it; an analysis whose cache is missing first runs that ingest.
+Handler: the output directory is made, and the ``_cmd_*`` handler gets the
+config, that directory and its inputs. Tables: the handler yields (file,
+table name, columns, rows, meta) for each table it writes, in order, and
+``_run`` writes it with the config hash.
 
 Exit codes: 0 ok, 2 config, 3 io, 4 data, 5 numeric.
 """
@@ -60,12 +66,6 @@ from .tables import write_table
 # be wrapped from outside (the benchmark's traced mode does).
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _cache_path(cfg: RunConfig) -> Path:
     return Path(cfg.cache) if cfg.cache else Path(cfg.out_dir) / "cache.plab"
 
@@ -76,7 +76,7 @@ def _load_panel(cfg: RunConfig) -> PolarityPanel:
     if not cache_path.exists():
         if not cfg.transactions:
             raise ConfigError(f"no cache at {cache_path}, and no 'transactions' to ingest into it")
-        _cmd_ingest(cfg, None)
+        _run(cfg, "ingest")
     elif cfg.transactions:
         cache_mod.check_feed(cache_path, cfg.transactions)
     return PolarityPanel.from_cache_memo(cache_path, serial_scope=cfg.serial_scope)
@@ -115,20 +115,19 @@ def _stock_day_returns(panel: PolarityPanel, intraday):
 # -- subcommands ----------------------------------------------------------------
 
 
-def _cmd_ingest(cfg: RunConfig, args) -> int:
+def _cmd_ingest(cfg: RunConfig, out: Path, feed: str):
     """Parse the feed into the cache and ingest_report.csv."""
-    out = _out_dir(cfg)
     cache_path = _cache_path(cfg)
     report = ParseReport()
     n = cache_mod.write_cache(
         cache_path,
         iter_transactions(
-            cfg.transactions,
+            feed,
             ColumnSchema(columns=cfg.columns, delimiter=cfg.delimiter, has_header=cfg.has_header),
             report=report,
             malformed_threshold=cfg.malformed_threshold,
         ),
-        feed=cfg.transactions,
+        feed=feed,
         report=report,
     )
     rows = [
@@ -140,16 +139,11 @@ def _cmd_ingest(cfg: RunConfig, args) -> int:
     ]
     for reason, count in sorted(report.malformed_reasons.items()):
         rows.append((f"malformed_{reason}", count))
-    write_table(
-        out / "ingest_report.csv",
-        "ingest-report",
-        ("metric", "value"),
-        rows,
-        config_hash=cfg.config_hash(),
-        meta={"cache": cache_path, "source": cfg.transactions},
+    yield (
+        "ingest_report.csv", "ingest-report", ("metric", "value"), rows,
+        {"cache": cache_path, "source": feed},
     )
     print(f"ingest: {n} rows cached to {cache_path} ({report.summary()})")
-    return 0
 
 
 def _moments(values: np.ndarray):
@@ -178,9 +172,7 @@ def _finite_polarity(panel: PolarityPanel, cols) -> np.ndarray:
     return np.concatenate([p[np.isfinite(p)] for p in pols] + [np.empty(0)])
 
 
-def _cmd_polarity(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
+def _cmd_polarity(cfg: RunConfig, out: Path, panel: PolarityPanel):
     panel.write_text(out / "panel.csv")
     rows = []
     for name, cols in _scopes(cfg, panel):
@@ -190,27 +182,22 @@ def _cmd_polarity(cfg: RunConfig, args) -> int:
             continue
         mean, std, kurt = _moments(vals)
         rows.append((name, mean, std, kurt, len(vals)))
-    write_table(
-        out / "polarity_moments.csv",
+    yield (
+        "polarity_moments.csv",
         "polarity-moments",
         ("period", "mean", "std", "kurtosis_excess", "n_minutes"),
         rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "units": "polarity in [-1,1], one value per stock-minute with activity",
             "kurtosis": "excess convention, normal = 0",
             "serial_scope": cfg.serial_scope,
         },
     )
     print(f"polarity: panel {len(panel.stocks)} stocks x {len(panel.dates)} dates -> {out}")
-    return 0
 
 
-def _cmd_ratios(cfg: RunConfig, args) -> int:
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
+def _cmd_ratios(cfg: RunConfig, out: Path, panel: PolarityPanel, caps):
     scopes = _scopes(cfg, panel)
-    caps = load_capitalization(cfg.capitalization) if cfg.capitalization else None
     rows = []
     for i, stock in enumerate(panel.stocks):
         pol = panel.stock_polarity(i)
@@ -225,25 +212,17 @@ def _cmd_ratios(cfg: RunConfig, args) -> int:
     columns = ["stock_id", "period", "pos_ratio", "neg_ratio", "zero_ratio", "n_minutes"]
     if caps is not None:
         columns.append("capitalization")
-    write_table(
-        out / "direction_ratios.csv",
-        "direction-ratios",
-        columns,
-        rows,
-        config_hash=cfg.config_hash(),
-        meta={"ratios": "shares over non-missing minutes; pos+neg+zero = 1"},
+    yield (
+        "direction_ratios.csv", "direction-ratios", columns, rows,
+        {"ratios": "shares over non-missing minutes; pos+neg+zero = 1"},
     )
     print(f"ratios: {len(rows)} rows -> {out / 'direction_ratios.csv'}")
-    return 0
 
 
-def _cmd_flips(cfg: RunConfig, args) -> int:
+def _cmd_flips(cfg: RunConfig, out: Path, panel: PolarityPanel, eod: dict):
     from . import coupling, flips
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
     periods = cfg.periods
-    eod = load_eod_prices(cfg.eod_prices, cfg.delimiter, cfg.has_header) if cfg.eod_prices else {}
     daily_returns = {}
     at_limit = {}
     for stock in panel.stocks:
@@ -275,16 +254,15 @@ def _cmd_flips(cfg: RunConfig, args) -> int:
         )
         if stats.averaged_depth is not None:
             by_date.setdefault(date, []).append(stats.averaged_depth)
-    write_table(
-        out / "flip_daily.csv",
+    yield (
+        "flip_daily.csv",
         "flip-daily",
         (
             "stock_id", "date", "period", "flip_count", "standardized_flips",
             "depth", "averaged_depth", "daily_return", "at_limit",
         ),
         day_rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "preprocessing": "zeros and missing minutes removed before flip detection",
             "standardized_flips": "flip count / non-missing minutes of the day",
         },
@@ -296,16 +274,14 @@ def _cmd_flips(cfg: RunConfig, args) -> int:
         summary_rows.append(
             (date, s.q1, s.median, s.q3, s.lower_fence, s.upper_fence, s.n, s.n_outliers)
         )
-    write_table(
-        out / "flip_depth_summary.csv",
+    yield (
+        "flip_depth_summary.csv",
         "flip-depth-summary",
         ("date", "q1", "median", "q3", "lower_fence", "upper_fence", "n", "n_outliers"),
         summary_rows,
-        config_hash=cfg.config_hash(),
-        meta={"statistic": "averaged flipping depth per stock, summarized across stocks per day"},
+        {"statistic": "averaged flipping depth per stock, summarized across stocks per day"},
     )
     print(f"flips: {len(day_rows)} stock-days -> {out}")
-    return 0
 
 
 #: run signs as tables name them; -1 sorts before +1 as "negative" before
@@ -313,35 +289,29 @@ def _cmd_flips(cfg: RunConfig, args) -> int:
 _SIGN_NAMES = {1: "positive", -1: "negative"}
 
 
-def _cmd_runlengths(cfg: RunConfig, args) -> int:
+def _cmd_runlengths(cfg: RunConfig, out: Path, panel: PolarityPanel):
     from . import flips
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
     rows = []
     for i, stock in enumerate(panel.stocks):
         for j, sign, length in flips.run_lengths(panel.stock_polarity(i)).tolist():
             rows.append((stock, panel.dates[j], _SIGN_NAMES[sign], length))
-    write_table(
-        out / "run_lengths.csv",
+    yield (
+        "run_lengths.csv",
         "run-lengths",
         ("stock_id", "date", "sign", "length"),
         rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "length": "positions of the zero-removed minute sequence, interior runs only",
             "boundary_runs": "censored at day edges, excluded",
         },
     )
     print(f"runlengths: {len(rows)} samples -> {out / 'run_lengths.csv'}")
-    return 0
 
 
-def _cmd_fit(cfg: RunConfig, args) -> int:
+def _cmd_fit(cfg: RunConfig, out: Path, panel: PolarityPanel):
     from . import flips, tailfit
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
     samples: dict = {}
     for i in range(len(panel.stocks)):
         for j, sign, length in flips.run_lengths(panel.stock_polarity(i)).tolist():
@@ -363,75 +333,63 @@ def _cmd_fit(cfg: RunConfig, args) -> int:
         rows.append(
             (date, sign, *fit_fields, len(lengths), b.b, b.mean_tau, b.std_tau, reason)
         )
-    write_table(
-        out / "tail_fits.csv",
+    yield (
+        "tail_fits.csv",
         "tail-fits",
         (
             "date", "sign", "alpha", "stderr_alpha", "xmin", "ks_distance",
             "n_tail", "n_total", "burstiness", "mean_tau", "std_tau", "refusal",
         ),
         rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "fit": "discrete maximum likelihood, cutoff by KS scan",
             "burstiness": "tail-only" if cfg.tail_only_burstiness else "raw empirical lengths",
         },
     )
     print(f"fit: {len(rows)} (date, sign) groups -> {out / 'tail_fits.csv'}")
-    return 0
 
 
-def _cmd_market(cfg: RunConfig, args) -> int:
+def _cmd_market(cfg: RunConfig, out: Path, panel: PolarityPanel, index):
     from . import coupling
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
-    index_series = _index_returns(cfg)
     mp = market_polarity_series(panel)
     pct = np.full(mp.shape, np.nan)
     for j, date in enumerate(panel.dates):
-        day = index_series.intraday_pct_vs_prev_close.get(date)
+        day = index.intraday_pct_vs_prev_close.get(date)
         if day is not None:
             pct[j] = day
     rows = [(panel.dates[j], k + 1, mp[j, k], pct[j, k]) for j, k in np.ndindex(mp.shape)]
-    write_table(
-        out / "market_minutes.csv",
+    yield (
+        "market_minutes.csv",
         "market-minutes",
         ("date", "bar", "market_polarity", "index_pct_vs_prev_close"),
         rows,
-        config_hash=cfg.config_hash(),
-        meta={"market_polarity": "mean polarity over stocks active in the minute"},
+        {"market_polarity": "mean polarity over stocks active in the minute"},
     )
 
     r = coupling.market_correlation(mp, pct)
     n_pairs = int(np.sum(np.isfinite(mp) & np.isfinite(pct)))
-    write_table(
-        out / "market_summary.csv",
+    yield (
+        "market_summary.csv",
         "market-summary",
         ("statistic", "value"),
         [("pearson_r", r), ("n_minutes", n_pairs)],
-        config_hash=cfg.config_hash(),
-        meta={"pairing": "minute-matched market polarity vs index change on prior close"},
+        {"pairing": "minute-matched market polarity vs index change on prior close"},
     )
 
-    write_table(
-        out / "daily_polarity_at_index_min.csv",
+    yield (
+        "daily_polarity_at_index_min.csv",
         "daily-polarity-at-index-min",
         ("date", "bar", "market_polarity"),
-        daily_polarity_at_index_min(mp, panel.dates, index_series),
-        config_hash=cfg.config_hash(),
-        meta={"bar": "minute of the day's lowest index change vs prior close, earliest on ties"},
+        daily_polarity_at_index_min(mp, panel.dates, index),
+        {"bar": "minute of the day's lowest index change vs prior close, earliest on ties"},
     )
     print(f"market: r={r:.4f} over {n_pairs} minutes -> {out}")
-    return 0
 
 
-def _cmd_kl(cfg: RunConfig, args) -> int:
+def _cmd_kl(cfg: RunConfig, out: Path, panel: PolarityPanel, intraday):
     from . import coupling
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
-    intraday = load_intraday_rows(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
     # stock by stock, so each date's coefficients come in stock order
     coeffs = {date: [] for date in panel.dates}
     for stock, date, row, logs in _stock_day_returns(panel, intraday):
@@ -451,13 +409,12 @@ def _cmd_kl(cfg: RunConfig, args) -> int:
             hist_rows.append(
                 (dist.trade_date, dist.bin_edges[b], dist.bin_edges[b + 1], dist.histogram[b])
             )
-    write_table(
-        out / "corr_hists.csv",
+    yield (
+        "corr_hists.csv",
         "correlation-histograms",
         ("date", "bin_lo", "bin_hi", "probability"),
         hist_rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "bins": f"{cfg.bins} equal-width bins on [-1,1]",
             "smoothing": f"additive pseudo-count {cfg.pseudo_count} per bin",
         },
@@ -468,19 +425,17 @@ def _cmd_kl(cfg: RunConfig, args) -> int:
         kl_rows.append(
             (cur.trade_date, coupling.kl_divergence(cur, prev), cur.n_stocks, prev.n_stocks)
         )
-    write_table(
-        out / "corr_kl.csv",
+    yield (
+        "corr_kl.csv",
         "correlation-divergence",
         ("date", "kl_vs_prev_day", "n_stocks", "n_stocks_prev"),
         kl_rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "divergence": "KL(today || previous trading day), natural log",
             "coefficients": f"stock-day Pearson r over >= {cfg.min_corr_bars} aligned minutes",
         },
     )
     print(f"kl: {len(kl_rows)} day pairs -> {out / 'corr_kl.csv'}")
-    return 0
 
 
 def _granger_days(cfg: RunConfig, panel: PolarityPanel, index_series) -> dict:
@@ -497,63 +452,47 @@ def _granger_days(cfg: RunConfig, panel: PolarityPanel, index_series) -> dict:
     return days
 
 
-def _cmd_granger(cfg: RunConfig, args) -> int:
+def _cmd_granger(cfg: RunConfig, out: Path, panel: PolarityPanel, index):
     from . import coupling
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
-    index_series = _index_returns(cfg)
-    days = _granger_days(cfg, panel, index_series)
+    days = _granger_days(cfg, panel, index)
     summary = coupling.granger_pass_rates(
         days, max_lag=cfg.max_lag, min_minutes=cfg.min_granger_minutes
     )
-    write_table(
-        out / "granger_days.csv",
+    yield (
+        "granger_days.csv",
         "granger-days",
         ("date", "direction", "lag", "f_stat", "p_value", "reject_at_5pct"),
         [
             (r.trade_date, r.direction, r.lag, r.f_stat, r.p_value, r.reject_at_5pct)
             for r in summary.results
         ],
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "return_mode": cfg.return_mode,
             "lag_selection": f"BIC over 1..{cfg.max_lag}, per day",
         },
     )
-    write_table(
-        out / "granger_summary.csv",
+    yield (
+        "granger_summary.csv",
         "granger-summary",
         ("direction", "pass_rate", "n_tested", "n_skipped"),
         [
             (d, summary.pass_rate[d], summary.n_tested, len(summary.skipped))
             for d in coupling.DIRECTIONS
         ],
-        config_hash=cfg.config_hash(),
-        meta={"pass": "F-test rejection at 5%"},
+        {"pass": "F-test rejection at 5%"},
     )
-    write_table(
-        out / "granger_skipped.csv",
-        "granger-skipped",
-        ("date", "reason"),
-        summary.skipped,
-        config_hash=cfg.config_hash(),
-    )
+    yield "granger_skipped.csv", "granger-skipped", ("date", "reason"), summary.skipped, None
     rates = {d: round(summary.pass_rate[d], 4) for d in coupling.DIRECTIONS}
     print(f"granger: {rates} over {summary.n_tested} days -> {out}")
-    return 0
 
 
-def _cmd_impact(cfg: RunConfig, args) -> int:
+def _cmd_impact(cfg: RunConfig, out: Path, panel: PolarityPanel, intraday):
     from . import coupling
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
     periods = cfg.periods
-
     scopes = ("all",) + periods.names()
     label = {date: scopes.index(periods.label(date)) for date in panel.dates}
-    intraday = load_intraday_rows(cfg.intraday_prices, cfg.delimiter, cfg.has_header)
     # each kept pair once, in stock, date and minute order, tagged with its
     # period. A pair needs a priced minute, so there are at most as many as
     # price rows; pairs fill the arrays from the front, so pages past the last
@@ -591,45 +530,34 @@ def _cmd_impact(cfg: RunConfig, args) -> int:
                         s.lower_fence, s.upper_fence, s.n, s.n_outliers,
                     )
                 )
-    write_table(
-        out / "price_impact.csv",
+    yield (
+        "price_impact.csv",
         "price-impact",
         (
             "period", "sign_group", "q1", "median", "q3",
             "lower_fence", "upper_fence", "n", "n_outliers",
         ),
         rows,
-        config_hash=cfg.config_hash(),
-        meta={
+        {
             "pairing": "minute polarity vs same-minute log-return, missing minutes excluded",
             "whiskers": "quartile fences at 1.5*IQR; outliers counted, not dropped",
         },
     )
     print(f"impact: {len(rows)} rows -> {out / 'price_impact.csv'}")
-    return 0
 
 
-def _cmd_emotion(cfg: RunConfig, args) -> int:
+def _cmd_emotion(cfg: RunConfig, out: Path, panel: PolarityPanel, index, emotion: dict):
     from . import coupling
 
-    out = _out_dir(cfg)
-    panel = _load_panel(cfg)
-    index_series = _index_returns(cfg)
-    rjf = load_emotion(cfg.emotion)
     mp = market_polarity_series(panel)
-    days = daily_polarity_at_index_min(mp, panel.dates, index_series)
-    corr = coupling.emotion_correlation({d: v for d, _, v in days}, rjf, cfg.periods)
+    days = daily_polarity_at_index_min(mp, panel.dates, index)
+    corr = coupling.emotion_correlation({d: v for d, _, v in days}, emotion, cfg.periods)
     rows = [(name, *corr[name]) for name in ("overall",) + cfg.periods.names()]
-    write_table(
-        out / "emotion_correlation.csv",
-        "emotion-correlation",
-        ("period", "pearson_r", "n_days"),
-        rows,
-        config_hash=cfg.config_hash(),
-        meta={"daily_polarity": "market polarity at the index-minimum minute"},
+    yield (
+        "emotion_correlation.csv", "emotion-correlation", ("period", "pearson_r", "n_days"), rows,
+        {"daily_polarity": "market polarity at the index-minimum minute"},
     )
     print(f"emotion: {rows} -> {out / 'emotion_correlation.csv'}")
-    return 0
 
 
 #: the keys of the ``synth`` config and their JSON types
@@ -641,8 +569,7 @@ _SYNTH_KEYS = {
 
 def _regime(raw):
     """One ``synth`` regime; its lists become tuples and its dates dates."""
-    import datetime as dt
-
+    from .marketdata.dates import parse_date
     from .synth import RegimeSpec
 
     check_type("a synth regime", raw, dict)
@@ -653,16 +580,17 @@ def _regime(raw):
             if r.get(key) is not None:
                 r[key] = tuple(r[key])
         if r.get("dates") is not None:
-            r["dates"] = tuple(dt.date.fromisoformat(d) for d in r["dates"])
+            r["dates"] = tuple(parse_date(d) for d in r["dates"])
         return RegimeSpec(**r)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad regime spec {raw}: {exc}") from exc
 
 
-def _cmd_synth(cfg: RunConfig, args) -> int:
-    import datetime as dt
-
-    from .synth import generate, weekdays
+def _scenario(cfg: RunConfig):
+    """The ``synth`` spec as (regimes, n_stocks, dates, the other keys) for
+    ``synth.generate``; a bad spec is a ConfigError."""
+    from .marketdata.dates import parse_date
+    from .synth import weekdays
 
     spec = cfg.synth
     if not spec:
@@ -674,42 +602,39 @@ def _cmd_synth(cfg: RunConfig, args) -> int:
         raise ConfigError("synth config is missing 'regimes'")
     for key, value in spec.items():
         check_type(f"synth {key}", value, _SYNTH_KEYS[key])
-    n_stocks, n_days = spec.get("n_stocks", 10), spec.get("n_days", 2)
     try:
-        start = dt.date.fromisoformat(spec.get("start_date", "2015-05-04"))
+        start = parse_date(spec.get("start_date", "2015-05-04"))
     except ValueError as exc:
-        raise ConfigError(f"synth start_date must be an ISO date: {exc}") from exc
+        raise ConfigError(f"synth start_date must be a YYYY-MM-DD date: {exc}") from exc
     regimes = [_regime(r) for r in spec["regimes"]]
     extra = {
         k: v for k, v in spec.items() if k not in ("n_stocks", "n_days", "start_date", "regimes")
     }
-    out = _out_dir(cfg)
-    dates = weekdays(start, n_days)
+    return regimes, spec.get("n_stocks", 10), weekdays(start, spec.get("n_days", 2)), extra
+
+
+def _cmd_synth(cfg: RunConfig, out: Path, scenario):
+    from .synth import generate
+
+    regimes, n_stocks, dates, extra = scenario
     files, truth = generate(regimes, n_stocks, dates, cfg.seed, out, **extra)
     truth.panel().write_text(out / "truth_panel.csv")
-    write_table(
-        out / "truth_index_min.csv",
-        "truth-index-min",
-        ("date", "bar"),
-        sorted(truth.index_min_bar.items()),
-        config_hash=cfg.config_hash(),
+    yield (
+        "truth_index_min.csv", "truth-index-min", ("date", "bar"),
+        sorted(truth.index_min_bar.items()), None,
     )
     print(
         f"synth: {files.transactions} ({n_stocks} stocks x {len(dates)} dates, "
         f"seed {cfg.seed}) -> {out}"
     )
-    return 0
 
 
-def _cmd_verify(cfg: RunConfig, args) -> int:
+def _cmd_verify(cfg: RunConfig, out: Path, scenarios: int):
     from .verify import run_oracle_suite
 
-    if args.scenarios < 1:
-        raise ConfigError(f"--scenarios must be >= 1, got {args.scenarios}")
-    out = _out_dir(cfg)
-    report = run_oracle_suite(n_scenarios=args.scenarios, seed=cfg.seed)
-    write_table(
-        out / "verify_report.csv",
+    report = run_oracle_suite(n_scenarios=scenarios, seed=cfg.seed)
+    yield (
+        "verify_report.csv",
         "verify-report",
         ("metric", "value"),
         [
@@ -718,7 +643,7 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
             ("failures", len(report.failures)),
             ("seconds", round(report.seconds, 3)),
         ],
-        config_hash=cfg.config_hash(),
+        None,
     )
     for failure in report.failures:
         print(f"FAIL {failure}", file=sys.stderr)
@@ -729,6 +654,72 @@ def _cmd_verify(cfg: RunConfig, args) -> int:
     )
     if not report.ok:
         raise DataError("oracle suite failed; see verify_report.csv and stderr")
+
+
+# -- inputs and the run ------------------------------------------------------------
+
+#: input -> (loader, config keys it requires, config keys it reads when set).
+#: A loader calls the readers through this module's attributes when it runs,
+#: so a wrapper put in their place (the benchmark's traced mode) sees each
+#: call. ``scenarios``, the oracle suite's size, comes from ``--scenarios``.
+_INPUTS = {
+    "feed": (lambda cfg: cfg.transactions, ("transactions",), ()),
+    "panel": (_load_panel, (), ()),
+    "index": (_index_returns, ("eod_prices", "intraday_prices"), ()),
+    "intraday": (
+        lambda cfg: load_intraday_rows(cfg.intraday_prices, cfg.delimiter, cfg.has_header),
+        ("intraday_prices",), (),
+    ),
+    "eod": (
+        lambda cfg: (
+            load_eod_prices(cfg.eod_prices, cfg.delimiter, cfg.has_header) if cfg.eod_prices else {}
+        ),
+        (), ("eod_prices",),
+    ),
+    "caps": (
+        lambda cfg: load_capitalization(cfg.capitalization) if cfg.capitalization else None,
+        (), ("capitalization",),
+    ),
+    "emotion": (lambda cfg: load_emotion(cfg.emotion), ("emotion",), ()),
+    "scenario": (_scenario, (), ()),
+}
+
+#: subcommand -> (handler, the inputs it takes, in the order they load)
+_COMMANDS = {
+    "ingest": (_cmd_ingest, ("feed",)),
+    "polarity": (_cmd_polarity, ("panel",)),
+    "ratios": (_cmd_ratios, ("panel", "caps")),
+    "flips": (_cmd_flips, ("panel", "eod")),
+    "runlengths": (_cmd_runlengths, ("panel",)),
+    "fit": (_cmd_fit, ("panel",)),
+    "market": (_cmd_market, ("panel", "index")),
+    "kl": (_cmd_kl, ("panel", "intraday")),
+    "granger": (_cmd_granger, ("panel", "index")),
+    "impact": (_cmd_impact, ("panel", "intraday")),
+    "emotion": (_cmd_emotion, ("panel", "index", "emotion")),
+    "synth": (_cmd_synth, ("scenario",)),
+    "verify": (_cmd_verify, ("scenarios",)),
+}
+
+
+def _run(cfg: RunConfig, command: str, **given) -> int:
+    """Run ``command`` on the inputs in ``given`` and the others it names,
+    loaded here; only the handler holds them, so it can free one early."""
+    handler, names = _COMMANDS[command]
+    loaded = [name for name in names if name not in given]
+    required = [key for name in loaded for key in _INPUTS[name][1]]
+    for key in required:
+        if not getattr(cfg, key):
+            raise ConfigError(f"'{key}' is required for {command}")
+    cfg.validate_paths(required + [key for name in loaded for key in _INPUTS[name][2]])
+    inputs = {name: given[name] if name in given else _INPUTS[name][0](cfg) for name in names}
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    tables = handler(cfg, out, **inputs)
+    del inputs, given
+    config_hash = cfg.config_hash()
+    for file, name, columns, rows, meta in tables:
+        write_table(out / file, name, columns, rows, config_hash=config_hash, meta=meta)
     return 0
 
 
@@ -757,9 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument(
-            "--threads", type=int, default=None, help="accepted for compatibility; no effect"
-        )
+        p.add_argument("--threads", type=int, default=None, help="accepted and ignored")
         p.add_argument(
             "--set",
             action="append",
@@ -781,42 +770,20 @@ def _resolve_config(args) -> RunConfig:
         raw[key] = value
     if args.out is not None:
         raw["out_dir"] = args.out
-    if args.threads is not None:
-        raw["threads"] = args.threads
     if getattr(args, "return_mode", None):
         raw["return_mode"] = args.return_mode
     return RunConfig.from_dict(raw)
 
 
-#: subcommand -> (handler, input keys it requires, input keys it reads when
-#: configured). The files of both must exist before the handler runs.
-_COMMANDS = {
-    "ingest": (_cmd_ingest, ("transactions",), ()),
-    "polarity": (_cmd_polarity, (), ()),
-    "ratios": (_cmd_ratios, (), ("capitalization",)),
-    "flips": (_cmd_flips, (), ("eod_prices",)),
-    "runlengths": (_cmd_runlengths, (), ()),
-    "fit": (_cmd_fit, (), ()),
-    "market": (_cmd_market, ("eod_prices", "intraday_prices"), ()),
-    "kl": (_cmd_kl, ("intraday_prices",), ()),
-    "granger": (_cmd_granger, ("eod_prices", "intraday_prices"), ()),
-    "impact": (_cmd_impact, ("intraday_prices",), ()),
-    "emotion": (_cmd_emotion, ("eod_prices", "intraday_prices", "emotion"), ()),
-    "synth": (_cmd_synth, (), ()),
-    "verify": (_cmd_verify, (), ()),
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handler, required, optional = _COMMANDS[args.command]
     try:
         cfg = _resolve_config(args)
-        for key in required:
-            if not getattr(cfg, key):
-                raise ConfigError(f"'{key}' is required for {args.command}")
-        cfg.validate_paths(required + optional)
-        return handler(cfg, args)
+        if args.command != "verify":
+            return _run(cfg, args.command)
+        if args.scenarios < 1:
+            raise ConfigError(f"--scenarios must be >= 1, got {args.scenarios}")
+        return _run(cfg, "verify", scenarios=args.scenarios)
     except PolabError as exc:
         print(f"error category={exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code

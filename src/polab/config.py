@@ -3,7 +3,7 @@
 A run is driven by one JSON file; every key has a default so a config may
 specify only what it overrides. Every output table records the hash of the
 fully resolved configuration that produced it, less the keys that cannot
-change a result (the output directory and the worker count).
+change a result (the output directory).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, InputError
+from .marketdata.dates import parse_date
 
 # The interpreter's builtin SHA-256, as the stdlib's random takes its
 # SHA-512: hashlib would load OpenSSL's libcrypto, about 3.6 MB of every
@@ -114,8 +115,6 @@ class RunConfig:
     return_mode: str = "vs-prev-close"
     # execution
     out_dir: str = "out"
-    # accepted and validated but unused: panels are built in one process
-    threads: int = 1
     seed: int = 7
     # synthetic scenario parameters (documented in the README)
     synth: dict = field(default_factory=dict)
@@ -131,7 +130,6 @@ class RunConfig:
             ("min_fit_samples", 2),
             ("max_lag", 1),
             ("min_granger_minutes", 10),
-            ("threads", 1),
             ("seed", 0),
         ):
             if getattr(self, name) < lo:
@@ -158,9 +156,9 @@ class RunConfig:
             default = getattr(defaults, key)
             if isinstance(default, dt.date):
                 try:
-                    value = dt.date.fromisoformat(value)
+                    value = parse_date(value)
                 except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key} must be an ISO date: {value!r}") from exc
+                    raise ConfigError(f"{key} must be a YYYY-MM-DD date: {value!r}") from exc
             else:
                 # a key takes its default's JSON type; the path keys default to null
                 kind = {type(None): str, tuple: list}.get(type(default), type(default))
@@ -189,9 +187,8 @@ class RunConfig:
             if path and not os.path.exists(path):
                 raise InputError(f"configured {key} does not exist: {path}")
 
-    #: keys that cannot change any result: where tables go, and the unused
-    #: worker count
-    _UNHASHED = ("out_dir", "threads")
+    #: keys that cannot change any result: where tables go
+    _UNHASHED = ("out_dir",)
 
     def to_canonical_json(self) -> str:
         """The keys that can change a result, as sorted compact JSON."""

@@ -60,7 +60,7 @@ import numpy as np
 
 from ..errors import DataError, InputError
 from .grid import BARS_PER_DAY
-from .parse import int_to_date
+from .dates import int_to_date
 from .schema import ParseReport, TransactionChunk
 
 MAGIC = b"PLAB1"

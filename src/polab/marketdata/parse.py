@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 import re
 from itertools import chain
 from typing import Iterator
@@ -37,6 +38,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DataError, InputError
+from .dates import int_to_date, parse_date
 from .grid import assign_bar, assign_bars
 from .schema import DEFAULT_SCHEMA, FIELDS, ColumnSchema, ParseReport, TransactionChunk
 
@@ -75,15 +77,6 @@ def _parse_time_ms(s: str) -> int:
     return ((int(h) * 60 + int(m)) * 60 + int(sec)) * 1000 + ms
 
 
-def _parse_date(s: str) -> dt.date:
-    return dt.date(int(s[0:4]), int(s[5:7]), int(s[8:10]))
-
-
-def int_to_date(v: int) -> dt.date:
-    """The date of a yyyymmdd integer; ValueError if it is not a calendar date."""
-    return dt.date(v // 10_000, v // 100 % 100, v % 100)
-
-
 def _parse_row(row: list, idx: tuple) -> tuple | int:
     """The per-row rule: a (date, stock, time_ms, price, volume, buy, sell)
     tuple for a valid row, else the reason code of a malformed one.
@@ -95,13 +88,15 @@ def _parse_row(row: list, idx: tuple) -> tuple | int:
     if len(row) != ncols:
         return _FIELD_COUNT
     try:
-        d = _parse_date(row[i_date])
+        d = parse_date(row[i_date])
         time_ms = _parse_time_ms(row[i_time])
         price = float(row[i_price])
         volume = int(row[i_vol])
         buy_serial = int(row[i_buy])
         sell_serial = int(row[i_sell])
     except (ValueError, IndexError):
+        return _UNPARSABLE
+    if not math.isfinite(price):
         return _UNPARSABLE
     if price <= 0.0 or volume <= 0 or buy_serial <= 0 or sell_serial <= 0:
         return _NONPOSITIVE
@@ -208,8 +203,9 @@ def _times(buf, start, end):
 def _yyyymmdd(buf, start, end):
     """``YYYY?MM?DD`` fields as the integer yyyymmdd: (value int32, ok mask).
 
-    The per-row rule reads the same three digit runs and ignores the two
-    separators, so it agrees wherever the mask holds.
+    ``dates.parse_date`` accepts the same fields (where the integer is a
+    calendar date) and reads the same three digit runs, ignoring the two
+    separators.
     """
     digits = (0, 1, 2, 3, 5, 6, 8, 9)
     d = _digit_rows(buf, start, 10)

@@ -28,7 +28,6 @@ and each id or date may appear once.
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import math
 import os
 from contextlib import contextmanager
@@ -36,10 +35,11 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import DataError, InputError
+from .dates import parse_date
 from .grid import BARS_PER_DAY, assign_bar, assign_bars
 from .parse import (
-    _Feed, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_date,
-    _parse_time_ms, _plain, _times, is_utf8, padded, split_fields,
+    _Feed, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_time_ms,
+    _plain, _times, is_utf8, padded, split_fields,
 )
 
 EOD_COLUMNS = ("date", "id", "close")
@@ -149,7 +149,7 @@ def _columnar(path, delimiter: str, has_header: bool, columns: tuple):
                 return None
             date_raw, date_code = _factorize(buf, start[0], end[0])
             try:
-                dates = [_parse_date(d.decode()) for d in date_raw]
+                dates = [parse_date(d.decode()) for d in date_raw]
             except ValueError:
                 return None
             id_raw, id_code = _factorize(buf, start[1], end[1])
@@ -204,7 +204,7 @@ def _rows(path, delimiter: str, has_header: bool, columns: tuple):
             if intraday and row[3].strip() == "":
                 continue  # explicit no-trade minute
             try:
-                date, bar = _parse_date(row[0]), 0
+                date, bar = parse_date(row[0]), 0
                 if intraday:
                     bar = assign_bar(_parse_time_ms(row[2])) if ":" in row[2] else int(row[2])
                     if not 1 <= bar <= BARS_PER_DAY:
@@ -336,7 +336,7 @@ def load_capitalization(path) -> dict:
 def load_emotion(path) -> dict:
     """Return {date: rjf} from a ``date,rjf`` file; rjf must be positive and finite."""
     out = {}
-    rows = _side_rows(path, "emotion", ("date", "rjf"), dt.date.fromisoformat)
+    rows = _side_rows(path, "emotion", ("date", "rjf"), parse_date)
     for where, row, date, value in rows:
         if value <= 0:
             raise DataError(f"{where}: rjf must be positive, got {row}")

@@ -43,8 +43,10 @@ import numpy as np
 
 from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
-from .marketdata.parse import int_to_date, iter_transactions
+from .marketdata.dates import int_to_date
+from .marketdata.parse import iter_transactions
 from .marketdata.schema import DEFAULT_SCHEMA, ParseReport
+from .tables import quote
 
 # A row's key on each side is serial << 9 | side | bar, where side is 0 for
 # the buyer and _SELL for the seller. Bars run 1..237 and serials are u32,
@@ -232,8 +234,9 @@ class PolarityPanel:
 
     def write_text(self, path) -> None:
         """Minutes with activity as comma-separated (stock, date, bar, buy,
-        sell, polarity); a no-trade minute has no row."""
-        days = [f"{stock},{date.isoformat()}," for stock in self.stocks for date in self.dates]
+        sell, polarity); a no-trade minute has no row. A stock id is quoted
+        as ``tables.quote`` quotes it."""
+        days = [f"{quote(stock)},{date.isoformat()}," for stock in self.stocks for date in self.dates]
         bars = [f"{k + 1}," for k in range(BARS_PER_DAY)]
         # what follows a cell's bar depends only on its (buy, sell) pair, so
         # each distinct pair is formatted once

@@ -3,12 +3,24 @@
 Header lines start with '#': the first names the table and the config
 hash that produced it, the rest record units and method decisions. No
 timestamps are written, so re-running with unchanged inputs yields
-byte-identical files.
+byte-identical files. A text value holding a comma, a double quote or a
+line break is quoted as RFC 4180 says; every other value is written as it is.
 """
 
 from __future__ import annotations
 
 import math
+import re
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+
+
+def quote(text: str) -> str:
+    """``text`` as one comma-separated field: in double quotes, each of its
+    own doubled, when it holds a comma, a double quote or a line break."""
+    if _NEEDS_QUOTES.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def fmt(value) -> str:
@@ -22,7 +34,7 @@ def fmt(value) -> str:
         return "true" if value else "false"
     if hasattr(value, "isoformat"):
         return value.isoformat()
-    return str(value)
+    return quote(value) if isinstance(value, str) else str(value)
 
 
 def write_table(path, name, columns, rows, *, config_hash, meta=None):

@@ -1,3 +1,5 @@
+import contextlib
+import csv
 import json
 import os
 import shutil
@@ -1601,3 +1603,134 @@ def test_tables_are_utf8_in_an_ascii_locale(tmp_path):
         outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
     assert "深A001,2015-05-04,".encode("utf-8") in outputs["ascii"]["panel.csv"]
     assert outputs["ascii"] == outputs["utf-8"]
+
+
+def test_ids_that_hold_a_comma_or_a_quote_are_quoted(tmp_path):
+    # a quoted feed field is a valid stock id; every table that prints it
+    # quotes it as RFC 4180 says, and a plain id keeps its bytes
+    ids = ("00,02", "000001", 'a"b')
+    feed = tmp_path / "tx.csv"
+    feed.write_text("\n".join(
+        ["trade_date,stock_id,time,price,volume,buy_serial,sell_serial"]
+        + [f'2015-05-04,"{s.replace(chr(34), 2 * chr(34))}",09:3{i}:00.000,10.0,100,{i + 1},9'
+           for i, s in enumerate(ids)]
+    ) + "\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"transactions": str(feed), "out_dir": str(out)}))
+    for command in ("polarity", "ratios"):
+        assert main([command, "--config", str(cfg)]) == 0
+    with open(out / "panel.csv", newline="") as fh:
+        panel = list(csv.reader(fh))
+    assert all(len(row) == 6 for row in panel)
+    assert sorted(row[0] for row in panel[1:]) == sorted(ids)
+    assert (out / "panel.csv").read_bytes().splitlines()[1:] == [
+        b'"00,02",2015-05-04,1,1,1,0', b"000001,2015-05-04,2,1,1,0", b'"a""b",2015-05-04,3,1,1,0',
+    ]
+    assert read_text(out / "panel.csv").stocks == sorted(ids)
+    _, columns, rows = read_table(out / "direction_ratios.csv")
+    assert all(len(row) == len(columns) for row in rows)
+    assert {row[0] for row in rows} == set(ids)
+
+
+class TestOneDateRule:
+    """Config and ``synth`` dates follow the feed's rule on every Python."""
+
+    @pytest.mark.parametrize("value", ("20150612", "2015-06-123", "2015-6-12", "2015-06-31"))
+    def test_config_date(self, workdir, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        args = ["--out", str(out), "--set", f'pre_crash_end="{value}"']
+        assert run(workdir[2], "polarity", *args) == 2
+        assert f"pre_crash_end must be a YYYY-MM-DD date: '{value}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_date_separators_are_not_read(self):
+        from polab.config import RunConfig
+
+        slashed = RunConfig.from_dict({"pre_crash_end": "2015/06/12"})
+        assert slashed.config_hash() == RunConfig.from_dict({"pre_crash_end": "2015-06-12"}).config_hash()
+
+    @pytest.mark.parametrize(
+        "synth",
+        [
+            {"start_date": "20150504", "regimes": [FLOW]},
+            {"start_date": "2015-05-041", "regimes": [FLOW]},
+            {"regimes": [{**FLOW, "dates": ["20150505"]}]},
+            {"regimes": [{**FLOW, "dates": ["2015-05-051"]}]},
+        ],
+        ids=["start-8-digits", "start-trailing-digit", "regime-8-digits", "regime-trailing-digit"],
+    )
+    def test_synth_date(self, tmp_path, capsys, synth):
+        out = tmp_path / "out"
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"out_dir": str(out), "synth": synth}))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert "error category=config" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_threads_is_an_unknown_config_key(tmp_path, capsys):
+    # the key changed nothing and is gone; --threads is still accepted
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"threads": 2, "out_dir": str(tmp_path / "out")}))
+    assert main(["polarity", "--config", str(cfg)]) == 2
+    assert "category=config: unknown config keys: ['threads']" in capsys.readouterr().err
+
+
+#: the readers an analysis may call through ``polab.cli``
+READERS = (
+    "load_intraday_prices", "load_intraday_rows", "load_eod_prices", "load_capitalization",
+    "load_emotion",
+)
+
+
+@pytest.mark.parametrize("command", ANALYSES)
+def test_each_analysis_reads_each_input_once(workdir, tmp_path, command):
+    from collections import Counter
+
+    from polab import cli
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    caps = tmp_path / "caps.csv"
+    caps.write_text("id,capitalization\n000001,1e9\n")
+    memo = counted("from_cache_memo", PolarityPanel.from_cache_memo)
+    with contextlib.ExitStack() as stack:
+        for name in READERS:
+            stack.enter_context(mock.patch.object(cli, name, counted(name, getattr(cli, name))))
+        stack.enter_context(mock.patch.object(PolarityPanel, "from_cache_memo", staticmethod(memo)))
+        args = ("--out", str(tmp_path / "out"), "--set", f"capitalization={caps}")
+        assert run(workdir[2], command, *args) == 0
+    assert calls["from_cache_memo"] == 1
+    assert max(calls.values()) == 1, calls
+
+
+def test_impact_frees_the_price_rows_before_it_groups(workdir, tmp_path):
+    # the run holds no input itself, so impact's ``del intraday`` gives the
+    # price rows back before its pairs are copied by period
+    import weakref
+
+    from polab import cli, coupling
+
+    rows, seen = [], []
+    load, groups = cli.load_intraday_rows, coupling.price_impact_groups
+
+    def loading(*args, **kwargs):
+        loaded = load(*args, **kwargs)
+        rows.append(weakref.ref(loaded[3]))
+        return loaded
+
+    def grouping(*args, **kwargs):
+        seen.append([ref() is None for ref in rows])
+        return groups(*args, **kwargs)
+
+    with mock.patch.object(cli, "load_intraday_rows", loading), \
+            mock.patch.object(coupling, "price_impact_groups", grouping):
+        assert run(workdir[2], "impact", "--out", str(tmp_path)) == 0
+    assert len(rows) == 1 and seen and all(dead == [True] for dead in seen)

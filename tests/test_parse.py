@@ -1,14 +1,16 @@
 import datetime as dt
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polab.errors import ConfigError, DataError, InputError
+from polab.marketdata.dates import int_to_date, parse_date
 from polab.marketdata.parse import (
-    _REASONS, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_row,
-    _positive, _times, iter_transactions, padded, split_fields,
+    _PAD, _REASONS, _decimal_values, _decimals, _digits, _factorize, _join_digits, _parse_row,
+    _positive, _times, _yyyymmdd, iter_transactions, padded, split_fields,
 )
 from polab.marketdata.schema import DEFAULT_SCHEMA, ColumnSchema, ParseReport
 
@@ -127,6 +129,34 @@ class TestMalformedHandling:
         rows, report = parse(write(tmp_path, [HEADER, ",".join(fields)]), malformed_threshold=1.0)
         assert report.malformed_reasons == ({reason: 1} if reason else {})
         assert len(rows) == (reason is None)
+
+    @pytest.mark.parametrize("value", ("nan", "NaN", "inf", "-inf", "1e999", "Infinity"))
+    @pytest.mark.parametrize("quoted", (False, True))
+    def test_price_that_is_not_finite_is_unparsable(self, tmp_path, value, quoted):
+        # as the price files refuse such prices; a quote sends the block to csv
+        good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
+        bad = good.replace("10.0", f'"{value}"' if quoted else value)
+        rows, report = parse(write(tmp_path, [HEADER, good, bad, good]), malformed_threshold=1.0)
+        assert len(rows) == 2
+        assert report.first_malformed_lines == [(3, "unparsable")]
+
+    @pytest.mark.parametrize(
+        "date", ("2015-05-041", "2015-05-123", "20150508", "2015-5-08", "2015-05-08 ", "2015-02-29")
+    )
+    @pytest.mark.parametrize("quoted", (False, True))
+    def test_date_is_ten_bytes_of_a_calendar_date(self, tmp_path, date, quoted):
+        # the per-row rule used to read fixed slices and ignore what followed
+        good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
+        bad = good.replace("2015-05-08", f'"{date}"' if quoted else date)
+        rows, report = parse(write(tmp_path, [HEADER, good, bad]), malformed_threshold=1.0)
+        assert len(rows) == 1
+        assert report.first_malformed_lines == [(3, "unparsable")]
+
+    def test_date_separators_are_not_read(self, tmp_path):
+        # positions 4 and 7 may hold any byte, on both paths
+        lines = ["2015/05/08,000001,09:31:00.000,10.0,100,1,2", '"2015x05.08",000001,09:31:00,1,1,1,2']
+        rows, report = parse(write(tmp_path, [HEADER, *lines]))
+        assert [r[0] for r in rows] == [dt.date(2015, 5, 8)] * 2 and report.malformed_rows == 0
 
     def test_share_above_threshold_aborts_with_summary(self, tmp_path):
         good = "2015-05-08,000001,09:31:00.000,10.0,100,1,2"
@@ -251,6 +281,40 @@ def plain_decimals(draw):
     if draw(st.booleans()):
         return whole or draw(st.text(DIGITS, min_size=1, max_size=16))
     return whole + "." + draw(st.text(DIGITS, min_size=0 if whole else 1, max_size=16 - len(whole)))
+
+
+def date_like(raw: bytes) -> bytes:
+    """``raw`` with an ASCII digit wherever ``YYYY-MM-DD`` has one."""
+    return bytes(b if k in (4, 7) else 48 + b % 10 for k, b in enumerate(raw))
+
+
+#: arbitrary ten-byte strings, and ones that are nearer to a date
+TEN_BYTES = st.one_of(
+    st.binary(min_size=10, max_size=10),
+    st.binary(min_size=10, max_size=10).map(date_like),
+    st.lists(st.sampled_from(b"0123456789-/\xff"), min_size=10, max_size=10).map(bytes),
+    st.dates(dt.date(1, 1, 1)).map(lambda d: d.isoformat().encode()),
+)
+
+
+@given(st.lists(TEN_BYTES, min_size=1, max_size=20))
+@example([b"2015-05- 4", b"+015-05-04", b"2015-05-0\xd9"])  # int() reads the first two
+def test_parse_date_accepts_what_yyyymmdd_reads(fields):
+    # the per-row rule and the fast path keep one date rule
+    buf = np.zeros(len(fields) * 10 + 2 * _PAD, np.uint8)
+    buf[_PAD : _PAD + 10 * len(fields)] = np.frombuffer(b"".join(fields), np.uint8)
+    start = np.arange(len(fields)) * 10 + _PAD
+    value, ok = _yyyymmdd(buf, start, start + 10)
+    for raw, v, k in zip(fields, value.tolist(), ok.tolist()):
+        try:
+            want = int_to_date(v) if k else None
+        except ValueError:
+            want = None
+        try:
+            got = parse_date(raw.decode("utf-8", "surrogateescape"))
+        except ValueError:
+            got = None
+        assert got == want, raw
 
 
 class TestFieldReaders:

@@ -154,8 +154,8 @@ def feed_line(draw):
         ))
     if "unparsable" in damages:
         k, bad = draw(st.sampled_from(
-            ((0, "garbage"), (0, "2015-13-01"), (2, "notatime"), (2, "9:31"),
-             (3, "1O.5"), (4, "1.5"), (6, ""))
+            ((0, "garbage"), (0, "2015-13-01"), (0, "2015-05-041"), (2, "notatime"), (2, "9:31"),
+             (3, "1O.5"), (3, "inf"), (3, "1e999"), (4, "1.5"), (6, ""))
         ))
         f[k] = bad
     if "nonpositive" in damages:

@@ -347,6 +347,15 @@ INTRA_HEAD = "date,id,bar_or_time,last_price"
             [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-04,000001,2,10.5,7"],
             "bad intraday row in {path}: ['2015-05-04', '000001', '2', '10.5', '7']",
         ),
+        # the one date rule: ten bytes, so no trailing digit is ignored
+        (
+            [INTRA_HEAD, "2015-05-04,000001,1,10.5", "2015-05-123,000001,2,10.5"],
+            "unparsable intraday row in {path}: ['2015-05-123', '000001', '2', '10.5']",
+        ),
+        (
+            [INTRA_HEAD, "20150504,000001,1,10.5"],
+            "unparsable intraday row in {path}: ['20150504', '000001', '1', '10.5']",
+        ),
     ],
 )
 def test_intraday_errors_keep_the_row_loop_text(tmp_path, body, message):
@@ -385,6 +394,10 @@ def test_intraday_errors_keep_the_row_loop_text(tmp_path, body, message):
         (
             ["date,id,close", "2015-05-04,A,1.5", "2015-05-05,A,abc"],
             "unparsable end-of-day row in {path}: ['2015-05-05', 'A', 'abc']",
+        ),
+        (
+            ["date,id,close", "2015-05-041,A,1.5"],
+            "unparsable end-of-day row in {path}: ['2015-05-041', 'A', '1.5']",
         ),
     ],
 )
@@ -547,6 +560,9 @@ NOT_CAPS = "{path} line 3: capitalization must be finite and not negative, got "
             "{path} line 3: expected 'date,rjf', got ['2015-05-05', '1.6', '7']",
         ),
         (RJF + ["2015-05-05,-inf"], "{path} line 3: rjf must be positive, got ['2015-05-05', '-inf']"),
+        # the feed's date rule, on every Python: fromisoformat took 20150505 on 3.11
+        (RJF + ["20150505,1.6"], "{path} line 3: expected 'date,rjf', got ['20150505', '1.6']"),
+        (RJF + ["2015-05-051,1"], "{path} line 3: expected 'date,rjf', got ['2015-05-051', '1']"),
     ],
 )
 def test_emotion_errors(tmp_path, body, message):
