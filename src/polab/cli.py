@@ -79,7 +79,7 @@ def _load_panel(cfg: RunConfig) -> PolarityPanel:
         _run(cfg, "ingest")
     elif cfg.transactions:
         cache_mod.check_feed(cache_path, cfg.transactions)
-    return PolarityPanel.from_cache_memo(cache_path, serial_scope=cfg.serial_scope)
+    return PolarityPanel.from_cache(cache_path, serial_scope=cfg.serial_scope)
 
 
 def _index_returns(cfg: RunConfig):

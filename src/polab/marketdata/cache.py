@@ -1,51 +1,49 @@
-"""Compact binary cache of parsed transactions, for fast re-analysis.
+"""Compact binary cache of a feed's man-times counts, for fast re-analysis.
 
-Layout (all little-endian), version 4:
+Layout (all little-endian), version 5:
 
     header:  magic "PLAB1" | u16 version | u8 reserved | u64 n_blocks
     block:   u16 stock-id length | stock-id utf8 | u32 date yyyymmdd | u32 n_rows
-             | u8 widths | u8 bar[n] | uB buy_label[n] | uS sell_label[n]
+             | u8 n_cells | u8 width | u8 bar[c] | uW counts[c][4]
     trailer: u64 feed size | i64 feed mtime (ns) | u64 feed rows | u32 crc32
              | magic "PLAB1"
 
-A row keeps only what the panel counts: its bar and, on each side, the
-order it fills. A man-times count needs an order's identity only within its
-(stock, day), so a block holds each order as a label: the rank of its
-serial among the block's distinct serials on that side, 0 for the smallest.
-Within a (stock, day, side) labels and serials are one to one and in the
-same order, so both serial scopes count the same cells from the labels as
-from the serials. Each side's labels are held in the narrowest of u8, u16
-and u32 that holds the block's largest label on that side; ``widths``
-holds their sizes in bytes, B << 4 | S, so a row takes 3 to 9 B. A block
-read back carries the labels in its ``buy_serial`` and ``sell_serial``.
-The parser still reads and validates each row's time, price and volume,
-which decide whether a row is malformed or off-grid, but no analysis reads
-them back, so the cache does not keep them.
+A block holds one (stock, trading day): its feed row count, off-grid rows
+included, so row counts reconcile against the source file, and the
+man-times counts that every analysis reads. A man-times count is the number
+of distinct order serials on one side in one bar (see ``polab.panel``).
+For each bar with any on-grid row, in rising order, the block holds the bar
+and its four counts: buy and sell in bar scope (each serial counts in every
+bar it trades in), then buy and sell in day scope (each serial counts once,
+in the earliest bar it trades in). All of a block's counts take the
+narrowest of u8, u16 and u32 that holds its largest; ``width`` is that size
+in bytes. A (stock, day) whose rows are all off grid has a block with no
+cells, so it still names its stock and date. The parser still reads and
+validates each row's time, price and volume, which decide whether a row is
+malformed or off-grid, but no analysis reads them back, and no serial is
+kept once the counts are made.
 
-Each block holds all the rows of one (stock, trading day), in feed order,
-and no key has a second block. The writer takes the parser's chunks and
+No key has a second block. The writer takes the parser's chunks and
 buffers their rows in bounded memory. Each flush writes a key's buffered
 rows as one fragment of raw u32 serials, and all of its fragments in one
-write to a temporary file that has no name. The writer merges and labels
-each key's fragments when it closes, so the file is byte for byte the one
-a single flush would write. A reader refuses a key it has already seen.
-Off-grid rows are kept with bar 0 so row counts reconcile against the
-source file.
+write to a temporary file that has no name. The writer counts each key
+from its merged fragments when it closes, so the file is byte for byte the
+one a single flush would write. A reader refuses a key it has already seen.
 
 The trailer's CRC-32 covers every byte before it, the feed stamp included.
 Readers check the header's magic and version, then the trailer's magic,
 and refuse a cache of another version (re-run ``polab ingest``) or one
 that does not match its CRC. The stamp holds the feed that ingest named,
 if any (else 0xff bytes), for ``check_feed``. The writer finishes the
-whole file under a temporary name and publishes it by one rename.
-Analyses may keep a built panel beside the cache as
-``<cache>.panel-<scope>.npz`` (see ``polab.panel``); the writer deletes
-those whenever it replaces or deletes the cache.
+whole file under the temporary name ``<cache>.<pid>.tmp`` and publishes it
+by one rename; a writer removes the temporary caches that writers which no
+longer run left beside its path.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import glob
 import os
 import struct
 import tempfile
@@ -64,12 +62,12 @@ from .dates import int_to_date
 from .schema import ParseReport, TransactionChunk
 
 MAGIC = b"PLAB1"
-VERSION = 4
+VERSION = 5
 
 _HEADER = struct.Struct("<5sHBQ")
 _BLOCK_HEAD = struct.Struct("<H")
-#: a block's date (yyyymmdd), row count and label widths (buy << 4 | sell)
-_BLOCK_META = struct.Struct("<IIB")
+#: a block's date (yyyymmdd), row count, cell count and count width
+_BLOCK_META = struct.Struct("<IIBB")
 #: the trailer's feed stamp: the feed's size, mtime (ns) and row count
 _STAMP = struct.Struct("<QqQ")
 #: the trailer's end: the CRC-32 of every byte before it, and the magic
@@ -77,8 +75,8 @@ _SEAL = struct.Struct("<I5s")
 _TRAILER_BYTES = _STAMP.size + _SEAL.size
 #: the stamp of a cache whose ingest named no feed, every byte 0xff
 _NO_FEED = _STAMP.unpack(b"\xff" * _STAMP.size)
-#: the widths a side's labels may have, in bytes
-_WIDTHS = (1, 2, 4)
+#: the type of a block's counts, by their width in bytes
+_COUNTS = {w: np.dtype(f"<u{w}") for w in (1, 2, 4)}
 
 _U32_MAX = 2**32 - 1
 #: integer columns whose values the cache's u32 may not hold
@@ -95,26 +93,23 @@ _PACKED = np.dtype((np.void, _ROW.itemsize))
 #: the fragments of a key at close, so a smaller buffer leaves more to merge.
 _FLUSH_ROWS = 80_659
 
-#: rows the writer labels at once, as whole keys; a larger key goes alone.
-#: Labelling takes about 25 B of scratch a row, which fits in the heap that
+#: rows the writer counts at once, as whole keys; a larger key goes alone.
+#: Counting takes about 55 B of scratch a row, which fits in the heap that
 #: the last flush freed, so it does not raise ingest's peak memory.
-_LABEL_ROWS = 1 << 13
+_COUNT_ROWS = 1 << 13
 
 
 @dataclass
 class CacheBlock:
-    """One (stock, day)'s rows as ``iter_blocks`` reads them back:
-    ``buy_serial`` and ``sell_serial`` hold the orders' block-local labels."""
+    """One (stock, day) as ``iter_blocks`` reads it back: its feed row
+    count, the bars with any on-grid row (u8, rising) and, a row per bar,
+    their counts: buy and sell in bar scope, then buy and sell in day scope."""
 
     stock_id: str
     trade_date: dt.date
+    n_rows: int
     bar: np.ndarray
-    buy_serial: np.ndarray
-    sell_serial: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.bar)
+    counts: np.ndarray
 
 
 class FeedStamp(NamedTuple):
@@ -129,58 +124,69 @@ def date_to_int(d: dt.date) -> int:
     return d.year * 10_000 + d.month * 100 + d.day
 
 
-def _block_bytes(stock_id: str, date_int: int, bar, buy, sell) -> bytes:
-    """A block as the file holds it: its head, its bars, then its buy and
-    its sell labels, each side in the unsigned type of its width."""
-    sid = stock_id.encode("utf-8")
-    meta = _BLOCK_META.pack(date_int, len(bar), buy.itemsize << 4 | sell.itemsize)
-    return b"".join((_BLOCK_HEAD.pack(len(sid)), sid, meta, bar, buy, sell))
-
-
-def _labels(serials: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, list]:
-    """Each row's label on one side of a batch of whole keys, as uint32, and
-    each key's label width: the bytes of the narrowest of u8, u16 and u32
-    that holds its largest label.
-
-    ``serials`` holds the keys' rows one key after another, ``sizes`` each
-    key's row count. A row's label is the rank of its serial among its key's
-    distinct serials: one argsort of (key, serial) and a running count of the
-    distinct values, about 25 B of scratch a row.
-    """
-    n = len(serials)
-    keyed = np.repeat(np.arange(len(sizes), dtype=np.uint64) << np.uint64(32), sizes)
-    keyed |= serials
-    # stable is timsort here, quick on serials that mostly rise through a day
-    order = np.argsort(keyed, kind="stable")
-    keyed = keyed[order]
-    new = np.empty(n, bool)
+def _changes(a: np.ndarray) -> np.ndarray:
+    """Where ``a`` differs from the value before it; its first value does."""
+    new = np.empty(len(a), bool)
     new[:1] = True
-    np.not_equal(keyed[1:], keyed[:-1], out=new[1:])
-    del keyed
-    rank = np.cumsum(new, dtype=np.uint32)
-    del new
-    # each key's first row in ``order`` holds its smallest serial, label 0
-    filled = sizes > 0
-    first, filled_sizes = (np.cumsum(sizes) - sizes)[filled], sizes[filled]
-    rank -= np.repeat(rank[first], filled_sizes)
-    labels = np.empty(n, np.uint32)
-    labels[order] = rank
-    top = np.zeros(len(sizes), np.uint32)
-    top[filled] = rank[first + filled_sizes - 1]
-    return labels, np.where(top > 0xFFFF, 4, np.where(top > 0xFF, 2, 1)).tolist()
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
 
 
-def panel_memo_path(path, serial_scope: str) -> Path:
-    """The file beside a cache that keeps the panel built from it."""
-    path = Path(path)
-    return path.with_name(f"{path.name}.panel-{serial_scope}.npz")
+def _man_times(rows: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The man-times counts of a batch of whole keys: each cell that has an
+    on-grid row, as key << 8 | bar in rising order, and its counts, shape
+    (cells, 4): buy and sell in bar scope, then buy and sell in day scope.
+
+    ``rows`` holds the keys' ``_ROW``s one key after another, ``sizes`` each
+    key's row count, so a key is its index in ``sizes``. Each on-grid row
+    gets the index of its cell, which rises with (key, bar). On each side
+    the rows' (key, serial, cell) are then sorted: a run of equal ones is
+    one order's fills in one bar, which bar scope counts once, and the first
+    run of an order is its earliest bar, where day scope counts it.
+    """
+    on = rows["bar"] > 0
+    key = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)[on]
+    code = key << 8 | rows["bar"][on]
+    # in feed order, so mostly rising within a key: stable is timsort here,
+    # quick on runs
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    new = _changes(code)
+    cells = code[new]
+    cell = np.empty(len(code), np.int64)
+    cell[order] = np.cumsum(new) - 1
+    del code, new, order
+    # serial and cell below the key: at most 13 + 32 + 14 bits in a batch
+    shift = len(cells).bit_length()
+    cell |= key << (32 + shift)
+    counts = np.empty((len(cells), 4), np.int64)
+    for side, name in enumerate(("buy_serial", "sell_serial")):
+        fills = rows[name][on].astype(np.int64)
+        fills <<= shift
+        fills |= cell
+        fills.sort()
+        fills = fills[_changes(fills)]
+        first = _changes(fills >> shift)
+        fills &= (1 << shift) - 1
+        counts[:, side] = np.bincount(fills, minlength=len(cells))
+        counts[:, 2 + side] = np.bincount(fills[first], minlength=len(cells))
+    return cells, counts
 
 
-def _remove_panel_memos(path: Path) -> None:
-    prefix = f"{path.name}.panel-"
-    for memo in path.parent.iterdir():
-        if memo.name.startswith(prefix):
-            memo.unlink(missing_ok=True)
+def _remove_orphans(path: Path) -> None:
+    """Delete the temporary caches ``<path>.<pid>.tmp`` beside ``path``
+    whose writer no longer runs, as an ingest killed before its rename
+    leaves them."""
+    for tmp in path.parent.glob(f"{glob.escape(path.name)}.*.tmp"):
+        pid = tmp.name[len(path.name) + 1 : -len(".tmp")]
+        if not pid.isdigit() or int(pid) == os.getpid():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            tmp.unlink(missing_ok=True)
+        except (OSError, OverflowError):
+            pass  # it runs under another user, or the name holds no pid
 
 
 def _open(path):
@@ -236,11 +242,12 @@ class CacheWriter:
     writer flushes them to a nameless temporary file beside ``path``: each
     key's rows as one fragment, keys in order of their first buffered row,
     in one write. Leaving the ``with`` block normally flushes the rest and
-    writes the cache to a second temporary file, a labelled block per key
-    and then the trailer, with ``feed`` if it has been set, and moves it
-    onto ``path``. Leaving it by an exception deletes the temporary files
-    and any older cache at ``path``, so a failed build leaves no cache
-    behind.
+    writes the cache to a second temporary file, ``<path>.<pid>.tmp``, a
+    block of counts per key and then the trailer, with ``feed`` if it has
+    been set, and moves it onto ``path``. Leaving it by an exception deletes
+    the temporary files and any older cache at ``path``, so a failed build
+    leaves no cache behind. A new writer first deletes the temporary caches
+    that writers which no longer run left beside ``path``.
     """
 
     def __init__(self, path, flush_rows: int = _FLUSH_ROWS):
@@ -248,6 +255,7 @@ class CacheWriter:
         self._tmp = self._path.with_name(f"{self._path.name}.{os.getpid()}.tmp")
         self._out = None
         try:
+            _remove_orphans(self._path)
             self._fh = tempfile.TemporaryFile(dir=self._path.parent)
         except OSError as exc:
             raise InputError(f"cannot create cache file {path}: {exc}") from exc
@@ -340,13 +348,13 @@ class CacheWriter:
 
     def _write_blocks(self) -> None:
         """Write the cache to its temporary file, a block per key: keys in
-        order of their first fragment, each key's fragments merged in file
-        order and labelled; then the trailer.
+        order of their first fragment, each counted from its fragments
+        merged in file order; then the trailer.
 
-        Keys go in batches of about ``_LABEL_ROWS`` rows. A batch's
+        Keys go in batches of about ``_COUNT_ROWS`` rows. A batch's
         fragments are read back into one array of rows, one call for each
         run of fragments that lie one after another, as the keys of a
-        single flush do; then each side is labelled at once."""
+        single flush do; then the batch is counted at once."""
         self._fh.flush()
         keys = np.frombuffer(self._keys, dtype=np.int64)
         rows = np.frombuffer(self._rows, dtype=np.int64)
@@ -368,9 +376,10 @@ class CacheWriter:
         # each key's value and row count, keys in order of their first fragment
         key_values = keys[order[bounds[:-1]]][by_first]
         key_rows = np.add.reduceat(rows[order], bounds[:-1])[by_first]
-        batch = (np.cumsum(key_rows) - key_rows) // _LABEL_ROWS
+        batch = (np.cumsum(key_rows) - key_rows) // _COUNT_ROWS
         key_bounds = np.append(np.flatnonzero(np.diff(batch, prepend=-1)), n_keys).tolist()
-        stocks = list(self._stock_codes)
+        # each stock's id as a block starts it: its length, then its bytes
+        heads = [_BLOCK_HEAD.pack(len(sid)) + sid for sid in map(str.encode, self._stock_codes)]
 
         self._out = open(self._tmp, "wb")
         header = _HEADER.pack(MAGIC, VERSION, 0, n_keys)
@@ -381,22 +390,24 @@ class CacheWriter:
             sizes = key_rows[ka:kb]
             batch = np.empty(sizes.sum(), _ROW)
             self._read_fragments(fb, rows, starts, batch)
-            bar = np.ascontiguousarray(batch["bar"])
-            buy, buy_widths = _labels(batch["buy_serial"], sizes)
-            sell, sell_widths = _labels(batch["sell_serial"], sizes)
+            cells, counts = _man_times(batch, sizes)
             del batch
-            # each side in each width its keys take
-            buys = {w: buy.astype(f"<u{w}") for w in set(buy_widths)}
-            sells = {w: sell.astype(f"<u{w}") for w in set(sell_widths)}
-            del buy, sell
+            # each key's cells, and the width of its largest count
+            n_cells = np.bincount(cells >> 8, minlength=kb - ka)
+            largest = np.zeros(kb - ka, np.int64)
+            filled = n_cells > 0
+            ends = np.cumsum(n_cells)
+            largest[filled] = np.maximum.reduceat(counts.max(axis=1), (ends - n_cells)[filled])
+            widths = np.where(largest > 0xFFFF, 4, np.where(largest > 0xFF, 2, 1)).tolist()
+            bars = (cells & 0xFF).astype(np.uint8)
+            as_width = {w: counts.astype(f"<u{w}") for w in set(widths)}
             parts, lo = [], 0
-            for key, n, wb, ws in zip(key_values[ka:kb].tolist(), sizes.tolist(), buy_widths, sell_widths):
-                hi = lo + n
-                parts.append(_block_bytes(stocks[key >> 32], key & 0xFFFFFFFF, bar[lo:hi],
-                                          buys[wb][lo:hi], sells[ws][lo:hi]))
+            for key, n, hi, w in zip(key_values[ka:kb].tolist(), sizes.tolist(), ends.tolist(), widths):
+                meta = _BLOCK_META.pack(key & 0xFFFFFFFF, n, hi - lo, w)
+                parts += (heads[key >> 32], meta, bars[lo:hi], as_width[w][lo:hi])
                 lo = hi
             raw = b"".join(parts)
-            del parts, buys, sells
+            del parts, as_width
             self._out.write(raw)
             crc = zlib.crc32(raw, crc)
         stamp = _STAMP.pack(*(self.feed or _NO_FEED))
@@ -424,7 +435,6 @@ class CacheWriter:
             self._write_blocks()
             self._fh.close()
             os.replace(self._tmp, self._path)
-            _remove_panel_memos(self._path)
         except BaseException:
             self.abort()
             raise
@@ -435,7 +445,6 @@ class CacheWriter:
                 fh.close()
         for path in (self._tmp, self._path):
             path.unlink(missing_ok=True)
-        _remove_panel_memos(self._path)
 
     def __enter__(self):
         return self
@@ -447,37 +456,15 @@ class CacheWriter:
             self.abort()
 
 
-def verified_crc32(path) -> tuple[int, int]:
-    """The cache's CRC-32 and size, once the CRC of its bytes matches its
-    trailer's. The bytes pass through one reused 256 KiB buffer, so the
-    pass adds little to the memory of the analysis that runs it.
-
-    A cache that does not match its trailer raises the DataError that
-    ``iter_blocks`` raises for it.
-    """
-    with _open(path) as fh:
-        _, crc, size, _ = _record(fh, path)
-        streamed, left, view = 0, size - _SEAL.size, memoryview(bytearray(1 << 18))
-        try:
-            while left > 0 and (got := fh.readinto(view[: min(left, len(view))])):
-                streamed, left = zlib.crc32(view[:got], streamed), left - got
-        except OSError as exc:
-            raise InputError(f"cannot read cache file {path}: {exc}") from exc
-    if streamed != crc:
-        raise DataError(f"cache {path} does not match its checksum")
-    return crc, size
-
-
 def iter_blocks(path) -> Iterator[CacheBlock]:
-    """Yield cache blocks in file order, one per (stock, day), each side's
-    orders as labels.
+    """Yield cache blocks in file order, one per (stock, day).
 
     Validates magic and version, the trailer's magic, every length against
-    the bytes the file holds, each block's date, stock id, label width and
-    bar range, that no (stock, day) has a second block, and the CRC-32 of
-    the file against its trailer's. The CRC is compared after the last
-    block, so a caller that drains the iterator has checked the file before
-    it uses any result. Every violation raises DataError.
+    the bytes the file holds, each block's date, stock id, count width and
+    bars, that no (stock, day) has a second block, and the CRC-32 of the
+    file against its trailer's. The CRC is compared after the last block,
+    so a caller that drains the iterator has checked the file before it
+    uses any result. Every violation raises DataError.
     """
     with _open(path) as fh:
         n_blocks, recorded_crc, size, _ = _record(fh, path)
@@ -502,24 +489,24 @@ def iter_blocks(path) -> Iterator[CacheBlock]:
                 stock_id = head[:sid_len].decode("utf-8")
             except UnicodeDecodeError:
                 raise DataError(f"stock id is not UTF-8 in {path} at byte {pos}") from None
-            date_int, n, widths = _BLOCK_META.unpack_from(head, sid_len)
+            date_int, n_rows, n_cells, width = _BLOCK_META.unpack_from(head, sid_len)
             try:
                 trade_date = int_to_date(date_int)
             except ValueError:
                 raise DataError(f"bad date {date_int} in {path} at byte {pos}") from None
-            wb, ws = widths >> 4, widths & 0xF
-            if wb not in _WIDTHS or ws not in _WIDTHS:
-                raise DataError(f"bad label widths 0x{widths:02x} in {path} at byte {pos}")
+            if width not in _COUNTS:
+                raise DataError(f"bad count width {width} in {path} at byte {pos}")
             if (stock_id, date_int) in seen:
                 raise DataError(f"second block for ({stock_id!r}, {trade_date}) in {path} at byte "
                                 f"{pos}, as an older polab wrote; re-run `polab ingest` to rebuild it")
             seen.add((stock_id, date_int))
-            raw = take((1 + wb + ws) * n, "block")
-            bar = np.frombuffer(raw, np.uint8, n)
-            if n and bar.max() > BARS_PER_DAY:
-                raise DataError(f"bar index out of range in {path} before byte {pos}")
-            yield CacheBlock(stock_id, trade_date, bar, np.frombuffer(raw, f"<u{wb}", n, n),
-                             np.frombuffer(raw, f"<u{ws}", n, n + wb * n))
+            raw = take((1 + 4 * width) * n_cells, "block")
+            bars = raw[:n_cells]
+            # rising bars on the grid: each cell of the day at most once
+            if bars and not (bars[0] >= 1 and bars[-1] <= BARS_PER_DAY and bytes(sorted(set(bars))) == bars):
+                raise DataError(f"bars out of range or order in {path} before byte {pos}")
+            yield CacheBlock(stock_id, trade_date, n_rows, np.frombuffer(raw, np.uint8, n_cells),
+                             np.frombuffer(raw, _COUNTS[width], 4 * n_cells, n_cells).reshape(n_cells, 4))
         if pos != end:
             raise DataError(f"{path} has {end - pos} bytes after its last block")
         if zlib.crc32(fh.read(_STAMP.size), crc) != recorded_crc:
@@ -537,7 +524,7 @@ def write_cache(
 
     The writer buffers the chunks' rows and flushes them every
     ``flush_rows`` rows, each key's rows as one fragment of raw serials. It
-    merges and labels each key's fragments at close, so the file does not
+    merges and counts each key's fragments at close, so the file does not
     depend on ``flush_rows``. A chunk whose serial overflows the fragments'
     u32 columns, or whose stock id is longer than 65,535 UTF-8 bytes,
     raises DataError as it arrives.

@@ -16,51 +16,38 @@ serial once per day, in the earliest on-grid minute it traded in, which is
 the minute of its first fill; it exists for sensitivity analysis only.
 
 A feed reaches the panel only through a cache: ``from_transactions`` writes
-the feed to a temporary one and builds from that. A cache holds exactly one
-block per (stock, day), which carries only what the count reads: each row's
-bar and its buy and sell serials. So one reducer, for both scopes, turns
-each block into its day's counts as it is read and keeps none of its
-serials: a build holds the panel, each day's counts until the axes are
-known, and one block.
-
-Building the panel from a cache costs far more than any analysis of it, so
-``PolarityPanel.from_cache_memo`` keeps the built panel beside the cache as
-an uncompressed ``<cache>.panel-<scope>.npz`` and loads it from there while
-the CRC-32 that the cache's trailer records, the cache's size and the
-scope still match the memo's key. A cache without a trailer is refused.
+the feed to a temporary one and builds from that. The cache's writer makes
+the counts of both scopes, and a cache block holds, for each bar of its
+(stock, day) with any on-grid row, that bar and its counts (see
+``polab.marketdata.cache``). ``from_cache`` reads the blocks, which checks
+the cache against its CRC-32, keeps the chosen scope's counts of each, and
+scatters them into the dense panel once the axes are known.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
 
 from .marketdata import cache as cache_mod
 from .marketdata.grid import BARS_PER_DAY
-from .marketdata.dates import int_to_date
 from .marketdata.parse import iter_transactions
 from .marketdata.schema import DEFAULT_SCHEMA, ParseReport
 from .tables import quote
 
-# A row's key on each side is serial << 9 | side | bar, where side is 0 for
-# the buyer and _SELL for the seller. Bars run 1..237 and serials are u32,
-# so keys fit an int64 and sort by serial and side, then bar.
-_BAR_BITS = 8
-_SELL = 1 << _BAR_BITS
-
-#: bumped whenever the arrays a memo holds, or how a panel is built, change;
-#: 2 since the cache's version 2, so no memo of a version-1 cache is loaded;
-#: 3 since a panel holds its counts in ``_count_dtype`` of the largest
-_MEMO_VERSION = 3
-
 #: grid cells per slice of stocks that ``write_text`` formats at once
 _WRITE_CELLS = 1 << 12
+
+#: days whose cells ``_grid`` gathers into one slice of flat arrays; a day
+#: waiting to be gathered holds its whole block, a few hundred bytes of
+#: objects on a thin day, so slices stay short
+_GRID_DAYS = 1 << 8
 
 
 def polarity(buy: int, sell: int) -> float | None:
@@ -195,40 +182,12 @@ class PolarityPanel:
 
     @classmethod
     def from_cache(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
+        """The panel of the cache at ``path``, in ``serial_scope``'s counts."""
         if serial_scope not in ("bar", "day"):
             raise ValueError(f"serial_scope must be 'bar' or 'day', got {serial_scope!r}")
-        day_scope = serial_scope == "day"
-        return _grid(
-            {(blk.stock_id, blk.trade_date): _day_counts(blk, day_scope)
-             for blk in cache_mod.iter_blocks(path)}
-        )
-
-    @classmethod
-    def from_cache_memo(cls, path, *, serial_scope: str = "bar") -> "PolarityPanel":
-        """``from_cache``, built once per cache and kept beside it.
-
-        A memo is keyed by the CRC-32 that the cache's trailer records and
-        the cache's size. It is used only when its key matches and its
-        arrays are well formed; a hit still checks the cache against its
-        trailer, so a damaged cache raises DataError whether or not a memo
-        exists.
-        On a miss the panel is built, which checks the cache in the same
-        read, and the memo rewritten. Failing to write the memo leaves the
-        result unchanged.
-        """
-        before = _file_identity(path)
-        crc, size, _ = cache_mod.read_trailer(path)
-        key = np.array([_MEMO_VERSION, crc, size], dtype=np.int64)
-        memo = cache_mod.panel_memo_path(path, serial_scope)
-        panel = _load_memo(memo, key, serial_scope)
-        # a cache replaced since its trailer was read fails the comparison
-        if panel is not None and cache_mod.verified_crc32(path) == (crc, size):
-            return panel
-        panel = cls.from_cache(path, serial_scope=serial_scope)
-        # a cache replaced while it was read must not key the panel
-        if _file_identity(path) == before:
-            _save_memo(memo, panel, key, serial_scope)
-        return panel
+        side = slice(2, 4) if serial_scope == "day" else slice(0, 2)
+        return _grid((blk.stock_id, blk.trade_date, blk.bar, blk.counts[:, side])
+                     for blk in cache_mod.iter_blocks(path))
 
     # -- export ------------------------------------------------------------
 
@@ -259,113 +218,34 @@ class PolarityPanel:
                 fh.write("".join([f"{days[day]}{bars[bar]}{tails[pair]}" for day, bar, pair in rows]))
 
 
-def _grid(counts: dict) -> PolarityPanel:
-    """The panel whose (stock, date) ``key`` holds ``counts[key]``, its buy
-    and sell rows of the day's bars: the axes are sorted, then each day
-    scattered into place, in ``_count_dtype`` of the largest count."""
-    stocks = sorted({stock for stock, _ in counts})
-    dates = sorted({date for _, date in counts})
+def _grid(days) -> PolarityPanel:
+    """The panel of ``days``, each a distinct (stock, date) with the bars of
+    the day that have activity and their buy and sell counts, shape
+    (bars, 2). As they arrive, every ``_GRID_DAYS`` days' cells are gathered
+    into flat arrays, so nothing of a day outlives its slice. Once the axes
+    are known and sorted, each slice is scattered into place in
+    ``_count_dtype`` of the largest count."""
+    keys, slices, days = [], [], iter(days)
+    while part := list(islice(days, _GRID_DAYS)):
+        keys += [(stock, date) for stock, date, _, _ in part]
+        slices.append((np.concatenate([bar for _, _, bar, _ in part]),
+                       np.concatenate([count for _, _, _, count in part]),
+                       [len(bar) for _, _, bar, _ in part]))
+    stocks = sorted({stock for stock, _ in keys})
+    dates = sorted({date for _, date in keys})
     sidx = {s: i for i, s in enumerate(stocks)}
     didx = {d: j for j, d in enumerate(dates)}
-    # from the largest count, not the largest block: a liquid stock-day can
-    # pass 65,535 rows while no minute's count does
-    largest = max((int(day.max()) for day in counts.values()), default=0)
-    grid = np.zeros((2, len(stocks), len(dates), BARS_PER_DAY), _count_dtype(largest))
-    for (stock, date), day in counts.items():
-        grid[:, sidx[stock], didx[date]] = day
-    return PolarityPanel(stocks, dates, *grid)
-
-
-def _file_identity(path) -> tuple | None:
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
-
-
-def _save_memo(memo, panel: PolarityPanel, key: np.ndarray, serial_scope: str) -> None:
-    ids = [s.encode("utf-8") for s in panel.stocks]
-    tmp = memo.with_name(f"{memo.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                key=key,
-                scope=np.array(serial_scope),
-                buy=panel.buy,
-                sell=panel.sell,
-                # UTF-8 bytes and end offsets keep any id exactly; a numpy
-                # string array would drop trailing NULs
-                stock_bytes=np.frombuffer(b"".join(ids), dtype=np.uint8),
-                stock_ends=np.cumsum([len(b) for b in ids], dtype=np.int64),
-                dates=np.array([cache_mod.date_to_int(d) for d in panel.dates], dtype=np.int32),
-            )
-        os.replace(tmp, memo)
-    except OSError:
-        tmp.unlink(missing_ok=True)
-
-
-def _load_memo(memo, key: np.ndarray, serial_scope: str) -> PolarityPanel | None:
-    """The memo's panel, or None when it is absent, stale or malformed."""
-    try:
-        with np.load(memo, allow_pickle=False) as z:
-            if not (np.array_equal(z["key"], key) and z["scope"].item() == serial_scope):
-                return None
-            arrays = {k: z[k] for k in ("buy", "sell", "stock_bytes", "stock_ends", "dates")}
-        return _panel_from_memo(**arrays)
-    except FileNotFoundError:
-        return None
-    except Exception as exc:
-        # damage surfaces as any of a dozen zipfile, numpy and decode errors;
-        # whichever it is, the panel is rebuilt and the run goes on
-        print(f"polab: rebuilding the panel, memo {memo} is unusable: {exc!r}", file=sys.stderr)
-        return None
-
-
-def _panel_from_memo(buy, sell, stock_bytes, stock_ends, dates) -> PolarityPanel:
-    """Raises ValueError unless the arrays form a panel ``from_cache`` could build."""
-    if (stock_bytes.dtype, stock_ends.dtype, dates.dtype) != (np.uint8, np.int64, np.int32):
-        raise ValueError("memo axes have the wrong dtype")
-    if stock_bytes.ndim != 1 or dates.ndim != 1 or stock_ends.ndim != 1:
-        raise ValueError("memo axes are not vectors")
-    bounds = np.concatenate([[0], stock_ends])
-    if np.any(np.diff(bounds) < 0) or bounds[-1] != len(stock_bytes):
-        raise ValueError("memo stock offsets do not cover its id bytes")
-    raw = stock_bytes.tobytes()
-    stocks = [raw[a:b].decode("utf-8") for a, b in zip(bounds[:-1], bounds[1:])]
-    days = [int_to_date(int(v)) for v in dates]
-    for axis in (stocks, days):
-        if any(a >= b for a, b in zip(axis, axis[1:])):
-            raise ValueError("memo axis is not strictly increasing")
-    shape = (len(stocks), len(days), BARS_PER_DAY)
-    if buy.shape != shape or sell.shape != shape:
-        raise ValueError("memo counts have the wrong shape")
-    largest = max(int(buy.max(initial=0)), int(sell.max(initial=0)))
-    if not buy.dtype == sell.dtype == _count_dtype(largest):
-        raise ValueError("memo counts are not in the type from_cache builds for them")
-    return PolarityPanel(stocks, days, buy, sell)
-
-
-def _day_counts(blk, day_scope: bool) -> np.ndarray:
-    """One block's man-times counts, shape (2, 237): buy then sell.
-
-    The on-grid rows are reduced to their distinct (serial, side, bar) keys.
-    Bar scope counts every key. Day scope keeps each serial's earliest bar on
-    each side, the first of its sorted keys: the minute of its first fill.
-    """
-    on = blk.bar > 0
-    bar = blk.bar[on].astype(np.int64)
-    buy = blk.buy_serial[on].astype(np.int64) << (_BAR_BITS + 1) | bar
-    sell = blk.sell_serial[on].astype(np.int64) << (_BAR_BITS + 1) | _SELL | bar
-    keys = np.sort(np.concatenate((buy, sell)))
-    ids = keys >> _BAR_BITS if day_scope else keys  # (serial, side) or the whole key
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = ids[1:] != ids[:-1]
-    counts = np.bincount(keys[first] & (2 * _SELL - 1), minlength=2 * _SELL).reshape(2, _SELL)
-    # kept until the axes are known, in the narrowest type that holds a
-    # count (at most the block's row count): a thin day's counts fit a byte
-    return counts[:, 1 : BARS_PER_DAY + 1].astype(np.min_scalar_type(len(blk.bar)))
+    # each day's place in the flat (stock, date, bar) grid, less bar 1's
+    base = np.array([(sidx[s] * len(dates) + didx[d]) * BARS_PER_DAY - 1 for s, d in keys], np.intp)
+    largest = max((int(count.max(initial=0)) for _, count, _ in slices), default=0)
+    grid = np.zeros((2, len(stocks) * len(dates) * BARS_PER_DAY), _count_dtype(largest))
+    lo = 0
+    for bar, count, sizes in slices:
+        at = np.repeat(base[lo : lo + len(sizes)], sizes)
+        at += bar
+        grid[:, at] = count.T
+        lo += len(sizes)
+    return PolarityPanel(stocks, dates, *grid.reshape(2, len(stocks), len(dates), BARS_PER_DAY))
 
 
 # -- aggregate statistics ----------------------------------------------------

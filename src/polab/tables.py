@@ -4,7 +4,8 @@ Header lines start with '#': the first names the table and the config
 hash that produced it, the rest record units and method decisions. No
 timestamps are written, so re-running with unchanged inputs yields
 byte-identical files. A text value holding a comma, a double quote or a
-line break is quoted as RFC 4180 says; every other value is written as it is.
+line break is quoted as RFC 4180 says, and so is one that starts with '#',
+so that no row reads as a header line; every other value is written as it is.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 import math
 import re
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+_NEEDS_QUOTES = re.compile('^#|[,"\r\n]')
 
 
 def quote(text: str) -> str:
     """``text`` as one comma-separated field: in double quotes, each of its
-    own doubled, when it holds a comma, a double quote or a line break."""
+    own doubled, when it holds a comma, a double quote or a line break, or
+    starts with '#'."""
     if _NEEDS_QUOTES.search(text) is None:
         return text
     return '"' + text.replace('"', '""') + '"'

@@ -38,4 +38,5 @@ def read_text(path) -> PolarityPanel:
             if counts[0, bar - 1] >= 0:
                 raise DataError(f"repeated cell in {where}")
             counts[:, bar - 1] = b, s
-    return _grid({key: np.maximum(counts, 0) for key, counts in days.items()})
+    bars = np.arange(1, BARS_PER_DAY + 1, dtype=np.uint8)
+    return _grid((*key, bars, np.maximum(counts, 0).T) for key, counts in days.items())

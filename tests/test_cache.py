@@ -5,6 +5,8 @@ import inspect
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import zlib
@@ -16,19 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polab import panel as panel_mod
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import (
-    MAGIC, CacheBlock, CacheWriter, FeedStamp, iter_blocks, panel_memo_path, read_trailer,
-    verified_crc32, write_cache,
+    MAGIC, CacheWriter, FeedStamp, iter_blocks, read_trailer, write_cache,
 )
 from polab.marketdata import parse
 from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import ParseReport, TransactionChunk
 from polab.panel import PolarityPanel
 
-from cache_bytes import SEAL, STAMP, TRAILER, chunk_of, sealed
+from cache_bytes import SEAL, STAMP, TRAILER, Rows, cache_bytes, chunk_of, man_times, sealed
 
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
@@ -36,7 +36,7 @@ HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
 
 def block(stock="000001", date=dt.date(2015, 5, 4), n=5, seed=0):
     rng = np.random.default_rng(seed)
-    return CacheBlock(
+    return Rows(
         stock_id=stock,
         trade_date=date,
         bar=rng.integers(1, 238, n).astype("<u1"),
@@ -45,28 +45,16 @@ def block(stock="000001", date=dt.date(2015, 5, 4), n=5, seed=0):
     )
 
 
-def labelled(serials) -> np.ndarray:
-    """One side of a block as the cache holds it: each row's serial as its
-    rank among the block's distinct serials on that side, in the narrowest
-    unsigned type that holds the largest rank."""
-    distinct, labels = np.unique(np.asarray(serials, dtype=np.uint32), return_inverse=True)
-    return labels.reshape(-1).astype(np.min_scalar_type(max(len(distinct) - 1, 0)))
+def read_back(b: Rows) -> tuple:
+    """What ``iter_blocks`` should yield for ``b``'s rows: its key, row
+    count, bars and counts, as the reference encoder counts them."""
+    cells = man_times(b)
+    return (b.stock_id, b.trade_date, b.n_rows, list(cells), list(cells.values()))
 
 
-def as_read(b: CacheBlock) -> CacheBlock:
-    """``b`` as ``iter_blocks`` yields it back: bars as u8, orders as labels."""
-    return CacheBlock(b.stock_id, b.trade_date, np.asarray(b.bar, dtype=np.uint8),
-                      labelled(b.buy_serial), labelled(b.sell_serial))
-
-
-def same_block(got: CacheBlock, want: CacheBlock) -> bool:
-    """The same key, and each column the same type and bytes."""
-    cols = ("bar", "buy_serial", "sell_serial")
-    return (got.stock_id, got.trade_date) == (want.stock_id, want.trade_date) and all(
-        getattr(got, c).dtype == getattr(want, c).dtype
-        and getattr(got, c).tobytes() == getattr(want, c).tobytes()
-        for c in cols
-    )
+def as_read(blk) -> tuple:
+    """A block ``iter_blocks`` yielded, in ``read_back``'s terms."""
+    return (blk.stock_id, blk.trade_date, blk.n_rows, blk.bar.tolist(), blk.counts.tolist())
 
 
 class TestRoundTrip:
@@ -76,34 +64,32 @@ class TestRoundTrip:
         with CacheWriter(path) as w:
             for b in blocks:
                 w.append(chunk_of(b))
-        loaded = list(iter_blocks(path))
-        assert len(loaded) == 4
-        for orig, got in zip(blocks, loaded):
-            assert same_block(got, as_read(orig))
+        assert path.read_bytes() == cache_bytes(blocks)
+        assert [as_read(b) for b in iter_blocks(path)] == [read_back(b) for b in blocks]
 
-    @pytest.mark.parametrize("distinct,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
-                                                (65_536, np.uint16), (65_537, np.uint32)])
-    def test_each_side_takes_the_narrowest_width(self, tmp_path, distinct, dtype):
-        # the largest label is one less than the distinct serials; the sell
-        # side has 3, each trading in many minutes, and stays a byte
-        rng = np.random.default_rng(distinct)
-        serials = rng.permutation(np.arange(distinct, dtype=np.uint32) * 7919 + 2**31)
-        n = len(serials)
-        bars = (1 + np.arange(n) % 237).astype(np.uint8)
-        b = CacheBlock("000001", dt.date(2015, 5, 4), bars, serials,
-                       np.uint32(2**32 - 3) + np.arange(n, dtype=np.uint32) % 3)
+    @pytest.mark.parametrize("largest,dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16),
+                                               (65_535, np.uint16), (65_536, np.uint32)])
+    def test_counts_take_the_narrowest_width(self, tmp_path, largest, dtype):
+        # ``largest`` distinct buy serials in bar 9, each twice; 3 sell
+        # serials over bars 9 and 10. Every count of the block takes the
+        # largest's width, the sell side's too
+        rng = np.random.default_rng(largest)
+        serials = rng.permutation(np.arange(largest, dtype=np.uint32) * 7919 + 2**31)
+        n = 2 * largest + 1
+        bars = np.full(n, 9, np.uint8)
+        bars[-1] = 10
+        b = Rows("000001", dt.date(2015, 5, 4), bars, np.append(np.repeat(serials, 2), 5),
+                 np.uint32(2**32 - 3) + np.arange(n, dtype=np.uint32) % 3)
         with CacheWriter(tmp_path / "c.plab") as w:
             w.append(chunk_of(b))
         (got,) = iter_blocks(tmp_path / "c.plab")
-        assert got.buy_serial.dtype == dtype and got.sell_serial.dtype == np.uint8
-        assert same_block(got, as_read(b))
-        for day_scope in (False, True):
-            assert np.array_equal(panel_mod._day_counts(got, day_scope),
-                                  panel_mod._day_counts(b, day_scope))
-        widths = (tmp_path / "c.plab").read_bytes()[32]
-        assert widths == np.dtype(dtype).itemsize << 4 | 1
-        size = 33 + n * (1 + np.dtype(dtype).itemsize + 1) + TRAILER
-        assert (tmp_path / "c.plab").stat().st_size == size
+        assert got.counts.dtype == dtype
+        assert as_read(got) == read_back(b)
+        assert got.bar.tolist() == [9, 10] and got.counts[0, 0] == largest
+        raw = (tmp_path / "c.plab").read_bytes()
+        assert raw[32:34] == bytes([2, np.dtype(dtype).itemsize])  # cells, width
+        assert raw == cache_bytes([b])
+        assert len(raw) == 34 + 2 * (1 + 4 * np.dtype(dtype).itemsize) + TRAILER
 
     def test_magic_bytes_lead_the_file(self, tmp_path):
         path = tmp_path / "c.plab"
@@ -141,7 +127,7 @@ class TestRoundTrip:
         direct = PolarityPanel.from_transactions(files.transactions)
         assert PolarityPanel.from_cache(path).equals(direct)
 
-    def test_off_grid_rows_are_retained(self, tmp_path):
+    def test_off_grid_rows_are_counted_in_rows_not_cells(self, tmp_path):
         import polab.synth as synth
 
         regime = synth.RegimeSpec("flow", buy_rate=0.5, sell_rate=0.5, bars=(10, 20))
@@ -149,10 +135,22 @@ class TestRoundTrip:
             regime, 3, [dt.date(2015, 5, 4)], 7, tmp_path, n_offgrid_rows=4
         )
         path = tmp_path / "c.plab"
-        n = write_cache(path, iter_transactions(files.transactions))
-        off = sum(int((b.bar == 0).sum()) for b in iter_blocks(path))
-        assert off == 4
-        assert n == sum(len(chunk) for chunk in iter_transactions(files.transactions))
+        report = ParseReport()
+        n = write_cache(path, iter_transactions(files.transactions, report=report))
+        assert report.off_grid_rows == 4
+        blocks = list(iter_blocks(path))
+        assert n == report.parsed_rows == sum(b.n_rows for b in blocks)
+        assert {bar for b in blocks for bar in b.bar.tolist()} <= set(range(10, 21))
+        recount = synth.brute_force_recount(files.transactions)
+        assert PolarityPanel.from_cache(path).active_cells() == recount.cells
+
+    def test_off_grid_day_keeps_a_block_without_cells(self, tmp_path):
+        rows = Rows("000002", dt.date(2015, 5, 5), np.zeros(2, np.uint8), [4, 5], [6, 6])
+        with CacheWriter(tmp_path / "c.plab") as w:
+            w.append(chunk_of(block(), rows))
+        assert (tmp_path / "c.plab").read_bytes() == cache_bytes([block(), rows])
+        _, got = iter_blocks(tmp_path / "c.plab")
+        assert as_read(got) == ("000002", dt.date(2015, 5, 5), 2, [], [])
 
 
 U32 = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
@@ -168,7 +166,7 @@ def cache_blocks(draw):
         rows = draw(st.lists(ROW, max_size=12))
         cols = list(zip(*rows)) if rows else [()] * 3
         out.append(
-            CacheBlock(
+            Rows(
                 draw(ids),
                 draw(st.sampled_from([dt.date(2015, 5, 4), dt.date(2015, 6, 15)]) | st.dates()),
                 bar=np.array(cols[0], dtype="<u1"),
@@ -187,7 +185,7 @@ def merged(blocks) -> list:
         keys.setdefault((b.stock_id, b.trade_date), []).append(b)
     cols = ("bar", "buy_serial", "sell_serial")
     return [
-        CacheBlock(*key, *(np.concatenate([getattr(b, c) for b in parts]) for c in cols))
+        Rows(*key, *(np.concatenate([getattr(b, c) for b in parts]) for c in cols))
         for key, parts in keys.items()
     ]
 
@@ -198,18 +196,19 @@ def blocks_of(chunk) -> list:
     out = []
     for s, d in keys:
         rows = (chunk.stock_idx == s) & (chunk.date_idx == d)
-        out.append(CacheBlock(chunk.stocks[s], chunk.dates[d], chunk.bar[rows],
-                              chunk.buy_serial[rows], chunk.sell_serial[rows]))
+        out.append(Rows(chunk.stocks[s], chunk.dates[d], chunk.bar[rows],
+                        chunk.buy_serial[rows], chunk.sell_serial[rows]))
     return out
 
 
-def raw_cache(path, blocks) -> None:
-    """Write ``blocks`` as they are, repeats included, with a trailer."""
-    raw = cache_mod._HEADER.pack(MAGIC, cache_mod.VERSION, 0, len(blocks))
-    for b in map(as_read, blocks):
-        raw += cache_mod._block_bytes(b.stock_id, cache_mod.date_to_int(b.trade_date),
-                                      b.bar, b.buy_serial, b.sell_serial)
-    path.write_bytes(sealed(raw))
+def reference_cells(blocks, serial_scope) -> dict:
+    """{(stock, date, bar): (buy, sell)} of ``blocks`` in one scope, as the
+    reference encoder counts them."""
+    side = 2 if serial_scope == "day" else 0
+    return {
+        (b.stock_id, b.trade_date, bar): tuple(counts[side : side + 2])
+        for b in blocks for bar, counts in man_times(b).items() if any(counts[side : side + 2])
+    }
 
 
 def _built_dtype(panel: PolarityPanel) -> np.dtype:
@@ -218,49 +217,27 @@ def _built_dtype(panel: PolarityPanel) -> np.dtype:
     return np.min_scalar_type(max(int(panel.buy.max(initial=0)), int(panel.sell.max(initial=0))))
 
 
-def _same_panel(a: PolarityPanel, b: PolarityPanel) -> bool:
-    return (
-        a.stocks == b.stocks
-        and a.dates == b.dates
-        and a.buy.dtype == a.sell.dtype == b.buy.dtype == b.sell.dtype == _built_dtype(b)
-        and np.array_equal(a.buy, b.buy)
-        and np.array_equal(a.sell, b.sell)
-    )
-
-
 class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(blocks=cache_blocks())
-    def test_writer_reader_and_panel_memo_round_trip(self, blocks):
+    def test_writer_matches_the_reference_encoder(self, blocks):
         # a block a chunk; a flush a chunk leaves every merge to the close,
         # the default flush holds every chunk and merges them in its buffer
         with tempfile.TemporaryDirectory() as tmp:
-            caches = []
+            want = merged(blocks)
             for flush_rows in (1, cache_mod._FLUSH_ROWS):
                 path = Path(tmp) / f"c{flush_rows}.plab"
                 with CacheWriter(path, flush_rows) as w:
                     for b in blocks:
                         w.append(chunk_of(b))
-                caches.append(path.read_bytes())
-            assert caches[0] == caches[1]
-            got, want = list(iter_blocks(path)), merged(blocks)
-            assert [(b.stock_id, b.trade_date) for b in got] == [
-                (b.stock_id, b.trade_date) for b in want
-            ]
-            for orig, back in zip(want, got):
-                assert same_block(back, as_read(orig))
-                # labels count the same cells as the serials they stand for
-                for day_scope in (False, True):
-                    assert np.array_equal(panel_mod._day_counts(back, day_scope),
-                                          panel_mod._day_counts(orig, day_scope))
-
+                assert path.read_bytes() == cache_bytes(want)
+            assert [as_read(b) for b in iter_blocks(path)] == [read_back(b) for b in want]
             for scope in ("bar", "day"):
-                built = PolarityPanel.from_cache(path, serial_scope=scope)
-                assert _same_panel(PolarityPanel.from_cache_memo(path, serial_scope=scope), built)
-                assert panel_memo_path(path, scope).exists()
-                with mock.patch.object(cache_mod, "iter_blocks", side_effect=AssertionError):
-                    loaded = PolarityPanel.from_cache_memo(path, serial_scope=scope)
-                assert _same_panel(loaded, built)
+                panel = PolarityPanel.from_cache(path, serial_scope=scope)
+                assert panel.active_cells() == reference_cells(want, scope)
+                assert panel.stocks == sorted({b.stock_id for b in want})
+                assert panel.dates == sorted({b.trade_date for b in want})
+                assert panel.buy.dtype == panel.sell.dtype == _built_dtype(panel)
 
     @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(
@@ -360,17 +337,17 @@ class TestValidation:
         assert sum(keys for _, keys in flushes) > len(blocks)  # keys span several flushes
         assert len(blocks) == len({(b.stock_id, b.trade_date) for b in blocks})
         want = merged([b for chunk in appended for b in blocks_of(chunk)])
-        for w, got in zip(want, blocks, strict=True):
-            assert same_block(got, as_read(w))
+        assert [as_read(b) for b in blocks] == [read_back(b) for b in want]
+        assert path.read_bytes() == cache_bytes(want)
 
     def test_repeated_key_is_refused(self, tmp_path):
         # only a cache from a writer that split keys across blocks has one
         path = tmp_path / "c.plab"
-        raw_cache(path, [block(n=3), block("000002"), block(n=4, seed=1)])
+        path.write_bytes(cache_bytes([block(n=3), block("000002"), block(n=4, seed=1)]))
         with pytest.raises(DataError, match=r"second block for \('000001', 2015-05-04\).*"
                                             r"re-run `polab ingest`"):
             list(iter_blocks(path))
-        raw_cache(path, [block(n=3), block("000002"), block(date=dt.date(2015, 5, 5))])
+        path.write_bytes(cache_bytes([block(n=3), block("000002"), block(date=dt.date(2015, 5, 5))]))
         assert len(list(iter_blocks(path))) == 3
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -411,32 +388,37 @@ def _edited(raw: bytes, offset: int, value: bytes) -> bytes:
     return raw[:offset] + value + raw[offset + len(value):]
 
 
-# one block of 5 rows: header 0-15, stock-id length 16, stock id 18-23, date 24,
-# row count 28, label widths 32, bar 33-37, buy labels 38-42, sell labels 43-47
+# one block of 5 rows in two bars: header 0-15, stock-id length 16, stock id
+# 18-23, date 24, row count 28, cell count 32, count width 33, bars 34-35,
+# counts 36-43
 STRUCTURE_DAMAGE = [
     (lambda raw: raw[:17], "truncated block header"),
     (lambda raw: _edited(raw, 8, (2).to_bytes(8, "little")), "truncated block header"),
     (lambda raw: _edited(raw, 18, b"\xff"), "not UTF-8"),
     (lambda raw: _edited(raw, 24, (20151399).to_bytes(4, "little")), "bad date"),
-    (lambda raw: _edited(raw, 28, (2**32 - 1).to_bytes(4, "little")), "truncated block"),
-    (lambda raw: _edited(raw, 33, b"\xf0"), "bar index out of range"),
+    (lambda raw: _edited(raw, 32, b"\xff"), "truncated block"),
+    (lambda raw: _edited(raw, 34, b"\x00"), "bars out of range or order"),
+    (lambda raw: _edited(raw, 35, b"\xf0"), "bars out of range or order"),
+    (lambda raw: _edited(raw, 34, b"\x09"), "bars out of range or order"),
+    (lambda raw: _edited(raw, 35, b"\x07"), "bars out of range or order"),
     (lambda raw: raw + b"xx", "bytes after its last block"),
-    (lambda raw: _edited(raw, 32, b"\x13"), r"bad label widths 0x13 .* at byte 33"),
-    (lambda raw: _edited(raw, 32, b"\x01"), "bad label widths 0x01"),
-    (lambda raw: _edited(raw, 32, b"\x12"), "truncated block"),
+    (lambda raw: _edited(raw, 33, b"\x03"), r"bad count width 3 .* at byte 34"),
+    (lambda raw: _edited(raw, 33, b"\x00"), "bad count width 0"),
+    (lambda raw: _edited(raw, 33, b"\x02"), "truncated block"),
 ]
 
 
 # damage that only the trailer catches, then damage that the structure does
 TRAILER_DAMAGE = [
-    (lambda raw: _edited(raw, 45, b"\x09"), "does not match its checksum"),
+    (lambda raw: _edited(raw, 40, b"\x09"), "does not match its checksum"),
+    (lambda raw: _edited(raw, 28, (2**32 - 1).to_bytes(4, "little")), "does not match its checksum"),
     (lambda raw: _edited(raw, len(raw) - SEAL, bytes([raw[-SEAL] ^ 1])), "does not match its checksum"),
     (lambda raw: _edited(raw, len(raw) - TRAILER + 3, b"\x01"), "does not match its checksum"),
     (lambda raw: raw[:-1], r"bad trailer magic b'.+PLAB'"),
     (lambda raw: _edited(raw, len(raw) - 1, b"2"), "bad trailer magic b'PLAB2'"),
     (lambda raw: raw[:16 + TRAILER - 1], "truncated trailer"),
     (lambda raw: raw + b"xx", "bad trailer magic"),
-    (lambda raw: _edited(raw, 33, b"\xf0"), "bar index out of range"),
+    (lambda raw: _edited(raw, 34, b"\xf0"), "bars out of range or order"),
 ]
 
 
@@ -444,10 +426,13 @@ class TestDamage:
     @pytest.fixture
     def raw(self, tmp_path):
         b = block(n=5)
-        b.bar = np.full(5, 7, dtype="<u1")
+        b.bar = np.array([7, 9, 7, 9, 9], dtype="<u1")
         with CacheWriter(tmp_path / "c.plab") as w:
             w.append(chunk_of(b))
         return (tmp_path / "c.plab").read_bytes()
+
+    def test_fixture_has_the_layout_the_damage_assumes(self, raw):
+        assert len(raw) == 44 + TRAILER and raw[32:36] == bytes([2, 1, 7, 9])
 
     @pytest.mark.parametrize("edit,message", STRUCTURE_DAMAGE)
     def test_structure_damage_is_a_data_error(self, raw, tmp_path, edit, message):
@@ -471,8 +456,7 @@ class TestDamage:
             w.append(chunk_of(block(n=100)))
         path.write_bytes(path.read_bytes()[:-cut])
         message = rf"bad trailer magic .* in {re.escape(str(path))}: .*re-run `polab ingest`"
-        for read in (lambda: list(iter_blocks(path)), lambda: verified_crc32(path),
-                     lambda: read_trailer(path),
+        for read in (lambda: list(iter_blocks(path)), lambda: read_trailer(path),
                      lambda: cache_mod.check_feed(path, tmp_path / "feed.csv")):
             with pytest.raises(DataError, match=message):
                 read()
@@ -510,30 +494,18 @@ class TestDamage:
                 raise RuntimeError("feed broke")
         assert list(tmp_path.iterdir()) == []
 
-    def test_verified_crc32_raises_what_the_reader_raises(self, raw, tmp_path):
-        path = tmp_path / "c.plab"
-        assert verified_crc32(path) == (zlib.crc32(raw[:-SEAL]), len(raw))
-        for edit, message in TRAILER_DAMAGE[:-1]:
-            path.write_bytes(edit(raw))
-            with pytest.raises(DataError, match=message):
-                verified_crc32(path)
-            with pytest.raises(DataError, match=message):
-                list(iter_blocks(path))
-
-    def test_writer_removes_panel_memos(self, raw, tmp_path):
-        path = tmp_path / "c.plab"
-        memos = [panel_memo_path(path, scope) for scope in ("bar", "day")]
-        other = tmp_path / "d.plab.panel-bar.npz"
-        for memo in memos + [other]:
-            memo.write_bytes(b"stale")
-        with CacheWriter(path) as w:
+    def test_writer_removes_temporaries_only_of_writers_gone(self, tmp_path):
+        # a pid that has exited, this process's parent (alive), and names
+        # that are not a writer's temporary of this cache
+        gone = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True).stdout.strip()
+        names = [f"c.plab.{gone}.tmp", f"c.plab.{os.getppid()}.tmp", "c.plab.x.tmp",
+                 f"d.plab.{gone}.tmp", f"c.plab.{gone}.tmp.keep"]
+        for name in names:
+            (tmp_path / name).write_bytes(b"left")
+        with CacheWriter(tmp_path / "c.plab") as w:
             w.append(chunk_of(block()))
-        assert not any(m.exists() for m in memos) and other.exists()
-        memos[0].write_bytes(b"stale")
-        with pytest.raises(RuntimeError):
-            with CacheWriter(path) as w:
-                raise RuntimeError("feed broke")
-        assert sorted(p.name for p in tmp_path.iterdir()) == [other.name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.plab"] + names[1:])
 
     def test_failed_close_removes_temporary_and_older_cache(self, raw, tmp_path, monkeypatch):
         def full_disk(src, dst):
@@ -603,7 +575,7 @@ class TestBoundedMemory:
         for b in blocks:
             k = int(b.stock_id)
             assert b.bar.tolist() == [1 + k % 118, 119 + k % 118]
-            assert (b.buy_serial.tolist(), b.sell_serial.tolist()) == ([0, 1], [1, 0])
+            assert b.n_rows == 2 and b.counts.tolist() == [[1, 1, 1, 1]] * 2
 
     def test_default_flush_merges_to_the_single_flush_bytes(self, dense_flow, tmp_path):
         from polab.cli import main

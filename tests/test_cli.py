@@ -2,6 +2,7 @@ import contextlib
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,11 +19,11 @@ from hypothesis import strategies as st
 from polab.cli import main
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
-from polab.marketdata.cache import FeedStamp, panel_memo_path, read_trailer
+from polab.marketdata.cache import FeedStamp, read_trailer
 from polab.marketdata.parse import iter_transactions
 from polab.panel import PolarityPanel
 
-from cache_bytes import SEAL, TRAILER, sealed
+from cache_bytes import SEAL, TRAILER, Rows, block_bytes, header, sealed
 from panel_text import read_text
 from table_text import read_table
 
@@ -119,11 +120,9 @@ class TestPipeline:
         # neither the worker count nor the output directory may change a
         # byte of any table, headers (and their config hash) included
         root, out, cfg = workdir
-        memo = panel_memo_path(out / "cache.plab", "bar")
         tables = {}
         for name, extra in (("one", ()), ("two", ("--threads", "2"))):
             for command in ("polarity", "fit"):
-                memo.unlink(missing_ok=True)  # so that every run builds the panel
                 assert run(cfg, command, "--out", str(tmp_path / name), *extra) == 0
             tables[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
         assert sorted(tables["one"]) == ["panel.csv", "polarity_moments.csv", "tail_fits.csv"]
@@ -530,7 +529,11 @@ def test_traced_bench_child_counts_every_run(workdir, tmp_path):
     assert counts == {"runlengths": len(runs), "fit": len(runs)}
     assert sum(int(r[cols.index("n_total")]) for r in fits) == len(runs)
 
-    # ingest into a cache of its own, then an analysis that builds its panel
+
+def test_traced_bench_child_reads_what_ingest_cached(workdir, tmp_path):
+    # the harness wraps the cache reader and the panel build by name: an
+    # ingest and then an analysis count every block and row the cache holds
+    root, out, cfg = workdir
     own = tmp_path / "own"
     own_cfg = tmp_path / "own.json"
     own_cfg.write_text(json.dumps({**json.loads(Path(cfg).read_text()),
@@ -547,11 +550,14 @@ def test_traced_bench_child_counts_every_run(workdir, tmp_path):
     feed = json.loads(own_cfg.read_text())["transactions"]
     with open(feed, "rb") as fh:
         feed_rows = sum(1 for _ in fh) - 1
+    report = dict(read_table(own / "ingest_report.csv")[2])
     assert n_blocks == 120  # 30 stocks x 4 days
     assert traced["ingest"]["parse.rows"] == feed_rows
     # the wrapped ``CacheWriter.append`` takes each parse chunk once
     assert traced["ingest"]["cache.blocks_written"] == len(list(iter_transactions(feed)))
     assert traced["polarity"]["cache.blocks_read"] == n_blocks
+    assert traced["polarity"]["cache.rows_read"] == int(report["rows_cached"])
+    assert traced["polarity"]["panel.stock_days"] > 0
 
 
 def test_fit_run_loads_no_scipy(workdir, tmp_path):
@@ -774,7 +780,7 @@ def test_kl_and_impact_hold_no_dense_price_grid(tmp_path):
         "cache": str(tmp_path / "cache.plab"),
         "intraday_prices": str(tmp_path / "intraday.csv"),
     }))
-    assert run(cfg, "polarity") == 0  # the cache and its panel memo
+    assert run(cfg, "polarity") == 0  # the cache
     grid = n_stocks * len(dates) * BARS_PER_DAY * 8
     for command in ("kl", "impact"):
         tracemalloc.start()
@@ -906,6 +912,12 @@ class TestKilledIngest:
             assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + [out.name])
             assert not any(out.iterdir())
         assert not (out / "ingest_report.csv").exists()
+        if moment == "before":  # the finished cache under its temporary name, then gone
+            left = sorted({p.name for p in tmp_path.iterdir()} - set(before) - {out.name})
+            assert len(left) == 1 and re.fullmatch(rf"{re.escape(cache_path.name)}\.\d+\.tmp", left[0])
+            assert main(["ingest", "--config", str(cfg)]) == 0
+            assert cache_path.read_bytes() == old_cache
+            assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + [out.name])
         assert main(["polarity", "--config", str(cfg)]) == 0
         assert (out / "panel.csv").read_bytes() == want
 
@@ -935,19 +947,22 @@ def _ingest_market(root, n_stocks=3, n_days=2, seed=17, **extra):
     return cfg, files.transactions, cache_path, out
 
 
-def test_cache_holds_three_bytes_a_row_of_a_thin_day(tmp_path):
-    # header, then per block its stock id, date, row count and label widths,
-    # then a u8 bar and a u8 label a side a row, as no block here has more
-    # than 256 orders a side, then the trailer: a column added later fails here
+def test_cache_holds_five_bytes_a_cell_of_a_thin_day(tmp_path):
+    # header, then per block its stock id, date, row count, cell count and
+    # count width, then a u8 bar and four u8 counts a cell, as no count here
+    # passes 255, then the trailer: a field added later fails here
     cfg, _, cache_path, out = _ingest_market(tmp_path, n_stocks=4, n_days=3, n_offgrid_rows=2)
     _, _, rows = read_table(out / "ingest_report.csv")
     report = dict(rows)
     assert int(report["rows_off_grid"]) == 6
     blocks = list(cache_mod.iter_blocks(cache_path))
     assert len(blocks) == 12  # one block per (stock, day): the feed is under a flush
-    assert {(b.buy_serial.dtype.str, b.sell_serial.dtype.str) for b in blocks} == {("|u1", "|u1")}
-    heads = sum(2 + len(b.stock_id.encode("utf-8")) + 9 for b in blocks)
-    assert cache_path.stat().st_size == 16 + heads + 3 * int(report["rows_cached"]) + TRAILER
+    assert sum(b.n_rows for b in blocks) == int(report["rows_cached"])
+    assert {b.counts.dtype.str for b in blocks} == {"|u1"}
+    heads = sum(2 + len(b.stock_id.encode("utf-8")) + 10 for b in blocks)
+    cells = sum(len(b.bar) for b in blocks)
+    assert cells == len(PolarityPanel.from_cache(cache_path).active_cells())
+    assert cache_path.stat().st_size == 16 + heads + 5 * cells + TRAILER
 
 
 @pytest.mark.parametrize("id_bytes, code", ((65_535, 0), (65_536, 4)))
@@ -995,7 +1010,6 @@ class TestFeedFingerprint:
         assert "category=data" in err and str(cache_path) in err and str(tx) in err
         assert "re-run `polab ingest`" in err
         assert not (out / "panel.csv").exists()
-        assert not cache_mod.panel_memo_path(cache_path, "bar").exists()
 
     def test_unchanged_feed_runs(self, tmp_path):
         cfg, tx, cache_path, out = _ingest_market(tmp_path)
@@ -1016,23 +1030,9 @@ class TestFeedFingerprint:
 
 
 class TestOldCacheVersion:
-    @pytest.mark.parametrize("old_memo", (False, True))
-    def test_version_1_cache_is_refused(self, tmp_path, capsys, old_memo):
-        import datetime as dt
-        import zlib
-
-        from polab import panel as panel_mod
-
+    def test_version_1_cache_is_refused(self, tmp_path, capsys):
         cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
-        raw = cache_mod.MAGIC + (1).to_bytes(2, "little") + bytes(9)  # a version-1 header
-        cache_path.write_bytes(raw)
-        memo = panel_memo_path(cache_path, "bar")
-        if old_memo:  # as the previous format's polab kept it, keyed to this cache
-            counts = np.zeros((1, 1, 237), np.int32)
-            panel = PolarityPanel(["000001"], [dt.date(2015, 5, 4)], counts, counts)
-            key = np.array([1, zlib.crc32(raw), len(raw)], dtype=np.int64)
-            panel_mod._save_memo(memo, panel, key, "bar")
-        memo_before = memo.read_bytes() if old_memo else None
+        cache_path.write_bytes(cache_mod.MAGIC + (1).to_bytes(2, "little") + bytes(9))  # a version-1 header
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
         capsys.readouterr()
@@ -1040,7 +1040,6 @@ class TestOldCacheVersion:
         err = capsys.readouterr().err
         assert "unsupported cache version 1" in err and "re-run `polab ingest`" in err
         assert not (out / "panel.csv").exists()
-        assert (memo.read_bytes() if memo.exists() else None) == memo_before
 
     def test_version_2_cache_is_refused(self, tmp_path, capsys):
         # as the previous format wrote it: u32 serials, no label widths
@@ -1058,11 +1057,10 @@ class TestOldCacheVersion:
         assert "category=data" in err and "unsupported cache version 2" in err
         assert "re-run `polab ingest`" in err
         assert not (out / "panel.csv").exists()
-        assert not panel_memo_path(cache_path, "bar").exists()
 
     def test_version_3_cache_is_refused_by_every_reader(self, tmp_path, capsys):
-        # as the previous format wrote it: this format's header and blocks,
-        # no trailer, its record in a file beside it, which is not read
+        # as the previous format wrote it: no trailer, its record in a file
+        # beside it, which is not read
         cfg, _, cache_path, out = _ingest_market(tmp_path)
         raw = bytearray(cache_path.read_bytes()[:-TRAILER])
         raw[5] = 3
@@ -1072,25 +1070,41 @@ class TestOldCacheVersion:
         with pytest.raises(DataError, match=message):
             list(cache_mod.iter_blocks(cache_path))
         for config in (json.loads(cfg.read_text()), {"cache": str(cache_path), "out_dir": str(out)}):
-            # with the feed named check_feed reads the cache first; without, the memo path
+            # with the feed named check_feed reads the cache first; without, the panel build
             cfg.write_text(json.dumps(config))
             capsys.readouterr()
             assert main(["polarity", "--config", str(cfg)]) == 4
             err = capsys.readouterr().err
             assert f"category=data: {message} in {cache_path}" in err and "re-run `polab ingest`" in err
             assert not (out / "panel.csv").exists()
-        assert not panel_memo_path(cache_path, "bar").exists()
         assert (tmp_path / "cache.plab.crc32").exists()
+
+    def test_version_4_cache_is_refused(self, tmp_path, capsys):
+        # as the previous format wrote it: per row a u8 bar and a u8 label a
+        # side (label widths 0x11), under a trailer that matches it
+        cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
+        sid = b"000001"
+        block = (len(sid).to_bytes(2, "little") + sid + (20150504).to_bytes(4, "little")
+                 + (2).to_bytes(4, "little") + bytes([0x11, 1, 2, 0, 0, 0, 1]))
+        cache_path.write_bytes(sealed(header(1, version=4) + block))
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
+        capsys.readouterr()
+        assert main(["polarity", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"category=data: unsupported cache version 4 in {cache_path}" in err
+        assert "re-run `polab ingest`" in err
+        assert not (out / "panel.csv").exists()
 
 
 class TestSplitKeyCache:
     def test_cache_with_a_repeated_key_is_refused(self, tmp_path, capsys):
         # as an older polab wrote it when a (stock, day) spanned two flushes
+        import datetime as dt
+
         cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
-        cols = (np.array([1, 2], np.uint8), np.array([0, 1], np.uint8), np.array([1, 0], np.uint8))
-        block = cache_mod._block_bytes("000001", 20150504, *cols)
-        raw = cache_mod._HEADER.pack(cache_mod.MAGIC, cache_mod.VERSION, 0, 2) + block + block
-        cache_path.write_bytes(sealed(raw))
+        rows = Rows("000001", dt.date(2015, 5, 4), np.array([1, 2]), np.array([5, 6]), np.array([6, 5]))
+        cache_path.write_bytes(sealed(header(2) + block_bytes(rows) * 2))
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"cache": str(cache_path), "out_dir": str(out)}))
         capsys.readouterr()
@@ -1099,7 +1113,6 @@ class TestSplitKeyCache:
         assert "category=data" in err and "second block for ('000001', 2015-05-04)" in err
         assert "re-run `polab ingest`" in err
         assert not (out / "panel.csv").exists()
-        assert not panel_memo_path(cache_path, "bar").exists()
 
 
 def _polab(*args):
@@ -1181,31 +1194,12 @@ class TestNotUtf8:
             assert "category=config" in err and "not UTF-8" in err
 
 
-def _ingested_market(root, seed):
-    """A small market ingested and analysed once: its cache, memo and panel.csv."""
-    cfg, tx, cache_path, out = _ingest_market(root, seed=seed)
+@pytest.fixture(scope="module")
+def cached_market(tmp_path_factory):
+    """A small ingested market's cache, and the panel.csv it gives."""
+    cfg, _, cache_path, out = _ingest_market(tmp_path_factory.mktemp("corrupt"))
     assert main(["polarity", "--config", str(cfg)]) == 0
-    return SimpleNamespace(
-        transactions=tx,
-        raw=cache_path.read_bytes(),
-        memo=panel_memo_path(cache_path, "bar").read_bytes(),
-        panel=(out / "panel.csv").read_bytes(),
-    )
-
-
-@pytest.fixture(scope="module")
-def two_markets(tmp_path_factory):
-    root = tmp_path_factory.mktemp("corrupt")
-    a, b = _ingested_market(root / "a", 17), _ingested_market(root / "b", 18)
-    assert a.panel != b.panel
-    return a, b
-
-
-@pytest.fixture(scope="module")
-def cached_market(two_markets):
-    """A small ingested market and the panel.csv its cache gives."""
-    a = two_markets[0]
-    return a.raw, a.panel
+    return cache_path.read_bytes(), (out / "panel.csv").read_bytes()
 
 
 @st.composite
@@ -1215,12 +1209,9 @@ def damage(draw, size):
     return ("flip", draw(st.integers(0, size - 1)), draw(st.integers(1, 255)))
 
 
-def _polarity_on(tmp_path, raw: bytes, memo: bytes | None = None):
+def _polarity_on(tmp_path, raw: bytes):
     cache_path = tmp_path / "cache.plab"
     cache_path.write_bytes(raw)
-    panel_memo_path(cache_path, "bar").unlink(missing_ok=True)
-    if memo is not None:
-        panel_memo_path(cache_path, "bar").write_bytes(memo)
     out = tmp_path / "out"
     if out.exists():
         for p in out.iterdir():
@@ -1265,44 +1256,12 @@ class TestCorruptCache:
         assert code == 4 and not panel_path.exists()
         assert "category=data" in capsys.readouterr().err
 
-
-def _memo_panel(cache_path):
-    """The panel the memo beside ``cache_path`` holds; fails if it is unusable."""
-    with mock.patch.object(cache_mod, "iter_blocks", side_effect=AssertionError("rebuilt")):
-        return PolarityPanel.from_cache_memo(cache_path)
-
-
-class TestPanelMemo:
-    @FUZZ
-    @given(data=st.data())
-    def test_damaged_memo_is_rebuilt(self, two_markets, tmp_path, capsys, data):
-        a = two_markets[0]
-        damaged = _damaged(a.memo, data.draw(damage(len(a.memo))))
-        cache_path = tmp_path / "cache.plab"
-        code, panel_path = _polarity_on(tmp_path, a.raw, damaged)
-        assert code == 0 and panel_path.read_bytes() == a.panel
-        # the memo left behind is usable: rewritten, unless the damage was harmless
-        assert _memo_panel(cache_path).equals(PolarityPanel.from_cache(cache_path))
-
-    @FUZZ
-    @given(data=st.data())
-    def test_damaged_cache_is_refused_beside_a_valid_memo(
-        self, two_markets, tmp_path, capsys, data
-    ):
-        a = two_markets[0]
-        damaged = _damaged(a.raw, data.draw(damage(len(a.raw))))
-        code, _ = _polarity_on(tmp_path, damaged, a.memo)
-        assert code == 4
-        assert "category=data" in capsys.readouterr().err
-
-    def test_cache_is_read_once_on_a_miss_and_on_a_hit(self, two_markets, tmp_path, monkeypatch):
-        # a miss is keyed by the trailer's record and builds through
-        # iter_blocks, which checks the cache against it in the same read;
+    def test_cache_is_read_once(self, cached_market, tmp_path, monkeypatch):
+        # the build checks the cache against its trailer in the same read;
         # the CRC covers every byte before it
-        a = two_markets[0]
+        raw, _ = cached_market
         cache_path = tmp_path / "cache.plab"
-        cache_path.write_bytes(a.raw)
-        covered = len(a.raw) - SEAL
+        cache_path.write_bytes(raw)
         fed = []
 
         def crc32(data, value=0):
@@ -1310,34 +1269,8 @@ class TestPanelMemo:
             return zlib.crc32(data, value)
 
         monkeypatch.setattr(cache_mod, "zlib", SimpleNamespace(crc32=crc32))
-        built = PolarityPanel.from_cache_memo(cache_path)
-        assert sum(fed) == covered
-        assert panel_memo_path(cache_path, "bar").exists()
-        fed.clear()
-        assert _memo_panel(cache_path).equals(built)
-        assert sum(fed) == covered
-
-    def test_memo_of_another_cache_is_never_used(self, two_markets, tmp_path):
-        a, b = two_markets
-        code, panel_path = _polarity_on(tmp_path, a.raw, b.memo)
-        assert code == 0 and panel_path.read_bytes() == a.panel
-        code, panel_path = _polarity_on(tmp_path, b.raw, a.memo)
-        assert code == 0 and panel_path.read_bytes() == b.panel
-
-    def test_reingest_drops_the_memo(self, two_markets, tmp_path):
-        a, b = two_markets
-        code, panel_path = _polarity_on(tmp_path, a.raw, a.memo)
-        assert code == 0 and panel_path.read_bytes() == a.panel
-        cache_path = tmp_path / "cache.plab"
-        cfg = tmp_path / "ingest.json"
-        cfg.write_text(json.dumps({
-            "transactions": str(b.transactions), "cache": str(cache_path), "out_dir": str(tmp_path),
-        }))
-        assert main(["ingest", "--config", str(cfg)]) == 0
-        assert not panel_memo_path(cache_path, "bar").exists()
-        assert cache_path.read_bytes() == b.raw
-        assert main(["polarity", "--config", str(cfg)]) == 0
-        assert (tmp_path / "panel.csv").read_bytes() == b.panel
+        PolarityPanel.from_cache(cache_path)
+        assert sum(fed) == len(raw) - SEAL
 
 
 def _snapshot(root) -> dict:
@@ -1347,7 +1280,7 @@ def _snapshot(root) -> dict:
 
 @pytest.fixture
 def priced_market(tmp_path):
-    """An ingested market with price and emotion files, and no panel memo yet."""
+    """An ingested market with price and emotion files, and no table yet."""
     root = tmp_path / "market"
     cfg, tx, _, _ = _ingest_market(root)
     (root / "emotion.csv").write_text("date,rjf\n2015-05-04,1.0\n2015-05-05,1.1\n")
@@ -1376,7 +1309,7 @@ class TestInputsCheckedFirst:
     )
     @pytest.mark.parametrize("fault,code", [("unset", 2), ("absent", 3)])
     def test_before_any_read(self, priced_market, tmp_path, capsys, command, key, fault, code):
-        # neither a cache, a memo nor a table is written: the check precedes
+        # neither a cache nor a table is written: the check precedes
         # the panel, so a missing cache would not be ingested either
         root, config = priced_market
         config = dict(config)
@@ -1417,7 +1350,9 @@ class TestOneCachePath:
         cache_path = tmp_path / "out" / "cache.plab"
         assert main(["ingest", "--config", str(cfg)]) == 0
         assert main(["polarity", "--config", str(cfg)]) == 0
-        assert panel_memo_path(cache_path, "bar").exists()
+        assert sorted(p.name for p in cache_path.parent.iterdir()) == [
+            "cache.plab", "ingest_report.csv", "panel.csv", "polarity_moments.csv",
+        ]
         panel = (tmp_path / "out" / "panel.csv").read_bytes()
         tx.rename(tmp_path / "moved.csv")
         assert main(["polarity", "--config", str(cfg)]) == 0
@@ -1475,15 +1410,15 @@ class TestOneCachePath:
         assert f"category=config: no cache at {cache_path}" in capsys.readouterr().err
         assert not cache_path.exists() and not list((tmp_path / "out").glob("*.csv"))
 
-    @pytest.mark.parametrize("state", ("intact", "memo", "bar flipped"))
+    @pytest.mark.parametrize("state", ("intact", "analysed", "bar flipped"))
     def test_cache_without_its_trailer_is_refused(self, tmp_path, capsys, state):
         cfg, tx, cache_path, out = _ingest_market(tmp_path)
-        if state == "memo":
+        if state == "analysed":
             assert main(["polarity", "--config", str(cfg)]) == 0
             (out / "panel.csv").unlink()
-        elif state == "bar flipped":  # the first row's bar: structure still valid
+        elif state == "bar flipped":  # the first block's first bar
             raw = bytearray(cache_path.read_bytes())
-            raw[32] ^= 1
+            raw[34] ^= 1
             cache_path.write_bytes(bytes(raw))
         cache_path.write_bytes(cache_path.read_bytes()[:-TRAILER])
         for config in (json.loads(cfg.read_text()), {"cache": str(cache_path), "out_dir": str(out)}):
@@ -1633,6 +1568,30 @@ def test_ids_that_hold_a_comma_or_a_quote_are_quoted(tmp_path):
     assert {row[0] for row in rows} == set(ids)
 
 
+def test_ids_that_start_with_a_hash_are_quoted(tmp_path):
+    # a row of id "#1" would read as a header line unquoted; a plain id and
+    # one with "#" inside keep their bytes
+    ids = ("#1", "000001", "a#b")
+    feed = tmp_path / "tx.csv"
+    feed.write_text("\n".join(
+        ["trade_date,stock_id,time,price,volume,buy_serial,sell_serial"]
+        + [f"2015-05-04,{s},09:3{i}:00.000,10.0,100,{i + 1},9" for i, s in enumerate(ids)]
+    ) + "\n")
+    out = tmp_path / "out"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"transactions": str(feed), "out_dir": str(out)}))
+    for command in ("polarity", "ratios"):
+        assert main([command, "--config", str(cfg)]) == 0
+    assert (out / "panel.csv").read_bytes().splitlines()[1:] == [
+        b'"#1",2015-05-04,1,1,1,0', b"000001,2015-05-04,2,1,1,0", b"a#b,2015-05-04,3,1,1,0",
+    ]
+    assert read_text(out / "panel.csv").stocks == sorted(ids)
+    _, columns, rows = read_table(out / "direction_ratios.csv")
+    assert {(row[0], row[1]) for row in rows} >= {("#1", "all"), ("000001", "all"), ("a#b", "all")}
+    assert [line for line in (out / "direction_ratios.csv").read_bytes().splitlines()
+            if line.startswith(b"#") and not line.startswith(b"# ")] == []
+
+
 class TestOneDateRule:
     """Config and ``synth`` dates follow the feed's rule on every Python."""
 
@@ -1700,14 +1659,14 @@ def test_each_analysis_reads_each_input_once(workdir, tmp_path, command):
 
     caps = tmp_path / "caps.csv"
     caps.write_text("id,capitalization\n000001,1e9\n")
-    memo = counted("from_cache_memo", PolarityPanel.from_cache_memo)
+    build = counted("from_cache", PolarityPanel.from_cache)
     with contextlib.ExitStack() as stack:
         for name in READERS:
             stack.enter_context(mock.patch.object(cli, name, counted(name, getattr(cli, name))))
-        stack.enter_context(mock.patch.object(PolarityPanel, "from_cache_memo", staticmethod(memo)))
+        stack.enter_context(mock.patch.object(PolarityPanel, "from_cache", staticmethod(build)))
         args = ("--out", str(tmp_path / "out"), "--set", f"capitalization={caps}")
         assert run(workdir[2], command, *args) == 0
-    assert calls["from_cache_memo"] == 1
+    assert calls["from_cache"] == 1
     assert max(calls.values()) == 1, calls
 
 

@@ -1,7 +1,6 @@
 import csv
 import datetime as dt
 import math
-import os
 from typing import NamedTuple
 from unittest import mock
 
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
-from polab.marketdata.cache import panel_memo_path, write_cache
+from polab.marketdata.cache import write_cache
 from polab.marketdata.grid import BARS_PER_DAY, assign_bar
 from polab.marketdata.parse import _parse_row, iter_transactions
 from polab.panel import (
@@ -26,7 +25,7 @@ from polab.panel import (
 from polab.returns import build_return_series
 from polab.synth import brute_force_recount
 
-from cache_bytes import TRAILER, chunk_of
+from cache_bytes import Rows, chunk_of
 from panel_text import read_text
 
 D = dt.date(2015, 5, 4)
@@ -71,7 +70,7 @@ def panel_of(records, tmp_path, serial_scope="bar") -> PolarityPanel:
     cols = ("bar", "buy_serial", "sell_serial")
     with cache_mod.CacheWriter(path) as w:
         w.append(chunk_of(*(
-            cache_mod.CacheBlock(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
+            Rows(stock, date, *(np.array([getattr(r, f) for r in rows]) for f in cols))
             for (stock, date), rows in keys.items()
         )))
     return PolarityPanel.from_cache(path, serial_scope=serial_scope)
@@ -213,6 +212,19 @@ class TestPanelConstruction:
         # buyer serial 1 belongs to its first minute only
         assert panel.cell("000001", D, 1)[:2] == (1, 1)
         assert panel.cell("000001", D, 2)[:2] == (0, 1)
+
+    @pytest.mark.parametrize("serial_scope", ("bar", "day"))
+    def test_off_grid_stock_day_keeps_its_place_on_the_axes(self, tmp_path, serial_scope):
+        # 000002 trades on 2015-05-05 only before the open: no cell, yet a
+        # stock and a date of the panel
+        feed = tmp_path / "tx.csv"
+        feed.write_text("trade_date,stock_id,time,price,volume,buy_serial,sell_serial\n"
+                        "2015-05-04,000001,09:31:00.000,10.0,100,1,2\n"
+                        "2015-05-05,000002,09:25:00.000,10.0,100,3,4\n")
+        panel = PolarityPanel.from_transactions(feed, serial_scope=serial_scope)
+        assert panel.stocks == ["000001", "000002"]
+        assert panel.dates == [D, dt.date(2015, 5, 5)]
+        assert panel.active_cells() == {("000001", D, 2): (1, 1)}
 
     def test_day_scope_first_bar_attribution_ignores_row_order(self, tmp_path):
         later = rec(4, 9, bar=3, time_ms=34_330_000)
@@ -666,172 +678,6 @@ def test_readers_hold_a_stock_slab_not_a_panel():
     assert held == []
 
 
-def _reencode_ids(arrays, ids):
-    raw = [s.encode("utf-8") for s in ids]
-    arrays["stock_bytes"] = np.frombuffer(b"".join(raw), dtype=np.uint8)
-    arrays["stock_ends"] = np.cumsum([len(b) for b in raw], dtype=np.int64)
-
-
-def _swap_first_ids(arrays):
-    bounds = np.concatenate([[0], arrays["stock_ends"]])
-    raw = arrays["stock_bytes"].tobytes()
-    ids = [raw[a:b].decode() for a, b in zip(bounds[:-1], bounds[1:])]
-    _reencode_ids(arrays, [ids[1], ids[0]] + ids[2:])
-
-
-def _built_dtype(panel) -> np.dtype:
-    """The count type a build gives ``panel``'s counts: the narrowest
-    unsigned type that holds the largest."""
-    return np.min_scalar_type(max(int(panel.buy.max(initial=0)), int(panel.sell.max(initial=0))))
-
-
-def _wider(counts):
-    return counts.astype(f"u{2 * counts.itemsize}")
-
-
-#: edits that make a memo unusable: the panel must be rebuilt from the cache
-MEMO_DAMAGE = {
-    "other cache": lambda a: a.update(key=a["key"] + np.array([0, 1, 0])),
-    "other size": lambda a: a.update(key=a["key"] + np.array([0, 0, 1])),
-    "other format": lambda a: a.update(key=a["key"] + np.array([1, 0, 0])),
-    "other scope": lambda a: a.update(scope=np.array("day")),
-    "int64 counts": lambda a: a.update(buy=a["buy"].astype(np.int64)),
-    "version 2": lambda a: a.update(
-        key=a["key"] - np.array([1, 0, 0]),
-        buy=a["buy"].astype(np.int32), sell=a["sell"].astype(np.int32),
-    ),
-    "wider sell": lambda a: a.update(sell=_wider(a["sell"])),
-    "short sell": lambda a: a.update(sell=a["sell"][:, :1]),
-    "flat buy": lambda a: a.update(buy=a["buy"].reshape(-1)),
-    "unsorted ids": _swap_first_ids,
-    "duplicate ids": lambda a: _reencode_ids(a, ["000001"] * len(a["stock_ends"])),
-    "ids past the bytes": lambda a: a.update(stock_ends=a["stock_ends"] + 1),
-    "id not UTF-8": lambda a: a.update(stock_bytes=np.full_like(a["stock_bytes"], 0xFF)),
-    "duplicate dates": lambda a: a.update(dates=np.repeat(a["dates"][:1], len(a["dates"]))),
-    "bad date": lambda a: a["dates"].__setitem__(-1, 20151399),
-    "int64 dates": lambda a: a.update(dates=a["dates"].astype(np.int64)),
-    "no sell": lambda a: a.pop("sell"),
-}
-
-
-class TestPanelMemo:
-    @pytest.fixture
-    def cached(self, small_scenario, tmp_path):
-        files, _ = small_scenario
-        path = tmp_path / "c.plab"
-        write_cache(path, iter_transactions(files.transactions))
-        return path, PolarityPanel.from_cache(path)
-
-    @staticmethod
-    def load(path, **kwargs):
-        """(panel, whether the cache was read to build it)."""
-        with mock.patch.object(cache_mod, "iter_blocks", wraps=cache_mod.iter_blocks) as read:
-            panel = PolarityPanel.from_cache_memo(path, **kwargs)
-        return panel, read.called
-
-    @staticmethod
-    def same(a, b):
-        return (
-            a.stocks == b.stocks and a.dates == b.dates
-            and np.array_equal(a.buy, b.buy) and np.array_equal(a.sell, b.sell)
-            and a.buy.dtype == a.sell.dtype == b.buy.dtype == b.sell.dtype == _built_dtype(b)
-        )
-
-    def test_built_once_then_loaded(self, cached):
-        path, reference = cached
-        panel, built = self.load(path)
-        assert built and self.same(panel, reference)
-        panel, built = self.load(path)
-        assert not built and self.same(panel, reference)
-        names = sorted(p.name for p in path.parent.iterdir())
-        assert names == ["c.plab", "c.plab.panel-bar.npz"]
-
-    def test_scopes_keep_separate_memos(self, tmp_path):
-        # buy serial 5 trades in bars 1 and 2: the scopes count it differently
-        path = tmp_path / "scopes.plab"
-        cols = dict(bar=[1, 2], buy_serial=[5, 5], sell_serial=[6, 7])
-        block = cache_mod.CacheBlock("000001", D, **{k: np.array(v) for k, v in cols.items()})
-        with cache_mod.CacheWriter(path) as w:
-            w.append(chunk_of(block))
-        for first in (True, False):
-            for scope, want in (("bar", [1, 1]), ("day", [1, 0])):
-                panel, built = self.load(path, serial_scope=scope)
-                assert built == first and panel.buy[0, 0, :2].tolist() == want
-        assert panel_memo_path(path, "bar").exists() and panel_memo_path(path, "day").exists()
-
-    @pytest.mark.parametrize("name", sorted(MEMO_DAMAGE))
-    def test_unusable_memo_is_rebuilt_and_replaced(self, cached, name):
-        path, reference = cached
-        self.load(path)
-        memo = panel_memo_path(path, "bar")
-        with np.load(memo) as z:
-            arrays = dict(z)
-        MEMO_DAMAGE[name](arrays)
-        with open(memo, "wb") as fh:
-            np.savez(fh, **arrays)
-        panel, built = self.load(path)
-        assert built and self.same(panel, reference)
-        panel, built = self.load(path)
-        assert not built and self.same(panel, reference)
-
-    @pytest.mark.parametrize("content", [b"", b"PK\x03\x04", b"not a memo at all"])
-    def test_unreadable_memo_is_rebuilt(self, cached, content):
-        path, reference = cached
-        panel_memo_path(path, "bar").write_bytes(content)
-        panel, built = self.load(path)
-        assert built and self.same(panel, reference)
-        assert not self.load(path)[1]
-
-    def test_damaged_cache_is_refused_beside_a_valid_memo(self, cached):
-        path, _ = cached
-        self.load(path)
-        raw = bytearray(path.read_bytes())
-        raw[100] ^= 1
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError, match="does not match its checksum"):
-            PolarityPanel.from_cache_memo(path)
-
-    @pytest.mark.parametrize("memo", (False, True))
-    def test_cache_without_its_trailer_is_refused(self, cached, memo):
-        # the trailer is the cache's record of itself: without it neither a
-        # memo nor a build is trusted, and no memo is written
-        path, _ = cached
-        if memo:
-            self.load(path)
-        memo_before = panel_memo_path(path, "bar").read_bytes() if memo else None
-        path.write_bytes(path.read_bytes()[:-TRAILER])
-        with pytest.raises(DataError, match=r"bad trailer magic .*re-run `polab ingest`"):
-            PolarityPanel.from_cache_memo(path)
-        memo_path = panel_memo_path(path, "bar")
-        assert (memo_path.read_bytes() if memo_path.exists() else None) == memo_before
-
-    def test_failed_memo_write_still_returns_the_panel(self, cached, monkeypatch):
-        path, reference = cached
-
-        def full_disk(src, dst):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(os, "replace", full_disk)
-        panel, built = self.load(path)
-        assert built and self.same(panel, reference)
-        assert sorted(p.name for p in path.parent.iterdir()) == ["c.plab"]
-
-    def test_cache_replaced_during_the_build_is_not_memoised(self, cached, monkeypatch):
-        path, reference = cached
-        build = PolarityPanel.from_cache
-
-        def build_then_replace(cache_path, **kwargs):
-            panel = build(cache_path, **kwargs)
-            first = next(cache_mod.iter_blocks(cache_path))
-            with cache_mod.CacheWriter(cache_path) as w:
-                w.append(chunk_of(first))
-            return panel
-
-        monkeypatch.setattr(PolarityPanel, "from_cache", build_then_replace)
-        assert self.same(PolarityPanel.from_cache_memo(path), reference)
-        assert not panel_memo_path(path, "bar").exists()
-
-
 def _cache_of_counts(path, buys: int, sells: int = 1, rows_per_bar: int | None = None):
     """A one-block cache of ``max(buys, sells)`` rows with ``buys`` buy
     serials and ``sells`` sell serials, all in the first minute; with
@@ -840,7 +686,7 @@ def _cache_of_counts(path, buys: int, sells: int = 1, rows_per_bar: int | None =
     bar = np.ones(n, np.uint8)
     if rows_per_bar is not None:
         bar = (np.arange(n) // rows_per_bar % BARS_PER_DAY + 1).astype(np.uint8)
-    block = cache_mod.CacheBlock(
+    block = Rows(
         "000001", D, bar,
         buy_serial=np.arange(n, dtype=np.uint32) % buys + 1,
         sell_serial=np.arange(n, dtype=np.uint32) % sells + 1,
@@ -862,9 +708,7 @@ class TestCountType:
         panel = PolarityPanel.from_cache(path)
         assert panel.buy.dtype == panel.sell.dtype == dtype
         assert panel.cell("000001", D, 1)[:2] == (largest, 1)
-        (first, built), (second, rebuilt) = TestPanelMemo.load(path), TestPanelMemo.load(path)
-        assert built and not rebuilt
-        assert TestPanelMemo.same(first, panel) and TestPanelMemo.same(second, panel)
+        assert PolarityPanel.from_cache(path, serial_scope="day").buy.dtype == dtype
 
     def test_type_follows_the_largest_count_not_the_block_rows(self, tmp_path):
         # 70,000 rows in one block, at most 296 of them in any minute
@@ -889,22 +733,6 @@ class TestCountType:
         panel = read_text(path)
         assert panel.buy.dtype == panel.sell.dtype == np.uint32
         assert panel.cell("A", D, 7)[:2] == (2**31 - 1, 1)
-
-    @pytest.mark.parametrize("wider", [_wider, lambda c: c.astype(np.int32)], ids=["wider", "int32"])
-    @pytest.mark.parametrize("largest", [255, 256, 65_536])
-    def test_memo_in_another_type_is_rebuilt(self, tmp_path, largest, wider):
-        path = _cache_of_counts(tmp_path / "c.plab", largest)
-        reference, _ = TestPanelMemo.load(path)
-        memo = panel_memo_path(path, "bar")
-        with np.load(memo) as z:
-            arrays = dict(z)
-        arrays.update(buy=wider(arrays["buy"]), sell=wider(arrays["sell"]))
-        with open(memo, "wb") as fh:
-            np.savez(fh, **arrays)
-        panel, built = TestPanelMemo.load(path)
-        assert built and TestPanelMemo.same(panel, reference)
-        with np.load(memo) as z:
-            assert z["buy"].dtype == z["sell"].dtype == reference.buy.dtype
 
     def test_narrow_counts_that_sum_past_their_type_read_as_wide_ones(self, tmp_path):
         # 200 + 100 and 255 + 255 overflow a uint8 sum; 0 + 0 has no polarity

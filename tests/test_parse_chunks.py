@@ -4,8 +4,9 @@ The reference reads the file with ``csv`` one row at a time and applies
 ``parse._parse_row`` with the running abort check, which is how the parser
 worked before it read chunks. Every block size must reproduce what it keeps
 of each valid row (date, stock, bar and the two serials), its ParseReport
-and its abort, and every cache built from the chunks must be byte-identical
-to one built from the reference rows. Block sizes of
+and its abort, and every cache built from the chunks, whatever its flush,
+must be byte-identical to the one that ``cache_bytes`` encodes from the
+reference rows. Block sizes of
 1 and 7 bytes are shorter than a line and cut inside lines and between a
 CR and its LF; 256 and 2048 bytes give blocks of several lines that more
 blocks follow, so line numbers, aborts and quoted records carry across
@@ -25,10 +26,13 @@ from polab.marketdata import cache, parse
 from polab.marketdata.grid import assign_bar, assign_bars
 from polab.marketdata.schema import ParseReport, TransactionChunk
 
-from cache_bytes import chunk_of
+from cache_bytes import Rows, cache_bytes
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
 BLOCK_SIZES = (1, 7, 256, 2048, 1 << 14, parse._BLOCK_BYTES)
+#: a flush a chunk, which leaves every key's merge to the close, a flush of
+#: several chunks, and the default
+FLUSHES = (1, 64, cache._FLUSH_ROWS)
 IDX = (7, 0, 1, 2, 3, 4, 5, 6)
 
 
@@ -86,25 +90,14 @@ def chunked_parse(path, malformed_threshold):
     return records, report, message
 
 
-def reference_cache(path, records, flush_rows):
-    """A cache written with per-row buffering, flushed every ``flush_rows``
-    rows as one chunk of its keys' rows, each key's rows together."""
-    buffers = {}
-
-    def flush(writer):
-        writer.append(chunk_of(*(
-            cache.CacheBlock(stock, day, *map(np.asarray, zip(*rows)))
-            for (stock, day), rows in buffers.items()
-        )))
-        buffers.clear()
-
-    with cache.CacheWriter(path, flush_rows) as writer:
-        for k, (day, stock, *cells) in enumerate(records, 1):
-            buffers.setdefault((stock, day), []).append(cells)
-            if k % flush_rows == 0:
-                flush(writer)
-        flush(writer)
-    return path.read_bytes()
+def reference_cache(records) -> bytes:
+    """The cache of ``records`` as the reference encoder writes it: a block
+    per key in order of its first record, each key's rows in record order."""
+    keys = {}
+    for day, stock, *cells in records:
+        keys.setdefault((stock, day), []).append(cells)
+    return cache_bytes([Rows(stock, day, *map(np.asarray, zip(*rows)))
+                        for (stock, day), rows in keys.items()])
 
 
 # -- random feeds ------------------------------------------------------------------
@@ -188,7 +181,7 @@ def feed_line(draw):
     ),
     threshold=st.sampled_from((0.001, 0.2, 0.5, 1.0)),
     floor=st.sampled_from((5, 10, parse._EARLY_CHECK_FLOOR)),
-    flush_rows=st.sampled_from((64, 128, 512)),
+    flush_rows=st.sampled_from(FLUSHES),
     trailing_newline=st.booleans(),
 )
 def test_chunks_match_the_per_row_rule(
@@ -201,7 +194,7 @@ def test_chunks_match_the_per_row_rule(
     want_records, want_report, want_abort = reference_parse(path, threshold)
     want_cache = None
     if want_abort is None:
-        want_cache = reference_cache(tmp_path / "want.plab", want_records, flush_rows)
+        want_cache = reference_cache(want_records)
     for size in BLOCK_SIZES:
         monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
         records, report, abort = chunked_parse(path, threshold)
@@ -215,14 +208,14 @@ def test_chunks_match_the_per_row_rule(
             assert got.read_bytes() == want_cache, size
 
 
-@pytest.mark.parametrize("flush_rows", (64, 128, 512))
+@pytest.mark.parametrize("flush_rows", FLUSHES)
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_cache_bytes_do_not_depend_on_chunking(
     small_scenario, tmp_path, monkeypatch, size, flush_rows
 ):
     files, _ = small_scenario
     want_records, _, _ = reference_parse(files.transactions, 0.001)
-    want = reference_cache(tmp_path / "want.plab", want_records, flush_rows)
+    want = reference_cache(want_records)
     monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
     got = tmp_path / "got.plab"
     n = cache.write_cache(got, parse.iter_transactions(files.transactions), flush_rows)
@@ -253,13 +246,15 @@ def assert_matches_reference(tmp_path, monkeypatch, raw: bytes, sizes):
     path = tmp_path / "tx.csv"
     path.write_bytes(raw)
     want = reference_parse(path, 1.0)
-    want_cache = reference_cache(tmp_path / "want.plab", want[0], 64)
+    want_cache = reference_cache(want[0])
     for size in sizes:
         monkeypatch.setattr(parse, "_BLOCK_BYTES", size)
         assert chunked_parse(path, 1.0) == want, size
-        got = tmp_path / "got.plab"
-        cache.write_cache(got, parse.iter_transactions(path, malformed_threshold=1.0), 64)
-        assert got.read_bytes() == want_cache, size
+        for flush_rows in FLUSHES:
+            got = tmp_path / "got.plab"
+            chunks = parse.iter_transactions(path, malformed_threshold=1.0)
+            cache.write_cache(got, chunks, flush_rows)
+            assert got.read_bytes() == want_cache, (size, flush_rows)
     return want
 
 
@@ -320,7 +315,7 @@ def wide_chunks(draw):
     """Chunks of a time-ordered feed over many stocks: hundreds of keys per
     chunk, each key recurring across chunks, each chunk listing its stocks
     and dates in its own order."""
-    flush_rows = draw(st.sampled_from((1, 64, 8192)))
+    flush_rows = draw(st.sampled_from(FLUSHES))
     n_stocks = draw(st.integers(1, 400))
     n_dates = draw(st.integers(1, 3))
     max_rows = 300 if flush_rows == 1 else 3000
@@ -346,11 +341,11 @@ def wide_chunks(draw):
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=wide_chunks())
-def test_writer_matches_per_record_reference_on_wide_markets(tmp_path_factory, case):
+def test_writer_matches_the_reference_encoder_on_wide_markets(tmp_path_factory, case):
     chunks, flush_rows = case
     tmp = tmp_path_factory.mktemp("wide")
     records = [row for chunk in chunks for row in rows_of(chunk)]
-    want = reference_cache(tmp / "want.plab", records, flush_rows)
+    want = reference_cache(records)
     n = cache.write_cache(tmp / "got.plab", iter(chunks), flush_rows)
     assert n == len(records)
     assert (tmp / "got.plab").read_bytes() == want

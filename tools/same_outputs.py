@@ -8,7 +8,7 @@ inputs of the benchmark's ``paper_dense`` (seed 9901) and ``paper_wide``
 ``paperbench/workloads.build_inputs`` and BASE_SRC's generator. Then each
 tree in turn runs ``ingest``, the ten analyses and the day-scope
 ``polarity`` on them, at the same paths, each step in a fresh interpreter.
-Every file a tree's steps write (the cache, the panel memos, every table)
+Every file a tree's steps write (the cache and every table)
 is hashed with SHA-256 and removed before the other tree runs. Prints each
 file whose digest differs, or that only one tree wrote, and exits 1 if
 there is any, or if a step fails; else 0.
