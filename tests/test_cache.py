@@ -28,7 +28,9 @@ from polab.marketdata.parse import iter_transactions
 from polab.marketdata.schema import ParseReport, TransactionChunk
 from polab.panel import PolarityPanel
 
-from cache_bytes import SEAL, STAMP, TRAILER, Rows, cache_bytes, chunk_of, man_times, sealed
+from cache_bytes import (
+    SEAL, STAMP, TRAILER, Rows, cache_bytes, chunk_of, header, man_times, sealed,
+)
 
 
 HEADER = "trade_date,stock_id,time,price,volume,buy_serial,sell_serial"
@@ -55,6 +57,25 @@ def read_back(b: Rows) -> tuple:
 def as_read(blk) -> tuple:
     """A block ``iter_blocks`` yielded, in ``read_back``'s terms."""
     return (blk.stock_id, blk.trade_date, blk.n_rows, blk.bar.tolist(), blk.counts.tolist())
+
+
+#: rows of one (stock, day), each (bar, buy serial, sell serial), and the
+#: cells of its block, each (bar, buy, sell, day-scope buy, day-scope sell),
+#: counted by hand
+HAND_COUNTED = {
+    "fills-of-one-order-in-a-bar": (
+        [(5, 1, 2), (5, 1, 2), (5, 1, 3)], [(5, 1, 2, 1, 2)]),
+    "order-in-several-bars-later-bar-first": (
+        [(9, 1, 7), (5, 1, 7), (7, 1, 8)], [(5, 1, 1, 1, 1), (7, 1, 1, 0, 1), (9, 1, 1, 0, 0)]),
+    "one-serial-on-both-sides": (
+        [(3, 4, 4), (4, 4, 4)], [(3, 1, 1, 1, 1), (4, 1, 1, 0, 0)]),
+    "off-grid-fills-count-nowhere": (
+        [(0, 1, 2), (8, 1, 3), (0, 5, 5)], [(8, 1, 1, 1, 1)]),
+    "the-grid-ends": (
+        [(237, 1, 1), (1, 2, 2), (237, 2, 3)], [(1, 1, 1, 1, 1), (237, 2, 2, 1, 2)]),
+    "the-u32-ends": (
+        [(6, 0, 2**32 - 1), (6, 2**32 - 1, 0), (7, 0, 0)], [(6, 2, 2, 2, 2), (7, 1, 1, 0, 0)]),
+}
 
 
 class TestRoundTrip:
@@ -144,6 +165,32 @@ class TestRoundTrip:
         recount = synth.brute_force_recount(files.transactions)
         assert PolarityPanel.from_cache(path).active_cells() == recount.cells
 
+    @pytest.mark.parametrize("rows,cells", HAND_COUNTED.values(), ids=HAND_COUNTED)
+    def test_counts_of_hand_counted_rows(self, tmp_path, rows, cells):
+        bar, buy, sell = zip(*rows)
+        b = Rows("000001", dt.date(2015, 5, 4), np.array(bar, "<u1"), np.array(buy, "<u4"),
+                 np.array(sell, "<u4"))
+        assert man_times(b) == {bar: list(counts) for bar, *counts in cells}
+        with CacheWriter(tmp_path / "c.plab") as w:
+            w.append(chunk_of(b))
+        (got,) = iter_blocks(tmp_path / "c.plab")
+        assert got.n_rows == len(rows)
+        assert [(bar, *counts) for bar, counts in zip(got.bar.tolist(), got.counts.tolist())] == cells
+
+    def test_keys_counted_together_keep_their_orders_apart(self, tmp_path):
+        # three keys in one batch share their serials; each counts them as
+        # if it were alone, so no key's order is another key's earlier fill
+        keys = [("000001", dt.date(2015, 5, 4)), ("000002", dt.date(2015, 5, 4)),
+                ("000001", dt.date(2015, 5, 5))]
+        blocks = [Rows(stock, date, np.array([6, 5, 6], "<u1"), np.array([1, 1, 2], "<u4"),
+                       np.array([1, 1, 1], "<u4")) for stock, date in keys]
+        with CacheWriter(tmp_path / "c.plab") as w:
+            w.append(chunk_of(*blocks))
+        got = list(iter_blocks(tmp_path / "c.plab"))
+        assert [as_read(b)[:3] for b in got] == [(*key, 3) for key in keys]
+        assert all(b.bar.tolist() == [5, 6] for b in got)
+        assert all(b.counts.tolist() == [[1, 1, 1, 1], [2, 1, 1, 0]] for b in got)
+
     def test_off_grid_day_keeps_a_block_without_cells(self, tmp_path):
         rows = Rows("000002", dt.date(2015, 5, 5), np.zeros(2, np.uint8), [4, 5], [6, 6])
         with CacheWriter(tmp_path / "c.plab") as w:
@@ -151,6 +198,33 @@ class TestRoundTrip:
         assert (tmp_path / "c.plab").read_bytes() == cache_bytes([block(), rows])
         _, got = iter_blocks(tmp_path / "c.plab")
         assert as_read(got) == ("000002", dt.date(2015, 5, 5), 2, [], [])
+
+
+class TestCloseBatches:
+    @pytest.mark.parametrize("count_rows", (1, 2, 3, 17, 1 << 13))
+    def test_batch_size_does_not_change_the_bytes(self, small_scenario, tmp_path, monkeypatch,
+                                                  count_rows):
+        # keys are counted in batches of whole keys, about ``count_rows``
+        # rows each; a key larger than that goes alone
+        files, _ = small_scenario
+        chunks = list(iter_transactions(files.transactions))
+        want = merged([b for chunk in chunks for b in blocks_of(chunk)])
+        batches = []
+        count = cache_mod._man_times
+
+        def counted(rows, sizes):
+            batches.append(sizes.tolist())
+            return count(rows, sizes)
+
+        monkeypatch.setattr(cache_mod, "_COUNT_ROWS", count_rows)
+        monkeypatch.setattr(cache_mod, "_man_times", counted)
+        path = tmp_path / "c.plab"
+        write_cache(path, iter(chunks))
+        assert path.read_bytes() == cache_bytes(want)
+        assert [n for sizes in batches for n in sizes] == [b.n_rows for b in want]
+        starts = np.cumsum([0] + [b.n_rows for b in want])[:-1]
+        assert len(batches) == len(set((starts // count_rows).tolist()))
+        assert all(len(sizes) == 1 or sum(sizes[:-1]) < count_rows for sizes in batches)
 
 
 U32 = st.one_of(st.sampled_from([0, 1, 2**32 - 1]), st.integers(0, 2**32 - 1))
@@ -375,6 +449,17 @@ class TestValidation:
         with pytest.raises(DataError, match="version"):
             list(iter_blocks(path))
 
+    @pytest.mark.parametrize("version", (0, 4, 6, 0xFFFF))
+    def test_other_version_is_refused_by_every_reader(self, tmp_path, version):
+        # the version is checked before the trailer: this file has none
+        path = tmp_path / "c.plab"
+        path.write_bytes(header(0, version=version) + bytes(3))
+        message = rf"^unsupported cache version {version} in .*re-run `polab ingest`"
+        for read in (lambda: list(iter_blocks(path)), lambda: read_trailer(path),
+                     lambda: cache_mod.check_feed(path, tmp_path / "feed.csv")):
+            with pytest.raises(DataError, match=message):
+                read()
+
     def test_serial_overflow_rejected(self, tmp_path):
         b = block()
         b.buy_serial = b.buy_serial.astype("<u8")
@@ -420,6 +505,12 @@ TRAILER_DAMAGE = [
     (lambda raw: raw + b"xx", "bad trailer magic"),
     (lambda raw: _edited(raw, 34, b"\xf0"), "bars out of range or order"),
 ]
+
+
+def _exited_pid() -> int:
+    """The pid of a process that has run and exited."""
+    return int(subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                              capture_output=True, text=True, check=True).stdout)
 
 
 class TestDamage:
@@ -495,17 +586,28 @@ class TestDamage:
         assert list(tmp_path.iterdir()) == []
 
     def test_writer_removes_temporaries_only_of_writers_gone(self, tmp_path):
-        # a pid that has exited, this process's parent (alive), and names
-        # that are not a writer's temporary of this cache
-        gone = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
-                              capture_output=True, text=True, check=True).stdout.strip()
+        # a pid that has exited, this process's parent (alive), names that
+        # are not a writer's temporary of this cache, and a pid beyond pid_t
+        gone = _exited_pid()
         names = [f"c.plab.{gone}.tmp", f"c.plab.{os.getppid()}.tmp", "c.plab.x.tmp",
-                 f"d.plab.{gone}.tmp", f"c.plab.{gone}.tmp.keep"]
+                 f"d.plab.{gone}.tmp", f"c.plab.{gone}.tmp.keep", f"c.plab.{2**31}.tmp"]
         for name in names:
             (tmp_path / name).write_bytes(b"left")
         with CacheWriter(tmp_path / "c.plab") as w:
             w.append(chunk_of(block()))
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["c.plab"] + names[1:])
+
+    @pytest.mark.parametrize("name,other", (("c[1].plab", "c1.plab"), ("c*.plab", "cx.plab"),
+                                            ("c?.plab", "cx.plab")))
+    def test_temporaries_are_matched_by_the_cache_name_itself(self, tmp_path, name, other):
+        # ``other`` matches ``name`` read as a glob pattern: its writer's
+        # temporary is another cache's, and stays
+        gone = _exited_pid()
+        for cache in (name, other):
+            (tmp_path / f"{cache}.{gone}.tmp").write_bytes(b"left")
+        with CacheWriter(tmp_path / name) as w:
+            w.append(chunk_of(block()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, f"{other}.{gone}.tmp"])
 
     def test_failed_close_removes_temporary_and_older_cache(self, raw, tmp_path, monkeypatch):
         def full_disk(src, dst):

@@ -1670,6 +1670,35 @@ def test_each_analysis_reads_each_input_once(workdir, tmp_path, command):
     assert max(calls.values()) == 1, calls
 
 
+@pytest.fixture(scope="module")
+def miscounted_cache(workdir):
+    """The market's cache with its first count one off, under the trailer
+    that its ingest wrote: only the CRC-32 tells it from a valid cache."""
+    path = workdir[1] / "cache.plab"
+    first = next(cache_mod.iter_blocks(path))
+    raw = bytearray(path.read_bytes())
+    at = 16 + 2 + len(first.stock_id.encode()) + 10 + len(first.bar)  # its first count
+    raw[at] ^= 1
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("command", ANALYSES)
+def test_each_analysis_refuses_a_cache_that_fails_its_checksum(
+    workdir, miscounted_cache, tmp_path, capsys, command
+):
+    # every analysis checks the cache's CRC-32 as it reads the panel, and
+    # writes no table from a cache that fails it
+    cache_path, out = tmp_path / "cache.plab", tmp_path / "out"
+    cache_path.write_bytes(miscounted_cache)
+    caps = tmp_path / "caps.csv"
+    caps.write_text("id,capitalization\n000001,1e9\n")
+    capsys.readouterr()
+    args = ("--out", str(out), "--set", f"cache={cache_path}", "--set", f"capitalization={caps}")
+    assert run(workdir[2], command, *args) == 4
+    assert f"category=data: cache {cache_path} does not match its checksum" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_impact_frees_the_price_rows_before_it_groups(workdir, tmp_path):
     # the run holds no input itself, so impact's ``del intraday`` gives the
     # price rows back before its pairs are copied by period

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polab import panel as panel_mod
 from polab.errors import DataError
 from polab.marketdata import cache as cache_mod
 from polab.marketdata.cache import write_cache
@@ -225,6 +226,35 @@ class TestPanelConstruction:
         assert panel.stocks == ["000001", "000002"]
         assert panel.dates == [D, dt.date(2015, 5, 5)]
         assert panel.active_cells() == {("000001", D, 2): (1, 1)}
+
+    @pytest.mark.parametrize("grid_days", (1, 3))
+    @pytest.mark.parametrize("serial_scope", ("bar", "day"))
+    def test_panel_does_not_depend_on_the_days_gathered_at_once(
+        self, small_scenario, tmp_path, monkeypatch, serial_scope, grid_days
+    ):
+        # 24 stock-days and one without cells, which a slice of one day
+        # gathers alone
+        files, _ = small_scenario
+        path = tmp_path / "c.plab"
+        with cache_mod.CacheWriter(path) as w:
+            for chunk in iter_transactions(files.transactions):
+                w.append(chunk)
+            w.append(chunk_of(Rows("999999", D, np.zeros(2, np.uint8), [1, 2], [3, 4])))
+        want = PolarityPanel.from_cache(path, serial_scope=serial_scope)
+        assert len(want.stocks) * len(want.dates) > 3 * grid_days and "999999" in want.stocks
+        monkeypatch.setattr(panel_mod, "_GRID_DAYS", grid_days)
+        got = PolarityPanel.from_cache(path, serial_scope=serial_scope)
+        assert (got.stocks, got.dates) == (want.stocks, want.dates)
+        for name in ("buy", "sell"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("serial_scope", ("Bar", "", None))
+    def test_unknown_serial_scope_is_refused_before_the_cache_is_read(self, tmp_path, serial_scope):
+        with mock.patch.object(cache_mod, "iter_blocks") as read:
+            with pytest.raises(ValueError, match="serial_scope must be 'bar' or 'day'"):
+                PolarityPanel.from_cache(tmp_path / "c.plab", serial_scope=serial_scope)
+        read.assert_not_called()
 
     def test_day_scope_first_bar_attribution_ignores_row_order(self, tmp_path):
         later = rec(4, 9, bar=3, time_ms=34_330_000)
